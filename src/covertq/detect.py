@@ -1,22 +1,22 @@
 """Log-likelihood-ratio detection and exact error-probability oracles.
 
-All likelihood arithmetic is in the log domain so sequences up to 10^6
-symbols never underflow.  Ties at the threshold decide H0 (the ">= gamma
-implies H0" orientation), which makes every error probability bit-exactly
-reproducible.
+The busy/idle record is i.i.d. Bernoulli, so the LLR is an affine function
+of the idle count and every test here decides through `_llr`.  Ties at the
+threshold decide H0 (the ">= gamma implies H0" orientation), which makes
+every error probability bit-exactly reproducible.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import log, sqrt
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .model import Hypothesis, ModelParams, stationary_distribution, transition_matrix
+from .model import Hypothesis, ModelParams, transition_matrix
 from .sim import ObservationSequence, RngSeed, simulate_sequence_batch
 
 INITIAL_MODES = ("stationary", "conditioned")
@@ -25,7 +25,7 @@ MC_BLOCK_SIZE = 20_000
 
 
 class LlrUndefinedError(ValueError):
-    """A zero transition probability was hit along the observed path."""
+    """An observed symbol has zero probability under one hypothesis."""
 
 
 class DegenerateModelError(ValueError):
@@ -56,29 +56,25 @@ class ErrorProbabilities:
             raise ValueError("p_e must equal (p_f + p_m)/2")
 
     def to_json_record(self, params: ModelParams, n: int, threshold: float) -> str:
-        rec = {
-            "n": n,
-            "lambda_w": params.lambda_w,
-            "lambda_b": params.lambda_b,
-            "mu": params.mu,
-            "threshold": threshold,
-            "p_f": self.p_f,
-            "p_m": self.p_m,
-            "p_e": self.p_e,
-            "se_f": self.se_f,
-            "se_m": self.se_m,
-            "trials": self.trials,
-        }
+        rec = {"n": n, "lambda_w": params.lambda_w, "lambda_b": params.lambda_b,
+               "mu": params.mu, "threshold": threshold, **asdict(self)}
         return json.dumps(rec, sort_keys=True)
 
 
-def _first_symbol_term(x1: int, p_mat: np.ndarray, q_mat: np.ndarray) -> float:
-    pi_p = stationary_distribution(p_mat)
-    pi_q = stationary_distribution(q_mat)
-    num, den = pi_p[x1], pi_q[x1]
-    if num == 0.0 or den == 0.0:
-        raise LlrUndefinedError(f"zero stationary probability for first symbol {x1}")
-    return log(num / den)
+def _llr(k, m: int, p: float, q: float):
+    """LLR of H0 over H1 for k idle symbols among m (p, q: idle probabilities).
+
+    Single sequences, exact tails and Monte Carlo blocks all decide with this
+    one expression, so ties at the threshold resolve identically everywhere.
+    """
+    return k * log(p / q) + (m - k) * log((1.0 - p) / (1.0 - q))
+
+
+def _idle_probability(m: np.ndarray) -> float:
+    m = np.asarray(m, dtype=float)
+    if m.shape != (2, 2) or not np.array_equal(m[0], m[1]):
+        raise ValueError(f"expected a 2x2 matrix with equal rows, got {m.tolist()}")
+    return float(m[0, 0])
 
 
 def log_likelihood_ratio(
@@ -87,27 +83,27 @@ def log_likelihood_ratio(
     q_mat: np.ndarray,
     initial: str = "stationary",
 ) -> float:
-    """Natural-log likelihood ratio of H0 over H1 for a 2-state chain.
+    """Natural-log likelihood ratio of H0 over H1 for the busy/idle record.
 
-    With initial='stationary' the first symbol contributes the log ratio of
-    the stationary probabilities; with 'conditioned' it contributes nothing.
+    p_mat and q_mat are the equal-row transition matrices of `matrices`;
+    only their common row enters.  With initial='stationary' every symbol
+    counts; with 'conditioned' the first symbol contributes nothing.
     """
     if initial not in INITIAL_MODES:
         raise ValueError(f"initial must be one of {INITIAL_MODES}")
     if obs.n < 1:
         raise ValueError("observation sequence is empty")
-    bits = obs.bits.astype(np.intp)
-    total = 0.0
-    if initial == "stationary":
-        total += _first_symbol_term(int(bits[0]), p_mat, q_mat)
-    if obs.n >= 2:
-        prev, nxt = bits[:-1], bits[1:]
-        p_path = p_mat[prev, nxt]
-        q_path = q_mat[prev, nxt]
-        if np.any(p_path == 0.0) or np.any(q_path == 0.0):
-            raise LlrUndefinedError("zero transition probability along observed path")
-        total += float(np.sum(np.log(p_path) - np.log(q_path)))
-    return total
+    p, q = _idle_probability(p_mat), _idle_probability(q_mat)
+    counted = obs.bits if initial == "stationary" else obs.bits[1:]
+    m = counted.size
+    k = m - int(np.count_nonzero(counted))
+    terms = ((k, p, q), (m - k, 1.0 - p, 1.0 - q))
+    if any(count and 0.0 in (a, b) for count, a, b in terms):
+        raise LlrUndefinedError("an observed symbol has zero probability")
+    if 0.0 < p < 1.0 and 0.0 < q < 1.0:
+        return _llr(k, m, p, q)
+    # a symbol with zero probability went unobserved and contributes nothing
+    return float(sum(count * log(a / b) for count, a, b in terms if count))
 
 
 def decide(
@@ -134,13 +130,6 @@ def _binom_logpmf(k: np.ndarray, n: int, prob: float) -> np.ndarray:
     )
 
 
-def _llr_coefficients(params: ModelParams) -> tuple[float, float]:
-    """Per-symbol LLR contributions (idle symbol, busy symbol)."""
-    p = params.idle_probability(Hypothesis.H0)
-    q = params.idle_probability(Hypothesis.H1)
-    return log(p / q), log((1.0 - p) / (1.0 - q))
-
-
 def exact_error_probabilities(
     params: ModelParams,
     n: int,
@@ -161,15 +150,9 @@ def exact_error_probabilities(
         raise ValueError(f"n must be >= 1, got {n}")
     p = params.idle_probability(Hypothesis.H0)
     q = params.idle_probability(Hypothesis.H1)
-    c_idle, c_busy = _llr_coefficients(params)
     m = n if initial == "stationary" else n - 1
-    if m == 0:
-        # single conditioned symbol: llr identically 0, ties go to H0
-        p_f, p_m = (0.0, 1.0) if 0.0 >= threshold else (1.0, 0.0)
-        return ErrorProbabilities(p_f=p_f, p_m=p_m, p_e=(p_f + p_m) / 2.0)
     k = np.arange(m + 1)
-    llr_k = k * c_idle + (m - k) * c_busy
-    decide_h0 = llr_k >= threshold
+    decide_h0 = _llr(k, m, p, q) >= threshold
     p_f = _tail_mass(k[~decide_h0], m, p)
     p_m = _tail_mass(k[decide_h0], m, q)
     return ErrorProbabilities(p_f=p_f, p_m=p_m, p_e=(p_f + p_m) / 2.0)
@@ -194,12 +177,12 @@ def _mc_block(
 ) -> int:
     """Number of erroneous decisions in one simulation block."""
     bits = simulate_sequence_batch(params, hyp, n, block_trials, seed)
-    c_idle, c_busy = _llr_coefficients(params)
     counted = bits if initial == "stationary" else bits[:, 1:]
     m = counted.shape[1]
     k = m - counted.sum(axis=1)  # idle count
-    llr = k * c_idle + (m - k) * c_busy
-    decide_h0 = llr >= threshold
+    p = params.idle_probability(Hypothesis.H0)
+    q = params.idle_probability(Hypothesis.H1)
+    decide_h0 = _llr(k, m, p, q) >= threshold
     if hyp is Hypothesis.H0:
         return int(np.count_nonzero(~decide_h0))
     return int(np.count_nonzero(decide_h0))

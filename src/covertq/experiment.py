@@ -13,11 +13,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from math import log
 
 import numpy as np
 
-from .detect import ErrorProbabilities, exact_error_probabilities, monte_carlo_error
+from .detect import exact_error_probabilities, monte_carlo_error
 from .exponent import ExponentReport, exponent_report
 from .model import ModelParams
 from .sim import RngSeed
@@ -52,6 +51,33 @@ class CampaignConfig:
             raise ValueError("n_grid must be strictly increasing")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be positive")
+
+    def to_dict(self) -> dict:
+        """The `config` block of a result file.
+
+        `workers` is not persisted: results are bit-identical at any worker
+        count, and from_dict restores the default of 1.
+        """
+        p, seed = self.params, self.master_seed
+        return {
+            "lambda_w": p.lambda_w, "lambda_b": p.lambda_b, "mu": p.mu,
+            "n_grid": list(self.n_grid), "trials_per_point": self.trials_per_point,
+            "threshold": self.threshold,
+            "master_seed": seed.seed, "master_stream": seed.stream_id,
+            "use_exact_when_feasible": self.use_exact_when_feasible,
+        }
+
+    @classmethod
+    def from_dict(cls, rec: dict) -> "CampaignConfig":
+        """Inverse of to_dict; a missing field raises KeyError."""
+        return cls(
+            ModelParams(rec["lambda_w"], rec["lambda_b"], rec["mu"]),
+            tuple(rec["n_grid"]),
+            rec["trials_per_point"],
+            rec["threshold"],
+            RngSeed(rec["master_seed"], rec["master_stream"]),
+            rec["use_exact_when_feasible"],
+        )
 
 
 @dataclass
@@ -99,21 +125,18 @@ def run_campaign(cfg: CampaignConfig) -> ExperimentResult:
         stream = _row_stream(cfg.master_seed, n)
         if exact_ok:
             ep = exact_error_probabilities(cfg.params, n, cfg.threshold)
-            row = CampaignRow(
-                n=n, p_f=ep.p_f, p_m=ep.p_m, p_e=ep.p_e, se_f=0.0, se_m=0.0,
-                trials=cfg.trials_per_point, seed=stream, method="exact",
-            )
         else:
             ep = monte_carlo_error(
                 cfg.params, n, cfg.threshold, cfg.trials_per_point,
                 cfg.master_seed.with_stream(stream), workers=cfg.workers,
             )
-            row = CampaignRow(
-                n=n, p_f=ep.p_f, p_m=ep.p_m, p_e=ep.p_e,
-                se_f=ep.se_f, se_m=ep.se_m,
-                trials=cfg.trials_per_point, seed=stream, method="mc",
-            )
-        rows.append(row)
+        # exact rows carry no standard error (se_f, se_m are None)
+        rows.append(CampaignRow(
+            n=n, p_f=ep.p_f, p_m=ep.p_m, p_e=ep.p_e,
+            se_f=ep.se_f or 0.0, se_m=ep.se_m or 0.0,
+            trials=cfg.trials_per_point, seed=stream,
+            method="exact" if exact_ok else "mc",
+        ))
 
     ns = np.array([r.n for r in rows], dtype=float)
     # Exact rows are reliable down to tiny probabilities; Monte Carlo rows
@@ -172,24 +195,11 @@ def result_to_json(result: ExperimentResult) -> str:
         "fitted_slope_m": result.fitted_slope_m,
         "fitted_slope_e": result.fitted_slope_e,
         "exponent_ref": (
-            json.loads(result.exponent_ref.to_json())
-            if result.exponent_ref is not None
-            else None
+            result.exponent_ref.to_dict() if result.exponent_ref is not None else None
         ),
     }
     if result.config is not None:
-        cfg = result.config
-        doc["config"] = {
-            "lambda_w": cfg.params.lambda_w,
-            "lambda_b": cfg.params.lambda_b,
-            "mu": cfg.params.mu,
-            "n_grid": list(cfg.n_grid),
-            "trials_per_point": cfg.trials_per_point,
-            "threshold": cfg.threshold,
-            "master_seed": cfg.master_seed.seed,
-            "master_stream": cfg.master_seed.stream_id,
-            "use_exact_when_feasible": cfg.use_exact_when_feasible,
-        }
+        doc["config"] = result.config.to_dict()
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
@@ -199,6 +209,7 @@ def persist(result: ExperimentResult, path) -> None:
 
 
 def load(path) -> ExperimentResult:
+    """Read a result file written by persist, config block included."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -222,30 +233,24 @@ def load(path) -> ExperimentResult:
     for f in ("fitted_slope_f", "fitted_slope_m", "fitted_slope_e"):
         if f not in doc:
             raise ResultParseError(f"missing required field: {f}")
-    ref = None
-    if doc.get("exponent_ref") is not None:
-        e = doc["exponent_ref"]
-        try:
-            ref = ExponentReport(
-                v_closed=e["v_closed"],
-                v_numeric=e["v_numeric"],
-                i_err_closed=e["i_err_closed"],
-                i_err_numeric=e["i_err_numeric"],
-                i_err_taylor=e["i_err_taylor"],
-                abcd=(e["A"], e["B"], e["C"], e["D"]),
-                abc_small=(e["a"], e["b"], e["c"]),
-            )
-        except KeyError as exc:
-            raise ResultParseError(
-                f"exponent_ref: missing required field: {exc.args[0]}"
-            ) from None
     return ExperimentResult(
         rows=rows,
         fitted_slope_f=doc["fitted_slope_f"],
         fitted_slope_m=doc["fitted_slope_m"],
         fitted_slope_e=doc["fitted_slope_e"],
-        exponent_ref=ref,
+        exponent_ref=_optional_block(doc, "exponent_ref", ExponentReport.from_dict),
+        config=_optional_block(doc, "config", CampaignConfig.from_dict),
     )
+
+
+def _optional_block(doc: dict, name: str, from_dict):
+    if doc.get(name) is None:
+        return None
+    try:
+        return from_dict(doc[name])
+    except KeyError as exc:
+        msg = f"{name}: missing required field: {exc.args[0]}"
+        raise ResultParseError(msg) from None
 
 
 def rows_to_csv(result: ExperimentResult) -> str:

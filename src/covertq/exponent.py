@@ -9,15 +9,18 @@ and the exponent is the minimum of -log r(u) over u in [0, 1].  Because
 the observations are i.i.d. Bernoulli this coincides with the Chernoff
 information between the two marginals; the tests exploit that as an
 independent oracle.
+
+r(u) sits within O(lambda_b^2) of 1, so every quantity reads r(u) - 1 from
+one log1p-built tilt core (`_tilt`, `_r_minus_one`), never r(u) itself.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import exp, log, log1p, sqrt
+from math import exp, expm1, log, log1p, sqrt
 
-from .model import Hypothesis, ModelParams
+from .model import ModelParams
 
 # Below this ratio the closed-form minimizer is a 0/0 expression and
 # cancellation dominates; the limiting value is exactly 1/2.
@@ -26,6 +29,11 @@ SMALL_LAMBDA_B_RATIO = 1e-7
 GOLDEN_TOL = 1e-10
 GOLDEN_MAX_ITER = 200
 _INV_PHI = (sqrt(5.0) - 1.0) / 2.0
+
+
+_SCALAR_FIELDS = (
+    "v_closed", "v_numeric", "i_err_closed", "i_err_numeric", "i_err_taylor"
+)
 
 
 class NumericFailure(RuntimeError):
@@ -44,29 +52,41 @@ class ExponentReport:
     abcd: tuple[float, float, float, float]
     abc_small: tuple[float, float, float]
 
+    def to_dict(self) -> dict:
+        """Flat record; abcd and abc_small spread to keys A-D and a-c."""
+        rec = {f: getattr(self, f) for f in _SCALAR_FIELDS}
+        rec.update(zip("ABCD", self.abcd))
+        rec.update(zip("abc", self.abc_small))
+        return rec
+
+    @classmethod
+    def from_dict(cls, rec: dict) -> "ExponentReport":
+        """Inverse of to_dict; a missing field raises KeyError."""
+        return cls(
+            **{f: rec[f] for f in _SCALAR_FIELDS},
+            abcd=tuple(rec[k] for k in "ABCD"),
+            abc_small=tuple(rec[k] for k in "abc"),
+        )
+
     def to_json(self) -> str:
-        rec = {
-            "v_closed": self.v_closed,
-            "v_numeric": self.v_numeric,
-            "i_err_closed": self.i_err_closed,
-            "i_err_numeric": self.i_err_numeric,
-            "i_err_taylor": self.i_err_taylor,
-            "A": self.abcd[0],
-            "B": self.abcd[1],
-            "C": self.abcd[2],
-            "D": self.abcd[3],
-            "a": self.abc_small[0],
-            "b": self.abc_small[1],
-            "c": self.abc_small[2],
-        }
-        return json.dumps(rec, sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _pq(params: ModelParams) -> tuple[float, float]:
-    return (
-        params.idle_probability(Hypothesis.H0),
-        params.idle_probability(Hypothesis.H1),
-    )
+def _tilt(lw: float, lb: float, mu: float) -> tuple[float, float, float]:
+    """(q, log(p/q), log((1-p)/(1-q))) for p = mu/(lw+mu), q = mu/(lw+lb+mu).
+
+    p/q = 1 + lb/(lw+mu) and (1-p)/(1-q) = (p/q) / (1 + lb/lw), so both logs
+    come from log1p of exact small ratios and keep their digits as lb -> 0.
+    Small negative lb is accepted (central differences at 0 need it).
+    """
+    log_pq = log1p(lb / (lw + mu))
+    return mu / (lw + lb + mu), log_pq, log_pq - log1p(lb / lw)
+
+
+def _r_minus_one(tilt: tuple[float, float, float], u: float) -> float:
+    """r(u) - 1 = q*((p/q)^u - 1) + (1-q)*(((1-p)/(1-q))^u - 1), kept exact."""
+    q, log_idle, log_busy = tilt
+    return q * expm1(u * log_idle) + (1.0 - q) * expm1(u * log_busy)
 
 
 def abcd_coefficients(params: ModelParams) -> tuple[float, float, float, float]:
@@ -92,8 +112,7 @@ def r_of_u(params: ModelParams, u: float) -> float:
         raise ValueError(f"u must lie in [0, 1], got {u}")
     if params.lambda_b == 0:
         return 1.0
-    p, q = _pq(params)
-    return p**u * q ** (1.0 - u) + (1.0 - p) ** u * (1.0 - q) ** (1.0 - u)
+    return 1.0 + _r_minus_one(_tilt(params.lambda_w, params.lambda_b, params.mu), u)
 
 
 def golden_section(f, lo: float, hi: float, tol: float = GOLDEN_TOL,
@@ -138,7 +157,7 @@ def _v_from_rates(lw: float, lb: float, mu: float) -> float:
 def v_closed_form(params: ModelParams) -> float:
     """Closed-form minimizer of log r(u).
 
-    Satisfies A*B^v*log(B) + C*D^v*log(D) = 0.  For lambda_b/lambda_w below
+    Zero of stationarity_residual.  For lambda_b/lambda_w below
     the cancellation switch the limiting value 1/2 is returned directly.
     """
     if params.lambda_b <= 0:
@@ -160,10 +179,11 @@ def i_err_numeric(params: ModelParams, tol: float = GOLDEN_TOL) -> tuple[float, 
         raise ValueError("numeric exponent requires lambda_b > 0")
     if not 0.0 < tol <= 1e-3:
         raise ValueError(f"tol must lie in (0, 1e-3], got {tol}")
+    tilt = _tilt(params.lambda_w, params.lambda_b, params.mu)
     coarse = max(tol, 1e-5)
-    v0, _, _ = golden_section(lambda u: log(r_of_u(params, u)), 0.0, 1.0, coarse)
-    lo = max(0.0, v0 - coarse)
-    hi = min(1.0, v0 + coarse)
+    # log1p is increasing, so r - 1 has the same minimizer as log r
+    v0, _, _ = golden_section(lambda u: _r_minus_one(tilt, u), 0.0, 1.0, coarse)
+    lo, hi = max(0.0, v0 - coarse), min(1.0, v0 + coarse)
     iterations = 0
     while hi - lo > tol and iterations < GOLDEN_MAX_ITER:
         mid = 0.5 * (lo + hi)
@@ -178,7 +198,7 @@ def i_err_numeric(params: ModelParams, tol: float = GOLDEN_TOL) -> tuple[float, 
             f"after {iterations} iterations"
         )
     v = 0.5 * (lo + hi)
-    return v, -log(r_of_u(params, v))
+    return v, -log1p(_r_minus_one(tilt, v))
 
 
 def i_err_closed(params: ModelParams) -> float:
@@ -187,7 +207,8 @@ def i_err_closed(params: ModelParams) -> float:
         return 0.0
     if params.lambda_b / params.lambda_w < SMALL_LAMBDA_B_RATIO:
         return i_err_numeric(params)[1]
-    return -log(r_of_u(params, v_closed_form(params)))
+    tilt = _tilt(params.lambda_w, params.lambda_b, params.mu)
+    return -log1p(_r_minus_one(tilt, v_closed_form(params)))
 
 
 def i_err_taylor(params: ModelParams) -> float:
@@ -249,22 +270,17 @@ def big_f(lambda_w: float, lambda_b: float) -> float:
     """
     if lambda_b == 0.0:
         return 1.0
-    p = 1.0 / (lambda_w + 1.0)
-    q = q_of(lambda_w, lambda_b)
     if abs(lambda_b) / lambda_w < SMALL_LAMBDA_B_RATIO:
         v = 0.5
     else:
         v = _v_from_rates(lambda_w, lambda_b, 1.0)
-    return p**v * q ** (1.0 - v) + (1.0 - p) ** v * (1.0 - q) ** (1.0 - v)
+    return 1.0 + _r_minus_one(_tilt(lambda_w, lambda_b, 1.0), v)
 
 
 def exponent_report(params: ModelParams, tol: float = GOLDEN_TOL) -> ExponentReport:
     """Compute every exponent quantity for one parameter point."""
     if params.lambda_b > 0:
-        if params.lambda_b / params.lambda_w < SMALL_LAMBDA_B_RATIO:
-            v_closed = 0.5
-        else:
-            v_closed = v_closed_form(params)
+        v_closed = v_closed_form(params)
         v_num, i_num = i_err_numeric(params, tol)
     else:
         v_closed, v_num, i_num = 0.5, 0.5, 0.0
@@ -280,11 +296,6 @@ def exponent_report(params: ModelParams, tol: float = GOLDEN_TOL) -> ExponentRep
 
 
 def stationarity_residual(params: ModelParams, v: float) -> float:
-    """A*B^v*log(B) + C*D^v*log(D); zero at the true minimizer."""
-    a_big, b_big, c_big, d_big = abcd_coefficients(params)
-    return a_big * b_big**v * log(b_big) + c_big * d_big**v * log(d_big)
-
-
-def decay_prediction(params: ModelParams, n: int, k_of_n: float = 1.0) -> float:
-    """K(N) * exp(-I_err * N), the asymptotic total-error approximation."""
-    return k_of_n * exp(-i_err_closed(params) * n)
+    """d r/du at u = v; zero at the true minimizer."""
+    q, log_idle, log_busy = _tilt(params.lambda_w, params.lambda_b, params.mu)
+    return q * log_idle * exp(v * log_idle) + (1.0 - q) * log_busy * exp(v * log_busy)

@@ -129,9 +129,10 @@ def transition_matrix(params: ModelParams, hyp: Hypothesis) -> np.ndarray:
 
 
 def stationary_distribution(m: np.ndarray) -> np.ndarray:
-    """Left eigenvector of a row-stochastic matrix for eigenvalue 1, summing to 1.
+    """Left eigenvector of a row-stochastic 2x2 matrix for eigenvalue 1, summing to 1.
 
-    For equal-row matrices this is the row itself, returned exactly.
+    For equal-row matrices this is the row itself, returned exactly;
+    otherwise it is (m10, m01) / (m01 + m10).
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
@@ -141,8 +142,7 @@ def stationary_distribution(m: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix is not row-stochastic, row sums {rowsums}")
     if np.array_equal(m[0], m[1]):
         return m[0].copy()
-    # pi (M - I) = 0 with sum(pi) = 1, solved as an overdetermined system
-    a = np.vstack([m.T - np.eye(2), np.ones(2)])
-    b = np.array([0.0, 0.0, 1.0])
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return pi
+    flow = m[0, 1] + m[1, 0]
+    if flow == 0.0:
+        raise ValueError("identity matrix: the stationary distribution is not unique")
+    return np.array([m[1, 0], m[0, 1]]) / flow

@@ -2,13 +2,15 @@
 
 These deliberately avoid the code paths they check: sequence
 probabilities come from explicit products over transition matrices,
-the Chernoff information from grid-plus-refinement minimization, and
-the spectral radius from a dense eigensolve.
+the Chernoff information from grid-plus-refinement minimization or from
+a 60-digit mpmath root of d r/du, and the spectral radius from a dense
+eigensolve.
 """
 
 import itertools
 from math import log
 
+import mpmath
 import numpy as np
 
 from covertq.detect import decide
@@ -67,6 +69,27 @@ def chernoff_information(p: float, q: float, resolution=1e-12) -> float:
             return -float(vals[i])
         lo = max(0.0, us[i] - step)
         hi = min(1.0, us[i] + step)
+
+
+def mpmath_exponent(lambda_w: float, lambda_b: float, mu: float):
+    """(v, -log r(v)) at the minimizing tilt v, in 60-digit arithmetic.
+
+    p and q are formed from the exact binary values of the rates, and v is
+    the root of d r/du on [0, 1]; r is convex, so that root is the minimizer.
+    """
+    with mpmath.workdps(60):
+        lw, lb, mu = mpmath.mpf(lambda_w), mpmath.mpf(lambda_b), mpmath.mpf(mu)
+        p, q = mu / (lw + mu), mu / (lw + lb + mu)
+        a, b = mpmath.log(p / q), mpmath.log((1 - p) / (1 - q))
+
+        def r(u):
+            return q * mpmath.exp(u * a) + (1 - q) * mpmath.exp(u * b)
+
+        def dr(u):
+            return q * a * mpmath.exp(u * a) + (1 - q) * b * mpmath.exp(u * b)
+
+        v = mpmath.findroot(dr, (mpmath.mpf(0), mpmath.mpf(1)), solver="anderson")
+        return v, -mpmath.log(r(v))
 
 
 def dominant_eigenvalue(m) -> float:

@@ -110,6 +110,13 @@ def test_exponent_json_schema_and_self_check(capsys):
     assert rec["v_closed"] == pytest.approx(0.490653, abs=1e-6)
 
 
+@pytest.mark.parametrize("lambda_b", ["1e-5", "1e-4"])
+def test_exponent_self_check_passes_at_small_lambda_b(capsys, lambda_b):
+    code, _, err = run_cli(capsys, "exponent", "--lambda-w", "0.5",
+                           "--lambda-b", lambda_b, "--self-check")
+    assert code == 0, err
+
+
 def test_exponent_csv(capsys):
     code, out, _ = run_cli(capsys, "exponent", *RATES, "--output", "csv")
     assert code == 0

@@ -5,6 +5,7 @@ import pytest
 
 from covertq.detect import (
     DegenerateModelError,
+    _llr,
     decide,
     exact_error_probabilities,
     log_likelihood_ratio,
@@ -57,6 +58,24 @@ def test_decide_tie_goes_to_h0():
     result = decide(obs(0, 1, 1), p_mat, q_mat, threshold=0.0)
     assert result.llr == 0.0
     assert result.decision is Hypothesis.H0
+
+
+def test_decide_ties_match_the_idle_count_rule():
+    # a threshold equal to an attainable LLR value is a tie and must decide
+    # H0, exactly as the exact and Monte Carlo paths decide it
+    p, q = P_MAT[0, 0], Q_MAT[0, 0]
+    cases = []
+    for initial, lead in (("stationary", ()), ("conditioned", (1,))):
+        for m in (5, 12, 40, 200):
+            for k in range(m + 1):
+                bits = lead + (0,) * k + (1,) * (m - k)
+                result = decide(obs(*bits), P_MAT, Q_MAT, _llr(k, m, p, q), initial)
+                cases.append(result.decision)
+    assert len(cases) == 522
+    assert cases.count(Hypothesis.H1) == 0
+    general = np.array([[0.9, 0.1], [0.6, 0.4]])
+    with pytest.raises(ValueError):
+        log_likelihood_ratio(obs(0, 1), general, Q_MAT)
 
 
 def test_decide_sign_rule():

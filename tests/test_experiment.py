@@ -159,6 +159,21 @@ def test_persist_round_trip(tmp_path):
     assert again.exponent_ref == result.exponent_ref
 
 
+def test_persist_round_trips_config(tmp_path):
+    cfg = CampaignConfig(
+        params=PARAMS,
+        n_grid=(20, 40, 60),
+        trials_per_point=500,
+        threshold=0.25,
+        master_seed=RngSeed(31, 4),
+        use_exact_when_feasible=False,
+        workers=1,
+    )
+    path = tmp_path / "result.json"
+    persist(run_campaign(cfg), path)
+    assert load(path).config == cfg
+
+
 def test_load_missing_field_named(tmp_path):
     result = exact_campaign([100, 200, 300])
     doc = json.loads(result_to_json(result))

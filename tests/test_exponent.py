@@ -19,7 +19,12 @@ from covertq.exponent import (
     v_closed_form,
 )
 from covertq.model import Hypothesis, ModelParams, transition_matrix
-from oracles import chernoff_information, dominant_eigenvalue, param_grid
+from oracles import (
+    chernoff_information,
+    dominant_eigenvalue,
+    mpmath_exponent,
+    param_grid,
+)
 
 PARAMS = ModelParams(0.3, 0.2, 1.0)
 GRID = param_grid(40, np.random.default_rng(2024))
@@ -143,6 +148,19 @@ def test_chernoff_oracle_agreement():
         p = params.idle_probability(Hypothesis.H0)
         q = params.idle_probability(Hypothesis.H1)
         assert abs(i_err_closed(params) - chernoff_information(p, q)) < 1e-9
+
+
+@pytest.mark.parametrize("lb", [1e-5, 1e-4])
+@pytest.mark.parametrize("lw", [0.05, 0.2, 0.5, 0.6])
+def test_exponent_matches_mpmath_at_small_lambda_b(lw, lb):
+    # r(v) sits within ~lb^2 of 1 here, so -log r(v) keeps its digits only
+    # if r - 1 is formed without cancellation
+    params = ModelParams(lw, lb, 1.0)
+    v_ref, i_ref = mpmath_exponent(lw, lb, 1.0)
+    v_num, i_num = i_err_numeric(params)
+    assert abs(i_err_closed(params) - i_ref) <= 1e-9 * i_ref
+    assert abs(i_num - i_ref) <= 1e-9 * i_ref
+    assert abs(v_num - v_ref) <= 1e-8
 
 
 def test_log_r_convex_on_grid():
