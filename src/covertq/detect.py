@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from math import log, sqrt
+from math import ceil, isfinite, log, sqrt
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import bdtr, bdtrc
 
 from .model import Hypothesis, ModelParams, transition_matrix
 from .sim import ObservationSequence, RngSeed, simulate_sequence_batch
@@ -114,20 +114,29 @@ def decide(
     initial: str = "stationary",
 ) -> LlrResult:
     """Threshold rule: H0 when llr >= threshold, H1 otherwise."""
+    if not isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     llr = log_likelihood_ratio(obs, p_mat, q_mat, initial)
     decision = Hypothesis.H0 if llr >= threshold else Hypothesis.H1
     return LlrResult(llr=llr, decision=decision, threshold=threshold)
 
 
-def _binom_logpmf(k: np.ndarray, n: int, prob: float) -> np.ndarray:
-    k = np.asarray(k, dtype=float)
-    return (
-        gammaln(n + 1)
-        - gammaln(k + 1)
-        - gammaln(n - k + 1)
-        + k * log(prob)
-        + (n - k) * log(1.0 - prob)
-    )
+def _cut(m: int, p: float, q: float, threshold: float) -> int:
+    """Smallest k in [0, m+1] with _llr(k, m, p, q) >= threshold.
+
+    p > q makes the LLR increasing in k.  The closed form only starts the
+    search: the steps test the float predicate of `decide`, so ties match it.
+    """
+    c_idle, c_busy = log(p / q), log((1.0 - p) / (1.0 - q))
+    if c_idle == c_busy:  # q rounds to p: the LLR is 0 for every k
+        return 0 if _llr(0, m, p, q) >= threshold else m + 1
+    x = (threshold - m * c_busy) / (c_idle - c_busy)
+    k = 0 if x <= 0 else m + 1 if x > m + 1 else ceil(x)
+    while k > 0 and _llr(k - 1, m, p, q) >= threshold:
+        k -= 1
+    while k <= m and not _llr(k, m, p, q) >= threshold:
+        k += 1
+    return k
 
 
 def exact_error_probabilities(
@@ -138,9 +147,9 @@ def exact_error_probabilities(
 ) -> ErrorProbabilities:
     """Closed-form error probabilities of the threshold test.
 
-    Both rows of the chain are equal, so the idle-count over the counted
-    symbols is a binomial sufficient statistic and the LLR is affine in it.
-    Tail masses are accumulated from log-domain binomial terms.
+    The idle count K over the m counted symbols is Bin(m, p) under H0 and
+    Bin(m, q) under H1, and the test is one cut k* on it, so p_f = P_p(K < k*)
+    and p_m = P_q(K >= k*) are two incomplete-beta values: O(1) in n.
     """
     if initial not in INITIAL_MODES:
         raise ValueError(f"initial must be one of {INITIAL_MODES}")
@@ -148,22 +157,17 @@ def exact_error_probabilities(
         raise DegenerateModelError("lambda_b must be positive for a nondegenerate test")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     p = params.idle_probability(Hypothesis.H0)
     q = params.idle_probability(Hypothesis.H1)
     m = n if initial == "stationary" else n - 1
-    k = np.arange(m + 1)
-    decide_h0 = _llr(k, m, p, q) >= threshold
-    p_f = _tail_mass(k[~decide_h0], m, p)
-    p_m = _tail_mass(k[decide_h0], m, q)
+    k = _cut(m, p, q, threshold)
+    if 0 < k <= m:
+        p_f, p_m = float(bdtr(k - 1, m, p)), float(bdtrc(k - 1, m, q))
+    else:  # one tail is empty and the other full; bdtr(-1, ...) is NaN
+        p_f, p_m = (0.0, 1.0) if k == 0 else (1.0, 0.0)
     return ErrorProbabilities(p_f=p_f, p_m=p_m, p_e=(p_f + p_m) / 2.0)
-
-
-def _tail_mass(ks: np.ndarray, m: int, prob: float) -> float:
-    if ks.size == 0:
-        return 0.0
-    if ks.size == m + 1:
-        return 1.0
-    return float(min(1.0, np.exp(logsumexp(_binom_logpmf(ks, m, prob)))))
 
 
 def _mc_block(
@@ -208,6 +212,8 @@ def monte_carlo_error(
         raise ValueError(f"initial must be one of {INITIAL_MODES}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     jobs = []
     for hyp in (Hypothesis.H0, Hypothesis.H1):
         done = 0

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -51,6 +52,8 @@ class CampaignConfig:
             raise ValueError("n_grid must be strictly increasing")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be positive")
+        if not isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
 
     def to_dict(self) -> dict:
         """The `config` block of a result file.

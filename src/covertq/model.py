@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 
 import numpy as np
 
@@ -51,12 +52,19 @@ class ModelParams:
     strict: bool = False
 
     def __post_init__(self):
+        for name in ("lambda_w", "lambda_b", "mu"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.lambda_w > 0:
             raise ValueError(f"lambda_w must be positive, got {self.lambda_w}")
         if not self.mu > 0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.lambda_b < 0:
             raise ValueError(f"lambda_b must be nonnegative, got {self.lambda_b}")
+        p, q = self.idle_probability(Hypothesis.H0), self.idle_probability(Hypothesis.H1)
+        if not 0.0 < q <= p < 1.0:  # the LLR takes log(p/q) and log((1-p)/(1-q))
+            raise ValueError(f"rates too far apart: idle probabilities p={p!r}, "
+                             f"q={q!r} must lie strictly between 0 and 1")
         if not self.stable:
             msg = (
                 f"mu={self.mu} does not exceed lambda_w+lambda_b="

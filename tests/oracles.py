@@ -2,9 +2,10 @@
 
 These deliberately avoid the code paths they check: sequence
 probabilities come from explicit products over transition matrices,
-the Chernoff information from grid-plus-refinement minimization or from
-a 60-digit mpmath root of d r/du, and the spectral radius from a dense
-eigensolve.
+exact error probabilities from all m+1 binomial terms summed in the log
+domain or from an mpmath tail sum, the Chernoff information from
+grid-plus-refinement minimization or from a 60-digit mpmath root of
+d r/du, and the spectral radius from a dense eigensolve.
 """
 
 import itertools
@@ -12,8 +13,9 @@ from math import log
 
 import mpmath
 import numpy as np
+from scipy.special import gammaln, logsumexp
 
-from covertq.detect import decide
+from covertq.detect import _llr, decide
 from covertq.model import (
     Hypothesis,
     ModelParams,
@@ -47,6 +49,70 @@ def brute_force_error_probabilities(params: ModelParams, n: int, threshold=0.0,
         else:
             p_m += sequence_probability(bits, q_mat)
     return p_f, p_m
+
+
+def log_domain_error_probabilities(params: ModelParams, n: int, threshold=0.0,
+                                   initial="stationary"):
+    """(p_f, p_m) from every idle count k in [0, m]: O(n) time and memory.
+
+    Each k gets a log-binomial pmf term and a decision from `_llr`; each
+    tail is exp(logsumexp) over the terms of the counts it covers.
+    """
+    p = params.idle_probability(Hypothesis.H0)
+    q = params.idle_probability(Hypothesis.H1)
+    m = n if initial == "stationary" else n - 1
+    k = np.arange(m + 1)
+    decide_h0 = _llr(k, m, p, q) >= threshold
+
+    def tail(ks, prob):
+        if ks.size == 0:
+            return 0.0
+        if ks.size == m + 1:
+            return 1.0
+        ks = ks.astype(float)
+        log_pmf = (gammaln(m + 1) - gammaln(ks + 1) - gammaln(m - ks + 1)
+                   + ks * log(prob) + (m - ks) * log(1.0 - prob))
+        return float(min(1.0, np.exp(logsumexp(log_pmf))))
+
+    return tail(k[~decide_h0], p), tail(k[decide_h0], q)
+
+
+def mpmath_binomial_tails(params: ModelParams, m: int, cut: int, dps=40):
+    """(P_p(K < cut), P_q(K >= cut)) for K ~ Bin(m, .) in `dps`-digit arithmetic.
+
+    p and q are formed from the exact binary values of the rates.  The
+    tail away from the mode is summed outward from the cut until a
+    geometric bound on the remaining terms falls below 10^-(dps-5) of the
+    sum; the tail holding the mode is one minus that sum.
+    """
+    with mpmath.workdps(dps):
+        lw = mpmath.mpf(params.lambda_w)
+        lb, mu = mpmath.mpf(params.lambda_b), mpmath.mpf(params.mu)
+        eps = mpmath.mpf(10) ** (5 - dps)
+
+        def split(prob):  # (P(K < cut), P(K >= cut))
+            if cut <= 0:
+                return mpmath.mpf(0), mpmath.mpf(1)
+            if cut > m:
+                return mpmath.mpf(1), mpmath.mpf(0)
+            mode = int(mpmath.floor((m + 1) * prob))
+            k, step = (cut - 1, -1) if cut - 1 < mode else (cut, 1)
+            t = mpmath.exp(mpmath.loggamma(m + 1) - mpmath.loggamma(k + 1)
+                           - mpmath.loggamma(m - k + 1) + k * mpmath.log(prob)
+                           + (m - k) * mpmath.log1p(-prob))
+            total, odds = t, prob / (1 - prob)
+            while 0 <= k + step <= m:
+                r = (m - k) / mpmath.mpf(k + 1) * odds if step > 0 else (
+                    k / mpmath.mpf(m - k + 1) / odds)
+                k += step
+                t *= r
+                total += t
+                if r < 1 and t * r / (1 - r) < eps * total:
+                    break
+            return (total, 1 - total) if step < 0 else (1 - total, total)
+
+        p, q = mu / (lw + mu), mu / (lw + lb + mu)
+        return split(p)[0], split(q)[1]
 
 
 def chernoff_information(p: float, q: float, resolution=1e-12) -> float:

@@ -181,6 +181,52 @@ def test_campaign_end_to_end(tmp_path, capsys):
     assert len(csv_lines) == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", *RATES, "--n", "100", "--thresholds=nan"],
+    ["sweep", *RATES, "--n", "100", "--thresholds=inf,-inf"],
+    ["sweep", *RATES, "--n", "100", "--thresholds=0,nan", "--trials", "10", "--seed", "1"],
+    ["sweep", "--lambda-w", "0.3", "--lambda-b", "nan", "--n", "100", "--thresholds=0"],
+    ["sweep", *RATES[:4], "--mu", "inf", "--n", "100", "--thresholds=0"],
+    ["sweep", "--lambda-w", "1e-17", "--lambda-b", "0", "--n", "10", "--thresholds=0",
+     "--trials", "10", "--seed", "1"],
+    ["sweep", "--lambda-w", "1e-17", "--lambda-b", "0.5", "--n", "10", "--thresholds=0"],
+])
+def test_non_finite_or_unusable_inputs_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_detect_nan_threshold_exits_2(tmp_path, capsys):
+    seq = tmp_path / "seq.txt"
+    seq.write_text("0110\n")
+    code, out, err = run_cli(capsys, "detect", *RATES, "--threshold", "nan", str(seq))
+    assert code == 2
+    assert out == ""
+    assert "threshold" in err
+
+
+def test_sweep_accepts_lambda_b_below_float_resolution(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--lambda-w", "0.3", "--lambda-b", "1e-18",
+                           "--n", "10", "--thresholds=0")
+    assert code == 0
+    assert json.loads(out) == [{"gamma": 0.0, "p_e": 0.5, "p_f": 0.0, "p_m": 1.0}]
+
+
+def test_campaign_nan_threshold_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("lambda_w = 0.3\nlambda_b = 0.2\nn_grid = 100,200\n"
+                   "trials_per_point = 10\nmaster_seed = 1\nthreshold = nan\n")
+    code, out, err = run_cli(capsys, "campaign", str(cfg), "--out", str(tmp_path / "r"))
+    assert code == 3
+    assert out == ""
+    assert "bad config value" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_campaign_missing_key_exits_3(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("lambda_w = 0.3\nlambda_b = 0.2\n")

@@ -1,10 +1,14 @@
+import sys
+import tracemalloc
 from math import log, sqrt
 
 import numpy as np
 import pytest
 
 from covertq.detect import (
+    INITIAL_MODES,
     DegenerateModelError,
+    _cut,
     _llr,
     decide,
     exact_error_probabilities,
@@ -14,7 +18,11 @@ from covertq.detect import (
 )
 from covertq.model import Hypothesis, ModelParams
 from covertq.sim import ObservationSequence, RngSeed
-from oracles import brute_force_error_probabilities
+from oracles import (
+    brute_force_error_probabilities,
+    log_domain_error_probabilities,
+    mpmath_binomial_tails,
+)
 
 PARAMS = ModelParams(0.3, 0.2, 1.0)
 P_MAT, Q_MAT = matrices(PARAMS)
@@ -116,6 +124,89 @@ def test_small_but_resolvable_lambda_b_splits_errors():
 def test_tiny_lambda_b_total_error_near_half():
     ep = exact_error_probabilities(ModelParams(0.3, 1e-9, 1.0), 1000)
     assert ep.p_e == pytest.approx(0.5, abs=0.02)
+
+
+def idle_probabilities(params):
+    return params.idle_probability(Hypothesis.H0), params.idle_probability(Hypothesis.H1)
+
+
+def first_h0_index(decide_h0):
+    """Index of the first H0 decision over k = 0..m (m+1 if none)."""
+    return int(np.argmax(decide_h0)) if decide_h0.any() else decide_h0.size
+
+
+@pytest.mark.parametrize("m", [0, 1, 5, 12, 40, 200, 1000, 10**5])
+def test_cut_is_the_first_h0_index_of_the_llr_mask(m):
+    # thresholds at every attainable LLR value (a sample of them for large
+    # m) are ties; one ulp either side, random values and values past
+    # either end of the LLR range probe the rounding and the clipping
+    rng = np.random.default_rng(m)
+    ks = np.arange(m + 1)
+    for lambda_b in (0.2, 1e-3, 1e-12, 1e-18):
+        p, q = idle_probabilities(ModelParams(0.3, lambda_b, 1.0))
+        llr = _llr(ks, m, p, q)
+        ties = llr if m <= 1000 else rng.choice(llr, 200)
+        thresholds = np.concatenate([
+            ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf),
+            rng.uniform(llr.min() - 1.0, llr.max() + 1.0, 50), [-1e300, 1e300],
+        ])
+        for threshold in thresholds:
+            decide_h0 = llr >= threshold
+            first = first_h0_index(decide_h0)
+            assert decide_h0[first:].all()  # the H0 region is one interval
+            assert _cut(m, p, q, float(threshold)) == first
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 1000, 10**5])
+def test_exact_tails_match_mpmath(n):
+    rng = np.random.default_rng(n)
+    for lw, lb in ((0.3, 0.2), (0.05, 1e-3), (0.5, 0.05), (0.1, 1e-5)):
+        params = ModelParams(lw, lb, 1.0)
+        p, q = idle_probabilities(params)
+        for initial in INITIAL_MODES:
+            m = n if initial == "stationary" else n - 1
+            llr = _llr(np.arange(m + 1), m, p, q)
+            for threshold in (-2.0, 0.0, 1.5, float(rng.uniform(-5.0, 5.0))):
+                ep = exact_error_probabilities(params, n, threshold, initial)
+                cut = first_h0_index(llr >= threshold)
+                for got, ref in zip((ep.p_f, ep.p_m),
+                                    mpmath_binomial_tails(params, m, cut)):
+                    case = (lw, lb, initial, threshold, got, ref)
+                    if ref < sys.float_info.min:
+                        assert got < sys.float_info.min, case
+                    else:
+                        assert abs(got - ref) <= 1e-9 * ref, case
+
+
+def test_exact_matches_the_log_domain_sum():
+    for n in (1, 2, 7, 100, 5000):
+        for initial in INITIAL_MODES:
+            for threshold in (-1.0, 0.0, 0.5):
+                ep = exact_error_probabilities(PARAMS, n, threshold, initial)
+                p_f, p_m = log_domain_error_probabilities(PARAMS, n, threshold, initial)
+                assert ep.p_f == pytest.approx(p_f, rel=1e-9, abs=0.0)
+                assert ep.p_m == pytest.approx(p_m, rel=1e-9, abs=0.0)
+
+
+def test_exact_at_ten_million_underflows_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        ep = exact_error_probabilities(PARAMS, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (ep.p_f, ep.p_m, ep.p_e) == (0.0, 0.0, 0.0)
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_threshold_rejected(threshold):
+    with pytest.raises(ValueError, match="threshold"):
+        exact_error_probabilities(PARAMS, 10, threshold)
+    with pytest.raises(ValueError, match="threshold"):
+        monte_carlo_error(PARAMS, 10, threshold, 10, RngSeed(1))
+    with pytest.raises(ValueError, match="threshold"):
+        decide(obs(0, 1), P_MAT, Q_MAT, threshold)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

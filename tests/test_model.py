@@ -44,6 +44,23 @@ def test_invalid_rates_rejected(lambda_w, mu):
         ModelParams(lambda_w, 0.1, mu)
 
 
+@pytest.mark.parametrize("rates", [
+    (float("nan"), 0.1, 1.0), (0.3, float("nan"), 1.0), (0.3, 0.1, float("nan")),
+    (float("inf"), 0.1, 1.0), (0.3, float("inf"), 1.0), (0.3, 0.1, float("inf")),
+    (1e-17, 0.0, 1.0),  # p = mu/(lambda_w+mu) rounds to 1
+    (1e-17, 0.5, 1.0),
+    (1e308, 1e308, 1.0),  # lambda_w+lambda_b+mu overflows, so q = 0
+])
+def test_non_finite_or_unresolvable_rates_rejected(rates):
+    with pytest.raises(ValueError):
+        ModelParams(*rates)
+
+
+def test_lambda_b_below_float_resolution_is_accepted():
+    params = ModelParams(0.3, 1e-18, 1.0)
+    assert params.idle_probability(Hypothesis.H1) == params.idle_probability(Hypothesis.H0)
+
+
 def test_negative_lambda_b_rejected():
     with pytest.raises(ValueError):
         ModelParams(0.3, -0.1, 1.0)
