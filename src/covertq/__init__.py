@@ -20,7 +20,6 @@ from .detect import (
     DegenerateModelError,
     ErrorProbabilities,
     LlrResult,
-    LlrUndefinedError,
     decide,
     exact_error_probabilities,
     log_likelihood_ratio,
@@ -75,7 +74,6 @@ __all__ = [
     "Hypothesis",
     "KFunction",
     "LlrResult",
-    "LlrUndefinedError",
     "ModelParams",
     "NumericFailure",
     "ObservationSequence",

@@ -11,13 +11,12 @@ can be reproduced.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import secrets
 import sys
 
 from . import covert, detect, experiment, exponent
-from .model import Hypothesis, ModelParams, parse_config
+from .model import Hypothesis, ModelParams, csv_text, json_text
 from .sim import ObservationSequence, RngSeed, simulate_sequence
 
 EXIT_OK = 0
@@ -85,9 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="covert-rate bound and scaling table")
     p.add_argument("--lambda-w", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--n", type=int, default=None, help="single N to evaluate")
-    p.add_argument("--n-values", default=None,
-                   help="comma-separated increasing N list for the table")
+    n_or_table = p.add_mutually_exclusive_group()
+    n_or_table.add_argument("--n", type=int, default=None, help="single N to evaluate")
+    n_or_table.add_argument("--n-values", default=None,
+                            help="comma-separated increasing N list for the table")
     p.add_argument("--k-family", choices=covert.K_FAMILIES, default="constant")
     p.add_argument("--k0", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.0)
@@ -126,6 +126,11 @@ def _read_sequence(path: str) -> ObservationSequence:
         raise InputDataError(f"{path}: {exc}")
 
 
+def _emit(args, doc, csv: str) -> None:
+    """Print `doc` as JSON, or the `csv` text under --output csv."""
+    sys.stdout.write(csv if args.output == "csv" else json_text(doc) + "\n")
+
+
 def _cmd_simulate(args) -> int:
     params = _params_from_args(args)
     seed = _resolve_seed(args)
@@ -148,28 +153,20 @@ def _cmd_detect(args) -> int:
     obs = _read_sequence(args.sequence)
     p_mat, q_mat = detect.matrices(params)
     result = detect.decide(obs, p_mat, q_mat, args.threshold, args.initial)
-    print(json.dumps(
-        {
-            "llr": result.llr,
-            "decision": result.decision.name,
-            "threshold": result.threshold,
-            "n": obs.n,
-        },
-        sort_keys=True,
-    ))
+    print(json_text({"llr": result.llr, "decision": result.decision.name,
+                     "threshold": result.threshold, "n": obs.n}))
     return EXIT_OK
 
 
 def _cmd_exponent(args) -> int:
     params = _params_from_args(args)
     report = exponent.exponent_report(params)
-    if args.output == "json":
-        print(report.to_json())
-    else:
-        print("lambda_w,lambda_b,mu,v,i_err_closed,i_err_numeric,i_err_taylor")
-        print(f"{params.lambda_w!r},{params.lambda_b!r},{params.mu!r},"
-              f"{report.v_closed!r},{report.i_err_closed!r},"
-              f"{report.i_err_numeric!r},{report.i_err_taylor!r}")
+    _emit(args, report.to_dict(), csv_text(
+        ("lambda_w", "lambda_b", "mu", "v", "i_err_closed", "i_err_numeric",
+         "i_err_taylor"),
+        [(params.lambda_w, params.lambda_b, params.mu, report.v_closed,
+          report.i_err_closed, report.i_err_numeric, report.i_err_taylor)],
+    ))
     if args.self_check:
         if (abs(report.v_closed - report.v_numeric) > SELF_CHECK_TOL
                 or abs(report.i_err_closed - report.i_err_numeric) > SELF_CHECK_TOL):
@@ -184,46 +181,27 @@ def _cmd_bound(args) -> int:
     if args.n_values is not None:
         n_values = [int(s) for s in args.n_values.split(",")]
         rows = covert.scaling_table(args.lambda_w, args.epsilon, k, n_values)
-        if args.output == "csv":
-            sys.stdout.write(covert.scaling_table_csv(rows))
-        else:
-            print(json.dumps(rows, sort_keys=True))
+        _emit(args, rows, covert.scaling_table_csv(rows))
         return EXIT_OK
     if args.n is None:
         raise InputDataError("bound requires --n or --n-values")
+    if args.output == "csv":
+        raise ValueError("--output csv requires --n-values")
     spec = covert.CovertnessSpec(epsilon=args.epsilon, n=args.n, k=k)
     bound = covert.max_covert_rate(args.lambda_w, spec)
-    print(json.dumps(
-        {"n": args.n, "bound": bound.value, "feasible": bound.feasible},
-        sort_keys=True,
-    ))
+    print(json_text({"n": args.n, "bound": bound.value, "feasible": bound.feasible}))
     return EXIT_OK
 
 
 def _cmd_campaign(args) -> int:
+    workers = args.threads if args.threads is not None else _default_threads()
     try:
         with open(args.config) as fh:
-            kv = parse_config(fh.read())
+            cfg = experiment.CampaignConfig.from_config(fh.read(), workers)
     except OSError as exc:
         raise InputDataError(f"cannot read config: {exc}")
-    try:
-        params = ModelParams(
-            float(kv["lambda_w"]), float(kv["lambda_b"]), float(kv.get("mu", 1.0))
-        )
-        cfg = experiment.CampaignConfig(
-            params=params,
-            n_grid=tuple(int(s) for s in kv["n_grid"].split(",")),
-            trials_per_point=int(kv["trials_per_point"]),
-            threshold=float(kv.get("threshold", 0.0)),
-            master_seed=RngSeed(int(kv["master_seed"]), int(kv.get("stream_id", 0))),
-            use_exact_when_feasible=kv.get("use_exact_when_feasible", "true").lower()
-            in ("1", "true", "yes"),
-            workers=args.threads if args.threads is not None else _default_threads(),
-        )
-    except KeyError as exc:
-        raise InputDataError(f"config missing required key: {exc.args[0]}")
     except ValueError as exc:
-        raise InputDataError(f"bad config value: {exc}")
+        raise InputDataError(str(exc))
     result = experiment.run_campaign(cfg)
     experiment.persist(result, args.out + ".json")
     with open(args.out + ".csv", "w") as fh:
@@ -237,12 +215,8 @@ def _cmd_sweep(args) -> int:
     thresholds = [float(s) for s in args.thresholds.split(",")]
     seed = _resolve_seed(args) if args.trials is not None else None
     rows = experiment.threshold_sweep(params, args.n, thresholds, args.trials, seed)
-    if args.output == "csv":
-        print("gamma,p_f,p_m,p_e")
-        for r in rows:
-            print(f"{r['gamma']!r},{r['p_f']!r},{r['p_m']!r},{r['p_e']!r}")
-    else:
-        print(json.dumps(rows, sort_keys=True))
+    header = ("gamma", "p_f", "p_m", "p_e")
+    _emit(args, rows, csv_text(header, [[r[h] for h in header] for r in rows]))
     return EXIT_OK
 
 
@@ -264,10 +238,10 @@ def main(argv=None) -> int:
     except InputDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (detect.DegenerateModelError, detect.LlrUndefinedError) as exc:
+    except detect.DegenerateModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except exponent.NumericFailure as exc:
+    except (exponent.NumericFailure, OverflowError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

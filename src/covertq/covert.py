@@ -9,14 +9,12 @@ sqrt(log(K(N)) / N).
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
-from math import exp, log, sqrt
+from math import exp, inf, log, sqrt
 from typing import NamedTuple
 
 from .exponent import i_err_closed, i_err_taylor
-from .model import ModelParams
+from .model import ModelParams, csv_text, parse_config
 
 K_FAMILIES = ("constant", "power")
 
@@ -36,10 +34,10 @@ class KFunction:
     def __post_init__(self):
         if self.family not in K_FAMILIES:
             raise ValueError(f"family must be one of {K_FAMILIES}")
-        if self.k0 <= 0:
-            raise ValueError(f"k0 must be positive, got {self.k0}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if not 0 < self.k0 < inf:  # also false for NaN
+            raise ValueError(f"k0 must be positive and finite, got {self.k0}")
+        if not 0 <= self.alpha < inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
         if self.family == "constant" and self.alpha != 0.0:
             raise ValueError("constant family requires alpha = 0")
 
@@ -65,8 +63,6 @@ class CovertnessSpec:
 
     @classmethod
     def from_config(cls, text: str) -> "CovertnessSpec":
-        from .model import parse_config
-
         kv = parse_config(text)
         try:
             k = KFunction(
@@ -92,8 +88,8 @@ def max_covert_rate(lambda_w: float, spec: CovertnessSpec) -> BoundResult:
     is non-positive and no positive rate qualifies; the result is then
     (0, feasible=False).  Rates are in the mu = 1 normalization.
     """
-    if lambda_w <= 0:
-        raise ValueError(f"lambda_w must be positive, got {lambda_w}")
+    if not 0 < lambda_w < inf:  # also false for NaN
+        raise ValueError(f"lambda_w must be positive and finite, got {lambda_w}")
     log_ratio = spec.k.log_value(spec.n) - log(1.0 - spec.epsilon)
     if log_ratio <= 0.0:
         return BoundResult(0.0, False)
@@ -156,12 +152,7 @@ def scaling_table(
 
 
 def scaling_table_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["N", "K_of_N", "bound", "bound_times_sqrtN"])
-    for row in rows:
-        writer.writerow(
-            [row["n"], repr(row["k_of_n"]), repr(row["bound"]),
-             repr(row["bound_times_sqrt_n"])]
-        )
-    return buf.getvalue()
+    return csv_text(
+        ("N", "K_of_N", "bound", "bound_times_sqrtN"),
+        [(r["n"], r["k_of_n"], r["bound"], r["bound_times_sqrt_n"]) for r in rows],
+    )

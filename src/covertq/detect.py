@@ -8,7 +8,6 @@ every error probability bit-exactly reproducible.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from math import ceil, isfinite, log, sqrt
@@ -16,16 +15,12 @@ from math import ceil, isfinite, log, sqrt
 import numpy as np
 from scipy.special import bdtr, bdtrc
 
-from .model import Hypothesis, ModelParams, transition_matrix
+from .model import Hypothesis, ModelParams, json_text, transition_matrix
 from .sim import ObservationSequence, RngSeed, simulate_sequence_batch
 
 INITIAL_MODES = ("stationary", "conditioned")
 
 MC_BLOCK_SIZE = 20_000
-
-
-class LlrUndefinedError(ValueError):
-    """An observed symbol has zero probability under one hypothesis."""
 
 
 class DegenerateModelError(ValueError):
@@ -58,7 +53,7 @@ class ErrorProbabilities:
     def to_json_record(self, params: ModelParams, n: int, threshold: float) -> str:
         rec = {"n": n, "lambda_w": params.lambda_w, "lambda_b": params.lambda_b,
                "mu": params.mu, "threshold": threshold, **asdict(self)}
-        return json.dumps(rec, sort_keys=True)
+        return json_text(rec)
 
 
 def _llr(k, m: int, p: float, q: float):
@@ -72,8 +67,8 @@ def _llr(k, m: int, p: float, q: float):
 
 def _idle_probability(m: np.ndarray) -> float:
     m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2) or not np.array_equal(m[0], m[1]):
-        raise ValueError(f"expected a 2x2 matrix with equal rows, got {m.tolist()}")
+    if m.shape != (2, 2) or not np.array_equal(m[0], m[1]) or not 0.0 < m[0, 0] < 1.0:
+        raise ValueError(f"expected equal 2x2 rows with 0 < idle < 1, got {m.tolist()}")
     return float(m[0, 0])
 
 
@@ -96,14 +91,7 @@ def log_likelihood_ratio(
     p, q = _idle_probability(p_mat), _idle_probability(q_mat)
     counted = obs.bits if initial == "stationary" else obs.bits[1:]
     m = counted.size
-    k = m - int(np.count_nonzero(counted))
-    terms = ((k, p, q), (m - k, 1.0 - p, 1.0 - q))
-    if any(count and 0.0 in (a, b) for count, a, b in terms):
-        raise LlrUndefinedError("an observed symbol has zero probability")
-    if 0.0 < p < 1.0 and 0.0 < q < 1.0:
-        return _llr(k, m, p, q)
-    # a symbol with zero probability went unobserved and contributes nothing
-    return float(sum(count * log(a / b) for count, a, b in terms if count))
+    return _llr(m - int(np.count_nonzero(counted)), m, p, q)
 
 
 def decide(
@@ -200,7 +188,6 @@ def monte_carlo_error(
     seed: RngSeed,
     initial: str = "stationary",
     workers: int = 1,
-    block_size: int = MC_BLOCK_SIZE,
 ) -> ErrorProbabilities:
     """Empirical error rates over `trials` simulated sequences per hypothesis.
 
@@ -219,7 +206,7 @@ def monte_carlo_error(
         done = 0
         block_index = 0
         while done < trials:
-            bt = min(block_size, trials - done)
+            bt = min(MC_BLOCK_SIZE, trials - done)
             # hypothesis and block packed into disjoint offset ranges so
             # streams never collide across rows of a campaign grid
             stream = seed.stream_id + 1 + hyp.value * 2**20 + 2 * block_index

@@ -9,8 +9,6 @@ analytical exponent.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from math import isfinite
@@ -19,10 +17,15 @@ import numpy as np
 
 from .detect import exact_error_probabilities, monte_carlo_error
 from .exponent import ExponentReport, exponent_report
-from .model import ModelParams
+from .model import ModelParams, csv_text, json_text, parse_config
 from .sim import RngSeed
 
 RESULT_FORMAT_VERSION = 1
+
+_CONFIG_KEYS = ("lambda_w", "lambda_b", "mu", "n_grid", "trials_per_point",
+                "threshold", "master_seed", "stream_id", "use_exact_when_feasible")
+_CONFIG_BOOLS = {"true": True, "false": False, "yes": True, "no": False,
+                 "1": True, "0": False}
 
 
 class ResultParseError(ValueError):
@@ -50,6 +53,8 @@ class CampaignConfig:
             raise ValueError("n_grid must be non-empty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("n_grid must be strictly increasing")
+        if grid[0] < 1:
+            raise ValueError(f"n_grid values must be >= 1, got {grid[0]}")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be positive")
         if not isfinite(self.threshold):
@@ -81,6 +86,36 @@ class CampaignConfig:
             RngSeed(rec["master_seed"], rec["master_stream"]),
             rec["use_exact_when_feasible"],
         )
+
+    @classmethod
+    def from_config(cls, text: str, workers: int = 1) -> "CampaignConfig":
+        """Read `key = value` text; an unknown, missing or bad key raises ValueError.
+
+        Optional keys default to mu 1, threshold 0, stream_id 0 and
+        use_exact_when_feasible true (true/false/yes/no/1/0, any case).
+        """
+        kv = parse_config(text)
+        unknown = [key for key in kv if key not in _CONFIG_KEYS]
+        if unknown:
+            raise ValueError(f"unknown config key: {', '.join(unknown)}")
+        exact = kv.get("use_exact_when_feasible", "true")
+        try:
+            if exact.lower() not in _CONFIG_BOOLS:
+                raise ValueError(f"use_exact_when_feasible: {exact!r} is not a boolean")
+            return cls(
+                params=ModelParams(float(kv["lambda_w"]), float(kv["lambda_b"]),
+                                   float(kv.get("mu", 1.0))),
+                n_grid=tuple(int(s) for s in kv["n_grid"].split(",")),
+                trials_per_point=int(kv["trials_per_point"]),
+                threshold=float(kv.get("threshold", 0.0)),
+                master_seed=RngSeed(int(kv["master_seed"]), int(kv.get("stream_id", 0))),
+                use_exact_when_feasible=_CONFIG_BOOLS[exact.lower()],
+                workers=workers,
+            )
+        except KeyError as exc:
+            raise ValueError(f"config missing required key: {exc.args[0]}") from None
+        except ValueError as exc:
+            raise ValueError(f"bad config value: {exc}") from None
 
 
 @dataclass
@@ -203,7 +238,7 @@ def result_to_json(result: ExperimentResult) -> str:
     }
     if result.config is not None:
         doc["config"] = result.config.to_dict()
-    return json.dumps(doc, sort_keys=True, indent=1)
+    return json_text(doc, indent=1)
 
 
 def persist(result: ExperimentResult, path) -> None:
@@ -257,12 +292,5 @@ def _optional_block(doc: dict, name: str, from_dict):
 
 
 def rows_to_csv(result: ExperimentResult) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "p_f", "p_m", "p_e", "se_f", "se_m", "trials"])
-    for r in result.rows:
-        writer.writerow(
-            [r.n, repr(r.p_f), repr(r.p_m), repr(r.p_e),
-             repr(r.se_f), repr(r.se_m), r.trials]
-        )
-    return buf.getvalue()
+    header = _ROW_FIELDS[:7]  # n .. trials; seed and method are JSON-only
+    return csv_text(header, [[getattr(r, f) for f in header] for r in result.rows])

@@ -16,11 +16,10 @@ one log1p-built tilt core (`_tilt`, `_r_minus_one`), never r(u) itself.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import exp, expm1, log, log1p, sqrt
 
-from .model import ModelParams
+from .model import ModelParams, json_text
 
 # Below this ratio the closed-form minimizer is a 0/0 expression and
 # cancellation dominates; the limiting value is exactly 1/2.
@@ -69,7 +68,7 @@ class ExponentReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json_text(self.to_dict())
 
 
 def _tilt(lw: float, lb: float, mu: float) -> tuple[float, float, float]:
@@ -284,10 +283,12 @@ def exponent_report(params: ModelParams, tol: float = GOLDEN_TOL) -> ExponentRep
         v_num, i_num = i_err_numeric(params, tol)
     else:
         v_closed, v_num, i_num = 0.5, 0.5, 0.0
+    # below the switch i_err_closed is i_err_numeric itself: do not run it twice
+    small = params.lambda_b / params.lambda_w < SMALL_LAMBDA_B_RATIO
     return ExponentReport(
         v_closed=v_closed,
         v_numeric=v_num,
-        i_err_closed=i_err_closed(params),
+        i_err_closed=i_num if small else i_err_closed(params),
         i_err_numeric=i_num,
         i_err_taylor=i_err_taylor(params),
         abcd=abcd_coefficients(params),

@@ -11,6 +11,7 @@ it without constructing it.
 
 from __future__ import annotations
 
+import json
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -123,6 +124,19 @@ def parse_config(text: str) -> dict:
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
+
+
+def json_text(doc, indent: int | None = None) -> str:
+    """The one JSON writer: sorted keys; NaN or Infinity raises ValueError."""
+    return json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
+
+
+def csv_text(header, rows) -> str:
+    """The one CSV writer: LF-ended lines; floats (numpy's too) as repr(float(v))."""
+    return "".join(
+        ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n"
+        for row in (header, *rows)
+    )
 
 
 def transition_matrix(params: ModelParams, hyp: Hypothesis) -> np.ndarray:

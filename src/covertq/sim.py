@@ -8,13 +8,12 @@ implementations cross-validate each other.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Hypothesis, ModelParams
+from .model import Hypothesis, ModelParams, csv_text
 
 # Arrival 1 always finds an empty system when the simulation starts idle,
 # while the analytic chain treats the first observation as stationary.
@@ -32,6 +31,11 @@ class RngSeed:
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0 or self.stream_id < 0:
+            raise ValueError(f"seed and stream_id must be nonnegative, "
+                             f"got ({self.seed}, {self.stream_id})")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
@@ -100,11 +104,11 @@ class SimTrace:
         return ObservationSequence((~self.served).astype(np.uint8))
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "origin", "served"])
-            for t, o, s in zip(self.arrival_times, self.job_origin, self.served):
-                writer.writerow([repr(float(t)), _ORIGIN_NAMES[int(o)], int(s)])
+        origins = [_ORIGIN_NAMES[o] for o in self.job_origin.tolist()]
+        served = self.served.astype(int).tolist()
+        with open(path, "w") as fh:
+            fh.write(csv_text(("time", "origin", "served"),
+                              zip(self.arrival_times.tolist(), origins, served)))
 
 
 def _arrival_rate(params: ModelParams, hyp: Hypothesis) -> float:

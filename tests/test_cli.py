@@ -5,6 +5,8 @@ import jsonschema
 import pytest
 
 from covertq import cli
+from covertq.model import Hypothesis, ModelParams
+from covertq.sim import RngSeed, simulate_trace
 
 
 def run_cli(capsys, *argv):
@@ -18,7 +20,23 @@ def schema(name):
     return json.loads(ref.read_text())
 
 
+def run_cli_exit(capsys, *argv):
+    """run_cli, reading an argparse rejection (SystemExit) as its exit code."""
+    try:
+        return run_cli(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-RFC JSON constant {name}")
+
+
 RATES = ["--lambda-w", "0.3", "--lambda-b", "0.2", "--mu", "1"]
+BOUND = ["bound", "--lambda-w", "0.3", "--epsilon", "0.1"]
+CAMPAIGN = ("lambda_w = 0.3\nlambda_b = 0.2\nn_grid = 100,200\n"
+            "trials_per_point = 10\nmaster_seed = 1\n")
 
 
 def test_simulate_writes_sequence(tmp_path, capsys):
@@ -239,3 +257,64 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bound", "--lambda-w", "inf", "--epsilon", "0.1", "--n", "100"], 2),
+    (["bound", "--lambda-w", "nan", "--epsilon", "0.1", "--n", "100"], 2),
+    ([*BOUND, "--n", "100", "--k-family", "power", "--alpha", "nan"], 2),
+    ([*BOUND, "--n", "100", "--k0", "inf"], 2),
+    ([*BOUND, "--n", "100", "--n-values", "10,100"], 2),
+    ([*BOUND, "--n", "100", "--output", "csv"], 2),
+    (["bound", "--lambda-w", "1e200", "--epsilon", "0.1", "--n", "100"], 4),
+    (["exponent", "--lambda-w", "1e200", "--lambda-b", "1"], 4),
+    (["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "-3"], 2),
+])
+@pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
+def test_bad_inputs_exit_with_their_code(capsys, argv, code):
+    got, out, err = run_cli_exit(capsys, *argv)
+    assert got == code, err
+    assert out == ""
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", [
+    "n_grid = 0,10,20",
+    "master_seed = -1",
+    "stream_id = -2",
+    "use_exact_when_feasible = maybe",
+    "msater_seed = 2",
+    "garbage",
+])
+def test_campaign_config_garbage_exits_3(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(CAMPAIGN + line + "\n")  # a repeated key overrides the first
+    code, out, err = run_cli(capsys, "campaign", str(cfg), "--out", str(tmp_path / "r"))
+    assert code == 3, err
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_outputs_are_strict_json_and_lf_csv(tmp_path, capsys):
+    seq = tmp_path / "seq.txt"
+    seq.write_text("0110\n")
+    sweep = ["sweep", *RATES, "--n", "50", "--thresholds=-1,0,1"]
+    for argv in (["detect", *RATES, str(seq)], ["exponent", *RATES],
+                 [*BOUND, "--n", "100"], [*BOUND, "--n-values", "10,100"], sweep):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        json.loads(out, parse_constant=_reject_constant)
+    for argv in (["exponent", *RATES], [*BOUND, "--n-values", "10,100"], sweep):
+        code, out, _ = run_cli(capsys, *argv, "--output", "csv")
+        assert code == 0
+        assert "\r" not in out
+    cfg = tmp_path / "campaign.cfg"
+    cfg.write_text(CAMPAIGN)
+    assert run_cli(capsys, "campaign", str(cfg), "--out", str(tmp_path / "r"))[0] == 0
+    json.loads((tmp_path / "r.json").read_text(), parse_constant=_reject_constant)
+    trace = tmp_path / "trace.csv"
+    simulate_trace(ModelParams(0.3, 0.2, 1.0), Hypothesis.H1, 20, RngSeed(3)).to_csv(trace)
+    for path in (tmp_path / "r.csv", trace):
+        assert b"\r" not in path.read_bytes()

@@ -268,3 +268,12 @@ def test_json_record():
     assert rec["n"] == 12
     assert rec["p_e"] == ep.p_e
     assert rec["lambda_b"] == 0.2
+
+
+def test_llr_rejects_an_idle_probability_of_zero_or_one():
+    # the only matrices on which a symbol could have zero probability
+    for idle, bit in ((1.0, 0), (0.0, 1)):
+        degenerate = np.array([[idle, 1.0 - idle], [idle, 1.0 - idle]])
+        for p_mat, q_mat in ((degenerate, Q_MAT), (P_MAT, degenerate)):
+            with pytest.raises(ValueError, match="idle"):
+                log_likelihood_ratio(obs(bit), p_mat, q_mat)

@@ -206,3 +206,23 @@ def test_rows_csv_columns():
     lines = rows_to_csv(result).splitlines()
     assert lines[0] == "n,p_f,p_m,p_e,se_f,se_m,trials"
     assert len(lines) == 4
+
+
+def test_from_config_reads_every_key_and_its_default():
+    cfg = CampaignConfig.from_config(
+        "lambda_w = 0.3\nlambda_b = 0.2\nmu = 2\nn_grid = 10, 20\n"
+        "trials_per_point = 5\nthreshold = -0.5\nmaster_seed = 9\nstream_id = 4\n"
+        "use_exact_when_feasible = NO\n", workers=3)
+    assert cfg == CampaignConfig(ModelParams(0.3, 0.2, 2.0), (10, 20), 5, -0.5,
+                                 RngSeed(9, 4), False, 3)
+    required = ("lambda_w = 0.3\nlambda_b = 0.2\nn_grid = 10\n"
+                "trials_per_point = 5\nmaster_seed = 9\n")
+    assert CampaignConfig.from_config(required) == CampaignConfig(
+        ModelParams(0.3, 0.2, 1.0), (10,), 5, 0.0, RngSeed(9, 0), True, 1)
+    for word, value in (("Yes", True), ("1", True), ("false", False), ("0", False)):
+        text = required + f"use_exact_when_feasible = {word}\n"
+        assert CampaignConfig.from_config(text).use_exact_when_feasible is value
+    with pytest.raises(ValueError, match="unknown config key: seed"):
+        CampaignConfig.from_config(required + "seed = 1\n")
+    with pytest.raises(ValueError, match="missing required key: master_seed"):
+        CampaignConfig.from_config(required.replace("master_seed = 9\n", ""))

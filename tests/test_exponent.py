@@ -3,6 +3,7 @@ from math import exp, log
 import numpy as np
 import pytest
 
+from covertq import exponent
 from covertq.exponent import (
     NumericFailure,
     abcd_coefficients,
@@ -268,3 +269,18 @@ def test_exponent_report_json():
         "v_closed", "v_numeric", "i_err_closed", "i_err_numeric",
         "i_err_taylor", "A", "B", "C", "D", "a", "b", "c",
     }
+
+
+@pytest.mark.parametrize("lambda_b", [1e-9, 1e-3])
+def test_report_runs_the_minimizer_once(monkeypatch, lambda_b):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return golden_section(*args, **kwargs)
+
+    monkeypatch.setattr(exponent, "golden_section", counting)
+    params = ModelParams(0.3, lambda_b, 1.0)
+    report = exponent_report(params)
+    assert len(calls) == 1
+    assert report.i_err_closed == i_err_closed(params)

@@ -6,6 +6,8 @@ from covertq.model import (
     Hypothesis,
     ModelParams,
     UnstableRegimeWarning,
+    csv_text,
+    json_text,
     stationary_distribution,
     transition_matrix,
 )
@@ -130,3 +132,16 @@ def test_config_round_trip():
 def test_config_missing_key():
     with pytest.raises(ValueError, match="mu"):
         ModelParams.from_config("lambda_w = 0.3\nlambda_b = 0.2\n")
+
+
+def test_csv_text_writes_numpy_floats_like_floats():
+    assert csv_text(("x", "y", "n"), [(np.float64(0.1), 0.1, np.int64(3))]) == (
+        "x,y,n\n0.1,0.1,3\n"
+    )
+
+
+def test_json_text_rejects_non_finite_values():
+    assert json_text({"b": 1.5, "a": [1]}) == '{"a": [1], "b": 1.5}'
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            json_text({"x": bad})

@@ -1,0 +1,168 @@
+"""Record every output of a fixed list of covertq CLI calls.
+
+    python tools/cli_outputs.py SRC OUT.json
+
+SRC is the `src` directory of the checkout to run; it goes first on
+sys.path.  The calls are the seed-7 call lists of the three benchmark
+workloads (`perfbench/workloads.make_inputs` of this checkout, imported
+read-only), one call per subcommand and --output value, and the edge
+inputs that must fail with a stated exit code.  Every call runs through
+`covertq.cli.main` in this process.  OUT.json holds, per call, argv, the
+exit code, stdout, stderr and every .json/.csv file the call wrote or
+changed, each as a list of lines with their line ends kept and the
+temporary directory shown as <TMP>.  Running it on two checkouts and
+diffing the two files shows every output byte that differs:
+
+    python tools/cli_outputs.py ../parent/src parent.json
+    python tools/cli_outputs.py src change.json
+    diff parent.json change.json
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SEED = 7
+PLACEHOLDER = "<TMP>"
+
+RATES = ["--lambda-w", "0.3", "--lambda-b", "0.2"]
+CAMPAIGN = ("lambda_w = 0.3\nlambda_b = 0.2\nn_grid = 100,200,400\n"
+            "trials_per_point = 200\nmaster_seed = 5\n")
+BOUND = ["bound", "--lambda-w", "0.3", "--epsilon", "0.1"]
+
+
+GOOD_CONFIGS = ("exact", "mc")
+
+
+def _configs(tmp: Path) -> dict[str, str]:
+    """Campaign config paths by name: the GOOD_CONFIGS run, the rest fail."""
+    texts = {
+        "exact": CAMPAIGN,
+        "mc": CAMPAIGN + "use_exact_when_feasible = No\nstream_id = 3\n",
+        "missing_key": "lambda_w = 0.3\nlambda_b = 0.2\n",
+        "nan_threshold": CAMPAIGN + "threshold = nan\n",
+        "zero_n": CAMPAIGN.replace("100,200,400", "0,10,20"),
+        "negative_seed": CAMPAIGN.replace("= 5", "= -1"),
+        "bad_bool": CAMPAIGN + "use_exact_when_feasible = maybe\n",
+        "typo_key": CAMPAIGN + "msater_seed = 2\n",
+        "no_equals": CAMPAIGN + "garbage\n",
+    }
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = str(tmp / f"{name}.cfg")
+        Path(paths[name]).write_text(text)
+    return paths
+
+
+def subcommand_calls(tmp: Path) -> list[list[str]]:
+    """One call per subcommand and --output, then the edge inputs."""
+    seq = tmp / "seq.txt"
+    seq.write_text("0110100111010010\n")
+    cfg = _configs(tmp)
+    calls = [
+        ["simulate", *RATES, "--n", "40", "--hyp", "h1", "--seed", "3"],
+        ["simulate", *RATES, "--n", "40", "--hyp", "h0", "--seed", "3",
+         "--out", str(tmp / "sim.txt")],
+        ["detect", *RATES, str(seq)],
+        ["detect", *RATES, "--threshold", "0.5", "--initial", "conditioned", str(seq)],
+        ["exponent", *RATES],
+        ["exponent", *RATES, "--output", "csv"],
+        ["exponent", "--lambda-w", "0.3", "--lambda-b", "1e-9", "--self-check"],
+        [*BOUND, "--n", "1000"],
+        [*BOUND, "--n-values", "10,100,1000"],
+        [*BOUND, "--n-values", "10,100,1000", "--output", "csv"],
+        [*BOUND, "--n-values", "10,100", "--k-family", "power", "--alpha", "0.5",
+         "--output", "csv"],
+        ["sweep", *RATES, "--n", "200", "--thresholds=-1,0,1"],
+        ["sweep", *RATES, "--n", "200", "--thresholds=-1,0,1", "--output", "csv"],
+        ["sweep", *RATES, "--n", "50", "--thresholds=0", "--trials", "300",
+         "--seed", "9", "--output", "csv"],
+    ]
+    for name in GOOD_CONFIGS:
+        calls.append(["campaign", cfg[name], "--out", str(tmp / name), "--threads", "1"])
+    calls += [
+        [*BOUND],
+        [*BOUND, "--n", "100", "--n-values", "10,100"],
+        [*BOUND, "--n", "100", "--output", "csv"],
+        ["bound", "--lambda-w", "inf", "--epsilon", "0.1", "--n", "100"],
+        ["bound", "--lambda-w", "nan", "--epsilon", "0.1", "--n", "100"],
+        [*BOUND, "--n", "100", "--k-family", "power", "--alpha", "nan"],
+        [*BOUND, "--n", "100", "--k0", "inf"],
+        ["bound", "--lambda-w", "1e200", "--epsilon", "0.1", "--n", "100"],
+        ["exponent", "--lambda-w", "1e200", "--lambda-b", "1"],
+        ["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "-3"],
+        ["sweep", *RATES, "--n", "100", "--thresholds=nan"],
+        ["sweep", "--lambda-w", "1e-17", "--lambda-b", "0", "--n", "10",
+         "--thresholds=0", "--trials", "10", "--seed", "1"],
+        ["detect", *RATES, str(tmp / "absent.txt")],
+    ]
+    for name in cfg:
+        if name not in GOOD_CONFIGS:
+            calls.append(["campaign", cfg[name], "--out", str(tmp / name)])
+    return calls
+
+
+def _lines(text: str, tmp: str) -> list[str]:
+    return text.replace(tmp, PLACEHOLDER).splitlines(keepends=True)
+
+
+def _outputs(tmp: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(tmp)): p.read_bytes()
+            for pattern in ("**/*.json", "**/*.csv") for p in tmp.glob(pattern)}
+
+
+def run_call(cli, argv: list[str], tmp: Path) -> dict:
+    before = _outputs(tmp)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+        except Exception as exc:  # an uncaught error: record it and go on
+            code = f"uncaught {type(exc).__name__}: {exc}"
+    written = {name: _lines(data.decode(), str(tmp))
+               for name, data in sorted(_outputs(tmp).items()) if before.get(name) != data}
+    return {"argv": [a.replace(str(tmp), PLACEHOLDER) for a in argv], "exit": code,
+            "stdout": _lines(out.getvalue(), str(tmp)),
+            "stderr": _lines(err.getvalue(), str(tmp)), "files": written}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src, out_path = Path(argv[0]).resolve(), Path(argv[1])
+    sys.path.insert(0, str(src))
+    sys.path.append(str(REPO / "perfbench"))
+    import covertq.cli
+    import workloads
+
+    if not Path(covertq.cli.__file__).resolve().is_relative_to(src):
+        print(f"covertq was imported from {covertq.cli.__file__}, not {src}",
+              file=sys.stderr)
+        return 2
+    records = []
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        for workload in workloads.WORKLOADS:
+            (tmp / workload).mkdir()
+            for call in workloads.make_inputs(workload, SEED, tmp / workload):
+                records.append(run_call(covertq.cli, call.argv, tmp))
+        (tmp / "subcommands").mkdir()
+        for call_argv in subcommand_calls(tmp / "subcommands"):
+            records.append(run_call(covertq.cli, call_argv, tmp))
+    out_path.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"{len(records)} calls, {sum(r['exit'] != 0 for r in records)} nonzero "
+          f"exits -> {out_path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
