@@ -13,14 +13,12 @@ from covertq import (
     decide,
     exact_error_probabilities,
     log_likelihood_ratio,
-    matrices,
     monte_carlo_error,
     simulate_sequence,
 )
 
 params = ModelParams(lambda_w=0.3, lambda_b=0.2, mu=1.0)
 n = 200
-p_mat, q_mat = matrices(params)
 
 print(f"rates: {params}")
 print(f"idle seen by an arrival: H0 {params.idle_probability(Hypothesis.H0):.4f}, "
@@ -29,8 +27,8 @@ print()
 
 for hyp in Hypothesis:
     obs = simulate_sequence(params, hyp, n, RngSeed(42, hyp.value))
-    llr = log_likelihood_ratio(obs, p_mat, q_mat)
-    verdict = decide(obs, p_mat, q_mat)
+    llr = log_likelihood_ratio(obs, params)
+    verdict = decide(obs, params)
     print(f"truth {hyp.name}: busy fraction {obs.busy_fraction:.3f}, "
           f"llr {llr:+.3f}, decision {verdict.decision.name}")
 

@@ -23,7 +23,6 @@ from .detect import (
     decide,
     exact_error_probabilities,
     log_likelihood_ratio,
-    matrices,
     monte_carlo_error,
 )
 from .experiment import (
@@ -44,18 +43,11 @@ from .exponent import (
     r_of_u,
     v_closed_form,
 )
-from .model import (
-    Hypothesis,
-    ModelParams,
-    UnstableRegimeWarning,
-    stationary_distribution,
-    transition_matrix,
-)
+from .model import Hypothesis, ModelParams, UnstableRegimeWarning
 from .sim import (
     ObservationSequence,
     RngSeed,
     SimTrace,
-    empirical_transition_counts,
     simulate_sequence,
     simulate_sequence_batch,
     simulate_trace,
@@ -82,7 +74,6 @@ __all__ = [
     "UnstableRegimeWarning",
     "covertness_check",
     "decide",
-    "empirical_transition_counts",
     "exact_error_probabilities",
     "exponent_report",
     "i_err_closed",
@@ -90,7 +81,6 @@ __all__ = [
     "i_err_taylor",
     "load",
     "log_likelihood_ratio",
-    "matrices",
     "max_covert_rate",
     "monte_carlo_error",
     "persist",
@@ -101,8 +91,6 @@ __all__ = [
     "simulate_sequence",
     "simulate_sequence_batch",
     "simulate_trace",
-    "stationary_distribution",
     "threshold_sweep",
-    "transition_matrix",
     "v_closed_form",
 ]

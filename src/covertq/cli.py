@@ -11,7 +11,6 @@ can be reproduced.
 from __future__ import annotations
 
 import argparse
-import os
 import secrets
 import sys
 
@@ -48,10 +47,6 @@ def _resolve_seed(args) -> RngSeed:
         args.seed = secrets.randbits(48)
         print(f"seed: {args.seed}", file=sys.stderr)
     return RngSeed(args.seed, args.stream_id)
-
-
-def _default_threads() -> int:
-    return int(os.environ.get("COVERTQ_THREADS", "1"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("campaign", help="run an error-probability campaign")
     p.add_argument("config", help="key=value config file")
     p.add_argument("--out", required=True, help="output path stem (.json/.csv added)")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("sweep", help="threshold sweep at fixed N")
     _add_rate_flags(p)
@@ -151,8 +146,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_detect(args) -> int:
     params = _params_from_args(args)
     obs = _read_sequence(args.sequence)
-    p_mat, q_mat = detect.matrices(params)
-    result = detect.decide(obs, p_mat, q_mat, args.threshold, args.initial)
+    result = detect.decide(obs, params, args.threshold, args.initial)
     print(json_text({"llr": result.llr, "decision": result.decision.name,
                      "threshold": result.threshold, "n": obs.n}))
     return EXIT_OK
@@ -194,10 +188,11 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    workers = args.threads if args.threads is not None else _default_threads()
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     try:
         with open(args.config) as fh:
-            cfg = experiment.CampaignConfig.from_config(fh.read(), workers)
+            cfg = experiment.CampaignConfig.from_config(fh.read(), args.threads)
     except OSError as exc:
         raise InputDataError(f"cannot read config: {exc}")
     except ValueError as exc:
@@ -235,10 +230,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except InputDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except detect.DegenerateModelError as exc:
+    except (InputDataError, detect.DegenerateModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (exponent.NumericFailure, OverflowError) as exc:

@@ -14,7 +14,7 @@ from math import exp, inf, log, sqrt
 from typing import NamedTuple
 
 from .exponent import i_err_closed, i_err_taylor
-from .model import ModelParams, csv_text, parse_config
+from .model import ModelParams, csv_text
 
 K_FAMILIES = ("constant", "power")
 
@@ -60,19 +60,6 @@ class CovertnessSpec:
             raise ValueError(f"epsilon must lie strictly in (0,1), got {self.epsilon}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-
-    @classmethod
-    def from_config(cls, text: str) -> "CovertnessSpec":
-        kv = parse_config(text)
-        try:
-            k = KFunction(
-                family=kv.get("k_family", "constant"),
-                k0=float(kv.get("k0", 1.0)),
-                alpha=float(kv.get("alpha", 0.0)),
-            )
-            return cls(epsilon=float(kv["epsilon"]), n=int(kv["n"]), k=k)
-        except KeyError as exc:
-            raise ValueError(f"config missing required key: {exc.args[0]}") from None
 
 
 class BoundResult(NamedTuple):

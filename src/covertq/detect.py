@@ -9,13 +9,13 @@ every error probability bit-exactly reproducible.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import ceil, isfinite, log, sqrt
 
 import numpy as np
 from scipy.special import bdtr, bdtrc
 
-from .model import Hypothesis, ModelParams, json_text, transition_matrix
+from .model import Hypothesis, ModelParams
 from .sim import ObservationSequence, RngSeed, simulate_sequence_batch
 
 INITIAL_MODES = ("stationary", "conditioned")
@@ -50,11 +50,6 @@ class ErrorProbabilities:
         if abs(self.p_e - (self.p_f + self.p_m) / 2.0) > 1e-12:
             raise ValueError("p_e must equal (p_f + p_m)/2")
 
-    def to_json_record(self, params: ModelParams, n: int, threshold: float) -> str:
-        rec = {"n": n, "lambda_w": params.lambda_w, "lambda_b": params.lambda_b,
-               "mu": params.mu, "threshold": threshold, **asdict(self)}
-        return json_text(rec)
-
 
 def _llr(k, m: int, p: float, q: float):
     """LLR of H0 over H1 for k idle symbols among m (p, q: idle probabilities).
@@ -65,30 +60,22 @@ def _llr(k, m: int, p: float, q: float):
     return k * log(p / q) + (m - k) * log((1.0 - p) / (1.0 - q))
 
 
-def _idle_probability(m: np.ndarray) -> float:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2) or not np.array_equal(m[0], m[1]) or not 0.0 < m[0, 0] < 1.0:
-        raise ValueError(f"expected equal 2x2 rows with 0 < idle < 1, got {m.tolist()}")
-    return float(m[0, 0])
-
-
 def log_likelihood_ratio(
     obs: ObservationSequence,
-    p_mat: np.ndarray,
-    q_mat: np.ndarray,
+    params: ModelParams,
     initial: str = "stationary",
 ) -> float:
     """Natural-log likelihood ratio of H0 over H1 for the busy/idle record.
 
-    p_mat and q_mat are the equal-row transition matrices of `matrices`;
-    only their common row enters.  With initial='stationary' every symbol
-    counts; with 'conditioned' the first symbol contributes nothing.
+    With initial='stationary' every symbol counts; with 'conditioned' the
+    first symbol contributes nothing.
     """
     if initial not in INITIAL_MODES:
         raise ValueError(f"initial must be one of {INITIAL_MODES}")
     if obs.n < 1:
         raise ValueError("observation sequence is empty")
-    p, q = _idle_probability(p_mat), _idle_probability(q_mat)
+    p = params.idle_probability(Hypothesis.H0)
+    q = params.idle_probability(Hypothesis.H1)
     counted = obs.bits if initial == "stationary" else obs.bits[1:]
     m = counted.size
     return _llr(m - int(np.count_nonzero(counted)), m, p, q)
@@ -96,15 +83,14 @@ def log_likelihood_ratio(
 
 def decide(
     obs: ObservationSequence,
-    p_mat: np.ndarray,
-    q_mat: np.ndarray,
+    params: ModelParams,
     threshold: float = 0.0,
     initial: str = "stationary",
 ) -> LlrResult:
     """Threshold rule: H0 when llr >= threshold, H1 otherwise."""
     if not isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    llr = log_likelihood_ratio(obs, p_mat, q_mat, initial)
+    llr = log_likelihood_ratio(obs, params, initial)
     decision = Hypothesis.H0 if llr >= threshold else Hypothesis.H1
     return LlrResult(llr=llr, decision=decision, threshold=threshold)
 
@@ -237,10 +223,3 @@ def monte_carlo_error(
         trials=trials,
     )
 
-
-def matrices(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Convenience: (P, Q) for the two hypotheses."""
-    return (
-        transition_matrix(params, Hypothesis.H0),
-        transition_matrix(params, Hypothesis.H1),
-    )

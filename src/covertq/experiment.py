@@ -17,7 +17,7 @@ import numpy as np
 
 from .detect import exact_error_probabilities, monte_carlo_error
 from .exponent import ExponentReport, exponent_report
-from .model import ModelParams, csv_text, json_text, parse_config
+from .model import ModelParams, csv_text, json_text
 from .sim import RngSeed
 
 RESULT_FORMAT_VERSION = 1
@@ -26,6 +26,20 @@ _CONFIG_KEYS = ("lambda_w", "lambda_b", "mu", "n_grid", "trials_per_point",
                 "threshold", "master_seed", "stream_id", "use_exact_when_feasible")
 _CONFIG_BOOLS = {"true": True, "false": False, "yes": True, "no": False,
                  "1": True, "0": False}
+
+
+def parse_config(text: str) -> dict:
+    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
+    out = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
+    return out
 
 
 class ResultParseError(ValueError):

@@ -221,61 +221,6 @@ def i_err_taylor(params: ModelParams) -> float:
     return lb * lb / (8.0 * lw * (lw + 1.0) ** 2)
 
 
-@dataclass(frozen=True)
-class QDerivativeFacts:
-    """Analytic values used by the small-lambda_b expansion (mu = 1).
-
-    q(x) is the idle probability as a function of the covert rate x, and
-    big_f(x) = r(v(x)) evaluated at the minimizing tilt.  The derivative
-    values are what finite differences of those two maps must reproduce.
-    """
-
-    q0: float
-    q_prime0: float
-    q_double_prime0: float
-    f0: float
-    f_prime0: float
-    f_double_prime0: float
-
-
-def q_derivative_facts(params: ModelParams) -> QDerivativeFacts:
-    if params.mu != 1.0:
-        raise ValueError("derivative facts are stated for mu = 1; rescale rates first")
-    p = 1.0 / (params.lambda_w + 1.0)
-    lw = params.lambda_w
-    return QDerivativeFacts(
-        q0=p,
-        q_prime0=-p * p,
-        q_double_prime0=2.0 * p**3,
-        f0=1.0,
-        f_prime0=0.0,
-        f_double_prime0=-1.0 / (4.0 * lw * (lw + 1.0) ** 2),
-    )
-
-
-def q_of(lambda_w: float, lambda_b: float) -> float:
-    """Idle probability under the merged stream as a function of lambda_b (mu=1).
-
-    Defined for small negative lambda_b too, so central differences at 0 work.
-    """
-    return 1.0 / (lambda_w + lambda_b + 1.0)
-
-
-def big_f(lambda_w: float, lambda_b: float) -> float:
-    """r evaluated at the minimizing tilt, as a function of lambda_b (mu = 1).
-
-    Accepts small negative lambda_b (the formulas extend smoothly), which
-    central differences at 0 need.
-    """
-    if lambda_b == 0.0:
-        return 1.0
-    if abs(lambda_b) / lambda_w < SMALL_LAMBDA_B_RATIO:
-        v = 0.5
-    else:
-        v = _v_from_rates(lambda_w, lambda_b, 1.0)
-    return 1.0 + _r_minus_one(_tilt(lambda_w, lambda_b, 1.0), v)
-
-
 def exponent_report(params: ModelParams, tol: float = GOLDEN_TOL) -> ExponentReport:
     """Compute every exponent quantity for one parameter point."""
     if params.lambda_b > 0:

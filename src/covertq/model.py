@@ -1,12 +1,12 @@
-"""Rate parameters and the exact busy/idle transition matrices.
+"""Rate parameters, the idle probabilities p and q, and the text writers.
 
 The server holds at most one job.  An arrival that finds the server idle
 is served; an arrival that finds it busy is lost.  Because inter-arrival
 and service times are exponential, the probability that an arrival finds
-the server idle does not depend on what the previous arrival saw, so both
-rows of the transition matrix are identical and the busy/idle record is
-i.i.d. Bernoulli.  Downstream oracles exploit this; nothing here assumes
-it without constructing it.
+the server idle does not depend on what the previous arrival saw, so the
+busy/idle record is i.i.d. Bernoulli: p = mu/(lambda_w+mu) under H0 and
+q = mu/(lambda_w+lambda_b+mu) under H1 determine it.  The event simulator
+in :mod:`covertq.sim` does not assume this, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
-
-import numpy as np
 
 
 class Hypothesis(Enum):
@@ -42,15 +40,14 @@ class ModelParams:
         Zero means the two hypotheses coincide.
     mu : float
         Service rate, jobs per unit time.
-    strict : bool
-        When True, mu <= lambda_w + lambda_b is an error instead of a
-        warning.  Default False so boundary behavior stays probeable.
+
+    mu <= lambda_w + lambda_b only warns (UnstableRegimeWarning), so
+    boundary behavior stays probeable.
     """
 
     lambda_w: float
     lambda_b: float
     mu: float
-    strict: bool = False
 
     def __post_init__(self):
         for name in ("lambda_w", "lambda_b", "mu"):
@@ -67,13 +64,10 @@ class ModelParams:
             raise ValueError(f"rates too far apart: idle probabilities p={p!r}, "
                              f"q={q!r} must lie strictly between 0 and 1")
         if not self.stable:
-            msg = (
-                f"mu={self.mu} does not exceed lambda_w+lambda_b="
-                f"{self.lambda_w + self.lambda_b}"
-            )
-            if self.strict:
-                raise ValueError(msg)
-            warnings.warn(msg, UnstableRegimeWarning, stacklevel=2)
+            # level 3: past the dataclass-generated __init__ to its caller
+            warnings.warn(f"mu={self.mu} does not exceed lambda_w+lambda_b="
+                          f"{self.lambda_w + self.lambda_b}",
+                          UnstableRegimeWarning, stacklevel=3)
 
     @property
     def stable(self) -> bool:
@@ -90,41 +84,6 @@ class ModelParams:
             return self.mu / (self.lambda_w + self.mu)
         return self.mu / (self.lambda_w + self.lambda_b + self.mu)
 
-    def to_config(self) -> str:
-        """Plain key-value text, one `key = value` per line."""
-        return (
-            f"lambda_w = {self.lambda_w!r}\n"
-            f"lambda_b = {self.lambda_b!r}\n"
-            f"mu = {self.mu!r}\n"
-        )
-
-    @classmethod
-    def from_config(cls, text: str, strict: bool = False) -> "ModelParams":
-        kv = parse_config(text)
-        try:
-            return cls(
-                lambda_w=float(kv["lambda_w"]),
-                lambda_b=float(kv["lambda_b"]),
-                mu=float(kv["mu"]),
-                strict=strict,
-            )
-        except KeyError as exc:
-            raise ValueError(f"config missing required key: {exc.args[0]}") from None
-
-
-def parse_config(text: str) -> dict:
-    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
 
 def json_text(doc, indent: int | None = None) -> str:
     """The one JSON writer: sorted keys; NaN or Infinity raises ValueError."""
@@ -137,34 +96,3 @@ def csv_text(header, rows) -> str:
         ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n"
         for row in (header, *rows)
     )
-
-
-def transition_matrix(params: ModelParams, hyp: Hypothesis) -> np.ndarray:
-    """Exact 2x2 transition matrix of the busy/idle chain.
-
-    States are ordered (idle=0, busy=1).  Under H0 the idle probability is
-    p = mu/(lambda_w+mu); under H1 it is q = mu/(lambda_w+lambda_b+mu).
-    Both rows are identical.
-    """
-    idle = params.idle_probability(hyp)
-    return np.array([[idle, 1.0 - idle], [idle, 1.0 - idle]])
-
-
-def stationary_distribution(m: np.ndarray) -> np.ndarray:
-    """Left eigenvector of a row-stochastic 2x2 matrix for eigenvalue 1, summing to 1.
-
-    For equal-row matrices this is the row itself, returned exactly;
-    otherwise it is (m10, m01) / (m01 + m10).
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    rowsums = m.sum(axis=1)
-    if not np.allclose(rowsums, 1.0, atol=1e-12):
-        raise ValueError(f"matrix is not row-stochastic, row sums {rowsums}")
-    if np.array_equal(m[0], m[1]):
-        return m[0].copy()
-    flow = m[0, 1] + m[1, 0]
-    if flow == 0.0:
-        raise ValueError("identity matrix: the stationary distribution is not unique")
-    return np.array([m[1, 0], m[0, 1]]) / flow

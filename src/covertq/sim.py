@@ -1,14 +1,13 @@
 """Event-driven simulation of the bufferless server.
 
 Generates the busy/idle record seen by successive arrivals from exact
-exponential inter-arrival and service samples.  The transition-matrix
-path in :mod:`covertq.model` is deliberately not used here, so the two
-implementations cross-validate each other.
+exponential inter-arrival and service samples.  The Bernoulli idle
+probabilities of :mod:`covertq.model` are deliberately not used here, so
+the simulator is an independent check on that reduction.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,19 +72,6 @@ class ObservationSequence:
         if not line or set(line) - {"0", "1"}:
             raise ValueError("sequence line must be a nonempty string of 0/1")
         return cls(np.frombuffer(line.encode(), dtype=np.uint8) - ord("0"))
-
-    def to_bytes(self) -> bytes:
-        return struct.pack("<Q", self.n) + np.packbits(self.bits).tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "ObservationSequence":
-        if len(data) < 8:
-            raise ValueError("truncated sequence blob: missing length header")
-        (n,) = struct.unpack("<Q", data[:8])
-        packed = np.frombuffer(data[8:], dtype=np.uint8)
-        if packed.size * 8 < n:
-            raise ValueError("truncated sequence blob: payload shorter than header")
-        return cls(np.unpackbits(packed)[:n])
 
 
 @dataclass
@@ -219,13 +205,3 @@ def simulate_sequence_batch(
     bits = _busy_bits_batch(times, services)
     return bits[:, burn_in:]
 
-
-def empirical_transition_counts(obs: ObservationSequence) -> np.ndarray:
-    """2x2 counts of consecutive (previous, next) state pairs."""
-    if obs.n < 2:
-        raise ValueError("need at least 2 observations to count transitions")
-    prev = obs.bits[:-1].astype(np.intp)
-    nxt = obs.bits[1:].astype(np.intp)
-    counts = np.zeros((2, 2), dtype=np.int64)
-    np.add.at(counts, (prev, nxt), 1)
-    return counts

@@ -1,14 +1,18 @@
-"""Independent oracles used across the test suite.
+"""Independent oracles and test-only helpers used across the test suite.
 
 These deliberately avoid the code paths they check: sequence
-probabilities come from explicit products over transition matrices,
+probabilities come from explicit products over the entries of the 2x2
+busy/idle transition matrices (which live here, not in the package),
 exact error probabilities from all m+1 binomial terms summed in the log
 domain or from an mpmath tail sum, the Chernoff information from
 grid-plus-refinement minimization or from a 60-digit mpmath root of
-d r/du, and the spectral radius from a dense eigensolve.
+d r/du, and the spectral radius from a dense eigensolve.  The
+small-lambda_b derivative facts of criterion 3 and the empirical
+transition counts of criterion 6 are kept here too.
 """
 
 import itertools
+from dataclasses import dataclass
 from math import log
 
 import mpmath
@@ -16,13 +20,51 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from covertq.detect import _llr, decide
-from covertq.model import (
-    Hypothesis,
-    ModelParams,
-    stationary_distribution,
-    transition_matrix,
-)
+from covertq.exponent import SMALL_LAMBDA_B_RATIO, _r_minus_one, _tilt, _v_from_rates
+from covertq.model import Hypothesis, ModelParams
 from covertq.sim import ObservationSequence
+
+
+def transition_matrix(params: ModelParams, hyp: Hypothesis) -> np.ndarray:
+    """Exact 2x2 transition matrix of the busy/idle chain.
+
+    States are ordered (idle=0, busy=1).  Under H0 the idle probability is
+    p = mu/(lambda_w+mu); under H1 it is q = mu/(lambda_w+lambda_b+mu).
+    Both rows are identical.
+    """
+    idle = params.idle_probability(hyp)
+    return np.array([[idle, 1.0 - idle], [idle, 1.0 - idle]])
+
+
+def stationary_distribution(m: np.ndarray) -> np.ndarray:
+    """Left eigenvector of a row-stochastic 2x2 matrix for eigenvalue 1, summing to 1.
+
+    For equal-row matrices this is the row itself, returned exactly;
+    otherwise it is (m10, m01) / (m01 + m10).
+    """
+    m = np.asarray(m, dtype=float)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    rowsums = m.sum(axis=1)
+    if not np.allclose(rowsums, 1.0, atol=1e-12):
+        raise ValueError(f"matrix is not row-stochastic, row sums {rowsums}")
+    if np.array_equal(m[0], m[1]):
+        return m[0].copy()
+    flow = m[0, 1] + m[1, 0]
+    if flow == 0.0:
+        raise ValueError("identity matrix: the stationary distribution is not unique")
+    return np.array([m[1, 0], m[0, 1]]) / flow
+
+
+def empirical_transition_counts(obs: ObservationSequence) -> np.ndarray:
+    """2x2 counts of consecutive (previous, next) state pairs."""
+    if obs.n < 2:
+        raise ValueError("need at least 2 observations to count transitions")
+    prev = obs.bits[:-1].astype(np.intp)
+    nxt = obs.bits[1:].astype(np.intp)
+    counts = np.zeros((2, 2), dtype=np.int64)
+    np.add.at(counts, (prev, nxt), 1)
+    return counts
 
 
 def sequence_probability(bits, m):
@@ -43,7 +85,7 @@ def brute_force_error_probabilities(params: ModelParams, n: int, threshold=0.0,
     p_m = 0.0
     for bits in itertools.product((0, 1), repeat=n):
         obs = ObservationSequence(np.array(bits, dtype=np.uint8))
-        result = decide(obs, p_mat, q_mat, threshold, initial)
+        result = decide(obs, params, threshold, initial)
         if result.decision is Hypothesis.H1:
             p_f += sequence_probability(bits, p_mat)
         else:
@@ -156,6 +198,61 @@ def mpmath_exponent(lambda_w: float, lambda_b: float, mu: float):
 
         v = mpmath.findroot(dr, (mpmath.mpf(0), mpmath.mpf(1)), solver="anderson")
         return v, -mpmath.log(r(v))
+
+
+@dataclass(frozen=True)
+class QDerivativeFacts:
+    """Analytic values used by the small-lambda_b expansion (mu = 1).
+
+    q(x) is the idle probability as a function of the covert rate x, and
+    big_f(x) = r(v(x)) evaluated at the minimizing tilt.  The derivative
+    values are what finite differences of those two maps must reproduce.
+    """
+
+    q0: float
+    q_prime0: float
+    q_double_prime0: float
+    f0: float
+    f_prime0: float
+    f_double_prime0: float
+
+
+def q_derivative_facts(params: ModelParams) -> QDerivativeFacts:
+    if params.mu != 1.0:
+        raise ValueError("derivative facts are stated for mu = 1; rescale rates first")
+    p = 1.0 / (params.lambda_w + 1.0)
+    lw = params.lambda_w
+    return QDerivativeFacts(
+        q0=p,
+        q_prime0=-p * p,
+        q_double_prime0=2.0 * p**3,
+        f0=1.0,
+        f_prime0=0.0,
+        f_double_prime0=-1.0 / (4.0 * lw * (lw + 1.0) ** 2),
+    )
+
+
+def q_of(lambda_w: float, lambda_b: float) -> float:
+    """Idle probability under the merged stream as a function of lambda_b (mu=1).
+
+    Defined for small negative lambda_b too, so central differences at 0 work.
+    """
+    return 1.0 / (lambda_w + lambda_b + 1.0)
+
+
+def big_f(lambda_w: float, lambda_b: float) -> float:
+    """r evaluated at the minimizing tilt, as a function of lambda_b (mu = 1).
+
+    Accepts small negative lambda_b (the formulas extend smoothly), which
+    central differences at 0 need.
+    """
+    if lambda_b == 0.0:
+        return 1.0
+    if abs(lambda_b) / lambda_w < SMALL_LAMBDA_B_RATIO:
+        v = 0.5
+    else:
+        v = _v_from_rates(lambda_w, lambda_b, 1.0)
+    return 1.0 + _r_minus_one(_tilt(lambda_w, lambda_b, 1.0), v)
 
 
 def dominant_eigenvalue(m) -> float:

@@ -23,18 +23,24 @@ import numpy as np
 from covertq.covert import CovertnessSpec, covertness_check, max_covert_rate, scaling_table
 from covertq.detect import exact_error_probabilities, monte_carlo_error
 from covertq.exponent import (
-    big_f,
     i_err_closed,
     i_err_numeric,
     i_err_taylor,
-    q_derivative_facts,
-    q_of,
     v_closed_form,
 )
 from covertq.experiment import CampaignConfig, result_to_json, run_campaign
-from covertq.model import Hypothesis, ModelParams, transition_matrix
-from covertq.sim import RngSeed, empirical_transition_counts, simulate_sequence
-from oracles import brute_force_error_probabilities, chernoff_information, param_grid
+from covertq.model import Hypothesis, ModelParams
+from covertq.sim import RngSeed, simulate_sequence
+from oracles import (
+    big_f,
+    brute_force_error_probabilities,
+    chernoff_information,
+    empirical_transition_counts,
+    param_grid,
+    q_derivative_facts,
+    q_of,
+    transition_matrix,
+)
 
 PARAMS = ModelParams(0.3, 0.2, 1.0)
 GRID = param_grid(100, np.random.default_rng(20240817))

@@ -297,6 +297,18 @@ def test_campaign_config_garbage_exits_3(tmp_path, capsys, line):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_campaign_threads_below_one_exits_2(tmp_path, capsys, threads):
+    cfg = tmp_path / "good.cfg"
+    cfg.write_text(CAMPAIGN)
+    code, out, err = run_cli(capsys, "campaign", str(cfg), "--out", str(tmp_path / "r"),
+                             "--threads", threads)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --threads must be >= 1, got {threads}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_outputs_are_strict_json_and_lf_csv(tmp_path, capsys):
     seq = tmp_path / "seq.txt"
     seq.write_text("0110\n")

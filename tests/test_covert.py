@@ -160,14 +160,3 @@ def test_scaling_table_csv_columns():
     lines = text.splitlines()
     assert lines[0] == "N,K_of_N,bound,bound_times_sqrtN"
     assert len(lines) == 3
-
-
-def test_spec_from_config():
-    spec = CovertnessSpec.from_config(
-        "epsilon = 0.1\nn = 1000\nk_family = power\nk0 = 2.0\nalpha = 0.25\n"
-    )
-    assert spec.epsilon == 0.1
-    assert spec.n == 1000
-    assert spec.k == KFunction("power", 2.0, 0.25)
-    with pytest.raises(ValueError, match="epsilon"):
-        CovertnessSpec.from_config("n = 10\n")

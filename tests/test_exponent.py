@@ -7,24 +7,25 @@ from covertq import exponent
 from covertq.exponent import (
     NumericFailure,
     abcd_coefficients,
-    big_f,
     exponent_report,
     golden_section,
     i_err_closed,
     i_err_numeric,
     i_err_taylor,
-    q_derivative_facts,
-    q_of,
     r_of_u,
     stationarity_residual,
     v_closed_form,
 )
-from covertq.model import Hypothesis, ModelParams, transition_matrix
+from covertq.model import Hypothesis, ModelParams
 from oracles import (
+    big_f,
     chernoff_information,
     dominant_eigenvalue,
     mpmath_exponent,
     param_grid,
+    q_derivative_facts,
+    q_of,
+    transition_matrix,
 )
 
 PARAMS = ModelParams(0.3, 0.2, 1.0)

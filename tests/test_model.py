@@ -8,9 +8,8 @@ from covertq.model import (
     UnstableRegimeWarning,
     csv_text,
     json_text,
-    stationary_distribution,
-    transition_matrix,
 )
+from oracles import stationary_distribution, transition_matrix
 
 
 def test_h0_matrix_symmetric_case():
@@ -74,9 +73,10 @@ def test_unstable_regime_warns_by_default():
     assert not params.stable
 
 
-def test_unstable_regime_errors_in_strict_mode():
-    with pytest.raises(ValueError):
-        ModelParams(0.8, 0.5, 1.0, strict=True)
+def test_unstable_regime_warning_names_the_caller():
+    with pytest.warns(UnstableRegimeWarning) as record:
+        ModelParams(0.8, 0.5, 1.0)
+    assert record[0].filename == __file__
 
 
 def test_rows_stochastic_and_equal():
@@ -121,17 +121,6 @@ def test_p_exceeds_q_iff_lambda_b_positive(lw, lb, mu):
     p = params.idle_probability(Hypothesis.H0)
     q = params.idle_probability(Hypothesis.H1)
     assert (p > q) == (lb > 0)
-
-
-def test_config_round_trip():
-    params = ModelParams(0.3, 0.2, 1.5)
-    again = ModelParams.from_config(params.to_config())
-    assert again == params
-
-
-def test_config_missing_key():
-    with pytest.raises(ValueError, match="mu"):
-        ModelParams.from_config("lambda_w = 0.3\nlambda_b = 0.2\n")
 
 
 def test_csv_text_writes_numpy_floats_like_floats():

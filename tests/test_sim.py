@@ -6,11 +6,11 @@ from covertq.sim import (
     ORIGIN_NILLIE,
     ObservationSequence,
     RngSeed,
-    empirical_transition_counts,
     simulate_sequence,
     simulate_sequence_batch,
     simulate_trace,
 )
+from oracles import empirical_transition_counts
 
 PARAMS = ModelParams(0.3, 0.2, 1.0)
 
@@ -116,21 +116,6 @@ def test_line_round_trip():
     obs = simulate_sequence(PARAMS, Hypothesis.H1, 1000, RngSeed(31))
     again = ObservationSequence.from_line(obs.to_line())
     np.testing.assert_array_equal(obs.bits, again.bits)
-
-
-def test_packed_round_trip():
-    obs = simulate_sequence(PARAMS, Hypothesis.H1, 1003, RngSeed(37))
-    again = ObservationSequence.from_bytes(obs.to_bytes())
-    np.testing.assert_array_equal(obs.bits, again.bits)
-
-
-def test_packed_truncation_detected():
-    obs = simulate_sequence(PARAMS, Hypothesis.H1, 64, RngSeed(38))
-    blob = obs.to_bytes()
-    with pytest.raises(ValueError):
-        ObservationSequence.from_bytes(blob[:4])
-    with pytest.raises(ValueError):
-        ObservationSequence.from_bytes(blob[:-2])
 
 
 def test_bad_line_rejected():

@@ -9,9 +9,11 @@ read-only), one call per subcommand and --output value, and the edge
 inputs that must fail with a stated exit code.  Every call runs through
 `covertq.cli.main` in this process.  OUT.json holds, per call, argv, the
 exit code, stdout, stderr and every .json/.csv file the call wrote or
-changed, each as a list of lines with their line ends kept and the
-temporary directory shown as <TMP>.  Running it on two checkouts and
-diffing the two files shows every output byte that differs:
+changed, each as a list of lines with their line ends kept, the
+temporary directory shown as <TMP> and, in stdout and stderr, the SRC
+directory shown as <SRC> (a warning names the source file it came from).
+Running it on two checkouts and diffing the two files shows every output
+byte that differs:
 
     python tools/cli_outputs.py ../parent/src parent.json
     python tools/cli_outputs.py src change.json
@@ -30,6 +32,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 SEED = 7
 PLACEHOLDER = "<TMP>"
+SRC_PLACEHOLDER = "<SRC>"
 
 RATES = ["--lambda-w", "0.3", "--lambda-b", "0.2"]
 CAMPAIGN = ("lambda_w = 0.3\nlambda_b = 0.2\nn_grid = 100,200,400\n"
@@ -101,6 +104,8 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
         ["sweep", "--lambda-w", "1e-17", "--lambda-b", "0", "--n", "10",
          "--thresholds=0", "--trials", "10", "--seed", "1"],
         ["detect", *RATES, str(tmp / "absent.txt")],
+        ["campaign", cfg["exact"], "--out", str(tmp / "threads"), "--threads", "0"],
+        ["campaign", cfg["exact"], "--out", str(tmp / "threads"), "--threads", "-4"],
     ]
     for name in cfg:
         if name not in GOOD_CONFIGS:
@@ -117,7 +122,7 @@ def _outputs(tmp: Path) -> dict[str, bytes]:
             for pattern in ("**/*.json", "**/*.csv") for p in tmp.glob(pattern)}
 
 
-def run_call(cli, argv: list[str], tmp: Path) -> dict:
+def run_call(cli, argv: list[str], tmp: Path, src: Path) -> dict:
     before = _outputs(tmp)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -130,8 +135,9 @@ def run_call(cli, argv: list[str], tmp: Path) -> dict:
     written = {name: _lines(data.decode(), str(tmp))
                for name, data in sorted(_outputs(tmp).items()) if before.get(name) != data}
     return {"argv": [a.replace(str(tmp), PLACEHOLDER) for a in argv], "exit": code,
-            "stdout": _lines(out.getvalue(), str(tmp)),
-            "stderr": _lines(err.getvalue(), str(tmp)), "files": written}
+            "stdout": _lines(out.getvalue().replace(str(src), SRC_PLACEHOLDER), str(tmp)),
+            "stderr": _lines(err.getvalue().replace(str(src), SRC_PLACEHOLDER), str(tmp)),
+            "files": written}
 
 
 def main(argv: list[str]) -> int:
@@ -154,10 +160,10 @@ def main(argv: list[str]) -> int:
         for workload in workloads.WORKLOADS:
             (tmp / workload).mkdir()
             for call in workloads.make_inputs(workload, SEED, tmp / workload):
-                records.append(run_call(covertq.cli, call.argv, tmp))
+                records.append(run_call(covertq.cli, call.argv, tmp, src))
         (tmp / "subcommands").mkdir()
         for call_argv in subcommand_calls(tmp / "subcommands"):
-            records.append(run_call(covertq.cli, call_argv, tmp))
+            records.append(run_call(covertq.cli, call_argv, tmp, src))
     out_path.write_text(json.dumps(records, indent=1) + "\n")
     print(f"{len(records)} calls, {sum(r['exit'] != 0 for r in records)} nonzero "
           f"exits -> {out_path}")
