@@ -2,10 +2,11 @@
 
 Subcommands: simulate, detect, exponent, bound, campaign, sweep.
 
-Exit codes are stable: 0 success, 2 argument or config error, 3 input
-data error, 4 numeric failure.  Every randomized command either takes an
-explicit --seed or prints the one it generated, so any published number
-can be reproduced.
+Exit codes are stable: 0 success, 2 argument error, 3 input data error
+(a bad sequence file or campaign config, or exact error probabilities
+asked for at lambda_b = 0), 4 numeric failure.  Every randomized command
+either takes an explicit --seed or prints the one it generated, so any
+published number can be reproduced.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rate_flags(p)
     p.add_argument("--n", type=int, required=True, help="number of arrivals")
     p.add_argument("--hyp", choices=["h0", "h1"], required=True)
-    p.add_argument("--burn-in", type=int, default=1)
     p.add_argument("--out", default="-", help="output file ('-' for stdout)")
     _add_seed_flags(p)
 
@@ -68,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rate_flags(p)
     p.add_argument("sequence", help="file holding one line of 0/1 characters")
     p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--initial", choices=detect.INITIAL_MODES, default="stationary")
 
     p = sub.add_parser("exponent", help="error-exponent report for one rate triple")
     _add_rate_flags(p)
@@ -83,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     n_or_table.add_argument("--n", type=int, default=None, help="single N to evaluate")
     n_or_table.add_argument("--n-values", default=None,
                             help="comma-separated increasing N list for the table")
-    p.add_argument("--k-family", choices=covert.K_FAMILIES, default="constant")
     p.add_argument("--k0", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--output", choices=["json", "csv"], default="json")
@@ -129,10 +127,8 @@ def _emit(args, doc, csv: str) -> None:
 def _cmd_simulate(args) -> int:
     params = _params_from_args(args)
     seed = _resolve_seed(args)
-    obs = simulate_sequence(
-        params, Hypothesis.H1 if args.hyp == "h1" else Hypothesis.H0,
-        args.n, seed, burn_in=args.burn_in,
-    )
+    hyp = Hypothesis.H1 if args.hyp == "h1" else Hypothesis.H0
+    obs = simulate_sequence(params, hyp, args.n, seed)
     line = obs.to_line()
     if args.out == "-":
         print(line)
@@ -146,7 +142,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_detect(args) -> int:
     params = _params_from_args(args)
     obs = _read_sequence(args.sequence)
-    result = detect.decide(obs, params, args.threshold, args.initial)
+    result = detect.decide(obs, params, args.threshold)
     print(json_text({"llr": result.llr, "decision": result.decision.name,
                      "threshold": result.threshold, "n": obs.n}))
     return EXIT_OK
@@ -171,7 +167,7 @@ def _cmd_exponent(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    k = covert.KFunction(family=args.k_family, k0=args.k0, alpha=args.alpha)
+    k = covert.KFunction(k0=args.k0, alpha=args.alpha)
     if args.n_values is not None:
         n_values = [int(s) for s in args.n_values.split(",")]
         rows = covert.scaling_table(args.lambda_w, args.epsilon, k, n_values)

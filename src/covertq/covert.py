@@ -16,30 +16,23 @@ from typing import NamedTuple
 from .exponent import i_err_closed, i_err_taylor
 from .model import ModelParams, csv_text
 
-K_FAMILIES = ("constant", "power")
-
 
 @dataclass(frozen=True)
 class KFunction:
-    """Sub-exponential prefactor family K(N) = k0 * N**(-alpha).
+    """Sub-exponential prefactor K(N) = k0 * N**(-alpha); alpha = 0 is constant.
 
-    family='constant' fixes alpha at 0.  Both families satisfy
-    (1/N) log K(N) -> 0, the only constraint the theory places on K.
+    Every such K satisfies (1/N) log K(N) -> 0, the only constraint the
+    theory places on K.
     """
 
-    family: str = "constant"
     k0: float = 1.0
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.family not in K_FAMILIES:
-            raise ValueError(f"family must be one of {K_FAMILIES}")
         if not 0 < self.k0 < inf:  # also false for NaN
             raise ValueError(f"k0 must be positive and finite, got {self.k0}")
         if not 0 <= self.alpha < inf:
             raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
-        if self.family == "constant" and self.alpha != 0.0:
-            raise ValueError("constant family requires alpha = 0")
 
     def __call__(self, n: int) -> float:
         return self.k0 * float(n) ** (-self.alpha)

@@ -18,8 +18,6 @@ from scipy.special import bdtr, bdtrc
 from .model import Hypothesis, ModelParams
 from .sim import ObservationSequence, RngSeed, simulate_sequence_batch
 
-INITIAL_MODES = ("stationary", "conditioned")
-
 MC_BLOCK_SIZE = 20_000
 
 
@@ -51,64 +49,51 @@ class ErrorProbabilities:
             raise ValueError("p_e must equal (p_f + p_m)/2")
 
 
-def _llr(k, m: int, p: float, q: float):
-    """LLR of H0 over H1 for k idle symbols among m (p, q: idle probabilities).
+def _llr(k, n: int, p: float, q: float):
+    """LLR of H0 over H1 for k idle symbols among n (p, q: idle probabilities).
 
     Single sequences, exact tails and Monte Carlo blocks all decide with this
     one expression, so ties at the threshold resolve identically everywhere.
     """
-    return k * log(p / q) + (m - k) * log((1.0 - p) / (1.0 - q))
+    return k * log(p / q) + (n - k) * log((1.0 - p) / (1.0 - q))
 
 
-def log_likelihood_ratio(
-    obs: ObservationSequence,
-    params: ModelParams,
-    initial: str = "stationary",
-) -> float:
-    """Natural-log likelihood ratio of H0 over H1 for the busy/idle record.
-
-    With initial='stationary' every symbol counts; with 'conditioned' the
-    first symbol contributes nothing.
-    """
-    if initial not in INITIAL_MODES:
-        raise ValueError(f"initial must be one of {INITIAL_MODES}")
+def log_likelihood_ratio(obs: ObservationSequence, params: ModelParams) -> float:
+    """Natural-log likelihood ratio of H0 over H1 for the busy/idle record."""
     if obs.n < 1:
         raise ValueError("observation sequence is empty")
     p = params.idle_probability(Hypothesis.H0)
     q = params.idle_probability(Hypothesis.H1)
-    counted = obs.bits if initial == "stationary" else obs.bits[1:]
-    m = counted.size
-    return _llr(m - int(np.count_nonzero(counted)), m, p, q)
+    return _llr(obs.n - int(np.count_nonzero(obs.bits)), obs.n, p, q)
 
 
 def decide(
     obs: ObservationSequence,
     params: ModelParams,
     threshold: float = 0.0,
-    initial: str = "stationary",
 ) -> LlrResult:
     """Threshold rule: H0 when llr >= threshold, H1 otherwise."""
     if not isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    llr = log_likelihood_ratio(obs, params, initial)
+    llr = log_likelihood_ratio(obs, params)
     decision = Hypothesis.H0 if llr >= threshold else Hypothesis.H1
     return LlrResult(llr=llr, decision=decision, threshold=threshold)
 
 
-def _cut(m: int, p: float, q: float, threshold: float) -> int:
-    """Smallest k in [0, m+1] with _llr(k, m, p, q) >= threshold.
+def _cut(n: int, p: float, q: float, threshold: float) -> int:
+    """Smallest k in [0, n+1] with _llr(k, n, p, q) >= threshold.
 
     p > q makes the LLR increasing in k.  The closed form only starts the
     search: the steps test the float predicate of `decide`, so ties match it.
     """
     c_idle, c_busy = log(p / q), log((1.0 - p) / (1.0 - q))
     if c_idle == c_busy:  # q rounds to p: the LLR is 0 for every k
-        return 0 if _llr(0, m, p, q) >= threshold else m + 1
-    x = (threshold - m * c_busy) / (c_idle - c_busy)
-    k = 0 if x <= 0 else m + 1 if x > m + 1 else ceil(x)
-    while k > 0 and _llr(k - 1, m, p, q) >= threshold:
+        return 0 if _llr(0, n, p, q) >= threshold else n + 1
+    x = (threshold - n * c_busy) / (c_idle - c_busy)
+    k = 0 if x <= 0 else n + 1 if x > n + 1 else ceil(x)
+    while k > 0 and _llr(k - 1, n, p, q) >= threshold:
         k -= 1
-    while k <= m and not _llr(k, m, p, q) >= threshold:
+    while k <= n and not _llr(k, n, p, q) >= threshold:
         k += 1
     return k
 
@@ -117,16 +102,13 @@ def exact_error_probabilities(
     params: ModelParams,
     n: int,
     threshold: float = 0.0,
-    initial: str = "stationary",
 ) -> ErrorProbabilities:
     """Closed-form error probabilities of the threshold test.
 
-    The idle count K over the m counted symbols is Bin(m, p) under H0 and
-    Bin(m, q) under H1, and the test is one cut k* on it, so p_f = P_p(K < k*)
-    and p_m = P_q(K >= k*) are two incomplete-beta values: O(1) in n.
+    The idle count K over the n symbols is Bin(n, p) under H0 and Bin(n, q)
+    under H1, and the test is one cut k* on it, so p_f = P_p(K < k*) and
+    p_m = P_q(K >= k*) are two incomplete-beta values: O(1) in n.
     """
-    if initial not in INITIAL_MODES:
-        raise ValueError(f"initial must be one of {INITIAL_MODES}")
     if params.lambda_b <= 0:
         raise DegenerateModelError("lambda_b must be positive for a nondegenerate test")
     if n < 1:
@@ -135,10 +117,9 @@ def exact_error_probabilities(
         raise ValueError(f"threshold must be finite, got {threshold}")
     p = params.idle_probability(Hypothesis.H0)
     q = params.idle_probability(Hypothesis.H1)
-    m = n if initial == "stationary" else n - 1
-    k = _cut(m, p, q, threshold)
-    if 0 < k <= m:
-        p_f, p_m = float(bdtr(k - 1, m, p)), float(bdtrc(k - 1, m, q))
+    k = _cut(n, p, q, threshold)
+    if 0 < k <= n:
+        p_f, p_m = float(bdtr(k - 1, n, p)), float(bdtrc(k - 1, n, q))
     else:  # one tail is empty and the other full; bdtr(-1, ...) is NaN
         p_f, p_m = (0.0, 1.0) if k == 0 else (1.0, 0.0)
     return ErrorProbabilities(p_f=p_f, p_m=p_m, p_e=(p_f + p_m) / 2.0)
@@ -151,16 +132,13 @@ def _mc_block(
     threshold: float,
     block_trials: int,
     seed: RngSeed,
-    initial: str,
 ) -> int:
     """Number of erroneous decisions in one simulation block."""
     bits = simulate_sequence_batch(params, hyp, n, block_trials, seed)
-    counted = bits if initial == "stationary" else bits[:, 1:]
-    m = counted.shape[1]
-    k = m - counted.sum(axis=1)  # idle count
+    k = n - bits.sum(axis=1)  # idle count
     p = params.idle_probability(Hypothesis.H0)
     q = params.idle_probability(Hypothesis.H1)
-    decide_h0 = _llr(k, m, p, q) >= threshold
+    decide_h0 = _llr(k, n, p, q) >= threshold
     if hyp is Hypothesis.H0:
         return int(np.count_nonzero(~decide_h0))
     return int(np.count_nonzero(decide_h0))
@@ -172,7 +150,6 @@ def monte_carlo_error(
     threshold: float,
     trials: int,
     seed: RngSeed,
-    initial: str = "stationary",
     workers: int = 1,
 ) -> ErrorProbabilities:
     """Empirical error rates over `trials` simulated sequences per hypothesis.
@@ -181,8 +158,6 @@ def monte_carlo_error(
     streams; integer error counts are summed in block order, so the result
     is bit-identical at any worker count.
     """
-    if initial not in INITIAL_MODES:
-        raise ValueError(f"initial must be one of {INITIAL_MODES}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not isfinite(threshold):
@@ -202,7 +177,7 @@ def monte_carlo_error(
 
     def run(job):
         hyp, bt, s = job
-        return hyp, _mc_block(params, hyp, n, threshold, bt, s, initial)
+        return hyp, _mc_block(params, hyp, n, threshold, bt, s)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

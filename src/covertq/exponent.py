@@ -109,8 +109,6 @@ def r_of_u(params: ModelParams, u: float) -> float:
     """Row sum (= spectral radius) of the tilted matrix at tilt u."""
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"u must lie in [0, 1], got {u}")
-    if params.lambda_b == 0:
-        return 1.0
     return 1.0 + _r_minus_one(_tilt(params.lambda_w, params.lambda_b, params.mu), u)
 
 
@@ -166,20 +164,18 @@ def v_closed_form(params: ModelParams) -> float:
     return _v_from_rates(params.lambda_w, params.lambda_b, params.mu)
 
 
-def i_err_numeric(params: ModelParams, tol: float = GOLDEN_TOL) -> tuple[float, float]:
+def i_err_numeric(params: ModelParams) -> tuple[float, float]:
     """Minimize log r(u) numerically; returns (v_numeric, i_err).
 
-    Golden section localizes the minimizer, then bisection on the sign of
-    d r(u)/du polishes it.  Value comparisons alone cannot place a flat
-    minimum better than sqrt(machine eps), while the derivative sign stays
-    clean down to the requested tolerance.
+    Golden section localizes the minimizer to 1e-5, then bisection on the
+    sign of d r(u)/du polishes it to GOLDEN_TOL.  Value comparisons alone
+    cannot place a flat minimum better than sqrt(machine eps), while the
+    derivative sign stays clean down to GOLDEN_TOL.
     """
     if params.lambda_b <= 0:
         raise ValueError("numeric exponent requires lambda_b > 0")
-    if not 0.0 < tol <= 1e-3:
-        raise ValueError(f"tol must lie in (0, 1e-3], got {tol}")
     tilt = _tilt(params.lambda_w, params.lambda_b, params.mu)
-    coarse = max(tol, 1e-5)
+    coarse, tol = 1e-5, GOLDEN_TOL
     # log1p is increasing, so r - 1 has the same minimizer as log r
     v0, _, _ = golden_section(lambda u: _r_minus_one(tilt, u), 0.0, 1.0, coarse)
     lo, hi = max(0.0, v0 - coarse), min(1.0, v0 + coarse)
@@ -221,11 +217,11 @@ def i_err_taylor(params: ModelParams) -> float:
     return lb * lb / (8.0 * lw * (lw + 1.0) ** 2)
 
 
-def exponent_report(params: ModelParams, tol: float = GOLDEN_TOL) -> ExponentReport:
+def exponent_report(params: ModelParams) -> ExponentReport:
     """Compute every exponent quantity for one parameter point."""
     if params.lambda_b > 0:
         v_closed = v_closed_form(params)
-        v_num, i_num = i_err_numeric(params, tol)
+        v_num, i_num = i_err_numeric(params)
     else:
         v_closed, v_num, i_num = 0.5, 0.5, 0.0
     # below the switch i_err_closed is i_err_numeric itself: do not run it twice

@@ -64,7 +64,7 @@ class ObservationSequence:
         return float(self.bits.mean()) if self.n else 0.0
 
     def to_line(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
+        return (self.bits + ord("0")).tobytes().decode()
 
     @classmethod
     def from_line(cls, line: str) -> "ObservationSequence":

@@ -3,7 +3,7 @@
 These deliberately avoid the code paths they check: sequence
 probabilities come from explicit products over the entries of the 2x2
 busy/idle transition matrices (which live here, not in the package),
-exact error probabilities from all m+1 binomial terms summed in the log
+exact error probabilities from all n+1 binomial terms summed in the log
 domain or from an mpmath tail sum, the Chernoff information from
 grid-plus-refinement minimization or from a 60-digit mpmath root of
 d r/du, and the spectral radius from a dense eigensolve.  The
@@ -76,8 +76,7 @@ def sequence_probability(bits, m):
     return prob
 
 
-def brute_force_error_probabilities(params: ModelParams, n: int, threshold=0.0,
-                                    initial="stationary"):
+def brute_force_error_probabilities(params: ModelParams, n: int, threshold=0.0):
     """Exhaustive 2^n enumeration of (p_f, p_m) for the threshold test."""
     p_mat = transition_matrix(params, Hypothesis.H0)
     q_mat = transition_matrix(params, Hypothesis.H1)
@@ -85,7 +84,7 @@ def brute_force_error_probabilities(params: ModelParams, n: int, threshold=0.0,
     p_m = 0.0
     for bits in itertools.product((0, 1), repeat=n):
         obs = ObservationSequence(np.array(bits, dtype=np.uint8))
-        result = decide(obs, params, threshold, initial)
+        result = decide(obs, params, threshold)
         if result.decision is Hypothesis.H1:
             p_f += sequence_probability(bits, p_mat)
         else:
@@ -93,27 +92,25 @@ def brute_force_error_probabilities(params: ModelParams, n: int, threshold=0.0,
     return p_f, p_m
 
 
-def log_domain_error_probabilities(params: ModelParams, n: int, threshold=0.0,
-                                   initial="stationary"):
-    """(p_f, p_m) from every idle count k in [0, m]: O(n) time and memory.
+def log_domain_error_probabilities(params: ModelParams, n: int, threshold=0.0):
+    """(p_f, p_m) from every idle count k in [0, n]: O(n) time and memory.
 
     Each k gets a log-binomial pmf term and a decision from `_llr`; each
     tail is exp(logsumexp) over the terms of the counts it covers.
     """
     p = params.idle_probability(Hypothesis.H0)
     q = params.idle_probability(Hypothesis.H1)
-    m = n if initial == "stationary" else n - 1
-    k = np.arange(m + 1)
-    decide_h0 = _llr(k, m, p, q) >= threshold
+    k = np.arange(n + 1)
+    decide_h0 = _llr(k, n, p, q) >= threshold
 
     def tail(ks, prob):
         if ks.size == 0:
             return 0.0
-        if ks.size == m + 1:
+        if ks.size == n + 1:
             return 1.0
         ks = ks.astype(float)
-        log_pmf = (gammaln(m + 1) - gammaln(ks + 1) - gammaln(m - ks + 1)
-                   + ks * log(prob) + (m - ks) * log(1.0 - prob))
+        log_pmf = (gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+                   + ks * log(prob) + (n - ks) * log(1.0 - prob))
         return float(min(1.0, np.exp(logsumexp(log_pmf))))
 
     return tail(k[~decide_h0], p), tail(k[decide_h0], q)

@@ -262,13 +262,17 @@ def test_unknown_subcommand_exits_2(capsys):
 @pytest.mark.parametrize("argv, code", [
     (["bound", "--lambda-w", "inf", "--epsilon", "0.1", "--n", "100"], 2),
     (["bound", "--lambda-w", "nan", "--epsilon", "0.1", "--n", "100"], 2),
-    ([*BOUND, "--n", "100", "--k-family", "power", "--alpha", "nan"], 2),
+    ([*BOUND, "--n", "100", "--alpha", "nan"], 2),
     ([*BOUND, "--n", "100", "--k0", "inf"], 2),
     ([*BOUND, "--n", "100", "--n-values", "10,100"], 2),
     ([*BOUND, "--n", "100", "--output", "csv"], 2),
     (["bound", "--lambda-w", "1e200", "--epsilon", "0.1", "--n", "100"], 4),
     (["exponent", "--lambda-w", "1e200", "--lambda-b", "1"], 4),
     (["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "-3"], 2),
+    # removed flags are unknown arguments
+    (["detect", *RATES, "--initial", "conditioned", "seq.txt"], 2),
+    ([*BOUND, "--n", "100", "--k-family", "power"], 2),
+    (["simulate", *RATES, "--n", "10", "--hyp", "h0", "--burn-in", "2"], 2),
 ])
 @pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
 def test_bad_inputs_exit_with_their_code(capsys, argv, code):

@@ -42,34 +42,30 @@ def test_quadrupling_n_halves_bound():
 
 def test_infeasible_prefactor_returns_zero():
     # K(N) = N^-0.5 drops below 1 - epsilon once N > (1-eps)^-2
-    k = KFunction(family="power", k0=1.0, alpha=0.5)
+    k = KFunction(k0=1.0, alpha=0.5)
     bound = max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=10**6, k=k))
     assert bound.value == 0.0
     assert not bound.feasible
 
 
 def test_power_family_infeasibility_onset():
-    k = KFunction(family="power", k0=1.0, alpha=0.5)
+    k = KFunction(k0=1.0, alpha=0.5)
     # onset where N^-0.5 <= 0.9, i.e. N >= (1/0.9)^2 = 1.2345...
     assert max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=1, k=k)).feasible
     assert not max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=2, k=k)).feasible
 
 
 def test_k_function_sub_exponential():
-    for k in (KFunction(), KFunction("power", 2.0, 0.5)):
+    for k in (KFunction(), KFunction(2.0, 0.5)):
         for n, tol in ((10**3, 1e-2), (10**6, 1e-5), (10**9, 1e-8)):
             assert abs(k.log_value(n) / n) < tol
 
 
 def test_k_function_validation():
     with pytest.raises(ValueError):
-        KFunction(family="exp")
-    with pytest.raises(ValueError):
         KFunction(k0=0.0)
     with pytest.raises(ValueError):
         KFunction(alpha=-1.0)
-    with pytest.raises(ValueError):
-        KFunction(family="constant", alpha=0.5)
 
 
 def test_covertness_spec_validation():
@@ -113,7 +109,7 @@ def test_zero_lambda_b_always_covert_with_unit_k():
 
 
 def test_p_e_approx_clipped_raw_kept():
-    k = KFunction(family="constant", k0=3.0)
+    k = KFunction(k0=3.0)
     spec = CovertnessSpec(epsilon=0.1, n=10, k=k)
     chk = covertness_check(ModelParams(0.3, 0.01, 1.0), spec)
     assert chk.p_e_raw > 1.0
@@ -137,7 +133,7 @@ def test_sqrt_n_law_in_scaling_table():
 
 
 def test_scaling_table_power_family_follows_formula_until_infeasible():
-    k = KFunction(family="power", k0=1.0, alpha=0.5)
+    k = KFunction(k0=1.0, alpha=0.5)
     rows = scaling_table(0.3, 0.9, k, [10, 100, 1000])
     # with epsilon = 0.9 feasibility needs N^-0.5 > 0.1, i.e. N < 100
     assert rows[0]["feasible"]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from covertq.detect import (
-    INITIAL_MODES,
     DegenerateModelError,
     _cut,
     _llr,
@@ -52,15 +51,6 @@ def test_two_symbol_llr():
     assert got == pytest.approx(-0.224624, abs=1e-6)
 
 
-def test_conditioned_mode_drops_first_symbol_term():
-    for bits in [(0, 1, 0), (1, 1, 0, 0), (0,), (1, 0)]:
-        o = obs(*bits)
-        stat = log_likelihood_ratio(o, PARAMS, "stationary")
-        cond = log_likelihood_ratio(o, PARAMS, "conditioned")
-        first = log(P_MAT[0, bits[0]] / Q_MAT[0, bits[0]])
-        assert stat - cond == pytest.approx(first, abs=1e-15)
-
-
 def test_decide_tie_goes_to_h0():
     result = decide(obs(0, 1, 1), ModelParams(0.3, 0.0, 1.0), threshold=0.0)
     assert result.llr == 0.0
@@ -72,13 +62,12 @@ def test_decide_ties_match_the_idle_count_rule():
     # H0, exactly as the exact and Monte Carlo paths decide it
     p, q = P_MAT[0, 0], Q_MAT[0, 0]
     cases = []
-    for initial, lead in (("stationary", ()), ("conditioned", (1,))):
-        for m in (5, 12, 40, 200):
-            for k in range(m + 1):
-                bits = lead + (0,) * k + (1,) * (m - k)
-                result = decide(obs(*bits), PARAMS, _llr(k, m, p, q), initial)
-                cases.append(result.decision)
-    assert len(cases) == 522
+    for m in (5, 12, 40, 200):
+        for k in range(m + 1):
+            bits = (0,) * k + (1,) * (m - k)
+            result = decide(obs(*bits), PARAMS, _llr(k, m, p, q))
+            cases.append(result.decision)
+    assert len(cases) == 261
     assert cases.count(Hypothesis.H1) == 0
 
 
@@ -159,29 +148,26 @@ def test_exact_tails_match_mpmath(n):
     for lw, lb in ((0.3, 0.2), (0.05, 1e-3), (0.5, 0.05), (0.1, 1e-5)):
         params = ModelParams(lw, lb, 1.0)
         p, q = idle_probabilities(params)
-        for initial in INITIAL_MODES:
-            m = n if initial == "stationary" else n - 1
-            llr = _llr(np.arange(m + 1), m, p, q)
-            for threshold in (-2.0, 0.0, 1.5, float(rng.uniform(-5.0, 5.0))):
-                ep = exact_error_probabilities(params, n, threshold, initial)
-                cut = first_h0_index(llr >= threshold)
-                for got, ref in zip((ep.p_f, ep.p_m),
-                                    mpmath_binomial_tails(params, m, cut)):
-                    case = (lw, lb, initial, threshold, got, ref)
-                    if ref < sys.float_info.min:
-                        assert got < sys.float_info.min, case
-                    else:
-                        assert abs(got - ref) <= 1e-9 * ref, case
+        llr = _llr(np.arange(n + 1), n, p, q)
+        for threshold in (-2.0, 0.0, 1.5, float(rng.uniform(-5.0, 5.0))):
+            ep = exact_error_probabilities(params, n, threshold)
+            cut = first_h0_index(llr >= threshold)
+            for got, ref in zip((ep.p_f, ep.p_m),
+                                mpmath_binomial_tails(params, n, cut)):
+                case = (lw, lb, threshold, got, ref)
+                if ref < sys.float_info.min:
+                    assert got < sys.float_info.min, case
+                else:
+                    assert abs(got - ref) <= 1e-9 * ref, case
 
 
 def test_exact_matches_the_log_domain_sum():
     for n in (1, 2, 7, 100, 5000):
-        for initial in INITIAL_MODES:
-            for threshold in (-1.0, 0.0, 0.5):
-                ep = exact_error_probabilities(PARAMS, n, threshold, initial)
-                p_f, p_m = log_domain_error_probabilities(PARAMS, n, threshold, initial)
-                assert ep.p_f == pytest.approx(p_f, rel=1e-9, abs=0.0)
-                assert ep.p_m == pytest.approx(p_m, rel=1e-9, abs=0.0)
+        for threshold in (-1.0, 0.0, 0.5):
+            ep = exact_error_probabilities(PARAMS, n, threshold)
+            p_f, p_m = log_domain_error_probabilities(PARAMS, n, threshold)
+            assert ep.p_f == pytest.approx(p_f, rel=1e-9, abs=0.0)
+            assert ep.p_m == pytest.approx(p_m, rel=1e-9, abs=0.0)
 
 
 def test_exact_at_ten_million_underflows_in_bounded_memory():
@@ -211,14 +197,6 @@ def test_brute_force_equivalence_small_n(n):
     ep = exact_error_probabilities(PARAMS, n)
     assert ep.p_f == pytest.approx(p_f, abs=1e-12)
     assert ep.p_m == pytest.approx(p_m, abs=1e-12)
-
-
-def test_brute_force_equivalence_conditioned_mode():
-    for n in (2, 5, 8):
-        p_f, p_m = brute_force_error_probabilities(PARAMS, n, initial="conditioned")
-        ep = exact_error_probabilities(PARAMS, n, initial="conditioned")
-        assert ep.p_f == pytest.approx(p_f, abs=1e-12)
-        assert ep.p_m == pytest.approx(p_m, abs=1e-12)
 
 
 def test_total_error_monotone_in_n():

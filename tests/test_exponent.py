@@ -122,13 +122,6 @@ def test_numeric_minimality_on_grid():
             assert r_min <= r_of_u(params, float(u)) + 1e-14
 
 
-def test_numeric_tol_validation():
-    with pytest.raises(ValueError):
-        i_err_numeric(PARAMS, tol=0.0)
-    with pytest.raises(ValueError):
-        i_err_numeric(PARAMS, tol=0.5)
-
-
 def test_golden_section_iteration_cap():
     with pytest.raises(NumericFailure):
         golden_section(lambda x: x * x, -1.0, 1.0, tol=1e-10, max_iter=3)

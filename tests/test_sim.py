@@ -113,9 +113,13 @@ def test_batch_statistics_match_single_path():
 
 
 def test_line_round_trip():
-    obs = simulate_sequence(PARAMS, Hypothesis.H1, 1000, RngSeed(31))
-    again = ObservationSequence.from_line(obs.to_line())
-    np.testing.assert_array_equal(obs.bits, again.bits)
+    simulated = simulate_sequence(PARAMS, Hypothesis.H1, 1000, RngSeed(31)).bits
+    # a simulated record, all idle, all busy and single symbols
+    for bits in (simulated, np.zeros(7), np.ones(7), [0], [1]):
+        obs = ObservationSequence(bits)
+        line = obs.to_line()
+        assert line == "".join("1" if b else "0" for b in obs.bits)
+        np.testing.assert_array_equal(ObservationSequence.from_line(line).bits, obs.bits)
 
 
 def test_bad_line_rejected():

@@ -67,21 +67,22 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
     """One call per subcommand and --output, then the edge inputs."""
     seq = tmp / "seq.txt"
     seq.write_text("0110100111010010\n")
+    tail = tmp / "tail.txt"
+    tail.write_text("110100111010010\n")  # the last 15 symbols of seq.txt
     cfg = _configs(tmp)
     calls = [
         ["simulate", *RATES, "--n", "40", "--hyp", "h1", "--seed", "3"],
         ["simulate", *RATES, "--n", "40", "--hyp", "h0", "--seed", "3",
          "--out", str(tmp / "sim.txt")],
         ["detect", *RATES, str(seq)],
-        ["detect", *RATES, "--threshold", "0.5", "--initial", "conditioned", str(seq)],
+        ["detect", *RATES, "--threshold", "0.5", str(tail)],
         ["exponent", *RATES],
         ["exponent", *RATES, "--output", "csv"],
         ["exponent", "--lambda-w", "0.3", "--lambda-b", "1e-9", "--self-check"],
         [*BOUND, "--n", "1000"],
         [*BOUND, "--n-values", "10,100,1000"],
         [*BOUND, "--n-values", "10,100,1000", "--output", "csv"],
-        [*BOUND, "--n-values", "10,100", "--k-family", "power", "--alpha", "0.5",
-         "--output", "csv"],
+        [*BOUND, "--n-values", "10,100", "--alpha", "0.5", "--output", "csv"],
         ["sweep", *RATES, "--n", "200", "--thresholds=-1,0,1"],
         ["sweep", *RATES, "--n", "200", "--thresholds=-1,0,1", "--output", "csv"],
         ["sweep", *RATES, "--n", "50", "--thresholds=0", "--trials", "300",
@@ -95,7 +96,7 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
         [*BOUND, "--n", "100", "--output", "csv"],
         ["bound", "--lambda-w", "inf", "--epsilon", "0.1", "--n", "100"],
         ["bound", "--lambda-w", "nan", "--epsilon", "0.1", "--n", "100"],
-        [*BOUND, "--n", "100", "--k-family", "power", "--alpha", "nan"],
+        [*BOUND, "--n", "100", "--alpha", "nan"],
         [*BOUND, "--n", "100", "--k0", "inf"],
         ["bound", "--lambda-w", "1e200", "--epsilon", "0.1", "--n", "100"],
         ["exponent", "--lambda-w", "1e200", "--lambda-b", "1"],
@@ -106,6 +107,9 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
         ["detect", *RATES, str(tmp / "absent.txt")],
         ["campaign", cfg["exact"], "--out", str(tmp / "threads"), "--threads", "0"],
         ["campaign", cfg["exact"], "--out", str(tmp / "threads"), "--threads", "-4"],
+        ["detect", *RATES, "--initial", "conditioned", str(seq)],
+        [*BOUND, "--n", "100", "--k-family", "power"],
+        ["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "3", "--burn-in", "2"],
     ]
     for name in cfg:
         if name not in GOOD_CONFIGS:
