@@ -3,7 +3,8 @@
 The busy/idle record is i.i.d. Bernoulli, so the LLR is an affine function
 of the idle count and every test here decides through `_llr`.  Ties at the
 threshold decide H0 (the ">= gamma implies H0" orientation), which makes
-every error probability bit-exactly reproducible.
+every error probability bit-exactly reproducible.  Monte Carlo blocks
+decide from the simulator's per-trial idle counts alone.
 """
 
 from __future__ import annotations
@@ -133,9 +134,12 @@ def _mc_block(
     block_trials: int,
     seed: RngSeed,
 ) -> int:
-    """Number of erroneous decisions in one simulation block."""
-    bits = simulate_sequence_batch(params, hyp, n, block_trials, seed)
-    k = n - bits.sum(axis=1)  # idle count
+    """Number of erroneous decisions in one simulation block.
+
+    The simulator streams each trial and returns only its idle count k,
+    which is all the LLR needs, so a block holds O(block_trials) memory.
+    """
+    k = simulate_sequence_batch(params, hyp, n, block_trials, seed)
     p = params.idle_probability(Hypothesis.H0)
     q = params.idle_probability(Hypothesis.H1)
     decide_h0 = _llr(k, n, p, q) >= threshold

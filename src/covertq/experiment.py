@@ -20,7 +20,9 @@ from .exponent import ExponentReport, exponent_report
 from .model import ModelParams, csv_text, json_text
 from .sim import RngSeed
 
-RESULT_FORMAT_VERSION = 1
+# 2: Monte Carlo rows come from the time-major simulator, whose draw order
+# differs from version 1 at the same seed.
+RESULT_FORMAT_VERSION = 2
 
 _CONFIG_KEYS = ("lambda_w", "lambda_b", "mu", "n_grid", "trials_per_point",
                 "threshold", "master_seed", "stream_id", "use_exact_when_feasible")

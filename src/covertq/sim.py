@@ -3,7 +3,9 @@
 Generates the busy/idle record seen by successive arrivals from exact
 exponential inter-arrival and service samples.  The Bernoulli idle
 probabilities of :mod:`covertq.model` are deliberately not used here, so
-the simulator is an independent check on that reduction.
+the simulator is an independent check on that reduction.  Monte Carlo
+batches run the same recursion time-major and keep only each trial's
+state and idle count, never an array of length n.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from .model import Hypothesis, ModelParams, csv_text
 # while the analytic chain treats the first observation as stationary.
 # Discarding one leading arrival removes the mismatch.
 DEFAULT_BURN_IN = 1
+
+# Arrivals per time-major draw in simulate_sequence_batch.
+MC_CHUNK = 64
 
 ORIGIN_WILLIE = 0
 ORIGIN_NILLIE = 1
@@ -116,18 +121,20 @@ def _busy_bits(times: np.ndarray, services: np.ndarray) -> np.ndarray:
     return bits
 
 
-def _busy_bits_batch(times: np.ndarray, services: np.ndarray) -> np.ndarray:
-    """Same recursion, vectorized across rows (trials x arrivals)."""
-    trials, total = times.shape
-    bits = np.empty((trials, total), dtype=np.uint8)
-    depart = np.full(trials, -np.inf)
-    for j in range(total):
-        t = times[:, j]
-        busy = t < depart
-        bits[:, j] = busy
-        idle = ~busy
-        depart[idle] = t[idle] + services[idle, j]
-    return bits
+def _busy_bits_batch(times: np.ndarray, ends: np.ndarray,
+                     depart: np.ndarray) -> np.ndarray:
+    """Same recursion over one time-major chunk, vectorized across trials.
+
+    `times` and `ends` (arrival time plus service time) are (arrivals,
+    trials); `depart` carries each trial's departure time in and out.
+    Returns the (arrivals, trials) flags that are True where the arrival
+    found the server idle, i.e. the complement of the busy bits.
+    """
+    idle = np.empty(times.shape, dtype=bool)
+    for j in range(times.shape[0]):
+        np.greater_equal(times[j], depart, out=idle[j])
+        np.copyto(depart, ends[j], where=idle[j])
+    return idle
 
 
 def simulate_trace(
@@ -187,21 +194,41 @@ def simulate_sequence_batch(
     seed: RngSeed,
     burn_in: int = DEFAULT_BURN_IN,
 ) -> np.ndarray:
-    """`trials` independent busy/idle records as a (trials, n) uint8 array.
+    """Idle counts of `trials` independent n-arrival records, int64 (trials,).
 
-    Row i does NOT reproduce simulate_sequence with any particular seed;
-    the batch has its own draw order for speed.  Statistical behavior is
-    identical, which is what Monte Carlo needs.
+    Draws run time-major: each MC_CHUNK arrivals take one (chunk, trials)
+    block of inter-arrival gaps, then one of service times.  Each trial's
+    clock, departure time and idle count carry over from chunk to chunk,
+    so memory is O(trials) at any n.  Trial i does NOT reproduce
+    simulate_sequence with any particular seed; the statistics are the
+    same, which is what Monte Carlo needs.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
     total = n + burn_in
     rng = seed.generator()
-    rate = _arrival_rate(params, hyp)
-    times = np.cumsum(rng.exponential(1.0 / rate, size=(trials, total)), axis=1)
-    services = rng.exponential(1.0 / params.mu, size=(trials, total))
-    bits = _busy_bits_batch(times, services)
-    return bits[:, burn_in:]
-
+    gap_scale = 1.0 / _arrival_rate(params, hyp)
+    service_scale = 1.0 / params.mu
+    gap_buf = np.empty((MC_CHUNK, trials))
+    end_buf = np.empty((MC_CHUNK, trials))
+    clock = np.zeros(trials)
+    depart = np.full(trials, -np.inf)
+    counts = np.zeros(trials, dtype=np.int64)
+    for start in range(0, total, MC_CHUNK):
+        size = min(MC_CHUNK, total - start)
+        times, ends = gap_buf[:size], end_buf[:size]
+        rng.standard_exponential(out=times)
+        rng.standard_exponential(out=ends)
+        times *= gap_scale
+        times[0] += clock
+        np.cumsum(times, axis=0, out=times)  # same sums as one cumsum over n
+        clock[:] = times[-1]
+        ends *= service_scale
+        ends += times
+        idle = _busy_bits_batch(times, ends, depart)
+        counts += np.count_nonzero(idle[max(burn_in - start, 0):], axis=0)
+    return counts

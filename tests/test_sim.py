@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from covertq.model import Hypothesis, ModelParams
 from covertq.sim import (
+    MC_CHUNK,
     ORIGIN_NILLIE,
     ObservationSequence,
     RngSeed,
+    _busy_bits,
     simulate_sequence,
     simulate_sequence_batch,
     simulate_trace,
@@ -107,9 +111,43 @@ def test_rate_swap_leaves_sequence_invariant_with_matched_seed():
 
 
 def test_batch_statistics_match_single_path():
-    bits = simulate_sequence_batch(PARAMS, Hypothesis.H1, 50, 20_000, RngSeed(29))
-    assert bits.shape == (20_000, 50)
-    assert abs(bits.mean() - 1 / 3) < 0.005
+    idle = simulate_sequence_batch(PARAMS, Hypothesis.H1, 50, 20_000, RngSeed(29))
+    assert idle.shape == (20_000,)
+    assert abs(idle.mean() / 50 - 2 / 3) < 0.005
+
+
+@pytest.mark.parametrize("hyp", list(Hypothesis))
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("burn_in", [0, 1, 70])
+def test_batch_counts_equal_the_scalar_recursion_on_the_same_draws(hyp, n, burn_in):
+    # rebuild the batch's time-major draws chunk by chunk, then run each
+    # trial through the scalar recursion over its whole stream
+    trials, seed = 9, RngSeed(43, 5)
+    rng = seed.generator()
+    rate = PARAMS.lambda_w if hyp is Hypothesis.H0 else PARAMS.total_rate_h1
+    gaps, services = [], []
+    for start in range(0, n + burn_in, MC_CHUNK):
+        size = (min(MC_CHUNK, n + burn_in - start), trials)
+        gaps.append(rng.standard_exponential(size) * (1.0 / rate))
+        services.append(rng.standard_exponential(size) * (1.0 / PARAMS.mu))
+    gaps, services = np.concatenate(gaps), np.concatenate(services)
+    expected = [n - _busy_bits(np.cumsum(gaps[:, i]), services[:, i])[burn_in:].sum()
+                for i in range(trials)]
+    got = simulate_sequence_batch(PARAMS, hyp, n, trials, seed, burn_in=burn_in)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)
+
+
+def test_batch_memory_does_not_grow_with_n():
+    # (trials, n) float64 arrays would take over 100 MB here
+    tracemalloc.start()
+    try:
+        idle = simulate_sequence_batch(PARAMS, Hypothesis.H1, 10**5, 64, RngSeed(47))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idle.shape == (64,)
+    assert peak < 2**20
 
 
 def test_line_round_trip():
