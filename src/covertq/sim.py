@@ -6,10 +6,16 @@ probabilities of :mod:`covertq.model` are deliberately not used here, so
 the simulator is an independent check on that reduction.  Monte Carlo
 batches run the same recursion time-major and keep only each trial's
 state and idle count, never an array of length n.
+
+A single stream is still simulated event by event and exactly, but
+segment-parallel: about sqrt(n) segments run through the batch recursion
+side by side, and an exact fix-up walk carries the true departure time
+across them, so the record is bit for bit that of a per-arrival loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,10 +79,14 @@ class ObservationSequence:
 
     @classmethod
     def from_line(cls, line: str) -> "ObservationSequence":
-        line = line.strip()
-        if not line or set(line) - {"0", "1"}:
+        # uint8 subtraction wraps bytes below "0", and every byte of a
+        # non-ASCII character is above "1" (an unencodable one becomes
+        # "?"), so max() > 1 catches both
+        bits = np.frombuffer(line.strip().encode(errors="replace"),
+                             dtype=np.uint8) - ord("0")
+        if not bits.size or bits.max() > 1:
             raise ValueError("sequence line must be a nonempty string of 0/1")
-        return cls(np.frombuffer(line.encode(), dtype=np.uint8) - ord("0"))
+        return cls(bits)
 
 
 @dataclass
@@ -106,21 +116,6 @@ def _arrival_rate(params: ModelParams, hyp: Hypothesis) -> float:
     return params.lambda_w if hyp is Hypothesis.H0 else params.total_rate_h1
 
 
-def _busy_bits(times: np.ndarray, services: np.ndarray) -> np.ndarray:
-    """Run the single-server no-buffer recursion over one arrival stream."""
-    bits = np.empty(times.size, dtype=np.uint8)
-    depart = -np.inf
-    t_list = times.tolist()
-    s_list = services.tolist()
-    for j, t in enumerate(t_list):
-        if t < depart:
-            bits[j] = 1
-        else:
-            bits[j] = 0
-            depart = t + s_list[j]
-    return bits
-
-
 def _busy_bits_batch(times: np.ndarray, ends: np.ndarray,
                      depart: np.ndarray) -> np.ndarray:
     """Same recursion over one time-major chunk, vectorized across trials.
@@ -137,6 +132,61 @@ def _busy_bits_batch(times: np.ndarray, ends: np.ndarray,
     return idle
 
 
+def _busy_bits_segmented(times: np.ndarray, services: np.ndarray) -> np.ndarray:
+    """Busy bits (uint8, 1 = busy) of one arrival stream, exactly.
+
+    The stream is cut into segments of `width` = floor(sqrt(n)) arrivals,
+    laid out time-major with the tail padded by +inf arrivals, and every
+    segment runs through _busy_bits_batch once, starting empty.  A walk
+    over the segments in order then carries the true departure time:
+    in each segment it re-runs the scalar rule until the true run and the
+    empty-start run serve the same arrival, after which the two agree, so
+    the segment ends on the batch's departure time.  A segment where they
+    never meet ends on the walk's.
+    """
+    n = times.size
+    width = math.isqrt(n)
+    segments = -(-n // width)
+
+    def time_major(stream):
+        padded = np.full(segments * width, np.inf)
+        padded[:n] = stream
+        return np.ascontiguousarray(padded.reshape(segments, width).T)
+
+    tmaj, emaj = time_major(times), time_major(times + services)
+    depart = np.full(segments, -np.inf)
+    idle = _busy_bits_batch(tmaj, emaj, depart)
+    true_depart = -np.inf
+    for k in range(segments):
+        for j in range(width):
+            served = tmaj.item(j, k) >= true_depart
+            if served and idle.item(j, k):
+                true_depart = depart.item(k)
+                break
+            idle[j, k] = served
+            if served:
+                true_depart = emaj.item(j, k)
+    return np.logical_not(idle.T.ravel()[:n]).view(np.uint8)
+
+
+def _check_lengths(n: int, burn_in: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if burn_in < 0:
+        raise ValueError("burn_in must be nonnegative")
+
+
+def _draw_stream(params: ModelParams, hyp: Hypothesis, n: int, seed: RngSeed,
+                 burn_in: int) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """The generator, arrival times and service times of n + burn_in arrivals."""
+    _check_lengths(n, burn_in)
+    total = n + burn_in
+    rng = seed.generator()
+    times = np.cumsum(rng.exponential(1.0 / _arrival_rate(params, hyp), size=total))
+    services = rng.exponential(1.0 / params.mu, size=total)
+    return rng, times, services
+
+
 def simulate_trace(
     params: ModelParams,
     hyp: Hypothesis,
@@ -151,22 +201,14 @@ def simulate_trace(
     Origin draws happen after all timing draws, so the busy/idle bits do
     not depend on how the total rate splits between the two streams.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
-    total = n + burn_in
-    rng = seed.generator()
-    rate = _arrival_rate(params, hyp)
-    times = np.cumsum(rng.exponential(1.0 / rate, size=total))
-    services = rng.exponential(1.0 / params.mu, size=total)
+    rng, times, services = _draw_stream(params, hyp, n, seed, burn_in)
     if hyp is Hypothesis.H1 and params.lambda_b > 0:
         origin = (
-            rng.random(total) < params.lambda_b / params.total_rate_h1
+            rng.random(times.size) < params.lambda_b / params.total_rate_h1
         ).astype(np.uint8)
     else:
-        origin = np.zeros(total, dtype=np.uint8)
-    bits = _busy_bits(times, services)
+        origin = np.zeros(times.size, dtype=np.uint8)
+    bits = _busy_bits_segmented(times, services)
     sl = slice(burn_in, None)
     return SimTrace(
         arrival_times=times[sl],
@@ -182,8 +224,13 @@ def simulate_sequence(
     seed: RngSeed,
     burn_in: int = DEFAULT_BURN_IN,
 ) -> ObservationSequence:
-    """Busy/idle record of n arrivals; deterministic given all arguments."""
-    return simulate_trace(params, hyp, n, seed, burn_in).observation()
+    """Busy/idle record of n arrivals; deterministic given all arguments.
+
+    The bits are those of simulate_trace with the same arguments; the
+    origin tags, drawn after every timing draw, are skipped.
+    """
+    _, times, services = _draw_stream(params, hyp, n, seed, burn_in)
+    return ObservationSequence(_busy_bits_segmented(times, services)[burn_in:])
 
 
 def simulate_sequence_batch(
@@ -203,12 +250,9 @@ def simulate_sequence_batch(
     simulate_sequence with any particular seed; the statistics are the
     same, which is what Monte Carlo needs.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_lengths(n, burn_in)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if burn_in < 0:
-        raise ValueError("burn_in must be nonnegative")
     total = n + burn_in
     rng = seed.generator()
     gap_scale = 1.0 / _arrival_rate(params, hyp)

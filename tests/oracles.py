@@ -6,7 +6,8 @@ busy/idle transition matrices (which live here, not in the package),
 exact error probabilities from all n+1 binomial terms summed in the log
 domain or from an mpmath tail sum, the Chernoff information from
 grid-plus-refinement minimization or from a 60-digit mpmath root of
-d r/du, and the spectral radius from a dense eigensolve.  The
+d r/du, the spectral radius from a dense eigensolve, and the simulator's
+busy/idle record from a per-arrival loop over one stream.  The
 small-lambda_b derivative facts of criterion 3 and the empirical
 transition counts of criterion 6 are kept here too.
 """
@@ -65,6 +66,23 @@ def empirical_transition_counts(obs: ObservationSequence) -> np.ndarray:
     counts = np.zeros((2, 2), dtype=np.int64)
     np.add.at(counts, (prev, nxt), 1)
     return counts
+
+
+def scalar_busy_bits(times: np.ndarray, services: np.ndarray) -> np.ndarray:
+    """Busy bits (uint8, 1 = busy) of one arrival stream, one arrival at a time.
+
+    An arrival finding the server busy (before the last departure) is
+    lost; otherwise it is served and sets the next departure time.
+    """
+    bits = np.empty(times.size, dtype=np.uint8)
+    depart = -np.inf
+    for j, (t, s) in enumerate(zip(times.tolist(), services.tolist())):
+        if t < depart:
+            bits[j] = 1
+        else:
+            bits[j] = 0
+            depart = t + s
+    return bits
 
 
 def sequence_probability(bits, m):

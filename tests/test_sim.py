@@ -9,12 +9,12 @@ from covertq.sim import (
     ORIGIN_NILLIE,
     ObservationSequence,
     RngSeed,
-    _busy_bits,
+    _busy_bits_segmented,
     simulate_sequence,
     simulate_sequence_batch,
     simulate_trace,
 )
-from oracles import empirical_transition_counts
+from oracles import empirical_transition_counts, scalar_busy_bits
 
 PARAMS = ModelParams(0.3, 0.2, 1.0)
 
@@ -131,11 +131,65 @@ def test_batch_counts_equal_the_scalar_recursion_on_the_same_draws(hyp, n, burn_
         gaps.append(rng.standard_exponential(size) * (1.0 / rate))
         services.append(rng.standard_exponential(size) * (1.0 / PARAMS.mu))
     gaps, services = np.concatenate(gaps), np.concatenate(services)
-    expected = [n - _busy_bits(np.cumsum(gaps[:, i]), services[:, i])[burn_in:].sum()
+    expected = [n - scalar_busy_bits(np.cumsum(gaps[:, i]), services[:, i])[burn_in:].sum()
                 for i in range(trials)]
     got = simulate_sequence_batch(PARAMS, hyp, n, trials, seed, burn_in=burn_in)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, expected)
+
+
+def _single_stream_draws(params, hyp, n, seed, burn_in):
+    # the draws simulate_trace and simulate_sequence make, in their order
+    rng = seed.generator()
+    rate = params.lambda_w if hyp is Hypothesis.H0 else params.total_rate_h1
+    times = np.cumsum(rng.exponential(1.0 / rate, size=n + burn_in))
+    return times, rng.exponential(1.0 / params.mu, size=n + burn_in)
+
+
+# 99, 100 and 101 arrivals straddle a square: 11 segments of 9, 10 full
+# segments of 10, and 11 segments of 10 whose last holds 9 +inf pads
+@pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
+@pytest.mark.parametrize("load", [0.05, 1.0, 20.0])
+@pytest.mark.parametrize("n", [1, 2, 99, 100, 101, 1237])
+@pytest.mark.parametrize("burn_in", [0, 1, 70])
+def test_single_stream_equals_the_scalar_recursion_on_the_same_draws(load, n, burn_in):
+    # load is the arrival rate over mu; at 20 a segment's true run and its
+    # empty-start run take longest to serve a common arrival
+    params = ModelParams(0.5 * load, 0.5 * load, 1.0)
+    seed = RngSeed(53, 2)
+    times, services = _single_stream_draws(params, Hypothesis.H1, n, seed, burn_in)
+    expected = scalar_busy_bits(times, services)
+    np.testing.assert_array_equal(_busy_bits_segmented(times, services), expected)
+    obs = simulate_sequence(params, Hypothesis.H1, n, seed, burn_in=burn_in)
+    np.testing.assert_array_equal(obs.bits, expected[burn_in:])
+    trace = simulate_trace(params, Hypothesis.H1, n, seed, burn_in=burn_in)
+    np.testing.assert_array_equal(trace.served, expected[burn_in:] == 0)
+    np.testing.assert_array_equal(trace.arrival_times, times[burn_in:])
+
+
+def test_arrival_on_a_departure_is_served():
+    # integer times and services put arrivals exactly on departure times
+    times = np.arange(5.0)
+    np.testing.assert_array_equal(
+        _busy_bits_segmented(times, np.full(5, 2.0)), [0, 1, 0, 1, 0])
+    np.testing.assert_array_equal(
+        _busy_bits_segmented(times, np.array([2.0, 1, 1, 1, 1])), [0, 1, 0, 0, 0])
+    rng = np.random.default_rng(59)
+    for n in (2, 16, 17, 99, 100, 101, 1237):
+        times = np.arange(float(n))
+        services = rng.integers(0, 4, size=n).astype(float)
+        # one long service keeps the true run busy across whole segments,
+        # where it never meets the empty-start run
+        services[n // 3] = n // 2
+        np.testing.assert_array_equal(_busy_bits_segmented(times, services),
+                                      scalar_busy_bits(times, services))
+
+
+def test_million_arrival_sequence_equals_the_scalar_recursion():
+    seed = RngSeed(7)
+    times, services = _single_stream_draws(PARAMS, Hypothesis.H1, 10**6, seed, 1)
+    obs = simulate_sequence(PARAMS, Hypothesis.H1, 10**6, seed)
+    np.testing.assert_array_equal(obs.bits, scalar_busy_bits(times, services)[1:])
 
 
 def test_batch_memory_does_not_grow_with_n():
@@ -160,11 +214,17 @@ def test_line_round_trip():
         np.testing.assert_array_equal(ObservationSequence.from_line(line).bits, obs.bits)
 
 
+def test_line_accepts_surrounding_whitespace():
+    np.testing.assert_array_equal(ObservationSequence.from_line(" 0110\n").bits, [0, 1, 1, 0])
+
+
 def test_bad_line_rejected():
-    with pytest.raises(ValueError):
-        ObservationSequence.from_line("0102")
-    with pytest.raises(ValueError):
-        ObservationSequence.from_line("")
+    # digits above 1, bytes below "0" (space, "/"), non-ASCII and unencodable
+    # characters, and lines that are empty once stripped
+    for line in ("0102", "", " \n", "01 1", "0/1", "01\u00e9", "0\u2080",
+                 "0\ud8001", "1\x00"):
+        with pytest.raises(ValueError, match="nonempty string of 0/1"):
+            ObservationSequence.from_line(line)
 
 
 def test_trace_csv_export(tmp_path):

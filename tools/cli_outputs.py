@@ -5,8 +5,9 @@
 SRC is the `src` directory of the checkout to run; it goes first on
 sys.path.  The calls are the seed-7 call lists of the three benchmark
 workloads (`perfbench/workloads.make_inputs` of this checkout, imported
-read-only), one call per subcommand and --output value, and the edge
-inputs that must fail with a stated exit code.  Every call runs through
+read-only), one call per subcommand and --output value, the edge
+inputs that must fail with a stated exit code, and argparse's help text
+and usage errors (wrapped at 80 columns).  Every call runs through
 `covertq.cli.main` in this process.  OUT.json holds, per call, argv, the
 exit code, stdout, stderr and every .json/.csv file the call wrote or
 changed, each as a list of lines with their line ends kept, the
@@ -25,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -114,7 +116,26 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
     for name in cfg:
         if name not in GOOD_CONFIGS:
             calls.append(["campaign", cfg[name], "--out", str(tmp / name)])
-    return calls
+    return calls + usage_calls(seq, cfg["exact"], tmp)
+
+
+def usage_calls(seq: Path, cfg: str, tmp: Path) -> list[list[str]]:
+    """Help text and argparse usage errors: each subcommand's --help, a
+    missing required argument and an unrecognized one, then the top
+    level's --help, no command and an unknown command."""
+    # per subcommand: its arguments without one required argument, then that one
+    split = {
+        "simulate": ([*RATES, "--n", "10", "--seed", "1"], ["--hyp", "h0"]),
+        "detect": (RATES, [str(seq)]),
+        "exponent": (RATES[:2], RATES[2:]),
+        "bound": ([*BOUND[1:3], "--n", "100"], BOUND[3:]),
+        "campaign": ([cfg], ["--out", str(tmp / "usage")]),
+        "sweep": ([*RATES, "--n", "50"], ["--thresholds=0"]),
+    }
+    calls = []
+    for cmd, (partial, required) in split.items():
+        calls += [[cmd, "--help"], [cmd, *partial], [cmd, *partial, *required, "--bogus"]]
+    return calls + [["--help"], [], ["frobnicate", *RATES]]
 
 
 def _lines(text: str, tmp: str) -> list[str]:
@@ -149,6 +170,7 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     src, out_path = Path(argv[0]).resolve(), Path(argv[1])
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal
     sys.path.insert(0, str(src))
     sys.path.append(str(REPO / "perfbench"))
     import covertq.cli
