@@ -12,6 +12,7 @@ published number can be reproduced.
 from __future__ import annotations
 
 import argparse
+import functools
 import secrets
 import sys
 
@@ -50,32 +51,32 @@ def _resolve_seed(args) -> RngSeed:
     return RngSeed(args.seed, args.stream_id)
 
 
-# One function per subcommand adds its flags.  build_parser() and the
-# one-subcommand parser of _parse() both take them from _SUBCOMMANDS, so
-# each flag is written once and the two parsers read a command line the
-# same way.
-def _simulate_flags(p: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="covertq",
+        description="Covert queueing analysis for a bufferless M/M/1/1 server",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("simulate", help="simulate a busy/idle observation sequence")
     _add_rate_flags(p)
     p.add_argument("--n", type=int, required=True, help="number of arrivals")
     p.add_argument("--hyp", choices=["h0", "h1"], required=True)
     p.add_argument("--out", default="-", help="output file ('-' for stdout)")
     _add_seed_flags(p)
 
-
-def _detect_flags(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("detect", help="run the likelihood-ratio test on a sequence")
     _add_rate_flags(p)
     p.add_argument("sequence", help="file holding one line of 0/1 characters")
     p.add_argument("--threshold", type=float, default=0.0)
 
-
-def _exponent_flags(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("exponent", help="error-exponent report for one rate triple")
     _add_rate_flags(p)
     p.add_argument("--output", choices=["json", "csv"], default="json")
     p.add_argument("--self-check", action="store_true",
                    help="exit 4 if closed-form and numeric exponents disagree")
 
-
-def _bound_flags(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("bound", help="covert-rate bound and scaling table")
     p.add_argument("--lambda-w", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     n_or_table = p.add_mutually_exclusive_group()
@@ -86,14 +87,12 @@ def _bound_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--output", choices=["json", "csv"], default="json")
 
-
-def _campaign_flags(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("campaign", help="run an error-probability campaign")
     p.add_argument("config", help="key=value config file")
     p.add_argument("--out", required=True, help="output path stem (.json/.csv added)")
     p.add_argument("--threads", type=int, default=1)
 
-
-def _sweep_flags(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("sweep", help="threshold sweep at fixed N")
     _add_rate_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--thresholds", required=True, help="comma-separated gamma values")
@@ -101,6 +100,8 @@ def _sweep_flags(p: argparse.ArgumentParser) -> None:
                    help="Monte Carlo trials (default: exact binomial)")
     p.add_argument("--output", choices=["json", "csv"], default="json")
     _add_seed_flags(p)
+
+    return parser
 
 
 def _params_from_args(args) -> ModelParams:
@@ -211,66 +212,27 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-# name -> (help line, flag definitions, handler)
-_SUBCOMMANDS = {
-    "simulate": ("simulate a busy/idle observation sequence", _simulate_flags,
-                 _cmd_simulate),
-    "detect": ("run the likelihood-ratio test on a sequence", _detect_flags,
-               _cmd_detect),
-    "exponent": ("error-exponent report for one rate triple", _exponent_flags,
-                 _cmd_exponent),
-    "bound": ("covert-rate bound and scaling table", _bound_flags, _cmd_bound),
-    "campaign": ("run an error-probability campaign", _campaign_flags,
-                 _cmd_campaign),
-    "sweep": ("threshold sweep at fixed N", _sweep_flags, _cmd_sweep),
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "detect": _cmd_detect,
+    "exponent": _cmd_exponent,
+    "bound": _cmd_bound,
+    "campaign": _cmd_campaign,
+    "sweep": _cmd_sweep,
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="covertq",
-        description="Covert queueing analysis for a bufferless M/M/1/1 server",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_flags, _) in _SUBCOMMANDS.items():
-        add_flags(sub.add_parser(name, help=help_line))
-    return parser
-
-
-class _QuietParser(argparse.ArgumentParser):
-    """Raises instead of printing usage and exiting."""
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
-
-
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv as build_parser() would, building one subcommand's parser.
-
-    The full parser is built only when it decides the outcome: no or an
-    unknown command, a help request, or an argument the single parser
-    rejects or leaves over.  Its help and error bytes are then the ones
-    printed.
-    """
-    command = argv[0] if argv else None
-    if command in _SUBCOMMANDS and not {"-h", "--help"} & set(argv):
-        parser = _QuietParser(prog=f"covertq {command}")
-        _, add_flags, _ = _SUBCOMMANDS[command]
-        add_flags(parser)
-        try:
-            args, extra = parser.parse_known_args(
-                argv[1:], argparse.Namespace(command=command))
-            if not extra:
-                return args
-        except argparse.ArgumentError:
-            pass
-    return build_parser().parse_args(argv)
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged, so calls to main() in one
+    # process share it
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    args = _parser().parse_args(argv)
     try:
-        return _SUBCOMMANDS[args.command][2](args)
+        return _COMMANDS[args.command](args)
     except (InputDataError, detect.DegenerateModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -138,34 +138,45 @@ def _busy_bits_segmented(times: np.ndarray, services: np.ndarray) -> np.ndarray:
     The stream is cut into segments of `width` = floor(sqrt(n)) arrivals,
     laid out time-major with the tail padded by +inf arrivals, and every
     segment runs through _busy_bits_batch once, starting empty.  A walk
-    over the segments in order then carries the true departure time:
-    in each segment it re-runs the scalar rule until the true run and the
-    empty-start run serve the same arrival, after which the two agree, so
+    over the segments in order then carries the true departure time,
+    stepping from one arrival the true run serves to the next with a
+    binary search over the busy span between them: once the true run
+    serves an arrival the empty-start run serves too, the two agree, so
     the segment ends on the batch's departure time.  A segment where they
-    never meet ends on the walk's.
+    never meet ends on the walk's.  The walk costs one step per arrival
+    served before the runs meet, so heavy load, where a busy span covers
+    many arrivals, stays cheap.
     """
     n = times.size
     width = math.isqrt(n)
     segments = -(-n // width)
 
-    def time_major(stream):
+    def by_segment(stream):
         padded = np.full(segments * width, np.inf)
         padded[:n] = stream
-        return np.ascontiguousarray(padded.reshape(segments, width).T)
+        return padded.reshape(segments, width)
 
-    tmaj, emaj = time_major(times), time_major(times + services)
+    t_rows, e_rows = by_segment(times), by_segment(times + services)
     depart = np.full(segments, -np.inf)
-    idle = _busy_bits_batch(tmaj, emaj, depart)
+    idle = _busy_bits_batch(np.ascontiguousarray(t_rows.T),
+                            np.ascontiguousarray(e_rows.T), depart)
     true_depart = -np.inf
     for k in range(segments):
-        for j in range(width):
-            served = tmaj.item(j, k) >= true_depart
-            if served and idle.item(j, k):
+        j = 0
+        while True:
+            # skip to the first arrival at or after the true departure time
+            m = j
+            if m < width and t_rows.item(k, m) < true_depart:
+                m += int(np.searchsorted(t_rows[k, m:], true_depart))
+                idle[j:m, k] = False
+            if m == width:
+                break
+            if idle.item(m, k):
                 true_depart = depart.item(k)
                 break
-            idle[j, k] = served
-            if served:
-                true_depart = emaj.item(j, k)
+            idle[m, k] = True
+            true_depart = e_rows.item(k, m)
+            j = m + 1
     return np.logical_not(idle.T.ravel()[:n]).view(np.uint8)
 
 

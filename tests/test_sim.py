@@ -149,12 +149,13 @@ def _single_stream_draws(params, hyp, n, seed, burn_in):
 # 99, 100 and 101 arrivals straddle a square: 11 segments of 9, 10 full
 # segments of 10, and 11 segments of 10 whose last holds 9 +inf pads
 @pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
-@pytest.mark.parametrize("load", [0.05, 1.0, 20.0])
+@pytest.mark.parametrize("load", [0.05, 1.0, 20.0, 1000.0])
 @pytest.mark.parametrize("n", [1, 2, 99, 100, 101, 1237])
 @pytest.mark.parametrize("burn_in", [0, 1, 70])
 def test_single_stream_equals_the_scalar_recursion_on_the_same_draws(load, n, burn_in):
     # load is the arrival rate over mu; at 20 a segment's true run and its
-    # empty-start run take longest to serve a common arrival
+    # empty-start run take longest to serve a common arrival, and at 1000
+    # one busy span covers whole segments, where they never meet
     params = ModelParams(0.5 * load, 0.5 * load, 1.0)
     seed = RngSeed(53, 2)
     times, services = _single_stream_draws(params, Hypothesis.H1, n, seed, burn_in)

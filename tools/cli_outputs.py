@@ -12,7 +12,9 @@ and usage errors (wrapped at 80 columns).  Every call runs through
 exit code, stdout, stderr and every .json/.csv file the call wrote or
 changed, each as a list of lines with their line ends kept, the
 temporary directory shown as <TMP> and, in stdout and stderr, the SRC
-directory shown as <SRC> (a warning names the source file it came from).
+directory shown as <SRC> and a source line number after it as <LINE> (a
+warning names the file and line it came from, which any edit above that
+line moves).
 Running it on two checkouts and diffing the two files shows every output
 byte that differs:
 
@@ -27,6 +29,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -142,6 +145,12 @@ def _lines(text: str, tmp: str) -> list[str]:
     return text.replace(tmp, PLACEHOLDER).splitlines(keepends=True)
 
 
+def _stream_lines(text: str, tmp: str, src: Path) -> list[str]:
+    text = text.replace(str(src), SRC_PLACEHOLDER)
+    text = re.sub(rf"({re.escape(SRC_PLACEHOLDER)}/[^:\n]*\.py):\d+:", r"\1:<LINE>:", text)
+    return _lines(text, tmp)
+
+
 def _outputs(tmp: Path) -> dict[str, bytes]:
     return {str(p.relative_to(tmp)): p.read_bytes()
             for pattern in ("**/*.json", "**/*.csv") for p in tmp.glob(pattern)}
@@ -160,8 +169,8 @@ def run_call(cli, argv: list[str], tmp: Path, src: Path) -> dict:
     written = {name: _lines(data.decode(), str(tmp))
                for name, data in sorted(_outputs(tmp).items()) if before.get(name) != data}
     return {"argv": [a.replace(str(tmp), PLACEHOLDER) for a in argv], "exit": code,
-            "stdout": _lines(out.getvalue().replace(str(src), SRC_PLACEHOLDER), str(tmp)),
-            "stderr": _lines(err.getvalue().replace(str(src), SRC_PLACEHOLDER), str(tmp)),
+            "stdout": _stream_lines(out.getvalue(), str(tmp), src),
+            "stderr": _stream_lines(err.getvalue(), str(tmp), src),
             "files": written}
 
 
