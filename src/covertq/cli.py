@@ -3,10 +3,11 @@
 Subcommands: simulate, detect, exponent, bound, campaign, sweep.
 
 Exit codes are stable: 0 success, 2 argument error, 3 input data error
-(a bad sequence file or campaign config, or exact error probabilities
-asked for at lambda_b = 0), 4 numeric failure.  Every randomized command
-either takes an explicit --seed or prints the one it generated, so any
-published number can be reproduced.
+(a bad sequence file or campaign config, an --out path that cannot be
+written, or exact error probabilities asked for at lambda_b = 0), 4
+numeric failure.  Every randomized command either takes an explicit
+--seed or prints the one it generated, so any published number can be
+reproduced.
 """
 
 from __future__ import annotations
@@ -120,6 +121,14 @@ def _read_sequence(path: str) -> ObservationSequence:
         raise InputDataError(f"{path}: {exc}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputDataError(f"cannot write output: {exc}")
+
+
 def _emit(args, doc, csv: str) -> None:
     """Print `doc` as JSON, or the `csv` text under --output csv."""
     sys.stdout.write(csv if args.output == "csv" else json_text(doc) + "\n")
@@ -134,8 +143,7 @@ def _cmd_simulate(args) -> int:
     if args.out == "-":
         print(line)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(line + "\n")
+        _write(args.out, line + "\n")
     print(f"busy_fraction: {obs.busy_fraction:.6f}", file=sys.stderr)
     return EXIT_OK
 
@@ -195,9 +203,8 @@ def _cmd_campaign(args) -> int:
     except ValueError as exc:
         raise InputDataError(str(exc))
     result = experiment.run_campaign(cfg)
-    experiment.persist(result, args.out + ".json")
-    with open(args.out + ".csv", "w") as fh:
-        fh.write(experiment.rows_to_csv(result))
+    _write(args.out + ".json", experiment.result_to_json(result))
+    _write(args.out + ".csv", experiment.rows_to_csv(result))
     print(f"wrote {args.out}.json and {args.out}.csv")
     return EXIT_OK
 

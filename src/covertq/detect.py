@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import ceil, isfinite, log, sqrt
 
 import numpy as np
-from scipy.special import bdtr, bdtrc
 
 from .model import Hypothesis, ModelParams
 from .sim import ObservationSequence, RngSeed, simulate_sequence_batch
@@ -120,6 +119,8 @@ def exact_error_probabilities(
     q = params.idle_probability(Hypothesis.H1)
     k = _cut(n, p, q, threshold)
     if 0 < k <= n:
+        # imported here: scipy is most of a cold start, and only exact tails need it
+        from scipy.special import bdtr, bdtrc
         p_f, p_m = float(bdtr(k - 1, n, p)), float(bdtrc(k - 1, n, q))
     else:  # one tail is empty and the other full; bdtr(-1, ...) is NaN
         p_f, p_m = (0.0, 1.0) if k == 0 else (1.0, 0.0)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -319,9 +323,15 @@ def test_shared_parser_parses_as_a_fresh_one(capsys):
     (["detect", *RATES, "--initial", "conditioned", "seq.txt"], 2),
     ([*BOUND, "--n", "100", "--k-family", "power"], 2),
     (["simulate", *RATES, "--n", "10", "--hyp", "h0", "--burn-in", "2"], 2),
+    # an --out path that cannot be written
+    (["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "3",
+      "--out", "/nonexistent/x"], 3),
+    (["campaign", "good.cfg", "--out", "/nonexistent/x"], 3),
 ])
 @pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
-def test_bad_inputs_exit_with_their_code(capsys, argv, code):
+def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "good.cfg").write_text(CAMPAIGN)
     got, out, err = run_cli_exit(capsys, *argv)
     assert got == code, err
     assert out == ""
@@ -380,3 +390,39 @@ def test_outputs_are_strict_json_and_lf_csv(tmp_path, capsys):
     simulate_trace(ModelParams(0.3, 0.2, 1.0), Hypothesis.H1, 20, RngSeed(3)).to_csv(trace)
     for path in (tmp_path / "r.csv", trace):
         assert b"\r" not in path.read_bytes()
+
+
+# Runs in a fresh interpreter: the calls that compute no exact binomial tail
+# must leave scipy unloaded, and an exact sweep must load it.
+DEFERRED_SCIPY = f"""
+import sys
+import covertq, covertq.cli
+
+RATES = {RATES!r}
+tmp = sys.argv[1]
+calls = [
+    ["simulate", *RATES, "--n", "500", "--hyp", "h1", "--seed", "7",
+     "--out", tmp + "/seq.txt"],
+    ["detect", *RATES, tmp + "/seq.txt"],
+    ["exponent", *RATES],
+    [*{BOUND!r}, "--n", "1000"],
+    ["sweep", *RATES, "--n", "50", "--thresholds=0", "--trials", "20", "--seed", "1"],
+    ["campaign", tmp + "/mc.cfg", "--out", tmp + "/mc"],
+]
+assert "scipy" not in sys.modules, "import covertq"
+for argv in calls:
+    assert covertq.cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+assert covertq.cli.main(["sweep", *RATES, "--n", "50", "--thresholds=0"]) == 0
+assert "scipy.special" in sys.modules, "exact sweep"
+"""
+
+
+def test_scipy_is_loaded_only_for_exact_tails(tmp_path):
+    (tmp_path / "mc.cfg").write_text(CAMPAIGN + "use_exact_when_feasible = no\n")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", DEFERRED_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -115,6 +115,10 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
         ["detect", *RATES, "--initial", "conditioned", str(seq)],
         [*BOUND, "--n", "100", "--k-family", "power"],
         ["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "3", "--burn-in", "2"],
+        # an --out path that cannot be written
+        ["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "3",
+         "--out", str(tmp / "absent" / "x")],
+        ["campaign", cfg["exact"], "--out", str(tmp / "absent" / "x")],
     ]
     for name in cfg:
         if name not in GOOD_CONFIGS:
@@ -165,7 +169,7 @@ def run_call(cli, argv: list[str], tmp: Path, src: Path) -> dict:
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
         except Exception as exc:  # an uncaught error: record it and go on
-            code = f"uncaught {type(exc).__name__}: {exc}"
+            code = f"uncaught {type(exc).__name__}: {exc}".replace(str(tmp), PLACEHOLDER)
     written = {name: _lines(data.decode(), str(tmp))
                for name, data in sorted(_outputs(tmp).items()) if before.get(name) != data}
     return {"argv": [a.replace(str(tmp), PLACEHOLDER) for a in argv], "exit": code,
