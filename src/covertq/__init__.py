@@ -7,90 +7,41 @@ covert-rate bound, and validates the analytics against simulation and
 brute-force oracles.
 """
 
-from .covert import (
-    BoundResult,
-    CovertnessSpec,
-    KFunction,
-    covertness_check,
-    max_covert_rate,
-    scaling_table,
-    scaling_table_csv,
-)
-from .detect import (
-    DegenerateModelError,
-    ErrorProbabilities,
-    LlrResult,
-    decide,
-    exact_error_probabilities,
-    log_likelihood_ratio,
-    monte_carlo_error,
-)
-from .experiment import (
-    CampaignConfig,
-    ExperimentResult,
-    load,
-    persist,
-    run_campaign,
-    threshold_sweep,
-)
-from .exponent import (
-    ExponentReport,
-    NumericFailure,
-    exponent_report,
-    i_err_closed,
-    i_err_numeric,
-    i_err_taylor,
-    r_of_u,
-    v_closed_form,
-)
-from .model import Hypothesis, ModelParams, UnstableRegimeWarning
-from .sim import (
-    ObservationSequence,
-    RngSeed,
-    SimTrace,
-    simulate_sequence,
-    simulate_sequence_batch,
-    simulate_trace,
-)
+from importlib import import_module
+
+# The defining submodule of each public name.  Names resolve on first access
+# (PEP 562), so `import covertq` loads no numpy until a name that needs it
+# is used.
+_SUBMODULE = {name: module for module, names in {
+    "covert": ("BoundResult", "CovertnessSpec", "KFunction", "covertness_check",
+               "max_covert_rate", "scaling_table", "scaling_table_csv"),
+    "detect": ("ErrorProbabilities", "LlrResult", "decide", "exact_error_probabilities",
+               "log_likelihood_ratio", "monte_carlo_error"),
+    "experiment": ("CampaignConfig", "ExperimentResult", "load", "persist",
+                   "run_campaign", "threshold_sweep"),
+    "exponent": ("ExponentReport", "NumericFailure", "exponent_report", "i_err_closed",
+                 "i_err_numeric", "i_err_taylor", "r_of_u", "v_closed_form"),
+    "model": ("DegenerateModelError", "Hypothesis", "ModelParams",
+              "UnstableRegimeWarning"),
+    "sim": ("ObservationSequence", "RngSeed", "SimTrace", "simulate_sequence",
+            "simulate_sequence_batch", "simulate_trace"),
+}.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundResult",
-    "CampaignConfig",
-    "CovertnessSpec",
-    "DegenerateModelError",
-    "ErrorProbabilities",
-    "ExperimentResult",
-    "ExponentReport",
-    "Hypothesis",
-    "KFunction",
-    "LlrResult",
-    "ModelParams",
-    "NumericFailure",
-    "ObservationSequence",
-    "RngSeed",
-    "SimTrace",
-    "UnstableRegimeWarning",
-    "covertness_check",
-    "decide",
-    "exact_error_probabilities",
-    "exponent_report",
-    "i_err_closed",
-    "i_err_numeric",
-    "i_err_taylor",
-    "load",
-    "log_likelihood_ratio",
-    "max_covert_rate",
-    "monte_carlo_error",
-    "persist",
-    "r_of_u",
-    "run_campaign",
-    "scaling_table",
-    "scaling_table_csv",
-    "simulate_sequence",
-    "simulate_sequence_batch",
-    "simulate_trace",
-    "threshold_sweep",
-    "v_closed_form",
-]
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULE:
+        value = getattr(import_module(f".{_SUBMODULE[name]}", __name__), name)
+    elif name in _SUBMODULE.values():  # covertq.sim etc., as eager imports gave
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

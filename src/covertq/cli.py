@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import secrets
 import sys
 
-from . import covert, detect, experiment, exponent
-from .model import Hypothesis, ModelParams, csv_text, json_text
-from .sim import ObservationSequence, RngSeed, simulate_sequence
+from . import covert, exponent
+from .model import DegenerateModelError, Hypothesis, ModelParams, csv_text, json_text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -31,6 +31,27 @@ SELF_CHECK_TOL = 1e-8
 
 class InputDataError(Exception):
     pass
+
+
+@functools.cache
+def _import_numeric() -> None:
+    """Import the numpy-backed modules, once per process.
+
+    Only simulate, detect, campaign and sweep call this, so exponent and
+    bound run without numpy.  Being cached, it binds simulate_sequence
+    once: a wrapper later set on that module attribute stays in place.
+    """
+    global detect, experiment, sim, simulate_sequence
+    from . import detect, experiment, sim
+    simulate_sequence = sim.simulate_sequence
+
+
+def __getattr__(name: str):
+    # perfbench/spans.py wraps cli.simulate_sequence before any command runs
+    if name == "simulate_sequence":
+        _import_numeric()
+        return simulate_sequence
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _add_rate_flags(p: argparse.ArgumentParser) -> None:
@@ -45,11 +66,11 @@ def _add_seed_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stream-id", type=int, default=0)
 
 
-def _resolve_seed(args) -> RngSeed:
+def _resolve_seed(args) -> sim.RngSeed:
     if args.seed is None:
         args.seed = secrets.randbits(48)
         print(f"seed: {args.seed}", file=sys.stderr)
-    return RngSeed(args.seed, args.stream_id)
+    return sim.RngSeed(args.seed, args.stream_id)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,14 +130,14 @@ def _params_from_args(args) -> ModelParams:
     return ModelParams(args.lambda_w, args.lambda_b, args.mu)
 
 
-def _read_sequence(path: str) -> ObservationSequence:
+def _read_sequence(path: str) -> sim.ObservationSequence:
     try:
         with open(path) as fh:
             line = fh.readline()
     except OSError as exc:
         raise InputDataError(f"cannot read sequence file: {exc}")
     try:
-        return ObservationSequence.from_line(line)
+        return sim.ObservationSequence.from_line(line)
     except ValueError as exc:
         raise InputDataError(f"{path}: {exc}")
 
@@ -129,12 +150,26 @@ def _write(path: str, text: str) -> None:
         raise InputDataError(f"cannot write output: {exc}")
 
 
+def _check_writable(path: str) -> None:
+    """Raise the error `_write` would raise, without creating or truncating."""
+    if os.path.isfile(path) and os.access(path, os.W_OK):
+        return  # a rerun: two stat calls are cheaper than the open and close below
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise InputDataError(f"cannot write output: {exc}")
+    if not existed:
+        os.remove(path)
+
+
 def _emit(args, doc, csv: str) -> None:
     """Print `doc` as JSON, or the `csv` text under --output csv."""
     sys.stdout.write(csv if args.output == "csv" else json_text(doc) + "\n")
 
 
 def _cmd_simulate(args) -> int:
+    _import_numeric()
     params = _params_from_args(args)
     seed = _resolve_seed(args)
     hyp = Hypothesis.H1 if args.hyp == "h1" else Hypothesis.H0
@@ -149,6 +184,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    _import_numeric()
     params = _params_from_args(args)
     obs = _read_sequence(args.sequence)
     result = detect.decide(obs, params, args.threshold)
@@ -193,6 +229,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    _import_numeric()
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     try:
@@ -202,14 +239,22 @@ def _cmd_campaign(args) -> int:
         raise InputDataError(f"cannot read config: {exc}")
     except ValueError as exc:
         raise InputDataError(str(exc))
+    json_path, csv_path = args.out + ".json", args.out + ".csv"
+    for path in (json_path, csv_path):  # fail before the work, not after it
+        _check_writable(path)
     result = experiment.run_campaign(cfg)
-    _write(args.out + ".json", experiment.result_to_json(result))
-    _write(args.out + ".csv", experiment.rows_to_csv(result))
+    _write(json_path, experiment.result_to_json(result))
+    try:
+        _write(csv_path, experiment.rows_to_csv(result))
+    except InputDataError:
+        os.remove(json_path)  # no result file without its pair
+        raise
     print(f"wrote {args.out}.json and {args.out}.csv")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
+    _import_numeric()
     params = _params_from_args(args)
     thresholds = [float(s) for s in args.thresholds.split(",")]
     seed = _resolve_seed(args) if args.trials is not None else None
@@ -240,7 +285,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InputDataError, detect.DegenerateModelError) as exc:
+    except (InputDataError, DegenerateModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (exponent.NumericFailure, OverflowError) as exc:

@@ -15,14 +15,10 @@ from math import ceil, isfinite, log, sqrt
 
 import numpy as np
 
-from .model import Hypothesis, ModelParams
+from .model import DegenerateModelError, Hypothesis, ModelParams
 from .sim import ObservationSequence, RngSeed, simulate_sequence_batch
 
 MC_BLOCK_SIZE = 20_000
-
-
-class DegenerateModelError(ValueError):
-    """lambda_b = 0: both hypotheses coincide and errors are degenerate."""
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,10 @@ class UnstableRegimeWarning(UserWarning):
     """Total arrival rate meets or exceeds the service rate."""
 
 
+class DegenerateModelError(ValueError):
+    """lambda_b = 0: both hypotheses coincide and errors are degenerate."""
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Rate triple defining both hypotheses.

@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from covertq import cli
+from covertq import cli, experiment
 from covertq.model import Hypothesis, ModelParams
 from covertq.sim import RngSeed, simulate_trace
 
@@ -257,6 +257,13 @@ def test_campaign_missing_key_exits_3(tmp_path, capsys):
     assert "n_grid" in err
 
 
+def test_exact_sweep_at_zero_lambda_b_exits_3(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--lambda-w", "0.3", "--lambda-b", "0",
+                             "--n", "10", "--thresholds=0")
+    assert (code, out) == (3, "")
+    assert err == "error: lambda_b must be positive for a nondegenerate test\n"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -369,6 +376,46 @@ def test_campaign_threads_below_one_exits_2(tmp_path, capsys, threads):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def _no_campaign(cfg):
+    raise AssertionError("run_campaign called before the --out paths were checked")
+
+
+def test_campaign_unwritable_out_fails_before_the_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(experiment, "run_campaign", _no_campaign)
+    cfg = tmp_path / "good.cfg"
+    cfg.write_text(CAMPAIGN)
+    code, out, err = run_cli(capsys, "campaign", str(cfg), "--out", "/nonexistent/x")
+    assert (code, out) == (3, "")
+    assert err == ("error: cannot write output: [Errno 2] No such file or directory: "
+                   "'/nonexistent/x.json'\n")
+    # the .json path is writable and already holds a result; the .csv is not
+    (tmp_path / "r.json").write_text("old\n")
+    (tmp_path / "r.csv").mkdir()
+    (tmp_path / "s.csv").mkdir()
+    for stem in ("r", "s"):
+        code, out, err = run_cli(capsys, "campaign", str(cfg), "--out", str(tmp_path / stem))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot write output: [Errno 21] Is a directory")
+    assert (tmp_path / "r.json").read_text() == "old\n"
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_campaign_failed_csv_write_leaves_no_json(tmp_path, monkeypatch, capsys):
+    write = cli._write
+
+    def write_json_only(path, text):
+        if path.endswith(".csv"):
+            raise cli.InputDataError("cannot write output: disk full")
+        write(path, text)
+
+    monkeypatch.setattr(cli, "_write", write_json_only)
+    cfg = tmp_path / "good.cfg"
+    cfg.write_text(CAMPAIGN)
+    code, out, err = run_cli(capsys, "campaign", str(cfg), "--out", str(tmp_path / "r"))
+    assert (code, out, err) == (3, "", "error: cannot write output: disk full\n")
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
 def test_outputs_are_strict_json_and_lf_csv(tmp_path, capsys):
     seq = tmp_path / "seq.txt"
     seq.write_text("0110\n")
@@ -418,11 +465,68 @@ assert "scipy.special" in sys.modules, "exact sweep"
 """
 
 
-def test_scipy_is_loaded_only_for_exact_tails(tmp_path):
-    (tmp_path / "mc.cfg").write_text(CAMPAIGN + "use_exact_when_feasible = no\n")
+def run_fresh(script, tmp_path):
+    """Run `script` in a new interpreter on this checkout's src, tmp_path as argv[1]."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", DEFERRED_SCIPY, str(tmp_path)], env=env,
+    return subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_scipy_is_loaded_only_for_exact_tails(tmp_path):
+    (tmp_path / "mc.cfg").write_text(CAMPAIGN + "use_exact_when_feasible = no\n")
+    proc = run_fresh(DEFERRED_SCIPY, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+# Runs in a fresh interpreter: the package, its dir(), the CLI module and
+# the analytic commands load neither numpy nor scipy; a simulation loads numpy.
+DEFERRED_NUMPY = f"""
+import sys
+import covertq, covertq.cli
+
+HEAVY = ("numpy", "scipy", "concurrent.futures")
+RATES = {RATES!r}
+BOUND = {BOUND!r}
+assert len(covertq.__all__) == 37 and set(covertq.__all__) <= set(dir(covertq))
+assert not any(m in sys.modules for m in HEAVY), "import covertq"
+calls = [
+    (["exponent", *RATES], 0),
+    (["exponent", *RATES, "--output", "csv"], 0),
+    (["exponent", *RATES, "--self-check"], 0),
+    ([*BOUND, "--n", "1000"], 0),
+    ([*BOUND, "--n-values", "10,100"], 0),
+    ([*BOUND, "--n-values", "10,100", "--output", "csv"], 0),
+    ([*BOUND, "--n", "100", "--output", "csv"], 2),
+]
+for argv, code in calls:
+    assert covertq.cli.main(argv) == code, argv
+    assert "numpy" not in sys.modules and "scipy" not in sys.modules, argv
+assert covertq.cli.main(["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "1"]) == 0
+assert "numpy" in sys.modules, "simulate"
+"""
+
+
+def test_numpy_is_loaded_only_by_the_simulating_commands(tmp_path):
+    proc = run_fresh(DEFERRED_NUMPY, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+# Runs in a fresh interpreter: a wrapper set on cli.simulate_sequence before
+# any command has run is the function the simulate command calls.
+WRAPPED_SIMULATE = f"""
+import covertq.cli as cli
+
+calls = []
+original = cli.simulate_sequence
+cli.simulate_sequence = lambda *a: calls.append(a) or original(*a)
+argv = ["simulate", *{RATES!r}, "--n", "10", "--hyp", "h0", "--seed", "1"]
+assert cli.main(argv) == 0 and cli.main(argv) == 0
+assert len(calls) == 2, calls
+"""
+
+
+def test_simulate_calls_the_module_attribute(tmp_path):
+    proc = run_fresh(WRAPPED_SIMULATE, tmp_path)
     assert proc.returncode == 0, proc.stderr
