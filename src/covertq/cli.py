@@ -17,9 +17,16 @@ import functools
 import os
 import secrets
 import sys
+from typing import TYPE_CHECKING
 
 from . import covert, exponent
 from .model import DegenerateModelError, Hypothesis, ModelParams, csv_text, json_text
+
+if TYPE_CHECKING:
+    from .sim import ObservationSequence, RngSeed
+
+# detect, experiment and sim load numpy, so only the commands that use
+# them import them; exponent and bound run without numpy.
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,25 +40,14 @@ class InputDataError(Exception):
     pass
 
 
-@functools.cache
-def _import_numeric() -> None:
-    """Import the numpy-backed modules, once per process.
+def simulate_sequence(params, hyp, n, seed, burn_in=1):
+    """sim.simulate_sequence, imported on first call.
 
-    Only simulate, detect, campaign and sweep call this, so exponent and
-    bound run without numpy.  Being cached, it binds simulate_sequence
-    once: a wrapper later set on that module attribute stays in place.
+    The simulate command calls it through this module attribute, which
+    perfbench/spans.py replaces with a tracing wrapper.
     """
-    global detect, experiment, sim, simulate_sequence
-    from . import detect, experiment, sim
-    simulate_sequence = sim.simulate_sequence
-
-
-def __getattr__(name: str):
-    # perfbench/spans.py wraps cli.simulate_sequence before any command runs
-    if name == "simulate_sequence":
-        _import_numeric()
-        return simulate_sequence
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import sim
+    return sim.simulate_sequence(params, hyp, n, seed, burn_in)
 
 
 def _add_rate_flags(p: argparse.ArgumentParser) -> None:
@@ -66,11 +62,12 @@ def _add_seed_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stream-id", type=int, default=0)
 
 
-def _resolve_seed(args) -> sim.RngSeed:
+def _resolve_seed(args) -> RngSeed:
+    from .sim import RngSeed
     if args.seed is None:
         args.seed = secrets.randbits(48)
         print(f"seed: {args.seed}", file=sys.stderr)
-    return sim.RngSeed(args.seed, args.stream_id)
+    return RngSeed(args.seed, args.stream_id)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,14 +127,15 @@ def _params_from_args(args) -> ModelParams:
     return ModelParams(args.lambda_w, args.lambda_b, args.mu)
 
 
-def _read_sequence(path: str) -> sim.ObservationSequence:
+def _read_sequence(path: str) -> ObservationSequence:
+    from .sim import ObservationSequence
     try:
         with open(path) as fh:
             line = fh.readline()
     except OSError as exc:
         raise InputDataError(f"cannot read sequence file: {exc}")
     try:
-        return sim.ObservationSequence.from_line(line)
+        return ObservationSequence.from_line(line)
     except ValueError as exc:
         raise InputDataError(f"{path}: {exc}")
 
@@ -152,8 +150,6 @@ def _write(path: str, text: str) -> None:
 
 def _check_writable(path: str) -> None:
     """Raise the error `_write` would raise, without creating or truncating."""
-    if os.path.isfile(path) and os.access(path, os.W_OK):
-        return  # a rerun: two stat calls are cheaper than the open and close below
     existed = os.path.lexists(path)
     try:
         open(path, "a").close()
@@ -169,7 +165,6 @@ def _emit(args, doc, csv: str) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    _import_numeric()
     params = _params_from_args(args)
     seed = _resolve_seed(args)
     hyp = Hypothesis.H1 if args.hyp == "h1" else Hypothesis.H0
@@ -184,7 +179,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    _import_numeric()
+    from . import detect
     params = _params_from_args(args)
     obs = _read_sequence(args.sequence)
     result = detect.decide(obs, params, args.threshold)
@@ -229,7 +224,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    _import_numeric()
+    from . import experiment
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     try:
@@ -254,7 +249,7 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _import_numeric()
+    from . import experiment
     params = _params_from_args(args)
     thresholds = [float(s) for s in args.thresholds.split(",")]
     seed = _resolve_seed(args) if args.trials is not None else None

@@ -1,16 +1,14 @@
+import inspect
 import json
-import os
-import subprocess
-import sys
 from importlib import resources
-from pathlib import Path
 
 import jsonschema
 import pytest
 
 from covertq import cli, experiment
 from covertq.model import Hypothesis, ModelParams
-from covertq.sim import RngSeed, simulate_trace
+from covertq.sim import RngSeed, simulate_sequence, simulate_trace
+from fresh import run_fresh
 
 
 def run_cli(capsys, *argv):
@@ -465,15 +463,6 @@ assert "scipy.special" in sys.modules, "exact sweep"
 """
 
 
-def run_fresh(script, tmp_path):
-    """Run `script` in a new interpreter on this checkout's src, tmp_path as argv[1]."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120)
-
-
 def test_scipy_is_loaded_only_for_exact_tails(tmp_path):
     (tmp_path / "mc.cfg").write_text(CAMPAIGN + "use_exact_when_feasible = no\n")
     proc = run_fresh(DEFERRED_SCIPY, tmp_path)
@@ -511,6 +500,13 @@ assert "numpy" in sys.modules, "simulate"
 def test_numpy_is_loaded_only_by_the_simulating_commands(tmp_path):
     proc = run_fresh(DEFERRED_NUMPY, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_simulate_sequence_has_the_simulator_signature():
+    params = inspect.signature(cli.simulate_sequence).parameters
+    want = inspect.signature(simulate_sequence).parameters
+    assert [(p.name, p.default) for p in params.values()] == \
+        [(p.name, p.default) for p in want.values()]
 
 
 # Runs in a fresh interpreter: a wrapper set on cli.simulate_sequence before

@@ -1,14 +1,12 @@
 """The package surface: every public name resolves lazily to its definition."""
 
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import covertq
 from covertq import cli, detect, model
+from fresh import run_fresh
 
 PUBLIC = (
     "BoundResult", "CampaignConfig", "CovertnessSpec", "DegenerateModelError",
@@ -53,19 +51,9 @@ def test_unknown_attribute_names_the_module():
         getattr(cli, "nope")
 
 
-def test_dir_lists_every_public_name():
-    # tests/test_cli.py checks the same in a fresh interpreter, before any
-    # name has been resolved
-    assert set(PUBLIC) <= set(dir(covertq))
-
-
 def test_submodules_are_package_attributes_before_any_import():
     script = ("import covertq\n"
               "for m in ('covert', 'detect', 'experiment', 'exponent', 'model', 'sim'):\n"
               "    assert getattr(covertq, m).__name__ == 'covertq.' + m\n")
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_fresh(script)
     assert proc.returncode == 0, proc.stderr
