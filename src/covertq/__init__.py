@@ -23,8 +23,8 @@ _SUBMODULE = {name: module for module, names in {
                  "i_err_numeric", "i_err_taylor", "r_of_u", "v_closed_form"),
     "model": ("DegenerateModelError", "Hypothesis", "ModelParams",
               "UnstableRegimeWarning"),
-    "sim": ("ObservationSequence", "RngSeed", "SimTrace", "simulate_sequence",
-            "simulate_sequence_batch", "simulate_trace"),
+    "sim": ("ObservationSequence", "RngSeed", "simulate_sequence",
+            "simulate_sequence_batch"),
 }.items() for name in names}
 
 __version__ = "0.1.0"

@@ -5,9 +5,10 @@ Subcommands: simulate, detect, exponent, bound, campaign, sweep.
 Exit codes are stable: 0 success, 2 argument error, 3 input data error
 (a bad sequence file or campaign config, an --out path that cannot be
 written, or exact error probabilities asked for at lambda_b = 0), 4
-numeric failure.  Every randomized command either takes an explicit
---seed or prints the one it generated, so any published number can be
-reproduced.
+numeric failure (a minimizer that does not converge, an arithmetic
+error, or a result that is NaN or infinite).  Every randomized command
+either takes an explicit --seed or prints the one it generated, so any
+published number can be reproduced.
 """
 
 from __future__ import annotations
@@ -159,9 +160,9 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
-def _emit(args, doc, csv: str) -> None:
-    """Print `doc` as JSON, or the `csv` text under --output csv."""
-    sys.stdout.write(csv if args.output == "csv" else json_text(doc) + "\n")
+def _emit(args, doc, csv) -> None:
+    """Print `doc` as JSON, or under --output csv the text `csv()` returns."""
+    sys.stdout.write(csv() if args.output == "csv" else json_text(doc) + "\n")
 
 
 def _cmd_simulate(args) -> int:
@@ -191,7 +192,7 @@ def _cmd_detect(args) -> int:
 def _cmd_exponent(args) -> int:
     params = _params_from_args(args)
     report = exponent.exponent_report(params)
-    _emit(args, report.to_dict(), csv_text(
+    _emit(args, report.to_dict(), lambda: csv_text(
         ("lambda_w", "lambda_b", "mu", "v", "i_err_closed", "i_err_numeric",
          "i_err_taylor"),
         [(params.lambda_w, params.lambda_b, params.mu, report.v_closed,
@@ -211,7 +212,7 @@ def _cmd_bound(args) -> int:
     if args.n_values is not None:
         n_values = [int(s) for s in args.n_values.split(",")]
         rows = covert.scaling_table(args.lambda_w, args.epsilon, k, n_values)
-        _emit(args, rows, covert.scaling_table_csv(rows))
+        _emit(args, rows, lambda: covert.scaling_table_csv(rows))
         return EXIT_OK
     if args.n is None:
         raise InputDataError("bound requires --n or --n-values")
@@ -255,7 +256,7 @@ def _cmd_sweep(args) -> int:
     seed = _resolve_seed(args) if args.trials is not None else None
     rows = experiment.threshold_sweep(params, args.n, thresholds, args.trials, seed)
     header = ("gamma", "p_f", "p_m", "p_e")
-    _emit(args, rows, csv_text(header, [[r[h] for h in header] for r in rows]))
+    _emit(args, rows, lambda: csv_text(header, [[r[h] for h in header] for r in rows]))
     return EXIT_OK
 
 
@@ -283,7 +284,7 @@ def main(argv=None) -> int:
     except (InputDataError, DegenerateModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (exponent.NumericFailure, OverflowError) as exc:
+    except (exponent.NumericFailure, ArithmeticError) as exc:  # NonFiniteError too
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -31,6 +31,10 @@ class DegenerateModelError(ValueError):
     """lambda_b = 0: both hypotheses coincide and errors are degenerate."""
 
 
+class NonFiniteError(ValueError, ArithmeticError):
+    """A result to be written holds NaN or an infinity; an arithmetic failure too."""
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Rate triple defining both hypotheses.
@@ -90,13 +94,22 @@ class ModelParams:
 
 
 def json_text(doc, indent: int | None = None) -> str:
-    """The one JSON writer: sorted keys; NaN or Infinity raises ValueError."""
-    return json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
+    """The one JSON writer: sorted keys; NaN or Infinity raises NonFiniteError."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError as exc:  # the only ValueError json.dumps raises on acyclic data
+        raise NonFiniteError(str(exc)) from None
+
+
+def _csv_field(v) -> str:
+    if isinstance(v, float) and not isfinite(v):
+        raise NonFiniteError(f"Out of range float values are not CSV compliant: {v!r}")
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def csv_text(header, rows) -> str:
-    """The one CSV writer: LF-ended lines; floats (numpy's too) as repr(float(v))."""
-    return "".join(
-        ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) + "\n"
-        for row in (header, *rows)
-    )
+    """The one CSV writer: LF-ended lines; floats (numpy's too) as repr(float(v)).
+
+    NaN or an infinity raises NonFiniteError, as in json_text.
+    """
+    return "".join(",".join(map(_csv_field, row)) + "\n" for row in (header, *rows))

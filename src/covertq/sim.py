@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Hypothesis, ModelParams, csv_text
+from .model import Hypothesis, ModelParams
 
 # Arrival 1 always finds an empty system when the simulation starts idle,
 # while the analytic chain treats the first observation as stationary.
@@ -29,11 +29,6 @@ DEFAULT_BURN_IN = 1
 
 # Arrivals per time-major draw in simulate_sequence_batch.
 MC_CHUNK = 64
-
-ORIGIN_WILLIE = 0
-ORIGIN_NILLIE = 1
-_ORIGIN_NAMES = {ORIGIN_WILLIE: "willie", ORIGIN_NILLIE: "nillie"}
-
 
 @dataclass(frozen=True)
 class RngSeed:
@@ -87,29 +82,6 @@ class ObservationSequence:
         if not bits.size or bits.max() > 1:
             raise ValueError("sequence line must be a nonempty string of 0/1")
         return cls(bits)
-
-
-@dataclass
-class SimTrace:
-    """Full per-arrival bookkeeping, for simulator validation only.
-
-    The detector never sees arrival times or origins; they are not part
-    of the conveyed statistic.
-    """
-
-    arrival_times: np.ndarray
-    job_origin: np.ndarray  # ORIGIN_WILLIE / ORIGIN_NILLIE per arrival
-    served: np.ndarray      # True exactly when the arrival found the server idle
-
-    def observation(self) -> ObservationSequence:
-        return ObservationSequence((~self.served).astype(np.uint8))
-
-    def to_csv(self, path) -> None:
-        origins = [_ORIGIN_NAMES[o] for o in self.job_origin.tolist()]
-        served = self.served.astype(int).tolist()
-        with open(path, "w") as fh:
-            fh.write(csv_text(("time", "origin", "served"),
-                              zip(self.arrival_times.tolist(), origins, served)))
 
 
 def _arrival_rate(params: ModelParams, hyp: Hypothesis) -> float:
@@ -187,47 +159,6 @@ def _check_lengths(n: int, burn_in: int) -> None:
         raise ValueError("burn_in must be nonnegative")
 
 
-def _draw_stream(params: ModelParams, hyp: Hypothesis, n: int, seed: RngSeed,
-                 burn_in: int) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
-    """The generator, arrival times and service times of n + burn_in arrivals."""
-    _check_lengths(n, burn_in)
-    total = n + burn_in
-    rng = seed.generator()
-    times = np.cumsum(rng.exponential(1.0 / _arrival_rate(params, hyp), size=total))
-    services = rng.exponential(1.0 / params.mu, size=total)
-    return rng, times, services
-
-
-def simulate_trace(
-    params: ModelParams,
-    hyp: Hypothesis,
-    n: int,
-    seed: RngSeed,
-    burn_in: int = DEFAULT_BURN_IN,
-) -> SimTrace:
-    """Simulate n post-burn-in arrivals with full bookkeeping.
-
-    Arrivals form a merged Poisson stream; under H1 each arrival is
-    tagged Nillie by thinning with probability lambda_b / (lambda_w+lambda_b).
-    Origin draws happen after all timing draws, so the busy/idle bits do
-    not depend on how the total rate splits between the two streams.
-    """
-    rng, times, services = _draw_stream(params, hyp, n, seed, burn_in)
-    if hyp is Hypothesis.H1 and params.lambda_b > 0:
-        origin = (
-            rng.random(times.size) < params.lambda_b / params.total_rate_h1
-        ).astype(np.uint8)
-    else:
-        origin = np.zeros(times.size, dtype=np.uint8)
-    bits = _busy_bits_segmented(times, services)
-    sl = slice(burn_in, None)
-    return SimTrace(
-        arrival_times=times[sl],
-        job_origin=origin[sl],
-        served=bits[sl] == 0,
-    )
-
-
 def simulate_sequence(
     params: ModelParams,
     hyp: Hypothesis,
@@ -237,10 +168,14 @@ def simulate_sequence(
 ) -> ObservationSequence:
     """Busy/idle record of n arrivals; deterministic given all arguments.
 
-    The bits are those of simulate_trace with the same arguments; the
-    origin tags, drawn after every timing draw, are skipped.
+    The n + burn_in arrival times come first from the generator, then the
+    service times.
     """
-    _, times, services = _draw_stream(params, hyp, n, seed, burn_in)
+    _check_lengths(n, burn_in)
+    total = n + burn_in
+    rng = seed.generator()
+    times = np.cumsum(rng.exponential(1.0 / _arrival_rate(params, hyp), size=total))
+    services = rng.exponential(1.0 / params.mu, size=total)
     return ObservationSequence(_busy_bits_segmented(times, services)[burn_in:])
 
 

@@ -7,7 +7,8 @@ exact error probabilities from all n+1 binomial terms summed in the log
 domain or from an mpmath tail sum, the Chernoff information from
 grid-plus-refinement minimization or from a 60-digit mpmath root of
 d r/du, the spectral radius from a dense eigensolve, and the simulator's
-busy/idle record from a per-arrival loop over one stream.  The
+busy/idle record from a per-arrival loop over one stream, which also
+gives the record of Willie's own jobs in a thinned merged stream.  The
 small-lambda_b derivative facts of criterion 3 and the empirical
 transition counts of criterion 6 are kept here too.
 """
@@ -83,6 +84,22 @@ def scalar_busy_bits(times: np.ndarray, services: np.ndarray) -> np.ndarray:
             bits[j] = 0
             depart = t + s
     return bits
+
+
+def willie_busy_bits(params: ModelParams, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Busy bits of Willie's own jobs among n merged H1 arrivals.
+
+    Each arrival of the merged Poisson(lambda_w + lambda_b) stream is
+    Willie's with probability lambda_w / (lambda_w + lambda_b), independently
+    (Poisson thinning); Nillie's jobs occupy the server but are not
+    reported.  One extra leading arrival, which always finds the server
+    idle, is dropped.
+    """
+    rate = params.total_rate_h1
+    times = np.cumsum(rng.exponential(1.0 / rate, size=n + 1))
+    services = rng.exponential(1.0 / params.mu, size=n + 1)
+    willie = rng.random(n + 1) < params.lambda_w / rate
+    return scalar_busy_bits(times, services)[1:][willie[1:]]
 
 
 def sequence_probability(bits, m):

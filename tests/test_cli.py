@@ -1,13 +1,16 @@
+import contextlib
 import inspect
+import io
 import json
+import math
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covertq import cli, experiment
-from covertq.model import Hypothesis, ModelParams
-from covertq.sim import RngSeed, simulate_sequence, simulate_trace
+from covertq.sim import simulate_sequence
 from fresh import run_fresh
 
 
@@ -332,6 +335,12 @@ def test_shared_parser_parses_as_a_fresh_one(capsys):
     (["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "3",
       "--out", "/nonexistent/x"], 3),
     (["campaign", "good.cfg", "--out", "/nonexistent/x"], 3),
+    # a result that underflows to a division by zero, or overflows to inf or nan
+    (["exponent", "--lambda-w", "1e-300", "--lambda-b", "0", "--mu", "1e-300"], 4),
+    (["exponent", "--lambda-w", "0.3", "--lambda-b", "1e160"], 4),
+    (["exponent", "--lambda-w", "0.3", "--lambda-b", "1e160", "--output", "csv"], 4),
+    (["exponent", "--lambda-w", "0.3", "--lambda-b", "0.3", "--mu", "5e-324",
+      "--output", "csv"], 4),
 ])
 @pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
 def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, code):
@@ -341,6 +350,7 @@ def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, co
     assert got == code, err
     assert out == ""
     assert "Traceback" not in err
+    assert code != 4 or err.startswith("numeric failure: ")
 
 
 @pytest.mark.parametrize("line", [
@@ -431,10 +441,7 @@ def test_outputs_are_strict_json_and_lf_csv(tmp_path, capsys):
     cfg.write_text(CAMPAIGN)
     assert run_cli(capsys, "campaign", str(cfg), "--out", str(tmp_path / "r"))[0] == 0
     json.loads((tmp_path / "r.json").read_text(), parse_constant=_reject_constant)
-    trace = tmp_path / "trace.csv"
-    simulate_trace(ModelParams(0.3, 0.2, 1.0), Hypothesis.H1, 20, RngSeed(3)).to_csv(trace)
-    for path in (tmp_path / "r.csv", trace):
-        assert b"\r" not in path.read_bytes()
+    assert b"\r" not in (tmp_path / "r.csv").read_bytes()
 
 
 # Runs in a fresh interpreter: the calls that compute no exact binomial tail
@@ -478,7 +485,7 @@ import covertq, covertq.cli
 HEAVY = ("numpy", "scipy", "concurrent.futures")
 RATES = {RATES!r}
 BOUND = {BOUND!r}
-assert len(covertq.__all__) == 37 and set(covertq.__all__) <= set(dir(covertq))
+assert len(covertq.__all__) == 35 and set(covertq.__all__) <= set(dir(covertq))
 assert not any(m in sys.modules for m in HEAVY), "import covertq"
 calls = [
     (["exponent", *RATES], 0),
@@ -526,3 +533,54 @@ assert len(calls) == 2, calls
 def test_simulate_calls_the_module_attribute(tmp_path):
     proc = run_fresh(WRAPPED_SIMULATE, tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+# Fuzzed flag values: ordinary rates, any float (nan, inf and subnormals
+# included), huge, subnormal, zero and negative ones, written as
+# --flag=value so a leading minus sign is not read as an option.
+FLOATS = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.floats(),
+    st.floats(1e160, 1.7e308),
+    st.floats(-1e-307, 1e-307),
+    st.sampled_from([0.0, -0.0, 5e-324, -1.0]),
+)
+N_VALUES = st.one_of(st.integers(-2, 10**6), st.integers(10**300, 10**320))
+N_LISTS = st.lists(N_VALUES, min_size=1, max_size=3).map(lambda ns: ",".join(map(str, ns)))
+
+
+@st.composite
+def fuzz_argv(draw):
+    def maybe(*args):
+        return list(args) if draw(st.booleans()) else []
+
+    if draw(st.booleans()):
+        argv = ["exponent", f"--lambda-w={draw(FLOATS)}", f"--lambda-b={draw(FLOATS)}",
+                *maybe(f"--mu={draw(FLOATS)}"), *maybe("--self-check")]
+    else:
+        argv = ["bound", f"--lambda-w={draw(FLOATS)}", f"--epsilon={draw(FLOATS)}",
+                *maybe(f"--k0={draw(FLOATS)}"), *maybe(f"--alpha={draw(FLOATS)}"),
+                *maybe(f"--n={draw(N_VALUES)}"), *maybe(f"--n-values={draw(N_LISTS)}")]
+    return argv + maybe("--output=csv")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fuzz_argv())
+@pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
+def test_fuzzed_exponent_and_bound_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    out = out.getvalue()
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    # a failed --self-check is the one nonzero exit that prints its report first
+    assert code == 0 or out == "" or "--self-check" in argv
+    if out and argv[-1] == "--output=csv":
+        for line in out.splitlines()[1:]:
+            assert all(math.isfinite(float(field)) for field in line.split(",")), out
+    elif out:
+        json.loads(out, parse_constant=_reject_constant)

@@ -134,3 +134,10 @@ def test_json_text_rejects_non_finite_values():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             json_text({"x": bad})
+
+
+def test_csv_text_rejects_non_finite_values():
+    assert csv_text(("a", "b"), [(1.5, 1)]) == "a,b\n1.5,1\n"
+    for bad in (float("nan"), float("inf"), np.float64("-inf")):
+        with pytest.raises(ValueError):
+            csv_text(("x",), [(bad,)])

@@ -6,15 +6,13 @@ import pytest
 from covertq.model import Hypothesis, ModelParams
 from covertq.sim import (
     MC_CHUNK,
-    ORIGIN_NILLIE,
     ObservationSequence,
     RngSeed,
     _busy_bits_segmented,
     simulate_sequence,
     simulate_sequence_batch,
-    simulate_trace,
 )
-from oracles import empirical_transition_counts, scalar_busy_bits
+from oracles import empirical_transition_counts, scalar_busy_bits, willie_busy_bits
 
 PARAMS = ModelParams(0.3, 0.2, 1.0)
 
@@ -48,28 +46,6 @@ def test_n_zero_rejected():
         simulate_sequence(PARAMS, Hypothesis.H0, 0, RngSeed(0))
 
 
-def test_h0_trace_has_no_nillie_arrivals():
-    trace = simulate_trace(PARAMS, Hypothesis.H0, 10_000, RngSeed(3))
-    assert not (trace.job_origin == ORIGIN_NILLIE).any()
-
-
-def test_symmetric_thinning_fraction():
-    params = ModelParams(0.4, 0.4, 1.0)
-    trace = simulate_trace(params, Hypothesis.H1, 10**6, RngSeed(11))
-    frac = (trace.job_origin == ORIGIN_NILLIE).mean()
-    assert abs(frac - 0.5) < 0.002
-
-
-def test_served_flags_complement_bits():
-    trace = simulate_trace(PARAMS, Hypothesis.H1, 5000, RngSeed(5))
-    np.testing.assert_array_equal(trace.observation().bits, (~trace.served).astype(np.uint8))
-
-
-def test_arrival_times_strictly_increasing():
-    trace = simulate_trace(PARAMS, Hypothesis.H1, 5000, RngSeed(6))
-    assert (np.diff(trace.arrival_times) > 0).all()
-
-
 def test_transition_counts_hand_examples():
     np.testing.assert_array_equal(
         empirical_transition_counts(ObservationSequence(np.array([0, 0, 1, 0]))),
@@ -101,9 +77,26 @@ def test_memorylessness_busy_fraction_after_each_state():
     assert abs(after_lost - after_served) < 0.006
 
 
+def test_willie_own_jobs_see_the_merged_stream_law():
+    # The paper's Willie hears only about his own jobs.  After each of them
+    # the server is busy with a memoryless residual service, so his own
+    # record is i.i.d. Bernoulli(q) too: idle fraction q, no lag-1
+    # correlation, and q after either state.  Each leg holds to 5 sigma.
+    n = 200_000
+    q = PARAMS.idle_probability(Hypothesis.H1)
+    bits = willie_busy_bits(PARAMS, n, np.random.default_rng(61))
+    n_w, idle = bits.size, 1.0 - bits
+    share = PARAMS.lambda_w / PARAMS.total_rate_h1
+    assert abs(n_w / n - share) <= 5 * np.sqrt(share * (1 - share) / n)
+    assert abs(idle.mean() - q) <= 5 * np.sqrt(q * (1 - q) / n_w)
+    assert abs(np.corrcoef(idle[:-1], idle[1:])[0, 1]) * np.sqrt(n_w) <= 5
+    for row in empirical_transition_counts(ObservationSequence(bits)):
+        assert abs(row[0] / row.sum() - q) <= 5 * np.sqrt(q * (1 - q) / row.sum())
+
+
 def test_rate_swap_leaves_sequence_invariant_with_matched_seed():
-    # only the total rate enters the law of the bits; origins are drawn
-    # after timings, so the sequences are identical, well within 3 sigma
+    # only the total rate enters the draws, so the sequences are
+    # identical, well within 3 sigma
     a = simulate_sequence(ModelParams(0.3, 0.2, 1.0), Hypothesis.H1, 10**5, RngSeed(23))
     b = simulate_sequence(ModelParams(0.2, 0.3, 1.0), Hypothesis.H1, 10**5, RngSeed(23))
     assert abs(a.busy_fraction - b.busy_fraction) < 3 * 0.0015
@@ -139,7 +132,7 @@ def test_batch_counts_equal_the_scalar_recursion_on_the_same_draws(hyp, n, burn_
 
 
 def _single_stream_draws(params, hyp, n, seed, burn_in):
-    # the draws simulate_trace and simulate_sequence make, in their order
+    # the draws simulate_sequence makes, in its order
     rng = seed.generator()
     rate = params.lambda_w if hyp is Hypothesis.H0 else params.total_rate_h1
     times = np.cumsum(rng.exponential(1.0 / rate, size=n + burn_in))
@@ -163,9 +156,6 @@ def test_single_stream_equals_the_scalar_recursion_on_the_same_draws(load, n, bu
     np.testing.assert_array_equal(_busy_bits_segmented(times, services), expected)
     obs = simulate_sequence(params, Hypothesis.H1, n, seed, burn_in=burn_in)
     np.testing.assert_array_equal(obs.bits, expected[burn_in:])
-    trace = simulate_trace(params, Hypothesis.H1, n, seed, burn_in=burn_in)
-    np.testing.assert_array_equal(trace.served, expected[burn_in:] == 0)
-    np.testing.assert_array_equal(trace.arrival_times, times[burn_in:])
 
 
 def test_arrival_on_a_departure_is_served():
@@ -226,15 +216,3 @@ def test_bad_line_rejected():
                  "0\ud8001", "1\x00"):
         with pytest.raises(ValueError, match="nonempty string of 0/1"):
             ObservationSequence.from_line(line)
-
-
-def test_trace_csv_export(tmp_path):
-    trace = simulate_trace(PARAMS, Hypothesis.H1, 100, RngSeed(41))
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "time,origin,served"
-    assert len(lines) == 101
-    first = lines[1].split(",")
-    assert first[1] in ("willie", "nillie")
-    assert first[2] in ("0", "1")

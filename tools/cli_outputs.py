@@ -105,6 +105,12 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
         [*BOUND, "--n", "100", "--k0", "inf"],
         ["bound", "--lambda-w", "1e200", "--epsilon", "0.1", "--n", "100"],
         ["exponent", "--lambda-w", "1e200", "--lambda-b", "1"],
+        # results that underflow to a division by zero, or overflow to inf or nan
+        ["exponent", "--lambda-w", "1e-300", "--lambda-b", "0", "--mu", "1e-300"],
+        ["exponent", "--lambda-w", "0.3", "--lambda-b", "1e160"],
+        ["exponent", "--lambda-w", "0.3", "--lambda-b", "1e160", "--output", "csv"],
+        ["exponent", "--lambda-w", "0.3", "--lambda-b", "0.3", "--mu", "5e-324",
+         "--output", "csv"],
         ["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "-3"],
         ["sweep", *RATES, "--n", "100", "--thresholds=nan"],
         ["sweep", "--lambda-w", "1e-17", "--lambda-b", "0", "--n", "10",
