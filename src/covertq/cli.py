@@ -5,10 +5,9 @@ Subcommands: simulate, detect, exponent, bound, campaign, sweep.
 Exit codes are stable: 0 success, 2 argument error, 3 input data error
 (a bad sequence file or campaign config, an --out path that cannot be
 written, or exact error probabilities asked for at lambda_b = 0), 4
-numeric failure (a minimizer that does not converge, an arithmetic
-error, or a result that is NaN or infinite).  Every randomized command
-either takes an explicit --seed or prints the one it generated, so any
-published number can be reproduced.
+numeric failure (an arithmetic error, or a result that is NaN or
+infinite).  Every randomized command either takes an explicit --seed or
+prints the one it generated, so any published number can be reproduced.
 """
 
 from __future__ import annotations
@@ -284,7 +283,7 @@ def main(argv=None) -> int:
     except (InputDataError, DegenerateModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (exponent.NumericFailure, ArithmeticError) as exc:  # NonFiniteError too
+    except ArithmeticError as exc:  # NonFiniteError too
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

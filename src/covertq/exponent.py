@@ -17,7 +17,7 @@ one log1p-built tilt core (`_tilt`, `_r_minus_one`), never r(u) itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, expm1, log, log1p, sqrt
+from math import exp, expm1, log, log1p
 
 from .model import ModelParams, json_text
 
@@ -25,18 +25,13 @@ from .model import ModelParams, json_text
 # cancellation dominates; the limiting value is exactly 1/2.
 SMALL_LAMBDA_B_RATIO = 1e-7
 
-GOLDEN_TOL = 1e-10
-GOLDEN_MAX_ITER = 200
-_INV_PHI = (sqrt(5.0) - 1.0) / 2.0
+# Width of the final bracket around the numeric minimizer.
+V_NUMERIC_TOL = 1e-10
 
 
 _SCALAR_FIELDS = (
     "v_closed", "v_numeric", "i_err_closed", "i_err_numeric", "i_err_taylor"
 )
-
-
-class NumericFailure(RuntimeError):
-    """Scalar minimization failed to converge within the iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -74,18 +69,25 @@ class ExponentReport:
 def _tilt(lw: float, lb: float, mu: float) -> tuple[float, float, float]:
     """(q, log(p/q), log((1-p)/(1-q))) for p = mu/(lw+mu), q = mu/(lw+lb+mu).
 
-    p/q = 1 + lb/(lw+mu) and (1-p)/(1-q) = (p/q) / (1 + lb/lw), so both logs
-    come from log1p of exact small ratios and keep their digits as lb -> 0.
-    Small negative lb is accepted (central differences at 0 need it).
+    p/q = 1 + lb/(lw+mu) and (1-p)/(1-q) = 1 - (lb/(lw+lb)) * (mu/(lw+mu)),
+    so both logs come from log1p of exact small ratios and keep their
+    digits as lb -> 0 or mu -> 0.  Small negative lb is accepted (central
+    differences at 0 need it).
     """
-    log_pq = log1p(lb / (lw + mu))
-    return mu / (lw + lb + mu), log_pq, log_pq - log1p(lb / lw)
+    return (mu / (lw + lb + mu), log1p(lb / (lw + mu)),
+            log1p(-(lb / (lw + lb)) * (mu / (lw + mu))))
 
 
 def _r_minus_one(tilt: tuple[float, float, float], u: float) -> float:
     """r(u) - 1 = q*((p/q)^u - 1) + (1-q)*(((1-p)/(1-q))^u - 1), kept exact."""
     q, log_idle, log_busy = tilt
     return q * expm1(u * log_idle) + (1.0 - q) * expm1(u * log_busy)
+
+
+def _dr_du(tilt: tuple[float, float, float], u: float) -> float:
+    """d r/du; r is convex, so this increases through 0 at the minimizer."""
+    q, log_idle, log_busy = tilt
+    return q * log_idle * exp(u * log_idle) + (1.0 - q) * log_busy * exp(u * log_busy)
 
 
 def abcd_coefficients(params: ModelParams) -> tuple[float, float, float, float]:
@@ -95,7 +97,7 @@ def abcd_coefficients(params: ModelParams) -> tuple[float, float, float, float]:
     a_big = mu / (lam + mu)
     b_big = (lam + mu) / (lw + mu)
     c_big = lam / (lam + mu)
-    d_big = lw * (lam + mu) / (lam * (lw + mu)) if lam > 0 else 1.0
+    d_big = (lw / lam) * ((lam + mu) / (lw + mu))
     return a_big, b_big, c_big, d_big
 
 
@@ -112,77 +114,38 @@ def r_of_u(params: ModelParams, u: float) -> float:
     return 1.0 + _r_minus_one(_tilt(params.lambda_w, params.lambda_b, params.mu), u)
 
 
-def golden_section(f, lo: float, hi: float, tol: float = GOLDEN_TOL,
-                   max_iter: int = GOLDEN_MAX_ITER):
-    """Minimize a unimodal scalar function on [lo, hi].
-
-    Returns (x, f(x), iterations).  Raises NumericFailure if the bracket
-    has not shrunk below tol within max_iter iterations.
-    """
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for iteration in range(1, max_iter + 1):
-        if hi - lo <= tol:
-            x = 0.5 * (lo + hi)
-            return x, f(x), iteration
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
-    raise NumericFailure(
-        f"bracket width {hi - lo:.3e} > tol {tol:.3e} after {max_iter} iterations"
-    )
-
-
-def _v_from_rates(lw: float, lb: float, mu: float) -> float:
-    # v = log(a * log(b*c) / log(1/c)) / log(b) with a = (lw+lb)/mu,
-    # b = (lw+lb)/lw, c = (lw+mu)/(lw+lb+mu).  Both log(b) and log(1/c)
-    # vanish linearly in lb, so they are formed via log1p of exact small
-    # ratios; forming b*c or 1/c first would throw away most of the
-    # significant digits for small lb.
-    a = (lw + lb) / mu
-    log_b = log1p(lb / lw)
-    log_c = -log1p(lb / (lw + mu))  # log(c) = -log(1 + lb/(lw+mu))
-    return log(a * (log_b + log_c) / (-log_c)) / log_b
-
-
 def v_closed_form(params: ModelParams) -> float:
     """Closed-form minimizer of log r(u).
 
-    Zero of stationarity_residual.  For lambda_b/lambda_w below
-    the cancellation switch the limiting value 1/2 is returned directly.
+    Zero of stationarity_residual:
+    v = log(((1-q)/q) * (-log_busy/log_idle)) / (log_idle - log_busy), where
+    (1-q)/q = (lw+lb)/mu and log_idle - log_busy = log1p(lb/lw).  For
+    lambda_b/lambda_w below the cancellation switch the limiting value 1/2
+    is returned directly.
     """
-    if params.lambda_b <= 0:
+    lw, lb, mu = params.lambda_w, params.lambda_b, params.mu
+    if lb <= 0:
         raise ValueError("v is undefined for lambda_b = 0 (take the limit 1/2)")
-    if params.lambda_b / params.lambda_w < SMALL_LAMBDA_B_RATIO:
+    if lb / lw < SMALL_LAMBDA_B_RATIO:
         return 0.5
-    return _v_from_rates(params.lambda_w, params.lambda_b, params.mu)
+    _, log_idle, log_busy = _tilt(lw, lb, mu)
+    return log((lw + lb) / mu * (-log_busy / log_idle)) / log1p(lb / lw)
 
 
 def i_err_numeric(params: ModelParams) -> tuple[float, float]:
     """Minimize log r(u) numerically; returns (v_numeric, i_err).
 
-    Golden section localizes the minimizer to 1e-5, then bisection on the
-    sign of d r(u)/du polishes it to GOLDEN_TOL.  Value comparisons alone
-    cannot place a flat minimum better than sqrt(machine eps), while the
-    derivative sign stays clean down to GOLDEN_TOL.
+    Bisection on the sign of d r/du over [0, 1] down to V_NUMERIC_TOL
+    (34 halvings).  Comparing values of r - 1 instead could not place the
+    flat minimum better than sqrt(machine eps).
     """
     if params.lambda_b <= 0:
         raise ValueError("numeric exponent requires lambda_b > 0")
     tilt = _tilt(params.lambda_w, params.lambda_b, params.mu)
-    coarse, tol = 1e-5, GOLDEN_TOL
-    # log1p is increasing, so r - 1 has the same minimizer as log r
-    v0, _, _ = golden_section(lambda u: _r_minus_one(tilt, u), 0.0, 1.0, coarse)
-    lo, hi = max(0.0, v0 - coarse), min(1.0, v0 + coarse)
-    # the bracket is at most 2 * coarse wide: at most 18 halvings reach tol
-    while hi - lo > tol:
+    lo, hi = 0.0, 1.0
+    while hi - lo > V_NUMERIC_TOL:
         mid = 0.5 * (lo + hi)
-        if stationarity_residual(params, mid) < 0.0:
+        if _dr_du(tilt, mid) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -194,8 +157,6 @@ def i_err_closed(params: ModelParams) -> float:
     """-log r(v) with the closed-form minimizer; exactly 0 when lambda_b = 0."""
     if params.lambda_b == 0:
         return 0.0
-    if params.lambda_b / params.lambda_w < SMALL_LAMBDA_B_RATIO:
-        return i_err_numeric(params)[1]
     tilt = _tilt(params.lambda_w, params.lambda_b, params.mu)
     return -log1p(_r_minus_one(tilt, v_closed_form(params)))
 
@@ -218,12 +179,10 @@ def exponent_report(params: ModelParams) -> ExponentReport:
         v_num, i_num = i_err_numeric(params)
     else:
         v_closed, v_num, i_num = 0.5, 0.5, 0.0
-    # below the switch i_err_closed is i_err_numeric itself: do not run it twice
-    small = params.lambda_b / params.lambda_w < SMALL_LAMBDA_B_RATIO
     return ExponentReport(
         v_closed=v_closed,
         v_numeric=v_num,
-        i_err_closed=i_num if small else i_err_closed(params),
+        i_err_closed=i_err_closed(params),
         i_err_numeric=i_num,
         i_err_taylor=i_err_taylor(params),
         abcd=abcd_coefficients(params),
@@ -233,5 +192,4 @@ def exponent_report(params: ModelParams) -> ExponentReport:
 
 def stationarity_residual(params: ModelParams, v: float) -> float:
     """d r/du at u = v; zero at the true minimizer."""
-    q, log_idle, log_busy = _tilt(params.lambda_w, params.lambda_b, params.mu)
-    return q * log_idle * exp(v * log_idle) + (1.0 - q) * log_busy * exp(v * log_busy)
+    return _dr_du(_tilt(params.lambda_w, params.lambda_b, params.mu), v)

@@ -15,14 +15,14 @@ transition counts of criterion 6 are kept here too.
 
 import itertools
 from dataclasses import dataclass
-from math import log
+from math import log, log1p
 
 import mpmath
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from covertq.detect import _llr, decide
-from covertq.exponent import SMALL_LAMBDA_B_RATIO, _r_minus_one, _tilt, _v_from_rates
+from covertq.exponent import SMALL_LAMBDA_B_RATIO, _r_minus_one, _tilt
 from covertq.model import Hypothesis, ModelParams
 from covertq.sim import ObservationSequence
 
@@ -280,11 +280,13 @@ def big_f(lambda_w: float, lambda_b: float) -> float:
     """
     if lambda_b == 0.0:
         return 1.0
+    tilt = _tilt(lambda_w, lambda_b, 1.0)
     if abs(lambda_b) / lambda_w < SMALL_LAMBDA_B_RATIO:
         v = 0.5
-    else:
-        v = _v_from_rates(lambda_w, lambda_b, 1.0)
-    return 1.0 + _r_minus_one(_tilt(lambda_w, lambda_b, 1.0), v)
+    else:  # the root of d r/du; (1-q)/q = lambda_w + lambda_b at mu = 1
+        _, log_idle, log_busy = tilt
+        v = log((lambda_w + lambda_b) * (-log_busy / log_idle)) / log1p(lambda_b / lambda_w)
+    return 1.0 + _r_minus_one(tilt, v)
 
 
 def dominant_eigenvalue(m) -> float:

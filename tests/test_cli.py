@@ -140,6 +140,19 @@ def test_exponent_self_check_passes_at_small_lambda_b(capsys, lambda_b):
     assert code == 0, err
 
 
+@pytest.mark.parametrize("rates", [
+    ["--lambda-w", "50", "--lambda-b", "0.5", "--mu", "1e-12"],
+    ["--lambda-w", "1e-300", "--lambda-b", "0", "--mu", "1e-300"],
+])
+@pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
+def test_exponent_answers_at_extreme_rates(capsys, rates):
+    # (1-p)/(1-q) a hair below 1 at mu << lambda_w, and rates whose
+    # products underflow although every reported quantity is of order 1
+    code, out, err = run_cli(capsys, "exponent", *rates, "--self-check")
+    assert code == 0, err
+    jsonschema.validate(json.loads(out), schema("exponent_report"))
+
+
 def test_exponent_csv(capsys):
     code, out, _ = run_cli(capsys, "exponent", *RATES, "--output", "csv")
     assert code == 0
@@ -335,8 +348,7 @@ def test_shared_parser_parses_as_a_fresh_one(capsys):
     (["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "3",
       "--out", "/nonexistent/x"], 3),
     (["campaign", "good.cfg", "--out", "/nonexistent/x"], 3),
-    # a result that underflows to a division by zero, or overflows to inf or nan
-    (["exponent", "--lambda-w", "1e-300", "--lambda-b", "0", "--mu", "1e-300"], 4),
+    # a result that overflows to inf or nan
     (["exponent", "--lambda-w", "0.3", "--lambda-b", "1e160"], 4),
     (["exponent", "--lambda-w", "0.3", "--lambda-b", "1e160", "--output", "csv"], 4),
     (["exponent", "--lambda-w", "0.3", "--lambda-b", "0.3", "--mu", "5e-324",
@@ -485,7 +497,7 @@ import covertq, covertq.cli
 HEAVY = ("numpy", "scipy", "concurrent.futures")
 RATES = {RATES!r}
 BOUND = {BOUND!r}
-assert len(covertq.__all__) == 35 and set(covertq.__all__) <= set(dir(covertq))
+assert len(covertq.__all__) == 34 and set(covertq.__all__) <= set(dir(covertq))
 assert not any(m in sys.modules for m in HEAVY), "import covertq"
 calls = [
     (["exponent", *RATES], 0),

@@ -5,10 +5,8 @@ import pytest
 
 from covertq import exponent
 from covertq.exponent import (
-    NumericFailure,
     abcd_coefficients,
     exponent_report,
-    golden_section,
     i_err_closed,
     i_err_numeric,
     i_err_taylor,
@@ -122,11 +120,6 @@ def test_numeric_minimality_on_grid():
             assert r_min <= r_of_u(params, float(u)) + 1e-14
 
 
-def test_golden_section_iteration_cap():
-    with pytest.raises(NumericFailure):
-        golden_section(lambda x: x * x, -1.0, 1.0, tol=1e-10, max_iter=3)
-
-
 def test_i_err_zero_when_lambda_b_zero():
     assert i_err_closed(ModelParams(0.3, 0.0, 1.0)) == 0.0
     assert i_err_taylor(ModelParams(0.3, 0.0, 1.0)) == 0.0
@@ -145,17 +138,36 @@ def test_chernoff_oracle_agreement():
         assert abs(i_err_closed(params) - chernoff_information(p, q)) < 1e-9
 
 
-@pytest.mark.parametrize("lb", [1e-5, 1e-4])
-@pytest.mark.parametrize("lw", [0.05, 0.2, 0.5, 0.6])
+@pytest.mark.parametrize("lb", [1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.2])
+@pytest.mark.parametrize("lw", [0.05, 0.1, 0.2, 0.3, 0.5, 0.6])
 def test_exponent_matches_mpmath_at_small_lambda_b(lw, lb):
     # r(v) sits within ~lb^2 of 1 here, so -log r(v) keeps its digits only
-    # if r - 1 is formed without cancellation
+    # if r - 1 is formed without cancellation; below lb = 1e-6 the two
+    # expm1 terms of r - 1 cancel and only the minimizers are pinned
     params = ModelParams(lw, lb, 1.0)
-    v_ref, i_ref = mpmath_exponent(lw, lb, 1.0)
+    v_ref, i_ref = (float(x) for x in mpmath_exponent(lw, lb, 1.0))
     v_num, i_num = i_err_numeric(params)
+    assert abs(v_closed_form(params) - v_ref) <= 1e-8
+    assert abs(v_num - v_ref) <= 1e-8
+    if lb >= 1e-6:
+        assert abs(i_err_closed(params) - i_ref) <= 1e-9 * i_ref
+        assert abs(i_num - i_ref) <= 1e-9 * i_ref
+
+
+@pytest.mark.parametrize(
+    "lw, lb, mu", [(50.0, 0.5, 1e-12), (10.0, 0.1, 1e-6), (1e3, 1.0, 1e-3), (0.3, 0.2, 1e-8)]
+)
+@pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
+def test_exponent_matches_mpmath_at_slow_service(lw, lb, mu):
+    # mu << lambda_w makes (1-p)/(1-q) a hair below 1: its log has to come
+    # from one exact ratio, not from a difference of two logs
+    params = ModelParams(lw, lb, mu)
+    v_ref, i_ref = (float(x) for x in mpmath_exponent(lw, lb, mu))
+    v_num, i_num = i_err_numeric(params)
+    assert abs(v_closed_form(params) - v_ref) <= 1e-9
+    assert abs(v_num - v_ref) <= 1e-9
     assert abs(i_err_closed(params) - i_ref) <= 1e-9 * i_ref
     assert abs(i_num - i_ref) <= 1e-9 * i_ref
-    assert abs(v_num - v_ref) <= 1e-8
 
 
 def test_log_r_convex_on_grid():
@@ -269,12 +281,14 @@ def test_exponent_report_json():
 def test_report_runs_the_minimizer_once(monkeypatch, lambda_b):
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return golden_section(*args, **kwargs)
+    def counting(params):
+        calls.append(params)
+        return i_err_numeric(params)
 
-    monkeypatch.setattr(exponent, "golden_section", counting)
+    monkeypatch.setattr(exponent, "i_err_numeric", counting)
     params = ModelParams(0.3, lambda_b, 1.0)
     report = exponent_report(params)
     assert len(calls) == 1
+    # i_err_closed reads the closed-form minimizer alone, at every lambda_b
     assert report.i_err_closed == i_err_closed(params)
+    assert len(calls) == 1

@@ -11,7 +11,7 @@ from fresh import run_fresh
 PUBLIC = (
     "BoundResult", "CampaignConfig", "CovertnessSpec", "DegenerateModelError",
     "ErrorProbabilities", "ExperimentResult", "ExponentReport", "Hypothesis",
-    "KFunction", "LlrResult", "ModelParams", "NumericFailure", "ObservationSequence",
+    "KFunction", "LlrResult", "ModelParams", "ObservationSequence",
     "RngSeed", "UnstableRegimeWarning", "covertness_check", "decide",
     "exact_error_probabilities", "exponent_report", "i_err_closed", "i_err_numeric",
     "i_err_taylor", "load", "log_likelihood_ratio", "max_covert_rate",

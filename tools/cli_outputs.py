@@ -105,8 +105,10 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
         [*BOUND, "--n", "100", "--k0", "inf"],
         ["bound", "--lambda-w", "1e200", "--epsilon", "0.1", "--n", "100"],
         ["exponent", "--lambda-w", "1e200", "--lambda-b", "1"],
-        # results that underflow to a division by zero, or overflow to inf or nan
+        # (1-p)/(1-q) a hair below 1, and rates whose products underflow
+        ["exponent", "--lambda-w", "50", "--lambda-b", "0.5", "--mu", "1e-12"],
         ["exponent", "--lambda-w", "1e-300", "--lambda-b", "0", "--mu", "1e-300"],
+        # results that overflow to inf or nan
         ["exponent", "--lambda-w", "0.3", "--lambda-b", "1e160"],
         ["exponent", "--lambda-w", "0.3", "--lambda-b", "1e160", "--output", "csv"],
         ["exponent", "--lambda-w", "0.3", "--lambda-b", "0.3", "--mu", "5e-324",
