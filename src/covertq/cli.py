@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="covert-rate bound and scaling table")
     p.add_argument("--lambda-w", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    n_or_table = p.add_mutually_exclusive_group()
+    n_or_table = p.add_mutually_exclusive_group(required=True)
     n_or_table.add_argument("--n", type=int, default=None, help="single N to evaluate")
     n_or_table.add_argument("--n-values", default=None,
                             help="comma-separated increasing N list for the table")
@@ -213,8 +213,6 @@ def _cmd_bound(args) -> int:
         rows = covert.scaling_table(args.lambda_w, args.epsilon, k, n_values)
         _emit(args, rows, lambda: covert.scaling_table_csv(rows))
         return EXIT_OK
-    if args.n is None:
-        raise InputDataError("bound requires --n or --n-values")
     if args.output == "csv":
         raise ValueError("--output csv requires --n-values")
     spec = covert.CovertnessSpec(epsilon=args.epsilon, n=args.n, k=k)

@@ -35,7 +35,10 @@ class KFunction:
             raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
 
     def __call__(self, n: int) -> float:
-        return self.k0 * float(n) ** (-self.alpha)
+        value = self.k0 * float(n) ** (-self.alpha)
+        if value == 0.0:
+            raise ArithmeticError(f"K(N) underflows to 0 at N={n}")
+        return value
 
     def log_value(self, n: int) -> float:
         """log K(N) without forming N**alpha (safe at very large N)."""

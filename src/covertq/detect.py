@@ -1,21 +1,24 @@
 """Log-likelihood-ratio detection and exact error-probability oracles.
 
-The busy/idle record is i.i.d. Bernoulli, so the LLR is an affine function
-of the idle count and every test here decides through `_llr`.  Ties at the
+The busy/idle record is i.i.d. Bernoulli, so the LLR is the affine function
+`_llr` of the idle count k.  Its coefficients log(p/q) >= 0 >= log((1-p)/(1-q))
+come from the log1p tilt the error exponent uses (`model._tilt`).  IEEE
+rounding is monotone, so the float LLR never decreases in k, and every test
+is one integer cut k* (`_cut`): H0 exactly when k >= k*.  Ties at the
 threshold decide H0 (the ">= gamma implies H0" orientation), which makes
 every error probability bit-exactly reproducible.  Monte Carlo blocks
-decide from the simulator's per-trial idle counts alone.
+compare the simulator's per-trial idle counts with the same cut.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import ceil, isfinite, log, sqrt
+from math import ceil, isfinite, isnan, sqrt
 
 import numpy as np
 
-from .model import DegenerateModelError, Hypothesis, ModelParams
+from .model import DegenerateModelError, Hypothesis, ModelParams, NonFiniteError, _tilt
 from .sim import ObservationSequence, RngSeed, simulate_sequence_batch
 
 MC_BLOCK_SIZE = 20_000
@@ -45,22 +48,17 @@ class ErrorProbabilities:
             raise ValueError("p_e must equal (p_f + p_m)/2")
 
 
-def _llr(k, n: int, p: float, q: float):
-    """LLR of H0 over H1 for k idle symbols among n (p, q: idle probabilities).
-
-    Single sequences, exact tails and Monte Carlo blocks all decide with this
-    one expression, so ties at the threshold resolve identically everywhere.
-    """
-    return k * log(p / q) + (n - k) * log((1.0 - p) / (1.0 - q))
+def _llr(k, n: int, c_idle: float, c_busy: float):
+    """LLR of H0 over H1 for k idle symbols among n (coefficients from `_tilt`)."""
+    return k * c_idle + (n - k) * c_busy
 
 
 def log_likelihood_ratio(obs: ObservationSequence, params: ModelParams) -> float:
     """Natural-log likelihood ratio of H0 over H1 for the busy/idle record."""
     if obs.n < 1:
         raise ValueError("observation sequence is empty")
-    p = params.idle_probability(Hypothesis.H0)
-    q = params.idle_probability(Hypothesis.H1)
-    return _llr(obs.n - int(np.count_nonzero(obs.bits)), obs.n, p, q)
+    _, c_idle, c_busy = _tilt(params.lambda_w, params.lambda_b, params.mu)
+    return _llr(obs.n - int(np.count_nonzero(obs.bits)), obs.n, c_idle, c_busy)
 
 
 def decide(
@@ -76,20 +74,20 @@ def decide(
     return LlrResult(llr=llr, decision=decision, threshold=threshold)
 
 
-def _cut(n: int, p: float, q: float, threshold: float) -> int:
-    """Smallest k in [0, n+1] with _llr(k, n, p, q) >= threshold.
+def _cut(n: int, params: ModelParams, threshold: float) -> int:
+    """Smallest k in [0, n+1] whose LLR is >= threshold.
 
-    p > q makes the LLR increasing in k.  The closed form only starts the
-    search: the steps test the float predicate of `decide`, so ties match it.
+    The closed form only starts the search: the steps test the float
+    predicate of `decide`, so ties match it.
     """
-    c_idle, c_busy = log(p / q), log((1.0 - p) / (1.0 - q))
-    if c_idle == c_busy:  # q rounds to p: the LLR is 0 for every k
-        return 0 if _llr(0, n, p, q) >= threshold else n + 1
+    _, c_idle, c_busy = _tilt(params.lambda_w, params.lambda_b, params.mu)
+    if c_idle == c_busy:  # both underflow to 0 (lambda_b = 5e-324, lambda_w = mu = 1)
+        return 0 if threshold <= 0.0 else n + 1
     x = (threshold - n * c_busy) / (c_idle - c_busy)
     k = 0 if x <= 0 else n + 1 if x > n + 1 else ceil(x)
-    while k > 0 and _llr(k - 1, n, p, q) >= threshold:
+    while k > 0 and _llr(k - 1, n, c_idle, c_busy) >= threshold:
         k -= 1
-    while k <= n and not _llr(k, n, p, q) >= threshold:
+    while k <= n and not _llr(k, n, c_idle, c_busy) >= threshold:
         k += 1
     return k
 
@@ -111,38 +109,17 @@ def exact_error_probabilities(
         raise ValueError(f"n must be >= 1, got {n}")
     if not isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
-    p = params.idle_probability(Hypothesis.H0)
-    q = params.idle_probability(Hypothesis.H1)
-    k = _cut(n, p, q, threshold)
+    k = _cut(n, params, threshold)
     if 0 < k <= n:
         # imported here: scipy is most of a cold start, and only exact tails need it
         from scipy.special import bdtr, bdtrc
+        p, q = params.idle_probability(Hypothesis.H0), params.idle_probability(Hypothesis.H1)
         p_f, p_m = float(bdtr(k - 1, n, p)), float(bdtrc(k - 1, n, q))
+        if isnan(p_f) or isnan(p_m):  # Cephes gives NaN from n = 2**31 on
+            raise NonFiniteError(f"binomial tail is NaN at n={n}")
     else:  # one tail is empty and the other full; bdtr(-1, ...) is NaN
         p_f, p_m = (0.0, 1.0) if k == 0 else (1.0, 0.0)
     return ErrorProbabilities(p_f=p_f, p_m=p_m, p_e=(p_f + p_m) / 2.0)
-
-
-def _mc_block(
-    params: ModelParams,
-    hyp: Hypothesis,
-    n: int,
-    threshold: float,
-    block_trials: int,
-    seed: RngSeed,
-) -> int:
-    """Number of erroneous decisions in one simulation block.
-
-    The simulator streams each trial and returns only its idle count k,
-    which is all the LLR needs, so a block holds O(block_trials) memory.
-    """
-    k = simulate_sequence_batch(params, hyp, n, block_trials, seed)
-    p = params.idle_probability(Hypothesis.H0)
-    q = params.idle_probability(Hypothesis.H1)
-    decide_h0 = _llr(k, n, p, q) >= threshold
-    if hyp is Hypothesis.H0:
-        return int(np.count_nonzero(~decide_h0))
-    return int(np.count_nonzero(decide_h0))
 
 
 def monte_carlo_error(
@@ -163,6 +140,7 @@ def monte_carlo_error(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
+    cut = _cut(n, params, threshold)
     jobs = []
     for hyp in (Hypothesis.H0, Hypothesis.H1):
         done = 0
@@ -177,8 +155,11 @@ def monte_carlo_error(
             block_index += 1
 
     def run(job):
+        # the simulator streams each trial and returns only its idle count;
+        # H0 errs below the cut, H1 at or above it
         hyp, bt, s = job
-        return hyp, _mc_block(params, hyp, n, threshold, bt, s)
+        below = int(np.count_nonzero(simulate_sequence_batch(params, hyp, n, bt, s) < cut))
+        return hyp, below if hyp is Hypothesis.H0 else bt - below
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

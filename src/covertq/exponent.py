@@ -11,7 +11,7 @@ information between the two marginals; the tests exploit that as an
 independent oracle.
 
 r(u) sits within O(lambda_b^2) of 1, so every quantity reads r(u) - 1 from
-one log1p-built tilt core (`_tilt`, `_r_minus_one`), never r(u) itself.
+the log1p tilt core shared with the LLR (`model._tilt`), never r(u) itself.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, expm1, log, log1p
 
-from .model import ModelParams, json_text
+from .model import ModelParams, _tilt, json_text
 
 # Below this ratio the closed-form minimizer is a 0/0 expression and
 # cancellation dominates; the limiting value is exactly 1/2.
@@ -64,18 +64,6 @@ class ExponentReport:
 
     def to_json(self) -> str:
         return json_text(self.to_dict())
-
-
-def _tilt(lw: float, lb: float, mu: float) -> tuple[float, float, float]:
-    """(q, log(p/q), log((1-p)/(1-q))) for p = mu/(lw+mu), q = mu/(lw+lb+mu).
-
-    p/q = 1 + lb/(lw+mu) and (1-p)/(1-q) = 1 - (lb/(lw+lb)) * (mu/(lw+mu)),
-    so both logs come from log1p of exact small ratios and keep their
-    digits as lb -> 0 or mu -> 0.  Small negative lb is accepted (central
-    differences at 0 need it).
-    """
-    return (mu / (lw + lb + mu), log1p(lb / (lw + mu)),
-            log1p(-(lb / (lw + lb)) * (mu / (lw + mu))))
 
 
 def _r_minus_one(tilt: tuple[float, float, float], u: float) -> float:

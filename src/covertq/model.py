@@ -1,4 +1,4 @@
-"""Rate parameters, the idle probabilities p and q, and the text writers.
+"""Rate parameters, idle probabilities p and q, their log ratios, and text writers.
 
 The server holds at most one job.  An arrival that finds the server idle
 is served; an arrival that finds it busy is lost.  Because inter-arrival
@@ -15,7 +15,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from math import isfinite
+from math import isfinite, log1p
 
 
 class Hypothesis(Enum):
@@ -91,6 +91,18 @@ class ModelParams:
         if hyp is Hypothesis.H0:
             return self.mu / (self.lambda_w + self.mu)
         return self.mu / (self.lambda_w + self.lambda_b + self.mu)
+
+
+def _tilt(lw: float, lb: float, mu: float) -> tuple[float, float, float]:
+    """(q, log(p/q), log((1-p)/(1-q))) for p = mu/(lw+mu), q = mu/(lw+lb+mu).
+
+    p/q = 1 + lb/(lw+mu) and (1-p)/(1-q) = 1 - (lb/(lw+lb)) * (mu/(lw+mu)),
+    so both logs come from log1p of exact small ratios and keep their
+    digits as lb -> 0 or mu -> 0.  Small negative lb is accepted (central
+    differences at 0 need it).
+    """
+    return (mu / (lw + lb + mu), log1p(lb / (lw + mu)),
+            log1p(-(lb / (lw + lb)) * (mu / (lw + mu))))
 
 
 def json_text(doc, indent: int | None = None) -> str:

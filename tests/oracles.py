@@ -136,7 +136,8 @@ def log_domain_error_probabilities(params: ModelParams, n: int, threshold=0.0):
     p = params.idle_probability(Hypothesis.H0)
     q = params.idle_probability(Hypothesis.H1)
     k = np.arange(n + 1)
-    decide_h0 = _llr(k, n, p, q) >= threshold
+    _, c_idle, c_busy = _tilt(params.lambda_w, params.lambda_b, params.mu)
+    decide_h0 = _llr(k, n, c_idle, c_busy) >= threshold
 
     def tail(ks, prob):
         if ks.size == 0:
@@ -187,6 +188,27 @@ def mpmath_binomial_tails(params: ModelParams, m: int, cut: int, dps=40):
 
         p, q = mu / (lw + mu), mu / (lw + lb + mu)
         return split(p)[0], split(q)[1]
+
+
+def mpmath_llr_coefficients(params: ModelParams):
+    """(log(p/q), log((1-p)/(1-q))) in 60-digit arithmetic.
+
+    p and q are formed from the exact binary values of the rates, so the
+    coefficients keep their digits where the float p and q round together.
+    """
+    with mpmath.workdps(60):
+        lw = mpmath.mpf(params.lambda_w)
+        lb, mu = mpmath.mpf(params.lambda_b), mpmath.mpf(params.mu)
+        p, q = mu / (lw + mu), mu / (lw + lb + mu)
+        return mpmath.log(p / q), mpmath.log((1 - p) / (1 - q))
+
+
+def mpmath_cut(params: ModelParams, m: int, threshold: float) -> int:
+    """Smallest idle count k in [0, m+1] whose 60-digit LLR is >= threshold."""
+    with mpmath.workdps(60):
+        c_idle, c_busy = mpmath_llr_coefficients(params)
+        k = int(mpmath.ceil((threshold - m * c_busy) / (c_idle - c_busy)))
+    return min(max(k, 0), m + 1)
 
 
 def chernoff_information(p: float, q: float, resolution=1e-12) -> float:

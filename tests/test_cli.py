@@ -186,8 +186,9 @@ def test_bound_table_json_and_csv(capsys):
 
 
 def test_bound_requires_n_or_table(capsys):
-    code, _, _ = run_cli(capsys, "bound", "--lambda-w", "0.3", "--epsilon", "0.1")
-    assert code == 3
+    code, _, err = run_cli_exit(capsys, "bound", "--lambda-w", "0.3", "--epsilon", "0.1")
+    assert code == 2
+    assert "one of the arguments --n --n-values is required" in err
 
 
 def test_sweep_json_schema(capsys):
@@ -245,10 +246,15 @@ def test_detect_nan_threshold_exits_2(tmp_path, capsys):
 
 
 def test_sweep_accepts_lambda_b_below_float_resolution(capsys):
+    # q rounds to p here, but the LLR coefficients do not: 60-digit mpmath
+    # puts the cut at 8 idle symbols of 10
     code, out, _ = run_cli(capsys, "sweep", "--lambda-w", "0.3", "--lambda-b", "1e-18",
                            "--n", "10", "--thresholds=0")
     assert code == 0
-    assert json.loads(out) == [{"gamma": 0.0, "p_e": 0.5, "p_f": 0.0, "p_m": 1.0}]
+    [row] = json.loads(out)
+    assert (row["gamma"], row["p_e"]) == (0.0, 0.5)
+    for got, ref in ((row["p_f"], 0.41606789019443393), (row["p_m"], 0.58393210980556607)):
+        assert abs(got - ref) <= 1e-9 * ref
 
 
 def test_campaign_nan_threshold_exits_3(tmp_path, capsys):
@@ -353,6 +359,10 @@ def test_shared_parser_parses_as_a_fresh_one(capsys):
     (["exponent", "--lambda-w", "0.3", "--lambda-b", "1e160", "--output", "csv"], 4),
     (["exponent", "--lambda-w", "0.3", "--lambda-b", "0.3", "--mu", "5e-324",
       "--output", "csv"], 4),
+    # K(N) = 100**-200 underflows to 0
+    ([*BOUND, "--alpha", "200", "--n-values", "10,100"], 4),
+    # Cephes binomial tails are NaN from N = 2**31 on
+    (["sweep", *RATES, "--n", "3000000000", "--thresholds=0"], 4),
 ])
 @pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
 def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, code):
@@ -363,6 +373,15 @@ def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, co
     assert out == ""
     assert "Traceback" not in err
     assert code != 4 or err.startswith("numeric failure: ")
+
+
+def test_exact_campaign_with_nan_tails_exits_4(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(CAMPAIGN.replace("100,200", "100,3000000000"))
+    code, out, err = run_cli(capsys, "campaign", str(cfg), "--out", str(tmp_path / "r"))
+    assert (code, out) == (4, "")
+    assert err == "numeric failure: binomial tail is NaN at n=3000000000\n"
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("line", [

@@ -14,21 +14,26 @@ from covertq.detect import (
     log_likelihood_ratio,
     monte_carlo_error,
 )
-from covertq.model import Hypothesis, ModelParams
+from covertq.model import Hypothesis, ModelParams, _tilt
 from covertq.sim import ObservationSequence, RngSeed
 from oracles import (
     brute_force_error_probabilities,
     log_domain_error_probabilities,
     mpmath_binomial_tails,
-    transition_matrix,
+    mpmath_cut,
+    mpmath_llr_coefficients,
 )
 
 PARAMS = ModelParams(0.3, 0.2, 1.0)
-P_MAT, Q_MAT = (transition_matrix(PARAMS, hyp) for hyp in Hypothesis)
 
 
 def obs(*bits):
     return ObservationSequence(np.array(bits, dtype=np.uint8))
+
+
+def coefficients(params):
+    """The LLR's (c_idle, c_busy), as every test in detect reads them."""
+    return _tilt(params.lambda_w, params.lambda_b, params.mu)[1:]
 
 
 def test_identical_hypotheses_give_zero_llr():
@@ -60,12 +65,11 @@ def test_decide_tie_goes_to_h0():
 def test_decide_ties_match_the_idle_count_rule():
     # a threshold equal to an attainable LLR value is a tie and must decide
     # H0, exactly as the exact and Monte Carlo paths decide it
-    p, q = P_MAT[0, 0], Q_MAT[0, 0]
     cases = []
     for m in (5, 12, 40, 200):
         for k in range(m + 1):
             bits = (0,) * k + (1,) * (m - k)
-            result = decide(obs(*bits), PARAMS, _llr(k, m, p, q))
+            result = decide(obs(*bits), PARAMS, _llr(k, m, *coefficients(PARAMS)))
             cases.append(result.decision)
     assert len(cases) == 261
     assert cases.count(Hypothesis.H1) == 0
@@ -87,13 +91,32 @@ def test_exact_single_sample():
     assert ep.p_m == pytest.approx(2 / 3, abs=1e-12)
 
 
-def test_vanishing_lambda_b_collapses_to_tie():
-    # lambda_b below float resolution: q rounds to p exactly, llr is 0,
-    # ties decide H0 so p_f = 0 and p_m = 1
-    ep = exact_error_probabilities(ModelParams(0.3, 1e-18, 1.0), 100)
-    assert ep.p_f == 0.0
-    assert ep.p_m == 1.0
-    assert ep.p_e == 0.5
+@pytest.mark.parametrize("lambda_b", [1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.2])
+@pytest.mark.parametrize("lambda_w", [0.3, 0.6])
+def test_one_symbol_llr_matches_mpmath(lambda_w, lambda_b):
+    # the coefficients stay exact where the float p and q round together
+    # (q == p at lambda_b = 1e-18)
+    params = ModelParams(lambda_w, lambda_b, 1.0)
+    for bits, ref in zip(((0,), (1,)), mpmath_llr_coefficients(params)):
+        got = log_likelihood_ratio(obs(*bits), params)
+        assert abs(got - ref) <= 1e-14 * abs(ref), (bits, got, ref)
+
+
+# Cephes bdtr is 1.5e-9 relative off mid-distribution at N = 1e6 (1.2e-3
+# at 1e7), hence the wider band there; one step of the cut moves each tail
+# by the pmf at the cut, 1.6e-3 relative at N = 1e6.
+@pytest.mark.parametrize("lambda_w, lambda_b, n, rel", [
+    (0.3, 1e-18, 10, 1e-9), (0.3, 1e-18, 100, 1e-9), (0.3, 1e-15, 1000, 1e-9),
+    (0.6, 1e-12, 10**6, 1e-8),
+])
+def test_exact_tails_match_the_mpmath_cut(lambda_w, lambda_b, n, rel):
+    # both laws nearly coincide, so the cut sits near the middle and each
+    # error is near 1/2; a cut moved by rounded coefficients shows at once
+    params = ModelParams(lambda_w, lambda_b, 1.0)
+    ep = exact_error_probabilities(params, n)
+    refs = mpmath_binomial_tails(params, n, mpmath_cut(params, n, 0.0), dps=60)
+    for got, ref in zip((ep.p_f, ep.p_m), refs):
+        assert abs(got - ref) <= rel * ref, (got, ref)
 
 
 def test_small_but_resolvable_lambda_b_splits_errors():
@@ -111,10 +134,6 @@ def test_tiny_lambda_b_total_error_near_half():
     assert ep.p_e == pytest.approx(0.5, abs=0.02)
 
 
-def idle_probabilities(params):
-    return params.idle_probability(Hypothesis.H0), params.idle_probability(Hypothesis.H1)
-
-
 def first_h0_index(decide_h0):
     """Index of the first H0 decision over k = 0..m (m+1 if none)."""
     return int(np.argmax(decide_h0)) if decide_h0.any() else decide_h0.size
@@ -128,8 +147,8 @@ def test_cut_is_the_first_h0_index_of_the_llr_mask(m):
     rng = np.random.default_rng(m)
     ks = np.arange(m + 1)
     for lambda_b in (0.2, 1e-3, 1e-12, 1e-18):
-        p, q = idle_probabilities(ModelParams(0.3, lambda_b, 1.0))
-        llr = _llr(ks, m, p, q)
+        params = ModelParams(0.3, lambda_b, 1.0)
+        llr = _llr(ks, m, *coefficients(params))
         ties = llr if m <= 1000 else rng.choice(llr, 200)
         thresholds = np.concatenate([
             ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf),
@@ -139,7 +158,7 @@ def test_cut_is_the_first_h0_index_of_the_llr_mask(m):
             decide_h0 = llr >= threshold
             first = first_h0_index(decide_h0)
             assert decide_h0[first:].all()  # the H0 region is one interval
-            assert _cut(m, p, q, float(threshold)) == first
+            assert _cut(m, params, float(threshold)) == first
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 1000, 10**5])
@@ -147,8 +166,7 @@ def test_exact_tails_match_mpmath(n):
     rng = np.random.default_rng(n)
     for lw, lb in ((0.3, 0.2), (0.05, 1e-3), (0.5, 0.05), (0.1, 1e-5)):
         params = ModelParams(lw, lb, 1.0)
-        p, q = idle_probabilities(params)
-        llr = _llr(np.arange(n + 1), n, p, q)
+        llr = _llr(np.arange(n + 1), n, *coefficients(params))
         for threshold in (-2.0, 0.0, 1.5, float(rng.uniform(-5.0, 5.0))):
             ep = exact_error_probabilities(params, n, threshold)
             cut = first_h0_index(llr >= threshold)

@@ -117,6 +117,12 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
         ["sweep", *RATES, "--n", "100", "--thresholds=nan"],
         ["sweep", "--lambda-w", "1e-17", "--lambda-b", "0", "--n", "10",
          "--thresholds=0", "--trials", "10", "--seed", "1"],
+        # p and q nearly coincide: the cut sits mid-distribution
+        ["sweep", "--lambda-w", "0.3", "--lambda-b", "1e-15", "--n", "1000",
+         "--thresholds=0"],
+        # binomial tails past 2**31 trials, and a K(N) that underflows
+        ["sweep", *RATES, "--n", "3000000000", "--thresholds=0"],
+        [*BOUND, "--alpha", "200", "--n-values", "10,100"],
         ["detect", *RATES, str(tmp / "absent.txt")],
         ["campaign", cfg["exact"], "--out", str(tmp / "threads"), "--threads", "0"],
         ["campaign", cfg["exact"], "--out", str(tmp / "threads"), "--threads", "-4"],
