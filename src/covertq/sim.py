@@ -5,7 +5,12 @@ exponential inter-arrival and service samples.  The Bernoulli idle
 probabilities of :mod:`covertq.model` are deliberately not used here, so
 the simulator is an independent check on that reduction.  Monte Carlo
 batches run the same recursion time-major and keep only each trial's
-state and idle count, never an array of length n.
+state and idle count, never an array of length n.  Each step of the
+batch works on whole contiguous rows of trials with no per-trial
+branch: the clock is summed row by row and the departure update is a
+max (see _busy_bits_batch), so the exponential draws take most of the
+time.  Both are exact: the counts are bit for bit those of a per-arrival
+loop on the same draws.
 
 A single stream is still simulated event by event and exactly, but
 segment-parallel: about sqrt(n) segments run through the batch recursion
@@ -58,11 +63,16 @@ class ObservationSequence:
     n: int = field(init=False)
 
     def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.bits.ndim != 1:
+        bits = np.asarray(self.bits)
+        if bits.ndim != 1:
             raise ValueError("bits must be one-dimensional")
-        if self.bits.size and self.bits.max() > 1:
+        if bits.dtype == np.uint8:
+            bad = bits.size and bits.max() > 1
+        else:  # checked before the cast, which truncates 1.9 and wraps 256
+            bad = bits.dtype != np.bool_ and not ((bits == 0) | (bits == 1)).all()
+        if bad:
             raise ValueError("bits must be 0/1 valued")
+        self.bits = bits.astype(np.uint8, copy=False)
         self.n = int(self.bits.size)
 
     @property
@@ -96,11 +106,21 @@ def _busy_bits_batch(times: np.ndarray, ends: np.ndarray,
     trials); `depart` carries each trial's departure time in and out.
     Returns the (arrivals, trials) flags that are True where the arrival
     found the server idle, i.e. the complement of the busy bits.
+
+    Arrival and service times must be nonnegative (+inf allowed); a
+    -inf `depart` marks an empty server.  The departure update is then
+    the branchless max(depart, end * idle): a served arrival's end is at
+    least its arrival time, which is at least depart, and a lost one
+    gives 0.0, below its depart.  That is bit for bit the masked copy of
+    `end` where idle, without the copy's mispredicted branch per trial.
+    A +inf arrival is always idle, so 0 * inf never occurs.
     """
     idle = np.empty(times.shape, dtype=bool)
+    served_end = np.empty(times.shape[1])
     for j in range(times.shape[0]):
         np.greater_equal(times[j], depart, out=idle[j])
-        np.copyto(depart, ends[j], where=idle[j])
+        np.multiply(ends[j], idle[j], out=served_end)
+        np.maximum(depart, served_end, out=depart)
     return idle
 
 
@@ -117,7 +137,8 @@ def _busy_bits_segmented(times: np.ndarray, services: np.ndarray) -> np.ndarray:
     the segment ends on the batch's departure time.  A segment where they
     never meet ends on the walk's.  The walk costs one step per arrival
     served before the runs meet, so heavy load, where a busy span covers
-    many arrivals, stays cheap.
+    many arrivals, stays cheap.  Times and services must be nonnegative,
+    as _busy_bits_batch requires.
     """
     n = times.size
     width = math.isqrt(n)
@@ -215,7 +236,10 @@ def simulate_sequence_batch(
         rng.standard_exponential(out=ends)
         times *= gap_scale
         times[0] += clock
-        np.cumsum(times, axis=0, out=times)  # same sums as one cumsum over n
+        # the sums of one cumsum over n, row by row: an axis-0 cumsum
+        # walks each column at a stride of one row
+        for j in range(1, size):
+            np.add(times[j - 1], times[j], out=times[j])
         clock[:] = times[-1]
         ends *= service_scale
         ends += times

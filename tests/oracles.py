@@ -8,7 +8,8 @@ domain or from an mpmath tail sum, the Chernoff information from
 grid-plus-refinement minimization or from a 60-digit mpmath root of
 d r/du, the spectral radius from a dense eigensolve, and the simulator's
 busy/idle record from a per-arrival loop over one stream, which also
-gives the record of Willie's own jobs in a thinned merged stream.  The
+gives the record of Willie's own jobs in a thinned merged stream, and
+the batch recursion's departure update from a masked select.  The
 small-lambda_b derivative facts of criterion 3 and the empirical
 transition counts of criterion 6 are kept here too.
 """
@@ -84,6 +85,21 @@ def scalar_busy_bits(times: np.ndarray, services: np.ndarray) -> np.ndarray:
             bits[j] = 0
             depart = t + s
     return bits
+
+
+def masked_busy_bits_batch(times: np.ndarray, ends: np.ndarray,
+                           depart: np.ndarray) -> np.ndarray:
+    """Idle flags of a time-major (arrivals, trials) chunk, by masked select.
+
+    Each row compares its arrival times with the departure times and
+    copies the arrival's end over `depart` where it found the server
+    idle; `depart` is updated in place, as in sim._busy_bits_batch.
+    """
+    idle = np.empty(times.shape, dtype=bool)
+    for j in range(times.shape[0]):
+        np.greater_equal(times[j], depart, out=idle[j])
+        np.copyto(depart, ends[j], where=idle[j])
+    return idle
 
 
 def willie_busy_bits(params: ModelParams, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -250,3 +250,17 @@ def test_monte_carlo_worker_count_is_invisible():
     one = monte_carlo_error(PARAMS, **kwargs, workers=1)
     four = monte_carlo_error(PARAMS, **kwargs, workers=4)
     assert one == four
+
+
+# error counts (H0 false alarms, H1 misses) out of 500 trials per
+# hypothesis at one seed; with the burn-in arrival, N = 63, 64 and 65 fill
+# one MC_CHUNK exactly or spill one or two arrivals into a second.  A
+# moved draw in the simulator's batch kernel moves some of them; a
+# last-bit change in a float sum seldom does, and
+# test_batch_clock_is_one_cumsum_over_each_stream pins those.
+@pytest.mark.parametrize("n, false_alarms, misses",
+                         [(63, 97, 102), (64, 105, 91), (65, 77, 115), (250, 21, 24)])
+def test_monte_carlo_error_counts_are_pinned(n, false_alarms, misses):
+    trials = 500
+    mc = monte_carlo_error(PARAMS, n, 0.0, trials, RngSeed(2024, 3))
+    assert (mc.p_f, mc.p_m) == (false_alarms / trials, misses / trials)

@@ -3,16 +3,23 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from covertq import sim
 from covertq.model import Hypothesis, ModelParams
 from covertq.sim import (
     MC_CHUNK,
     ObservationSequence,
     RngSeed,
+    _busy_bits_batch,
     _busy_bits_segmented,
     simulate_sequence,
     simulate_sequence_batch,
 )
-from oracles import empirical_transition_counts, scalar_busy_bits, willie_busy_bits
+from oracles import (
+    empirical_transition_counts,
+    masked_busy_bits_batch,
+    scalar_busy_bits,
+    willie_busy_bits,
+)
 
 PARAMS = ModelParams(0.3, 0.2, 1.0)
 
@@ -109,26 +116,51 @@ def test_batch_statistics_match_single_path():
     assert abs(idle.mean() / 50 - 2 / 3) < 0.005
 
 
+def _batch_draws(hyp, total, trials, seed):
+    """(gaps, services), (total, trials): the batch's time-major draws
+    rebuilt chunk by chunk, scaled as the batch scales them."""
+    rng = seed.generator()
+    rate = PARAMS.lambda_w if hyp is Hypothesis.H0 else PARAMS.total_rate_h1
+    gaps, services = [], []
+    for start in range(0, total, MC_CHUNK):
+        size = (min(MC_CHUNK, total - start), trials)
+        gaps.append(rng.standard_exponential(size) * (1.0 / rate))
+        services.append(rng.standard_exponential(size) * (1.0 / PARAMS.mu))
+    return np.concatenate(gaps), np.concatenate(services)
+
+
 @pytest.mark.parametrize("hyp", list(Hypothesis))
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
 @pytest.mark.parametrize("burn_in", [0, 1, 70])
 def test_batch_counts_equal_the_scalar_recursion_on_the_same_draws(hyp, n, burn_in):
-    # rebuild the batch's time-major draws chunk by chunk, then run each
-    # trial through the scalar recursion over its whole stream
+    # run each trial through the scalar recursion over its whole stream
     trials, seed = 9, RngSeed(43, 5)
-    rng = seed.generator()
-    rate = PARAMS.lambda_w if hyp is Hypothesis.H0 else PARAMS.total_rate_h1
-    gaps, services = [], []
-    for start in range(0, n + burn_in, MC_CHUNK):
-        size = (min(MC_CHUNK, n + burn_in - start), trials)
-        gaps.append(rng.standard_exponential(size) * (1.0 / rate))
-        services.append(rng.standard_exponential(size) * (1.0 / PARAMS.mu))
-    gaps, services = np.concatenate(gaps), np.concatenate(services)
+    gaps, services = _batch_draws(hyp, n + burn_in, trials, seed)
     expected = [n - scalar_busy_bits(np.cumsum(gaps[:, i]), services[:, i])[burn_in:].sum()
                 for i in range(trials)]
     got = simulate_sequence_batch(PARAMS, hyp, n, trials, seed, burn_in=burn_in)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, expected)
+
+
+def test_batch_clock_is_one_cumsum_over_each_stream(monkeypatch):
+    # a last-bit change in a sum rarely flips a busy bit, so compare the
+    # arrival and end times the recursion receives, chunk by chunk
+    n, trials, seed = 200, 9, RngSeed(43, 5)
+    seen = []
+
+    def recording(times, ends, depart):
+        seen.append((times.copy(), ends.copy()))
+        return _busy_bits_batch(times, ends, depart)
+
+    monkeypatch.setattr(sim, "_busy_bits_batch", recording)
+    simulate_sequence_batch(PARAMS, Hypothesis.H1, n, trials, seed)
+    gaps, services = _batch_draws(Hypothesis.H1, n + 1, trials, seed)
+    times = np.cumsum(gaps, axis=0)
+    np.testing.assert_array_equal(np.concatenate([t for t, _ in seen]).view(np.int64),
+                                  times.view(np.int64))
+    np.testing.assert_array_equal(np.concatenate([e for _, e in seen]).view(np.int64),
+                                  (services + times).view(np.int64))
 
 
 def _single_stream_draws(params, hyp, n, seed, burn_in):
@@ -176,6 +208,41 @@ def test_arrival_on_a_departure_is_served():
                                       scalar_busy_bits(times, services))
 
 
+def _chunk(case):
+    """(times, ends, depart) of one time-major chunk of 40 trials."""
+    rng = np.random.default_rng(67)
+    shape = (MC_CHUNK, 40)
+    gaps, services = rng.standard_exponential(shape), rng.standard_exponential(shape)
+    depart = np.full(shape[1], -np.inf)
+    if case == "carried_state":
+        depart = rng.uniform(0.0, 3.0, shape[1])
+    elif case == "ties":
+        # integer gaps, services and departures put arrivals exactly on
+        # departure times, some at time 0 with zero service
+        gaps = rng.integers(0, 3, shape).astype(float)
+        services = rng.integers(0, 4, shape).astype(float)
+        depart = rng.integers(0, 3, shape[1]).astype(float)
+    elif case == "zero_services":
+        services[rng.random(shape) < 0.5] = 0.0
+    times = np.cumsum(gaps, axis=0)
+    ends = times + services
+    if case == "inf_padding":
+        # the tail rows _busy_bits_segmented pads its last segment with
+        times[-7:, ::2] = ends[-7:, ::2] = np.inf
+    return times, ends, depart
+
+
+@pytest.mark.parametrize("case", ["carried_state", "ties", "zero_services",
+                                  "empty_start", "inf_padding"])
+def test_branchless_departure_update_equals_the_masked_copy(case):
+    times, ends, depart = _chunk(case)
+    expected_depart = depart.copy()
+    expected = masked_busy_bits_batch(times, ends, expected_depart)
+    np.testing.assert_array_equal(_busy_bits_batch(times, ends, depart), expected)
+    np.testing.assert_array_equal(depart.view(np.int64), expected_depart.view(np.int64))
+    assert 0 < expected.sum() < expected.size
+
+
 def test_million_arrival_sequence_equals_the_scalar_recursion():
     seed = RngSeed(7)
     times, services = _single_stream_draws(PARAMS, Hypothesis.H1, 10**6, seed, 1)
@@ -203,6 +270,14 @@ def test_line_round_trip():
         line = obs.to_line()
         assert line == "".join("1" if b else "0" for b in obs.bits)
         np.testing.assert_array_equal(ObservationSequence.from_line(line).bits, obs.bits)
+
+
+@pytest.mark.parametrize("bits", [[0.5, 1.9, 1.0], [0.0, np.nan], [1, 256], [0, 2],
+                                  [-1, 0], np.array([0, 2], dtype=np.uint8)])
+def test_non_binary_bits_rejected(bits):
+    # a uint8 cast first would truncate 1.9 to 1 and wrap 256 to 0
+    with pytest.raises(ValueError, match="0/1"):
+        ObservationSequence(np.asarray(bits))
 
 
 def test_line_accepts_surrounding_whitespace():
