@@ -17,7 +17,7 @@ _SUBMODULE = {name: module for module, names in {
                "max_covert_rate", "scaling_table", "scaling_table_csv"),
     "detect": ("ErrorProbabilities", "LlrResult", "decide", "exact_error_probabilities",
                "log_likelihood_ratio", "monte_carlo_error"),
-    "experiment": ("CampaignConfig", "ExperimentResult", "load", "persist",
+    "experiment": ("CampaignConfig", "ExperimentResult", "persist",
                    "run_campaign", "threshold_sweep"),
     "exponent": ("ExponentReport", "exponent_report", "i_err_closed",
                  "i_err_numeric", "i_err_taylor", "r_of_u", "v_closed_form"),

@@ -130,7 +130,7 @@ def _params_from_args(args) -> ModelParams:
 def _read_sequence(path: str) -> ObservationSequence:
     from .sim import ObservationSequence
     try:
-        with open(path) as fh:
+        with open(path, errors="replace") as fh:  # undecodable bytes fail from_line
             line = fh.readline()
     except OSError as exc:
         raise InputDataError(f"cannot read sequence file: {exc}")

@@ -9,8 +9,7 @@ analytical exponent.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite
 
 import numpy as np
@@ -44,14 +43,6 @@ def parse_config(text: str) -> dict:
     return out
 
 
-class ResultParseError(ValueError):
-    """Malformed result file; message names the offending field."""
-
-
-class ResultVersionError(ValueError):
-    """Result file written by an incompatible format version."""
-
-
 @dataclass(frozen=True)
 class CampaignConfig:
     params: ModelParams
@@ -79,8 +70,8 @@ class CampaignConfig:
     def to_dict(self) -> dict:
         """The `config` block of a result file.
 
-        `workers` is not persisted: results are bit-identical at any worker
-        count, and from_dict restores the default of 1.
+        `workers` is not written: results are bit-identical at any worker
+        count.
         """
         p, seed = self.params, self.master_seed
         return {
@@ -90,18 +81,6 @@ class CampaignConfig:
             "master_seed": seed.seed, "master_stream": seed.stream_id,
             "use_exact_when_feasible": self.use_exact_when_feasible,
         }
-
-    @classmethod
-    def from_dict(cls, rec: dict) -> "CampaignConfig":
-        """Inverse of to_dict; a missing field raises KeyError."""
-        return cls(
-            ModelParams(rec["lambda_w"], rec["lambda_b"], rec["mu"]),
-            tuple(rec["n_grid"]),
-            rec["trials_per_point"],
-            rec["threshold"],
-            RngSeed(rec["master_seed"], rec["master_stream"]),
-            rec["use_exact_when_feasible"],
-        )
 
     @classmethod
     def from_config(cls, text: str, workers: int = 1) -> "CampaignConfig":
@@ -154,7 +133,7 @@ class ExperimentResult:
     fitted_slope_m: float | None
     fitted_slope_e: float | None
     exponent_ref: ExponentReport | None
-    config: CampaignConfig | None = field(default=None, repr=False)
+    config: CampaignConfig
 
 
 def _row_stream(master: RngSeed, n: int) -> int:
@@ -251,60 +230,15 @@ def result_to_json(result: ExperimentResult) -> str:
         "exponent_ref": (
             result.exponent_ref.to_dict() if result.exponent_ref is not None else None
         ),
+        "config": result.config.to_dict(),
     }
-    if result.config is not None:
-        doc["config"] = result.config.to_dict()
     return json_text(doc, indent=1)
 
 
 def persist(result: ExperimentResult, path) -> None:
+    """No command calls this; perfbench/spans.py wraps it by name until it is retargeted."""
     with open(path, "w") as fh:
         fh.write(result_to_json(result))
-
-
-def load(path) -> ExperimentResult:
-    """Read a result file written by persist, config block included."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ResultParseError(f"not valid JSON: line {exc.lineno}: {exc.msg}")
-    version = doc.get("version")
-    if version is None:
-        raise ResultParseError("missing required field: version")
-    if version != RESULT_FORMAT_VERSION:
-        raise ResultVersionError(
-            f"result file version {version}, expected {RESULT_FORMAT_VERSION}"
-        )
-    if "rows" not in doc:
-        raise ResultParseError("missing required field: rows")
-    rows = []
-    for i, rec in enumerate(doc["rows"]):
-        for f in _ROW_FIELDS:
-            if f not in rec:
-                raise ResultParseError(f"row {i}: missing required field: {f}")
-        rows.append(CampaignRow(**{f: rec[f] for f in _ROW_FIELDS}))
-    for f in ("fitted_slope_f", "fitted_slope_m", "fitted_slope_e"):
-        if f not in doc:
-            raise ResultParseError(f"missing required field: {f}")
-    return ExperimentResult(
-        rows=rows,
-        fitted_slope_f=doc["fitted_slope_f"],
-        fitted_slope_m=doc["fitted_slope_m"],
-        fitted_slope_e=doc["fitted_slope_e"],
-        exponent_ref=_optional_block(doc, "exponent_ref", ExponentReport.from_dict),
-        config=_optional_block(doc, "config", CampaignConfig.from_dict),
-    )
-
-
-def _optional_block(doc: dict, name: str, from_dict):
-    if doc.get(name) is None:
-        return None
-    try:
-        return from_dict(doc[name])
-    except KeyError as exc:
-        msg = f"{name}: missing required field: {exc.args[0]}"
-        raise ResultParseError(msg) from None
 
 
 def rows_to_csv(result: ExperimentResult) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import exp, expm1, log, log1p
 
-from .model import ModelParams, _tilt, json_text
+from .model import ModelParams, _tilt
 
 # Below this ratio the closed-form minimizer is a 0/0 expression and
 # cancellation dominates; the limiting value is exactly 1/2.
@@ -52,18 +52,6 @@ class ExponentReport:
         rec.update(zip("ABCD", self.abcd))
         rec.update(zip("abc", self.abc_small))
         return rec
-
-    @classmethod
-    def from_dict(cls, rec: dict) -> "ExponentReport":
-        """Inverse of to_dict; a missing field raises KeyError."""
-        return cls(
-            **{f: rec[f] for f in _SCALAR_FIELDS},
-            abcd=tuple(rec[k] for k in "ABCD"),
-            abc_small=tuple(rec[k] for k in "abc"),
-        )
-
-    def to_json(self) -> str:
-        return json_text(self.to_dict())
 
 
 def _r_minus_one(tilt: tuple[float, float, float], u: float) -> float:
@@ -105,7 +93,7 @@ def r_of_u(params: ModelParams, u: float) -> float:
 def v_closed_form(params: ModelParams) -> float:
     """Closed-form minimizer of log r(u).
 
-    Zero of stationarity_residual:
+    Zero of _dr_du:
     v = log(((1-q)/q) * (-log_busy/log_idle)) / (log_idle - log_busy), where
     (1-q)/q = (lw+lb)/mu and log_idle - log_busy = log1p(lb/lw).  For
     lambda_b/lambda_w below the cancellation switch the limiting value 1/2
@@ -176,8 +164,3 @@ def exponent_report(params: ModelParams) -> ExponentReport:
         abcd=abcd_coefficients(params),
         abc_small=abc_small(params),
     )
-
-
-def stationarity_residual(params: ModelParams, v: float) -> float:
-    """d r/du at u = v; zero at the true minimizer."""
-    return _dr_du(_tilt(params.lambda_w, params.lambda_b, params.mu), v)

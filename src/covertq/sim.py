@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Hypothesis, ModelParams
+from .model import Hypothesis, ModelParams, NonFiniteError
 
 # Arrival 1 always finds an empty system when the simulation starts idle,
 # while the analytic chain treats the first observation as stationary.
@@ -34,6 +34,10 @@ DEFAULT_BURN_IN = 1
 
 # Arrivals per time-major draw in simulate_sequence_batch.
 MC_CHUNK = 64
+
+# A clock or service end past the float64 range leaves later busy bits meaningless.
+_OVERFLOW = "simulated time overflows float64 at these rates"
+
 
 @dataclass(frozen=True)
 class RngSeed:
@@ -197,6 +201,8 @@ def simulate_sequence(
     rng = seed.generator()
     times = np.cumsum(rng.exponential(1.0 / _arrival_rate(params, hyp), size=total))
     services = rng.exponential(1.0 / params.mu, size=total)
+    if not math.isfinite(times[-1] + services.max()):
+        raise NonFiniteError(_OVERFLOW)
     return ObservationSequence(_busy_bits_segmented(times, services)[burn_in:])
 
 
@@ -245,4 +251,6 @@ def simulate_sequence_batch(
         ends += times
         idle = _busy_bits_batch(times, ends, depart)
         counts += np.count_nonzero(idle[max(burn_in - start, 0):], axis=0)
+    if not np.isfinite(depart).all():  # a clock or service end overflowed
+        raise NonFiniteError(_OVERFLOW)
     return counts

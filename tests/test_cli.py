@@ -39,6 +39,7 @@ def _reject_constant(name):
 
 
 RATES = ["--lambda-w", "0.3", "--lambda-b", "0.2", "--mu", "1"]
+TINY_RATES = ["--lambda-w=6.8e-308", "--lambda-b=8.6e-308", "--mu=6.2e-308"]
 BOUND = ["bound", "--lambda-w", "0.3", "--epsilon", "0.1"]
 CAMPAIGN = ("lambda_w = 0.3\nlambda_b = 0.2\nn_grid = 100,200\n"
             "trials_per_point = 10\nmaster_seed = 1\n")
@@ -123,6 +124,14 @@ def test_detect_empty_file_exits_3(tmp_path, capsys):
 def test_detect_missing_file_exits_3(capsys):
     code, _, _ = run_cli(capsys, "detect", *RATES, "/nonexistent/seq.txt")
     assert code == 3
+
+
+def test_schemas_are_valid():
+    refs = [ref for ref in (resources.files("covertq") / "schemas").iterdir()
+            if ref.name.endswith(".schema.json")]
+    assert refs
+    for ref in refs:
+        jsonschema.Draft202012Validator.check_schema(json.loads(ref.read_text()))
 
 
 def test_exponent_json_schema_and_self_check(capsys):
@@ -363,15 +372,22 @@ def test_shared_parser_parses_as_a_fresh_one(capsys):
     ([*BOUND, "--alpha", "200", "--n-values", "10,100"], 4),
     # Cephes binomial tails are NaN from N = 2**31 on
     (["sweep", *RATES, "--n", "3000000000", "--thresholds=0"], 4),
+    # simulated times past the float64 range
+    (["sweep", *TINY_RATES, "--n=26", "--thresholds=0", "--trials=26", "--seed=26"], 4),
+    (["simulate", *TINY_RATES, "--n=26", "--hyp=h0", "--seed=1"], 4),
+    # a sequence file that is not UTF-8
+    (["detect", *RATES, "latin1.txt"], 3),
 ])
 @pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
 def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "good.cfg").write_text(CAMPAIGN)
+    (tmp_path / "latin1.txt").write_bytes(b"\xff\xfe")
     got, out, err = run_cli_exit(capsys, *argv)
     assert got == code, err
     assert out == ""
     assert "Traceback" not in err
+    assert code != 3 or err.startswith("error: ")
     assert code != 4 or err.startswith("numeric failure: ")
 
 
@@ -516,7 +532,7 @@ import covertq, covertq.cli
 HEAVY = ("numpy", "scipy", "concurrent.futures")
 RATES = {RATES!r}
 BOUND = {BOUND!r}
-assert len(covertq.__all__) == 34 and set(covertq.__all__) <= set(dir(covertq))
+assert len(covertq.__all__) == 33 and set(covertq.__all__) <= set(dir(covertq))
 assert not any(m in sys.modules for m in HEAVY), "import covertq"
 calls = [
     (["exponent", *RATES], 0),
@@ -595,19 +611,24 @@ def fuzz_argv(draw):
     return argv + maybe("--output=csv")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(fuzz_argv())
-@pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
-def test_fuzzed_exponent_and_bound_exit_cleanly(argv):
+def run_fuzzed(argv):
+    """cli.main(argv) -> (code, stdout, stderr); exit code and stderr checked."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
-    out = out.getvalue()
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fuzz_argv())
+@pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
+def test_fuzzed_exponent_and_bound_exit_cleanly(argv):
+    code, out, _ = run_fuzzed(argv)
     # a failed --self-check is the one nonzero exit that prints its report first
     assert code == 0 or out == "" or "--self-check" in argv
     if out and argv[-1] == "--output=csv":
@@ -615,3 +636,95 @@ def test_fuzzed_exponent_and_bound_exit_cleanly(argv):
             assert all(math.isfinite(float(field)) for field in line.split(",")), out
     elif out:
         json.loads(out, parse_constant=_reject_constant)
+
+
+# The simulating commands.  Half the calls draw only usable values, so they
+# reach the simulator, the detector or the campaign; the rest draw every
+# value from a wide range.  Every N that reaches the simulator is at most 1e4
+# and every trial count at most 200, so an example costs milliseconds.
+SIM_N = st.one_of(st.integers(1, 50), st.integers(1, 10**4))
+SEEDS = st.one_of(st.integers(0, 100), st.integers(2**62, 2**70))
+USABLE = {
+    "rate": st.floats(1e-3, 10.0), "gamma": st.floats(-5.0, 5.0), "n": SIM_N,
+    "exact_n": st.integers(1, 10**6), "trials": st.integers(1, 200), "seed": SEEDS,
+    "bool": st.sampled_from(["true", "No", "0"]),
+    "sequence": st.text("01", min_size=1, max_size=64).map(lambda t: f"{t}\n".encode()),
+}
+WIDE = {
+    "rate": FLOATS, "gamma": FLOATS, "n": st.integers(-2, 10**4), "exact_n": N_VALUES,
+    "trials": st.integers(-2, 200), "seed": st.one_of(st.integers(-2, 0), SEEDS),
+    "bool": st.sampled_from(["true", "maybe"]),
+    "sequence": st.one_of(st.text("01\n\r ", max_size=64).map(str.encode),
+                          st.binary(max_size=16)),
+}
+
+
+@st.composite
+def fuzz_sim_argv(draw, tmp):
+    """(argv, campaign result path or None) for simulate, detect, sweep or campaign."""
+    values = USABLE if draw(st.booleans()) else WIDE
+
+    def pick(kind):
+        return draw(values[kind])
+
+    def maybe(*args):
+        return list(args) if draw(st.booleans()) else []
+
+    rates = [f"--lambda-w={pick('rate')}", f"--lambda-b={pick('rate')}",
+             *maybe(f"--mu={pick('rate')}")]
+    command = draw(st.sampled_from(["simulate", "detect", "sweep", "campaign"]))
+    if command == "simulate":
+        out = draw(st.sampled_from(["-", str(tmp / "seq.txt")]))
+        hyp = draw(st.sampled_from(["h0", "h1"]))
+        return ["simulate", *rates, f"--n={pick('n')}", f"--hyp={hyp}", f"--seed={pick('seed')}",
+                *maybe(f"--stream-id={pick('seed')}"), f"--out={out}"], None
+    if command == "detect":
+        seq = tmp / "seq.txt"
+        seq.write_bytes(pick("sequence"))
+        return ["detect", *rates, *maybe(f"--threshold={pick('gamma')}"), str(seq)], None
+    if command == "sweep":
+        gammas = draw(st.lists(values["gamma"], min_size=1, max_size=3))
+        argv = ["sweep", *rates, f"--thresholds={','.join(map(str, gammas))}"]
+        if draw(st.booleans()):
+            argv += [f"--n={pick('n')}", f"--trials={pick('trials')}", f"--seed={pick('seed')}"]
+        else:
+            argv += [f"--n={pick('exact_n')}"]
+        return argv + maybe("--output=csv"), None
+    keys = {
+        "lambda_w": pick("rate"), "lambda_b": pick("rate"), "mu": pick("rate"),
+        "n_grid": ",".join(map(str, sorted(draw(st.lists(values["n"], min_size=1,
+                                                         max_size=3, unique=True))))),
+        "trials_per_point": pick("trials"), "threshold": pick("gamma"),
+        "master_seed": pick("seed"), "stream_id": pick("seed"),
+        "use_exact_when_feasible": pick("bool"),
+    }
+    if values is WIDE and draw(st.booleans()):
+        del keys[draw(st.sampled_from(sorted(keys)))]
+    cfg = tmp / "campaign.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    threads = draw(st.sampled_from([1, 2]))
+    argv = ["campaign", str(cfg), f"--out={tmp / 'r'}", f"--threads={threads}"]
+    return argv, tmp / "r.json"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+@pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
+def test_fuzzed_simulating_commands_exit_cleanly(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    argv, result = data.draw(fuzz_sim_argv(tmp))
+    code, out, _ = run_fuzzed(argv)
+    if code != 0:
+        assert out == ""
+        assert result is None or not result.exists()
+    elif argv[0] == "simulate":
+        assert set(out.strip()) <= {"0", "1"}
+    elif argv[0] == "campaign":
+        doc = json.loads(result.read_text(), parse_constant=_reject_constant)
+        jsonschema.validate(doc, schema("campaign_result"))
+    elif argv[-1] == "--output=csv":
+        for line in out.splitlines()[1:]:
+            assert all(math.isfinite(float(field)) for field in line.split(",")), out
+    else:
+        doc = json.loads(out, parse_constant=_reject_constant)
+        jsonschema.validate(doc, schema("llr_result" if argv[0] == "detect" else "sweep"))

@@ -1,14 +1,12 @@
 import json
+from importlib import resources
 
+import jsonschema
 import pytest
 
 from covertq.detect import exact_error_probabilities
 from covertq.experiment import (
     CampaignConfig,
-    ResultParseError,
-    ResultVersionError,
-    load,
-    persist,
     result_to_json,
     rows_to_csv,
     run_campaign,
@@ -149,17 +147,7 @@ def test_mc_sweep_requires_seed():
         threshold_sweep(PARAMS, 20, [0.0], trials=100)
 
 
-def test_persist_round_trip(tmp_path):
-    result = exact_campaign([100, 200, 300])
-    path = tmp_path / "result.json"
-    persist(result, path)
-    again = load(path)
-    assert again.rows == result.rows
-    assert again.fitted_slope_e == result.fitted_slope_e
-    assert again.exponent_ref == result.exponent_ref
-
-
-def test_persist_round_trips_config(tmp_path):
+def test_result_file_is_what_the_schema_defines():
     cfg = CampaignConfig(
         params=PARAMS,
         n_grid=(20, 40, 60),
@@ -167,38 +155,18 @@ def test_persist_round_trips_config(tmp_path):
         threshold=0.25,
         master_seed=RngSeed(31, 4),
         use_exact_when_feasible=False,
-        workers=1,
     )
-    path = tmp_path / "result.json"
-    persist(run_campaign(cfg), path)
-    assert load(path).config == cfg
-
-
-def test_load_missing_field_named(tmp_path):
-    result = exact_campaign([100, 200, 300])
-    doc = json.loads(result_to_json(result))
+    ref = resources.files("covertq") / "schemas" / "campaign_result.schema.json"
+    validator = jsonschema.Draft202012Validator(json.loads(ref.read_text()))
+    text = result_to_json(run_campaign(cfg))
+    doc = json.loads(text)
+    validator.validate(doc)
+    assert doc["config"] == cfg.to_dict()
     del doc["rows"][1]["p_m"]
-    path = tmp_path / "broken.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ResultParseError, match="p_m"):
-        load(path)
-
-
-def test_load_version_mismatch(tmp_path):
-    result = exact_campaign([100, 200, 300])
-    doc = json.loads(result_to_json(result))
+    assert not validator.is_valid(doc)
+    doc = json.loads(text)
     doc["version"] = 99
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ResultVersionError):
-        load(path)
-
-
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "garbage.json"
-    path.write_text("not json {")
-    with pytest.raises(ResultParseError):
-        load(path)
+    assert not validator.is_valid(doc)
 
 
 def test_rows_csv_columns():

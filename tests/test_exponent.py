@@ -11,10 +11,9 @@ from covertq.exponent import (
     i_err_numeric,
     i_err_taylor,
     r_of_u,
-    stationarity_residual,
     v_closed_form,
 )
-from covertq.model import Hypothesis, ModelParams
+from covertq.model import Hypothesis, ModelParams, _tilt, json_text
 from oracles import (
     big_f,
     chernoff_information,
@@ -81,10 +80,11 @@ def test_v_closed_form_hand_value():
     assert v_closed_form(PARAMS) == pytest.approx(0.490653, abs=1e-6)
 
 
-def test_v_stationarity_residual():
+def test_v_closed_form_is_the_zero_of_dr_du():
     for params in GRID:
         v = v_closed_form(params)
-        assert abs(stationarity_residual(params, v)) < 1e-10
+        tilt = _tilt(params.lambda_w, params.lambda_b, params.mu)
+        assert abs(exponent._dr_du(tilt, v)) < 1e-10
 
 
 def test_v_limit_is_half():
@@ -270,7 +270,7 @@ def test_exponent_report_fields():
 def test_exponent_report_json():
     import json
 
-    rec = json.loads(exponent_report(PARAMS).to_json())
+    rec = json.loads(json_text(exponent_report(PARAMS).to_dict()))
     assert set(rec) == {
         "v_closed", "v_numeric", "i_err_closed", "i_err_numeric",
         "i_err_taylor", "A", "B", "C", "D", "a", "b", "c",

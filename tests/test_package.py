@@ -14,7 +14,7 @@ PUBLIC = (
     "KFunction", "LlrResult", "ModelParams", "ObservationSequence",
     "RngSeed", "UnstableRegimeWarning", "covertness_check", "decide",
     "exact_error_probabilities", "exponent_report", "i_err_closed", "i_err_numeric",
-    "i_err_taylor", "load", "log_likelihood_ratio", "max_covert_rate",
+    "i_err_taylor", "log_likelihood_ratio", "max_covert_rate",
     "monte_carlo_error", "persist", "r_of_u", "run_campaign", "scaling_table",
     "scaling_table_csv", "simulate_sequence", "simulate_sequence_batch",
     "threshold_sweep", "v_closed_form",
