@@ -19,7 +19,7 @@ result = run_campaign(cfg)
 
 print("n      p_f          p_m          p_e")
 for row in result.rows[::4]:
-    print(f"{row.n:<6d} {row.p_f:.6e} {row.p_m:.6e} {row.p_e:.6e}")
+    print(f"{row['n']:<6d} {row['p_f']:.6e} {row['p_m']:.6e} {row['p_e']:.6e}")
 
 i_err = i_err_closed(params)
 print()

@@ -19,9 +19,9 @@ for u in np.linspace(0.0, 1.0, 11):
     print(f"  u={u:.1f}  r={r_of_u(params, float(u)):.6f}  {bar}")
 
 print()
-print(f"minimizer   closed {rep.v_closed:.12f}   numeric {rep.v_numeric:.12f}")
-print(f"exponent    closed {rep.i_err_closed:.12f}   numeric {rep.i_err_numeric:.12f}")
-print(f"quadratic approx   {rep.i_err_taylor:.12f}")
+print(f"minimizer   closed {rep['v_closed']:.12f}   numeric {rep['v_numeric']:.12f}")
+print(f"exponent    closed {rep['i_err_closed']:.12f}   numeric {rep['i_err_numeric']:.12f}")
+print(f"quadratic approx   {rep['i_err_taylor']:.12f}")
 
 print()
 print("quadratic vs exact as lambda_b grows (lambda_w = 0.3):")

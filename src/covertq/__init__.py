@@ -19,8 +19,8 @@ _SUBMODULE = {name: module for module, names in {
                "log_likelihood_ratio", "monte_carlo_error"),
     "experiment": ("CampaignConfig", "ExperimentResult", "persist",
                    "run_campaign", "threshold_sweep"),
-    "exponent": ("ExponentReport", "exponent_report", "i_err_closed",
-                 "i_err_numeric", "i_err_taylor", "r_of_u", "v_closed_form"),
+    "exponent": ("exponent_report", "i_err_closed", "i_err_numeric",
+                 "i_err_taylor", "r_of_u", "v_closed_form"),
     "model": ("DegenerateModelError", "Hypothesis", "ModelParams",
               "UnstableRegimeWarning"),
     "sim": ("ObservationSequence", "RngSeed", "simulate_sequence",

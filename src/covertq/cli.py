@@ -190,16 +190,16 @@ def _cmd_detect(args) -> int:
 
 def _cmd_exponent(args) -> int:
     params = _params_from_args(args)
-    report = exponent.exponent_report(params)
-    _emit(args, report.to_dict(), lambda: csv_text(
+    rep = exponent.exponent_report(params)
+    _emit(args, rep, lambda: csv_text(
         ("lambda_w", "lambda_b", "mu", "v", "i_err_closed", "i_err_numeric",
          "i_err_taylor"),
-        [(params.lambda_w, params.lambda_b, params.mu, report.v_closed,
-          report.i_err_closed, report.i_err_numeric, report.i_err_taylor)],
+        [(params.lambda_w, params.lambda_b, params.mu, rep["v_closed"],
+          rep["i_err_closed"], rep["i_err_numeric"], rep["i_err_taylor"])],
     ))
     if args.self_check:
-        if (abs(report.v_closed - report.v_numeric) > SELF_CHECK_TOL
-                or abs(report.i_err_closed - report.i_err_numeric) > SELF_CHECK_TOL):
+        if (abs(rep["v_closed"] - rep["v_numeric"]) > SELF_CHECK_TOL
+                or abs(rep["i_err_closed"] - rep["i_err_numeric"]) > SELF_CHECK_TOL):
             print("self-check failed: closed-form and numeric exponents disagree",
                   file=sys.stderr)
             return EXIT_NUMERIC

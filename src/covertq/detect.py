@@ -13,7 +13,7 @@ compare the simulator's per-trial idle counts with the same cut.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil, isfinite, isnan, sqrt
 
 import numpy as np
@@ -31,21 +31,22 @@ class LlrResult:
     threshold: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ErrorProbabilities:
+    """Error rates of one test; p_e = (p_f + p_m)/2, and exact rates have se 0."""
+
     p_f: float
     p_m: float
-    p_e: float
-    se_f: float | None = None
-    se_m: float | None = None
+    p_e: float = field(init=False)
+    se_f: float = 0.0
+    se_m: float = 0.0
     trials: int | None = None
 
     def __post_init__(self):
-        for name, v in (("p_f", self.p_f), ("p_m", self.p_m), ("p_e", self.p_e)):
+        for name, v in (("p_f", self.p_f), ("p_m", self.p_m)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0,1]")
-        if abs(self.p_e - (self.p_f + self.p_m) / 2.0) > 1e-12:
-            raise ValueError("p_e must equal (p_f + p_m)/2")
+        object.__setattr__(self, "p_e", (self.p_f + self.p_m) / 2.0)
 
 
 def _llr(k, n: int, c_idle: float, c_busy: float):
@@ -119,7 +120,7 @@ def exact_error_probabilities(
             raise NonFiniteError(f"binomial tail is NaN at n={n}")
     else:  # one tail is empty and the other full; bdtr(-1, ...) is NaN
         p_f, p_m = (0.0, 1.0) if k == 0 else (1.0, 0.0)
-    return ErrorProbabilities(p_f=p_f, p_m=p_m, p_e=(p_f + p_m) / 2.0)
+    return ErrorProbabilities(p_f=p_f, p_m=p_m)
 
 
 def monte_carlo_error(
@@ -166,17 +167,12 @@ def monte_carlo_error(
             results = list(pool.map(run, jobs))
     else:
         results = [run(j) for j in jobs]
-    errors = {Hypothesis.H0: 0, Hypothesis.H1: 0}
-    for hyp, count in results:
-        errors[hyp] += count
-    p_f = errors[Hypothesis.H0] / trials
-    p_m = errors[Hypothesis.H1] / trials
+    p_f = sum(count for hyp, count in results if hyp is Hypothesis.H0) / trials
+    p_m = sum(count for hyp, count in results if hyp is Hypothesis.H1) / trials
     return ErrorProbabilities(
         p_f=p_f,
         p_m=p_m,
-        p_e=(p_f + p_m) / 2.0,
         se_f=sqrt(p_f * (1.0 - p_f) / trials),
         se_m=sqrt(p_m * (1.0 - p_m) / trials),
         trials=trials,
     )
-

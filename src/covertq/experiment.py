@@ -15,7 +15,7 @@ from math import isfinite
 import numpy as np
 
 from .detect import exact_error_probabilities, monte_carlo_error
-from .exponent import ExponentReport, exponent_report
+from .exponent import exponent_report
 from .model import ModelParams, csv_text, json_text
 from .sim import RngSeed
 
@@ -114,25 +114,12 @@ class CampaignConfig:
 
 
 @dataclass
-class CampaignRow:
-    n: int
-    p_f: float
-    p_m: float
-    p_e: float
-    se_f: float
-    se_m: float
-    trials: int
-    seed: int
-    method: str  # 'exact' or 'mc'
-
-
-@dataclass
 class ExperimentResult:
-    rows: list[CampaignRow]
+    rows: list[dict]  # keyed like the result file's rows
     fitted_slope_f: float | None
     fitted_slope_m: float | None
     fitted_slope_e: float | None
-    exponent_ref: ExponentReport | None
+    exponent_ref: dict | None  # exponent_report(params), or None at lambda_b = 0
     config: CampaignConfig
 
 
@@ -163,21 +150,20 @@ def run_campaign(cfg: CampaignConfig) -> ExperimentResult:
                 cfg.params, n, cfg.threshold, cfg.trials_per_point,
                 cfg.master_seed.with_stream(stream), workers=cfg.workers,
             )
-        # exact rows carry no standard error (se_f, se_m are None)
-        rows.append(CampaignRow(
-            n=n, p_f=ep.p_f, p_m=ep.p_m, p_e=ep.p_e,
-            se_f=ep.se_f or 0.0, se_m=ep.se_m or 0.0,
-            trials=cfg.trials_per_point, seed=stream,
-            method="exact" if exact_ok else "mc",
-        ))
+        rows.append({
+            "n": n, "p_f": ep.p_f, "p_m": ep.p_m, "p_e": ep.p_e,
+            "se_f": ep.se_f, "se_m": ep.se_m,
+            "trials": cfg.trials_per_point, "seed": stream,
+            "method": "exact" if exact_ok else "mc",
+        })
 
-    ns = np.array([r.n for r in rows], dtype=float)
+    ns = np.array([r["n"] for r in rows], dtype=float)
     # Exact rows are reliable down to tiny probabilities; Monte Carlo rows
     # only down to ~10 observed errors.
     floor = 0.0 if exact_ok else 10.0 / cfg.trials_per_point
-    slope_f = _fit_slope(ns, np.array([r.p_f for r in rows]), floor)
-    slope_m = _fit_slope(ns, np.array([r.p_m for r in rows]), floor)
-    slope_e = _fit_slope(ns, np.array([r.p_e for r in rows]), floor)
+    slope_f = _fit_slope(ns, np.array([r["p_f"] for r in rows]), floor)
+    slope_m = _fit_slope(ns, np.array([r["p_m"] for r in rows]), floor)
+    slope_e = _fit_slope(ns, np.array([r["p_e"] for r in rows]), floor)
     ref = exponent_report(cfg.params) if cfg.params.lambda_b > 0 else None
     return ExperimentResult(
         rows=rows,
@@ -215,21 +201,14 @@ def threshold_sweep(
 
 # --- persistence ----------------------------------------------------------
 
-_ROW_FIELDS = ("n", "p_f", "p_m", "p_e", "se_f", "se_m", "trials", "seed", "method")
-
-
 def result_to_json(result: ExperimentResult) -> str:
     doc = {
         "version": RESULT_FORMAT_VERSION,
-        "rows": [
-            {f: getattr(r, f) for f in _ROW_FIELDS} for r in result.rows
-        ],
+        "rows": result.rows,
         "fitted_slope_f": result.fitted_slope_f,
         "fitted_slope_m": result.fitted_slope_m,
         "fitted_slope_e": result.fitted_slope_e,
-        "exponent_ref": (
-            result.exponent_ref.to_dict() if result.exponent_ref is not None else None
-        ),
+        "exponent_ref": result.exponent_ref,
         "config": result.config.to_dict(),
     }
     return json_text(doc, indent=1)
@@ -242,5 +221,6 @@ def persist(result: ExperimentResult, path) -> None:
 
 
 def rows_to_csv(result: ExperimentResult) -> str:
-    header = _ROW_FIELDS[:7]  # n .. trials; seed and method are JSON-only
-    return csv_text(header, [[getattr(r, f) for f in header] for r in result.rows])
+    # seed and method are JSON-only
+    header = ("n", "p_f", "p_m", "p_e", "se_f", "se_m", "trials")
+    return csv_text(header, [[r[f] for f in header] for r in result.rows])

@@ -16,7 +16,6 @@ the log1p tilt core shared with the LLR (`model._tilt`), never r(u) itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import exp, expm1, log, log1p
 
 from .model import ModelParams, _tilt
@@ -27,31 +26,6 @@ SMALL_LAMBDA_B_RATIO = 1e-7
 
 # Width of the final bracket around the numeric minimizer.
 V_NUMERIC_TOL = 1e-10
-
-
-_SCALAR_FIELDS = (
-    "v_closed", "v_numeric", "i_err_closed", "i_err_numeric", "i_err_taylor"
-)
-
-
-@dataclass(frozen=True)
-class ExponentReport:
-    """Every exponent quantity for one parameter point, side by side."""
-
-    v_closed: float
-    v_numeric: float
-    i_err_closed: float
-    i_err_numeric: float
-    i_err_taylor: float
-    abcd: tuple[float, float, float, float]
-    abc_small: tuple[float, float, float]
-
-    def to_dict(self) -> dict:
-        """Flat record; abcd and abc_small spread to keys A-D and a-c."""
-        rec = {f: getattr(self, f) for f in _SCALAR_FIELDS}
-        rec.update(zip("ABCD", self.abcd))
-        rec.update(zip("abc", self.abc_small))
-        return rec
 
 
 def _r_minus_one(tilt: tuple[float, float, float], u: float) -> float:
@@ -148,19 +122,19 @@ def i_err_taylor(params: ModelParams) -> float:
     return lb * lb / (8.0 * lw * (lw + 1.0) ** 2)
 
 
-def exponent_report(params: ModelParams) -> ExponentReport:
-    """Compute every exponent quantity for one parameter point."""
+def exponent_report(params: ModelParams) -> dict:
+    """Every exponent quantity for one point, keyed as exponent_report.schema.json keys it."""
     if params.lambda_b > 0:
         v_closed = v_closed_form(params)
         v_num, i_num = i_err_numeric(params)
     else:
         v_closed, v_num, i_num = 0.5, 0.5, 0.0
-    return ExponentReport(
-        v_closed=v_closed,
-        v_numeric=v_num,
-        i_err_closed=i_err_closed(params),
-        i_err_numeric=i_num,
-        i_err_taylor=i_err_taylor(params),
-        abcd=abcd_coefficients(params),
-        abc_small=abc_small(params),
-    )
+    return {
+        "v_closed": v_closed,
+        "v_numeric": v_num,
+        "i_err_closed": i_err_closed(params),
+        "i_err_numeric": i_num,
+        "i_err_taylor": i_err_taylor(params),
+        **dict(zip("ABCD", abcd_coefficients(params))),
+        **dict(zip("abc", abc_small(params))),
+    }

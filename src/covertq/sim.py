@@ -199,13 +199,16 @@ def simulate_sequence(
     _check_lengths(n, burn_in)
     total = n + burn_in
     rng = seed.generator()
-    times = np.cumsum(rng.exponential(1.0 / _arrival_rate(params, hyp), size=total))
-    services = rng.exponential(1.0 / params.mu, size=total)
-    if not math.isfinite(times[-1] + services.max()):
-        raise NonFiniteError(_OVERFLOW)
+    with np.errstate(over="ignore"):  # an overflow is reported as NonFiniteError
+        times = np.cumsum(rng.exponential(1.0 / _arrival_rate(params, hyp), size=total))
+        services = rng.exponential(1.0 / params.mu, size=total)
+        if not math.isfinite(times[-1] + services.max()):
+            raise NonFiniteError(_OVERFLOW)
     return ObservationSequence(_busy_bits_segmented(times, services)[burn_in:])
 
 
+# overflow raises NonFiniteError below; errstate is thread-local, so set it per call
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_sequence_batch(
     params: ModelParams,
     hyp: Hypothesis,

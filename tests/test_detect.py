@@ -7,6 +7,7 @@ import pytest
 
 from covertq.detect import (
     DegenerateModelError,
+    ErrorProbabilities,
     _cut,
     _llr,
     decide,
@@ -89,6 +90,19 @@ def test_exact_single_sample():
     ep = exact_error_probabilities(PARAMS, 1)
     assert ep.p_f == pytest.approx(1 - 1 / 1.3, abs=1e-12)
     assert ep.p_m == pytest.approx(2 / 3, abs=1e-12)
+
+
+def test_error_probabilities_derive_p_e():
+    ep = exact_error_probabilities(PARAMS, 1)
+    assert ep.p_e == (ep.p_f + ep.p_m) / 2.0
+    assert (ep.se_f, ep.se_m, ep.trials) == (0.0, 0.0, None)
+    assert "p_e=" in repr(ep)
+    with pytest.raises(TypeError):
+        ErrorProbabilities(0.25, 0.75, 0.5)  # keyword-only: no p_e can land in se_f
+    with pytest.raises(TypeError):
+        ErrorProbabilities(p_f=0.25, p_m=0.75, p_e=0.5)
+    with pytest.raises(ValueError, match="p_m=1.5 outside"):
+        ErrorProbabilities(p_f=0.25, p_m=1.5)
 
 
 @pytest.mark.parametrize("lambda_b", [1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.2])

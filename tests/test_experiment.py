@@ -49,10 +49,10 @@ def test_degenerate_campaign_is_flat_at_half():
         )
     )
     for row in result.rows:
-        assert row.method == "mc"
-        assert row.p_f == 0.0
-        assert row.p_m == 1.0
-        assert row.p_e == 0.5
+        assert row["method"] == "mc"
+        assert row["p_f"] == 0.0
+        assert row["p_m"] == 1.0
+        assert row["p_e"] == 0.5
     assert result.fitted_slope_e == pytest.approx(0.0, abs=1e-12)
     assert result.exponent_ref is None
 
@@ -60,10 +60,11 @@ def test_degenerate_campaign_is_flat_at_half():
 def test_exact_campaign_rows_match_oracle():
     result = exact_campaign([50, 100, 150])
     for row in result.rows:
-        ep = exact_error_probabilities(PARAMS, row.n)
-        assert row.p_f == ep.p_f
-        assert row.p_m == ep.p_m
-        assert row.method == "exact"
+        ep = exact_error_probabilities(PARAMS, row["n"])
+        assert row["p_f"] == ep.p_f
+        assert row["p_m"] == ep.p_m
+        assert (row["se_f"], row["se_m"]) == (0.0, 0.0)
+        assert row["method"] == "exact"
 
 
 def test_decay_slope_approaches_exponent():
@@ -97,9 +98,9 @@ def test_mc_campaign_agrees_with_exact_everywhere():
     )
     result = run_campaign(cfg)
     for row in result.rows:
-        ep = exact_error_probabilities(PARAMS, row.n)
-        assert abs(row.p_f - ep.p_f) < 4 * max(row.se_f, 1e-9)
-        assert abs(row.p_m - ep.p_m) < 4 * max(row.se_m, 1e-9)
+        ep = exact_error_probabilities(PARAMS, row["n"])
+        assert abs(row["p_f"] - ep.p_f) < 4 * max(row["se_f"], 1e-9)
+        assert abs(row["p_m"] - ep.p_m) < 4 * max(row["se_m"], 1e-9)
 
 
 def test_mc_campaign_reproducible_across_workers():
@@ -167,6 +168,19 @@ def test_result_file_is_what_the_schema_defines():
     doc = json.loads(text)
     doc["version"] = 99
     assert not validator.is_valid(doc)
+    for key in ("config", "exponent_ref"):
+        doc = json.loads(text)
+        del doc[key]
+        assert not validator.is_valid(doc), key
+
+
+def test_result_schema_inlines_the_exponent_report_schema():
+    # inlined, not a $ref: a validator built from one file resolves no other
+    schemas = resources.files("covertq") / "schemas"
+    result = json.loads((schemas / "campaign_result.schema.json").read_text())
+    report = json.loads((schemas / "exponent_report.schema.json").read_text())
+    del report["$schema"]
+    assert result["properties"]["exponent_ref"] == {"anyOf": [{"type": "null"}, report]}
 
 
 def test_rows_csv_columns():

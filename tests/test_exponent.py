@@ -256,12 +256,13 @@ def test_finite_difference_checks(lw):
 
 def test_exponent_report_fields():
     rep = exponent_report(PARAMS)
-    assert rep.v_closed == pytest.approx(rep.v_numeric, abs=1e-8)
-    assert rep.i_err_closed >= 0
-    a, b, c, d = rep.abcd
+    assert rep["v_closed"] == pytest.approx(rep["v_numeric"], abs=1e-8)
+    assert rep["i_err_closed"] >= 0
+    a, b, c, d = (rep[k] for k in "ABCD")
     assert a + c == pytest.approx(1.0, abs=1e-15)
     assert a * b + c * d == pytest.approx(1.0, abs=1e-12)
-    small_a, small_b, small_c = rep.abc_small
+    assert (a, b, c, d) == abcd_coefficients(PARAMS)
+    small_a, small_b, small_c = (rep[k] for k in "abc")
     assert small_a == pytest.approx(0.5, abs=1e-15)
     assert small_b == pytest.approx(5 / 3, abs=1e-15)
     assert small_c == pytest.approx(13 / 15, abs=1e-15)
@@ -270,7 +271,7 @@ def test_exponent_report_fields():
 def test_exponent_report_json():
     import json
 
-    rec = json.loads(json_text(exponent_report(PARAMS).to_dict()))
+    rec = json.loads(json_text(exponent_report(PARAMS)))
     assert set(rec) == {
         "v_closed", "v_numeric", "i_err_closed", "i_err_numeric",
         "i_err_taylor", "A", "B", "C", "D", "a", "b", "c",
@@ -290,5 +291,5 @@ def test_report_runs_the_minimizer_once(monkeypatch, lambda_b):
     report = exponent_report(params)
     assert len(calls) == 1
     # i_err_closed reads the closed-form minimizer alone, at every lambda_b
-    assert report.i_err_closed == i_err_closed(params)
+    assert report["i_err_closed"] == i_err_closed(params)
     assert len(calls) == 1

@@ -10,7 +10,7 @@ from fresh import run_fresh
 
 PUBLIC = (
     "BoundResult", "CampaignConfig", "CovertnessSpec", "DegenerateModelError",
-    "ErrorProbabilities", "ExperimentResult", "ExponentReport", "Hypothesis",
+    "ErrorProbabilities", "ExperimentResult", "Hypothesis",
     "KFunction", "LlrResult", "ModelParams", "ObservationSequence",
     "RngSeed", "UnstableRegimeWarning", "covertness_check", "decide",
     "exact_error_probabilities", "exponent_report", "i_err_closed", "i_err_numeric",

@@ -123,6 +123,11 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
         # binomial tails past 2**31 trials, and a K(N) that underflows
         ["sweep", *RATES, "--n", "3000000000", "--thresholds=0"],
         [*BOUND, "--alpha", "200", "--n-values", "10,100"],
+        # simulated times past the float64 range
+        ["simulate", "--lambda-w=1e-307", "--lambda-b=1e-307", "--mu=1e-307", "--n=1000",
+         "--hyp", "h1", "--seed=1"],
+        ["sweep", "--lambda-w=6.8e-308", "--lambda-b=8.6e-308", "--mu=6.2e-308", "--n=26",
+         "--thresholds=0", "--trials=26", "--seed=26"],
         ["detect", *RATES, str(tmp / "absent.txt")],
         ["campaign", cfg["exact"], "--out", str(tmp / "threads"), "--threads", "0"],
         ["campaign", cfg["exact"], "--out", str(tmp / "threads"), "--threads", "-4"],
