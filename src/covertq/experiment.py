@@ -21,7 +21,10 @@ from .sim import RngSeed
 
 # 2: Monte Carlo rows come from the time-major simulator, whose draw order
 # differs from version 1 at the same seed.
-RESULT_FORMAT_VERSION = 2
+# 3: the Monte Carlo rows of a campaign are nested windows of one simulation
+# keyed on the longest window, so at the same seed only that row keeps its
+# version-2 value.
+RESULT_FORMAT_VERSION = 3
 
 _CONFIG_KEYS = ("lambda_w", "lambda_b", "mu", "n_grid", "trials_per_point",
                 "threshold", "master_seed", "stream_id", "use_exact_when_feasible")
@@ -66,6 +69,8 @@ class CampaignConfig:
             raise ValueError("trials_per_point must be positive")
         if not isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def to_dict(self) -> dict:
         """The `config` block of a result file.
@@ -124,9 +129,11 @@ class ExperimentResult:
 
 
 def _row_stream(master: RngSeed, n: int) -> int:
-    # Row streams keyed by n only, so extending the grid never perturbs
-    # existing rows.  The detect module offsets per hypothesis and block
-    # within a 2**24-wide window per row.
+    # Streams keyed by n only.  Every Monte Carlo row reads the one
+    # simulation keyed on the longest window, so a grid point added at or
+    # below it perturbs no other row; one added above it moves them all.
+    # The detect module offsets per hypothesis and block within a
+    # 2**24-wide window per stream.
     return master.stream_id + (n + 1) * 2**24
 
 
@@ -140,22 +147,20 @@ def _fit_slope(ns: np.ndarray, ps: np.ndarray, floor: float) -> float | None:
 def run_campaign(cfg: CampaignConfig) -> ExperimentResult:
     """Estimate error probabilities at every grid point and fit decay rates."""
     exact_ok = cfg.use_exact_when_feasible and cfg.params.lambda_b > 0
-    rows = []
-    for n in cfg.n_grid:
-        stream = _row_stream(cfg.master_seed, n)
-        if exact_ok:
-            ep = exact_error_probabilities(cfg.params, n, cfg.threshold)
-        else:
-            ep = monte_carlo_error(
-                cfg.params, n, cfg.threshold, cfg.trials_per_point,
-                cfg.master_seed.with_stream(stream), workers=cfg.workers,
-            )
-        rows.append({
-            "n": n, "p_f": ep.p_f, "p_m": ep.p_m, "p_e": ep.p_e,
-            "se_f": ep.se_f, "se_m": ep.se_m,
-            "trials": cfg.trials_per_point, "seed": stream,
-            "method": "exact" if exact_ok else "mc",
-        })
+    master = cfg.master_seed
+    if exact_ok:
+        streams = [_row_stream(master, n) for n in cfg.n_grid]
+        eps = [exact_error_probabilities(cfg.params, n, cfg.threshold) for n in cfg.n_grid]
+    else:  # one simulation, up to the longest window, serves every row
+        streams = [_row_stream(master, cfg.n_grid[-1])] * len(cfg.n_grid)
+        eps = monte_carlo_error(cfg.params, cfg.n_grid, cfg.threshold, cfg.trials_per_point,
+                                master.with_stream(streams[0]), workers=cfg.workers)
+    rows = [{
+        "n": n, "p_f": ep.p_f, "p_m": ep.p_m, "p_e": ep.p_e,
+        "se_f": ep.se_f, "se_m": ep.se_m,
+        "trials": cfg.trials_per_point, "seed": stream,
+        "method": "exact" if exact_ok else "mc",
+    } for n, ep, stream in zip(cfg.n_grid, eps, streams)]
 
     ns = np.array([r["n"] for r in rows], dtype=float)
     # Exact rows are reliable down to tiny probabilities; Monte Carlo rows
@@ -185,18 +190,16 @@ def threshold_sweep(
     """Error trade-off across detection thresholds.
 
     Exact binomial evaluation by default; pass `trials` (and a seed) for
-    the Monte Carlo path instead.
+    the Monte Carlo path instead, which simulates once for all thresholds.
     """
-    rows = []
-    for gamma in thresholds:
-        if trials is None:
-            ep = exact_error_probabilities(params, n, gamma)
-        else:
-            if seed is None:
-                raise ValueError("Monte Carlo sweep requires a seed")
-            ep = monte_carlo_error(params, n, gamma, trials, seed)
-        rows.append({"gamma": gamma, "p_f": ep.p_f, "p_m": ep.p_m, "p_e": ep.p_e})
-    return rows
+    if trials is None:
+        eps = [exact_error_probabilities(params, n, gamma) for gamma in thresholds]
+    elif seed is None:
+        raise ValueError("Monte Carlo sweep requires a seed")
+    else:  # one simulation per hypothesis block serves every threshold
+        eps = monte_carlo_error(params, n, tuple(thresholds), trials, seed)
+    return [{"gamma": gamma, "p_f": ep.p_f, "p_m": ep.p_m, "p_e": ep.p_e}
+            for gamma, ep in zip(thresholds, eps)]
 
 
 # --- persistence ----------------------------------------------------------

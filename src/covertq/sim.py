@@ -5,7 +5,8 @@ exponential inter-arrival and service samples.  The Bernoulli idle
 probabilities of :mod:`covertq.model` are deliberately not used here, so
 the simulator is an independent check on that reduction.  Monte Carlo
 batches run the same recursion time-major and keep only each trial's
-state and idle count, never an array of length n.  Each step of the
+state and running idle count, read at every requested window end, never
+an array of length n.  Each step of the
 batch works on whole contiguous rows of trials with no per-trial
 branch: the clock is summed row by row and the departure update is a
 max (see _busy_bits_batch), so the exponential draws take most of the
@@ -216,6 +217,7 @@ def simulate_sequence_batch(
     trials: int,
     seed: RngSeed,
     burn_in: int = DEFAULT_BURN_IN,
+    windows: tuple[int, ...] | None = None,
 ) -> np.ndarray:
     """Idle counts of `trials` independent n-arrival records, int64 (trials,).
 
@@ -225,10 +227,22 @@ def simulate_sequence_batch(
     so memory is O(trials) at any n.  Trial i does NOT reproduce
     simulate_sequence with any particular seed; the statistics are the
     same, which is what Monte Carlo needs.
+
+    `windows`, strictly increasing and ending at n, asks for the running
+    idle count of every trial after each window's first w observed
+    arrivals instead: an int64 (len(windows), trials) array whose rows
+    are nested prefixes of the same records.  The draws depend on n
+    alone, so the last row equals the single-window call bit for bit.
     """
     _check_lengths(n, burn_in)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    marks = (n,) if windows is None else tuple(windows)
+    if not marks or marks[0] < 1 or marks[-1] != n or any(
+            b <= a for a, b in zip(marks, marks[1:])):
+        raise ValueError(f"windows must increase strictly from >= 1 to n={n}, got {windows}")
+    out = np.empty((len(marks), trials), dtype=np.int64)
+    pending = 0  # index of the next window to record
     total = n + burn_in
     rng = seed.generator()
     gap_scale = 1.0 / _arrival_rate(params, hyp)
@@ -253,7 +267,15 @@ def simulate_sequence_batch(
         ends *= service_scale
         ends += times
         idle = _busy_bits_batch(times, ends, depart)
-        counts += np.count_nonzero(idle[max(burn_in - start, 0):], axis=0)
+        lo = max(burn_in - start, 0)
+        # split the chunk's count at every window end inside it
+        while pending < len(marks) and burn_in + marks[pending] <= start + size:
+            hi = burn_in + marks[pending] - start
+            counts += np.count_nonzero(idle[lo:hi], axis=0)
+            out[pending] = counts
+            lo, pending = hi, pending + 1
+        if lo < size:
+            counts += np.count_nonzero(idle[lo:], axis=0)
     if not np.isfinite(depart).all():  # a clock or service end overflowed
         raise NonFiniteError(_OVERFLOW)
-    return counts
+    return out[0] if windows is None else out

@@ -4,9 +4,11 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from covertq.detect import exact_error_probabilities
+from covertq import detect
+from covertq.detect import exact_error_probabilities, monte_carlo_error
 from covertq.experiment import (
     CampaignConfig,
+    _row_stream,
     result_to_json,
     rows_to_csv,
     run_campaign,
@@ -37,6 +39,9 @@ def test_config_validation():
         CampaignConfig(PARAMS, (100, 100), 100)
     with pytest.raises(ValueError):
         CampaignConfig(PARAMS, (100, 200), 0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            CampaignConfig(PARAMS, (100, 200), 100, workers=workers)
 
 
 def test_degenerate_campaign_is_flat_at_half():
@@ -116,6 +121,55 @@ def test_mc_campaign_reproducible_across_workers():
         return result_to_json(run_campaign(cfg))
 
     assert render(1) == render(4)
+
+
+def _count_simulations(monkeypatch):
+    calls = []
+    original = detect.simulate_sequence_batch
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(detect, "simulate_sequence_batch", counting)
+    return calls
+
+
+def mc_campaign(n_grid, master):
+    return run_campaign(CampaignConfig(params=PARAMS, n_grid=tuple(n_grid),
+                                       trials_per_point=600, master_seed=master,
+                                       use_exact_when_feasible=False, workers=2))
+
+
+def test_mc_campaign_rows_are_windows_of_the_longest_rows_simulation(monkeypatch):
+    master = RngSeed(41, 6)
+    calls = _count_simulations(monkeypatch)
+    rows = mc_campaign((30, 64, 65, 200), master).rows
+    # one block per hypothesis serves the whole grid
+    assert sorted(hyp.value for hyp in calls) == [0, 1]
+    stream = _row_stream(master, 200)
+    assert [r["seed"] for r in rows] == [stream] * 4
+    top = monte_carlo_error(PARAMS, 200, 0.0, 600, master.with_stream(stream))
+    assert (rows[-1]["p_f"], rows[-1]["p_m"]) == (top.p_f, top.p_m)
+    assert (rows[-1]["se_f"], rows[-1]["se_m"]) == (top.se_f, top.se_m)
+    # a grid point below the longest window moves no other row
+    keys = ("n", "p_f", "p_m", "se_f", "se_m", "seed")
+    inserted = [r for r in mc_campaign((30, 64, 65, 120, 200), master).rows
+                if r["n"] != 120]
+    assert [[r[k] for k in keys] for r in inserted] == [[r[k] for k in keys] for r in rows]
+
+
+def test_mc_sweep_simulates_once_for_all_thresholds(monkeypatch):
+    # two blocks per hypothesis, whatever the number of thresholds
+    monkeypatch.setattr(detect, "MC_BLOCK_SIZE", 200)
+    gammas, seed = [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0], RngSeed(13, 1)
+    calls = _count_simulations(monkeypatch)
+    rows = threshold_sweep(PARAMS, 70, gammas, trials=300, seed=seed)
+    assert len(calls) == 4
+    for gamma, row in zip(gammas, rows):
+        ep = monte_carlo_error(PARAMS, 70, gamma, 300, seed)
+        assert row == {"gamma": gamma, "p_f": ep.p_f, "p_m": ep.p_m, "p_e": ep.p_e}
+    assert len(calls) == 4 + 4 * len(gammas)
 
 
 def test_threshold_sweep_monotone_and_extreme():

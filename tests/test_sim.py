@@ -133,14 +133,29 @@ def _batch_draws(hyp, total, trials, seed):
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
 @pytest.mark.parametrize("burn_in", [0, 1, 70])
 def test_batch_counts_equal_the_scalar_recursion_on_the_same_draws(hyp, n, burn_in):
-    # run each trial through the scalar recursion over its whole stream
+    # run each trial through the scalar recursion over its whole stream;
+    # the windowed call also records the running count at window ends on,
+    # just before and just after a chunk boundary
     trials, seed = 9, RngSeed(43, 5)
     gaps, services = _batch_draws(hyp, n + burn_in, trials, seed)
-    expected = [n - scalar_busy_bits(np.cumsum(gaps[:, i]), services[:, i])[burn_in:].sum()
-                for i in range(trials)]
+    busy = np.array([scalar_busy_bits(np.cumsum(gaps[:, i]), services[:, i])[burn_in:]
+                     for i in range(trials)])
+    windows = tuple(w for w in (1, 2, 63, 64, 65, 130) if w < n) + (n,)
+    expected = [[w - busy[i, :w].sum() for i in range(trials)] for w in windows]
     got = simulate_sequence_batch(PARAMS, hyp, n, trials, seed, burn_in=burn_in)
     assert got.dtype == np.int64
-    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(got, expected[-1])
+    windowed = simulate_sequence_batch(PARAMS, hyp, n, trials, seed, burn_in=burn_in,
+                                       windows=windows)
+    assert windowed.dtype == np.int64
+    np.testing.assert_array_equal(windowed, expected)
+    assert windowed[-1].tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("windows", [(), (0, 10), (5, 5, 10), (10, 5), (5,), (5, 11)])
+def test_batch_windows_must_increase_to_n(windows):
+    with pytest.raises(ValueError, match="windows"):
+        simulate_sequence_batch(PARAMS, Hypothesis.H1, 10, 3, RngSeed(1), windows=windows)
 
 
 def test_batch_clock_is_one_cumsum_over_each_stream(monkeypatch):

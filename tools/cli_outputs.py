@@ -92,6 +92,8 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
         ["sweep", *RATES, "--n", "200", "--thresholds=-1,0,1", "--output", "csv"],
         ["sweep", *RATES, "--n", "50", "--thresholds=0", "--trials", "300",
          "--seed", "9", "--output", "csv"],
+        ["sweep", *RATES, "--n", "50", "--thresholds=-1,0,1", "--trials", "300",
+         "--seed", "1"],
     ]
     for name in GOOD_CONFIGS:
         calls.append(["campaign", cfg[name], "--out", str(tmp / name), "--threads", "1"])
