@@ -8,7 +8,7 @@ is one integer cut k* (`_cut`): H0 exactly when k >= k*.  Ties at the
 threshold decide H0 (the ">= gamma implies H0" orientation), which makes
 every error probability bit-exactly reproducible.  Monte Carlo blocks
 compare the simulator's per-trial idle counts with the same cut, every
-cut of a request on one simulation.
+window of a request on one simulation.
 """
 
 from __future__ import annotations
@@ -127,7 +127,7 @@ def exact_error_probabilities(
 def monte_carlo_error(
     params: ModelParams,
     n: int | tuple[int, ...],
-    threshold: float | tuple[float, ...],
+    threshold: float,
     trials: int,
     seed: RngSeed,
     workers: int = 1,
@@ -138,28 +138,25 @@ def monte_carlo_error(
     streams; integer error counts are summed in block order, so the result
     is bit-identical at any worker count.
 
-    `n` may be a strictly increasing tuple of windows and `threshold` a
-    tuple of thresholds.  Each block is then simulated once, up to the
-    longest window, and every cut is applied to its idle counts at each
-    window end; the result is a list with one ErrorProbabilities per
-    (n, threshold) pair, n-major.  The draws depend on the seed and the
-    longest window alone, so an entry at the longest window equals the
-    scalar call there, and a shorter window reads a prefix of the same
-    records: entries at different windows are positively correlated,
-    and each se is its own marginal standard error.
+    `n` may be a strictly increasing tuple of windows.  Each block is then
+    simulated once, up to the longest window, and each window's cut is
+    applied to its idle counts at that window's end; the result is a list
+    with one ErrorProbabilities per window.  The draws depend on the seed
+    and the longest window alone, so the last entry equals the scalar call
+    there, and a shorter window reads a prefix of the same records:
+    entries are positively correlated, and each se is its own marginal
+    standard error.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     windows = n if isinstance(n, tuple) else (n,)
-    thresholds = threshold if isinstance(threshold, tuple) else (threshold,)
-    if not windows or not thresholds:
-        raise ValueError("n and threshold must not be empty tuples")
-    for gamma in thresholds:
-        if not isfinite(gamma):
-            raise ValueError(f"threshold must be finite, got {gamma}")
-    cuts = [[_cut(w, params, gamma) for gamma in thresholds] for w in windows]
+    if not windows:
+        raise ValueError("n must not be an empty tuple")
+    cuts = np.array([_cut(w, params, threshold) for w in windows])[:, None]
     jobs = []
     for hyp in (Hypothesis.H0, Hypothesis.H1):
         done = 0
@@ -177,9 +174,8 @@ def monte_carlo_error(
         # the simulator streams each trial and returns only its idle counts
         # at the window ends; H0 errs below the cut, H1 at or above it
         hyp, bt, s = job
-        counts = np.sort(simulate_sequence_batch(params, hyp, windows[-1], bt, s,
-                                                 windows=windows), axis=1)
-        below = np.array([np.searchsorted(row, c) for row, c in zip(counts, cuts)])
+        counts = simulate_sequence_batch(params, hyp, windows[-1], bt, s, windows=windows)
+        below = np.count_nonzero(counts < cuts, axis=1)
         return hyp, below if hyp is Hypothesis.H0 else bt - below
 
     if workers > 1:
@@ -190,7 +186,7 @@ def monte_carlo_error(
     false_alarms = sum(count for hyp, count in results if hyp is Hypothesis.H0)
     misses = sum(count for hyp, count in results if hyp is Hypothesis.H1)
     out = []
-    for f, m in zip(false_alarms.flat, misses.flat):
+    for f, m in zip(false_alarms, misses):
         p_f, p_m = int(f) / trials, int(m) / trials
         out.append(ErrorProbabilities(
             p_f=p_f,
@@ -199,4 +195,4 @@ def monte_carlo_error(
             se_m=sqrt(p_m * (1.0 - p_m) / trials),
             trials=trials,
         ))
-    return out if isinstance(n, tuple) or isinstance(threshold, tuple) else out[0]
+    return out if isinstance(n, tuple) else out[0]

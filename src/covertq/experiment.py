@@ -190,16 +190,18 @@ def threshold_sweep(
     """Error trade-off across detection thresholds.
 
     Exact binomial evaluation by default; pass `trials` (and a seed) for
-    the Monte Carlo path instead, which simulates once for all thresholds.
+    the Monte Carlo path instead.
     """
-    if trials is None:
-        eps = [exact_error_probabilities(params, n, gamma) for gamma in thresholds]
-    elif seed is None:
-        raise ValueError("Monte Carlo sweep requires a seed")
-    else:  # one simulation per hypothesis block serves every threshold
-        eps = monte_carlo_error(params, n, tuple(thresholds), trials, seed)
-    return [{"gamma": gamma, "p_f": ep.p_f, "p_m": ep.p_m, "p_e": ep.p_e}
-            for gamma, ep in zip(thresholds, eps)]
+    rows = []
+    for gamma in thresholds:
+        if trials is None:
+            ep = exact_error_probabilities(params, n, gamma)
+        else:
+            if seed is None:
+                raise ValueError("Monte Carlo sweep requires a seed")
+            ep = monte_carlo_error(params, n, gamma, trials, seed)
+        rows.append({"gamma": gamma, "p_f": ep.p_f, "p_m": ep.p_m, "p_e": ep.p_e})
+    return rows
 
 
 # --- persistence ----------------------------------------------------------

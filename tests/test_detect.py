@@ -281,43 +281,39 @@ def test_monte_carlo_error_counts_are_pinned(n, false_alarms, misses):
     assert (mc.p_f, mc.p_m) == (false_alarms / trials, misses / trials)
 
 
-def test_monte_carlo_grid_reads_every_cut_off_one_simulation(monkeypatch):
+def test_monte_carlo_windows_read_every_cut_off_one_simulation(monkeypatch):
     # three blocks per hypothesis; each block's idle counts at the window
     # ends come from one windowed simulation, cut here by hand
     monkeypatch.setattr(detect, "MC_BLOCK_SIZE", 256)
-    windows, gammas, trials, seed = (12, 63, 64, 65), (-1.0, 0.0, 1.5), 700, RngSeed(31, 2)
-    grid = monte_carlo_error(PARAMS, windows, gammas, trials, seed)
-    errors = np.zeros((2, len(windows), len(gammas)), dtype=np.int64)
+    windows, gamma, trials, seed = (12, 63, 64, 65), 0.5, 700, RngSeed(31, 2)
+    grid = monte_carlo_error(PARAMS, windows, gamma, trials, seed)
+    errors = np.zeros((2, len(windows)), dtype=np.int64)
     for hyp in Hypothesis:
         for block, bt in enumerate((256, 256, 188)):
             s = seed.with_stream(seed.stream_id + 1 + hyp.value * 2**20 + 2 * block)
             counts = simulate_sequence_batch(PARAMS, hyp, 65, bt, s, windows=windows)
             for i, w in enumerate(windows):
-                for j, gamma in enumerate(gammas):
-                    below = np.count_nonzero(counts[i] < _cut(w, PARAMS, gamma))
-                    errors[hyp.value, i, j] += below if hyp is Hypothesis.H0 else bt - below
+                below = np.count_nonzero(counts[i] < _cut(w, PARAMS, gamma))
+                errors[hyp.value, i] += below if hyp is Hypothesis.H0 else bt - below
     expected = [ErrorProbabilities(p_f=f / trials, p_m=m / trials,
                                    se_f=sqrt(f / trials * (1 - f / trials) / trials),
                                    se_m=sqrt(m / trials * (1 - m / trials) / trials),
                                    trials=trials)
-                for f, m in zip(errors[0].flat, errors[1].flat)]
+                for f, m in zip(errors[0], errors[1])]
     assert grid == expected
-    # the longest window is the scalar call's simulation, at every threshold
-    assert grid[-3:] == [monte_carlo_error(PARAMS, 65, g, trials, seed) for g in gammas]
-    assert monte_carlo_error(PARAMS, windows, gammas, trials, seed, workers=3) == grid
+    # the longest window is the scalar call's simulation
+    assert grid[-1] == monte_carlo_error(PARAMS, 65, gamma, trials, seed)
+    assert monte_carlo_error(PARAMS, windows, gamma, trials, seed, workers=3) == grid
 
 
 def test_monte_carlo_error_shapes_follow_the_arguments():
     one = monte_carlo_error(PARAMS, 20, 0.0, 50, RngSeed(3))
     assert isinstance(one, ErrorProbabilities)
     assert monte_carlo_error(PARAMS, (20,), 0.0, 50, RngSeed(3)) == [one]
-    assert monte_carlo_error(PARAMS, 20, (0.0,), 50, RngSeed(3)) == [one]
-    assert len(monte_carlo_error(PARAMS, (10, 20), (0.0, 1.0, 2.0), 50, RngSeed(3))) == 6
-    for n, threshold in (((), 0.0), (20, ()), ((20, 10), 0.0)):
+    assert len(monte_carlo_error(PARAMS, (5, 10, 20), 0.0, 50, RngSeed(3))) == 3
+    for n in ((), (20, 10), (10, 10)):
         with pytest.raises(ValueError):
-            monte_carlo_error(PARAMS, n, threshold, 50, RngSeed(3))
-    with pytest.raises(ValueError, match="threshold"):
-        monte_carlo_error(PARAMS, 20, (0.0, float("nan")), 50, RngSeed(3))
+            monte_carlo_error(PARAMS, n, 0.0, 50, RngSeed(3))
 
 
 @pytest.mark.parametrize("workers", [0, -3])

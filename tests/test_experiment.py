@@ -159,17 +159,9 @@ def test_mc_campaign_rows_are_windows_of_the_longest_rows_simulation(monkeypatch
     assert [[r[k] for k in keys] for r in inserted] == [[r[k] for k in keys] for r in rows]
 
 
-def test_mc_sweep_simulates_once_for_all_thresholds(monkeypatch):
-    # two blocks per hypothesis, whatever the number of thresholds
-    monkeypatch.setattr(detect, "MC_BLOCK_SIZE", 200)
-    gammas, seed = [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0], RngSeed(13, 1)
-    calls = _count_simulations(monkeypatch)
-    rows = threshold_sweep(PARAMS, 70, gammas, trials=300, seed=seed)
-    assert len(calls) == 4
-    for gamma, row in zip(gammas, rows):
-        ep = monte_carlo_error(PARAMS, 70, gamma, 300, seed)
-        assert row == {"gamma": gamma, "p_f": ep.p_f, "p_m": ep.p_m, "p_e": ep.p_e}
-    assert len(calls) == 4 + 4 * len(gammas)
+def test_empty_sweep_is_empty_on_both_paths():
+    assert threshold_sweep(PARAMS, 50, []) == []
+    assert threshold_sweep(PARAMS, 50, [], trials=100, seed=RngSeed(1)) == []
 
 
 def test_threshold_sweep_monotone_and_extreme():
