@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InputDataError, DegenerateModelError) as exc:
+    except (InputDataError, DegenerateModelError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ArithmeticError as exc:  # NonFiniteError too

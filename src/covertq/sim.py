@@ -17,6 +17,9 @@ A single stream is still simulated event by event and exactly, but
 segment-parallel: about sqrt(n) segments run through the batch recursion
 side by side, and an exact fix-up walk carries the true departure time
 across them, so the record is bit for bit that of a per-arrival loop.
+Its draws go straight into the segment layout, so it holds three float64
+arrays of the stream's length: one draw buffer and the time-major arrival
+and end times the recursion reads.
 """
 
 from __future__ import annotations
@@ -129,43 +132,35 @@ def _busy_bits_batch(times: np.ndarray, ends: np.ndarray,
     return idle
 
 
-def _busy_bits_segmented(times: np.ndarray, services: np.ndarray) -> np.ndarray:
+def _busy_bits_segmented(times: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Busy bits (uint8, 1 = busy) of one arrival stream, exactly.
 
-    The stream is cut into segments of `width` = floor(sqrt(n)) arrivals,
-    laid out time-major with the tail padded by +inf arrivals, and every
-    segment runs through _busy_bits_batch once, starting empty.  A walk
-    over the segments in order then carries the true departure time,
-    stepping from one arrival the true run serves to the next with a
-    binary search over the busy span between them: once the true run
-    serves an arrival the empty-start run serves too, the two agree, so
-    the segment ends on the batch's departure time.  A segment where they
-    never meet ends on the walk's.  The walk costs one step per arrival
-    served before the runs meet, so heavy load, where a busy span covers
-    many arrivals, stays cheap.  Times and services must be nonnegative,
-    as _busy_bits_batch requires.
+    `times` and `ends` (arrival time plus service time) hold the stream
+    cut into segments of `width` arrivals, time-major: column k of the
+    (width, segments) arrays is segment k, and the tail is padded with
+    +inf arrivals.  Every segment runs through _busy_bits_batch once,
+    starting empty.  A walk over the segments in order then carries the
+    true departure time, stepping from one arrival the true run serves to
+    the next with a binary search over the busy span between them: once
+    the true run serves an arrival the empty-start run serves too, the
+    two agree, so the segment ends on the batch's departure time.  A
+    segment where they never meet ends on the walk's.  The walk costs one
+    step per arrival served before the runs meet, so heavy load, where a
+    busy span covers many arrivals, stays cheap.  Times and services must
+    be nonnegative, as _busy_bits_batch requires.  Returns the bits of
+    all width * segments arrivals in stream order; a pad is never busy.
     """
-    n = times.size
-    width = math.isqrt(n)
-    segments = -(-n // width)
-
-    def by_segment(stream):
-        padded = np.full(segments * width, np.inf)
-        padded[:n] = stream
-        return padded.reshape(segments, width)
-
-    t_rows, e_rows = by_segment(times), by_segment(times + services)
+    width, segments = times.shape
     depart = np.full(segments, -np.inf)
-    idle = _busy_bits_batch(np.ascontiguousarray(t_rows.T),
-                            np.ascontiguousarray(e_rows.T), depart)
+    idle = _busy_bits_batch(times, ends, depart)
     true_depart = -np.inf
     for k in range(segments):
         j = 0
         while True:
             # skip to the first arrival at or after the true departure time
             m = j
-            if m < width and t_rows.item(k, m) < true_depart:
-                m += int(np.searchsorted(t_rows[k, m:], true_depart))
+            if m < width and times.item(m, k) < true_depart:
+                m += int(np.searchsorted(times[m:, k], true_depart))
                 idle[j:m, k] = False
             if m == width:
                 break
@@ -173,9 +168,9 @@ def _busy_bits_segmented(times: np.ndarray, services: np.ndarray) -> np.ndarray:
                 true_depart = depart.item(k)
                 break
             idle[m, k] = True
-            true_depart = e_rows.item(k, m)
+            true_depart = ends.item(m, k)
             j = m + 1
-    return np.logical_not(idle.T.ravel()[:n]).view(np.uint8)
+    return np.logical_not(idle.T.ravel()).view(np.uint8)
 
 
 def _check_lengths(n: int, burn_in: int) -> None:
@@ -195,17 +190,33 @@ def simulate_sequence(
     """Busy/idle record of n arrivals; deterministic given all arguments.
 
     The n + burn_in arrival times come first from the generator, then the
-    service times.
+    service times.  Each is drawn into one flat buffer laid out as the
+    segments of _busy_bits_segmented and copied from there once into its
+    time-major array; exponential(scale) is scale * standard_exponential,
+    so the draws are those of rng.exponential.
     """
     _check_lengths(n, burn_in)
     total = n + burn_in
+    width = math.isqrt(total)
+    segments = -(-total // width)
     rng = seed.generator()
+    buf = np.empty(segments * width)
+    buf[total:] = np.inf
+    draws = buf[:total]
     with np.errstate(over="ignore"):  # an overflow is reported as NonFiniteError
-        times = np.cumsum(rng.exponential(1.0 / _arrival_rate(params, hyp), size=total))
-        services = rng.exponential(1.0 / params.mu, size=total)
-        if not math.isfinite(times[-1] + services.max()):
+        rng.standard_exponential(out=draws)
+        draws *= 1.0 / _arrival_rate(params, hyp)
+        np.cumsum(draws, out=draws)
+        last = draws[-1]
+        # a copy: ascontiguousarray(.T) is a view of buf if width or segments is 1
+        times = buf.reshape(segments, width).T.copy()
+        rng.standard_exponential(out=draws)
+        draws *= 1.0 / params.mu
+        if not math.isfinite(last + draws.max()):
             raise NonFiniteError(_OVERFLOW)
-    return ObservationSequence(_busy_bits_segmented(times, services)[burn_in:])
+    ends = buf.reshape(segments, width).T.copy()
+    ends += times
+    return ObservationSequence(_busy_bits_segmented(times, ends)[burn_in:total])
 
 
 # overflow raises NonFiniteError below; errstate is thread-local, so set it per call

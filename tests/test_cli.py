@@ -378,6 +378,8 @@ def test_shared_parser_parses_as_a_fresh_one(capsys):
     (["simulate", *TINY_RATES, "--n=26", "--hyp=h0", "--seed=1"], 4),
     # a sequence file that is not UTF-8
     (["detect", *RATES, "latin1.txt"], 3),
+    # 2**58 float64 arrival times (2 EiB) exceed any address space
+    (["simulate", *RATES, "--n", str(2**58), "--hyp", "h0", "--seed", "1"], 3),
 ])
 @pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
 def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, code):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -186,6 +187,21 @@ def _single_stream_draws(params, hyp, n, seed, burn_in):
     return times, rng.exponential(1.0 / params.mu, size=n + burn_in)
 
 
+def _segmented_busy_bits(times, services):
+    """_busy_bits_segmented on flat streams, laid out as simulate_sequence
+    lays out its draws: sqrt(n)-arrival segments, time-major, +inf pads."""
+    n = times.size
+    width = math.isqrt(n)
+    segments = -(-n // width)
+
+    def by_segment(stream):
+        padded = np.full(segments * width, np.inf)
+        padded[:n] = stream
+        return padded.reshape(segments, width).T.copy()
+
+    return _busy_bits_segmented(by_segment(times), by_segment(times + services))[:n]
+
+
 # 99, 100 and 101 arrivals straddle a square: 11 segments of 9, 10 full
 # segments of 10, and 11 segments of 10 whose last holds 9 +inf pads
 @pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
@@ -200,7 +216,7 @@ def test_single_stream_equals_the_scalar_recursion_on_the_same_draws(load, n, bu
     seed = RngSeed(53, 2)
     times, services = _single_stream_draws(params, Hypothesis.H1, n, seed, burn_in)
     expected = scalar_busy_bits(times, services)
-    np.testing.assert_array_equal(_busy_bits_segmented(times, services), expected)
+    np.testing.assert_array_equal(_segmented_busy_bits(times, services), expected)
     obs = simulate_sequence(params, Hypothesis.H1, n, seed, burn_in=burn_in)
     np.testing.assert_array_equal(obs.bits, expected[burn_in:])
 
@@ -209,9 +225,9 @@ def test_arrival_on_a_departure_is_served():
     # integer times and services put arrivals exactly on departure times
     times = np.arange(5.0)
     np.testing.assert_array_equal(
-        _busy_bits_segmented(times, np.full(5, 2.0)), [0, 1, 0, 1, 0])
+        _segmented_busy_bits(times, np.full(5, 2.0)), [0, 1, 0, 1, 0])
     np.testing.assert_array_equal(
-        _busy_bits_segmented(times, np.array([2.0, 1, 1, 1, 1])), [0, 1, 0, 0, 0])
+        _segmented_busy_bits(times, np.array([2.0, 1, 1, 1, 1])), [0, 1, 0, 0, 0])
     rng = np.random.default_rng(59)
     for n in (2, 16, 17, 99, 100, 101, 1237):
         times = np.arange(float(n))
@@ -219,7 +235,7 @@ def test_arrival_on_a_departure_is_served():
         # one long service keeps the true run busy across whole segments,
         # where it never meets the empty-start run
         services[n // 3] = n // 2
-        np.testing.assert_array_equal(_busy_bits_segmented(times, services),
+        np.testing.assert_array_equal(_segmented_busy_bits(times, services),
                                       scalar_busy_bits(times, services))
 
 
@@ -242,7 +258,7 @@ def _chunk(case):
     times = np.cumsum(gaps, axis=0)
     ends = times + services
     if case == "inf_padding":
-        # the tail rows _busy_bits_segmented pads its last segment with
+        # the tail rows simulate_sequence pads its last segment with
         times[-7:, ::2] = ends[-7:, ::2] = np.inf
     return times, ends, depart
 
@@ -275,6 +291,20 @@ def test_batch_memory_does_not_grow_with_n():
         tracemalloc.stop()
     assert idle.shape == (64,)
     assert peak < 2**20
+
+
+def test_single_stream_memory_is_under_four_floats_per_arrival():
+    # the draws, arrival times and service ends take three float64 per
+    # arrival; a padded or transposed extra copy would make it four
+    n = 10**6
+    tracemalloc.start()
+    try:
+        obs = simulate_sequence(PARAMS, Hypothesis.H1, n, RngSeed(47))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert obs.n == n
+    assert peak < 32 * n
 
 
 def test_line_round_trip():

@@ -130,6 +130,8 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
          "--hyp", "h1", "--seed=1"],
         ["sweep", "--lambda-w=6.8e-308", "--lambda-b=8.6e-308", "--mu=6.2e-308", "--n=26",
          "--thresholds=0", "--trials=26", "--seed=26"],
+        # a length too large to allocate
+        ["simulate", *RATES, "--n", str(2**58), "--hyp", "h0", "--seed", "1"],
         ["detect", *RATES, str(tmp / "absent.txt")],
         ["campaign", cfg["exact"], "--out", str(tmp / "threads"), "--threads", "0"],
         ["campaign", cfg["exact"], "--out", str(tmp / "threads"), "--threads", "-4"],
