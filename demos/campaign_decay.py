@@ -18,13 +18,13 @@ cfg = CampaignConfig(
 result = run_campaign(cfg)
 
 print("n      p_f          p_m          p_e")
-for row in result.rows[::4]:
+for row in result["rows"][::4]:
     print(f"{row['n']:<6d} {row['p_f']:.6e} {row['p_m']:.6e} {row['p_e']:.6e}")
 
 i_err = i_err_closed(params)
 print()
-print(f"fitted slope of log p_e : {result.fitted_slope_e:+.6f}")
+print(f"fitted slope of log p_e : {result['fitted_slope_e']:+.6f}")
 print(f"negative exponent -I_err: {-i_err:+.6f}")
-print(f"relative gap            : {abs(result.fitted_slope_e + i_err) / i_err:.1%}")
-print(f"slope under H0 fit {result.fitted_slope_f:+.6f}, "
-      f"under H1 fit {result.fitted_slope_m:+.6f} (equalized at zero threshold)")
+print(f"relative gap            : {abs(result['fitted_slope_e'] + i_err) / i_err:.1%}")
+print(f"slope under H0 fit {result['fitted_slope_f']:+.6f}, "
+      f"under H1 fit {result['fitted_slope_m']:+.6f} (equalized at zero threshold)")

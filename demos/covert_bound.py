@@ -23,7 +23,7 @@ print(scaling_table_csv(rows))
 print()
 
 spec = CovertnessSpec(epsilon=epsilon, n=1000)
-rate = max_covert_rate(lambda_w, spec).value
+rate = max_covert_rate(lambda_w, spec)["bound"]
 print(f"at N=1000 the bound is lambda_b <= {rate:.6f}")
 for lb, label in ((0.9 * rate, "below"), (rate, "at"), (1.1 * rate, "above")):
     chk = covertness_check(ModelParams(lambda_w, lb, 1.0), spec, mode="taylor")

@@ -30,7 +30,7 @@ for hyp in Hypothesis:
     llr = log_likelihood_ratio(obs, params)
     verdict = decide(obs, params)
     print(f"truth {hyp.name}: busy fraction {obs.busy_fraction:.3f}, "
-          f"llr {llr:+.3f}, decision {verdict.decision.name}")
+          f"llr {llr:+.3f}, decision {verdict['decision']}")
 
 print()
 exact = exact_error_probabilities(params, n)

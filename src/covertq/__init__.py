@@ -13,12 +13,11 @@ from importlib import import_module
 # (PEP 562), so `import covertq` loads no numpy until a name that needs it
 # is used.
 _SUBMODULE = {name: module for module, names in {
-    "covert": ("BoundResult", "CovertnessSpec", "KFunction", "covertness_check",
+    "covert": ("CovertnessSpec", "KFunction", "covertness_check",
                "max_covert_rate", "scaling_table", "scaling_table_csv"),
-    "detect": ("ErrorProbabilities", "LlrResult", "decide", "exact_error_probabilities",
+    "detect": ("ErrorProbabilities", "decide", "exact_error_probabilities",
                "log_likelihood_ratio", "monte_carlo_error"),
-    "experiment": ("CampaignConfig", "ExperimentResult", "persist",
-                   "run_campaign", "threshold_sweep"),
+    "experiment": ("CampaignConfig", "persist", "run_campaign", "threshold_sweep"),
     "exponent": ("exponent_report", "i_err_closed", "i_err_numeric",
                  "i_err_taylor", "r_of_u", "v_closed_form"),
     "model": ("DegenerateModelError", "Hypothesis", "ModelParams",

@@ -131,11 +131,11 @@ def _read_sequence(path: str) -> ObservationSequence:
     from .sim import ObservationSequence
     try:
         with open(path, errors="replace") as fh:  # undecodable bytes fail from_line
-            line = fh.readline()
+            text = fh.read()  # a second line is an inner newline, which from_line rejects
     except OSError as exc:
         raise InputDataError(f"cannot read sequence file: {exc}")
     try:
-        return ObservationSequence.from_line(line)
+        return ObservationSequence.from_line(text)
     except ValueError as exc:
         raise InputDataError(f"{path}: {exc}")
 
@@ -182,9 +182,7 @@ def _cmd_detect(args) -> int:
     from . import detect
     params = _params_from_args(args)
     obs = _read_sequence(args.sequence)
-    result = detect.decide(obs, params, args.threshold)
-    print(json_text({"llr": result.llr, "decision": result.decision.name,
-                     "threshold": result.threshold, "n": obs.n}))
+    print(json_text(detect.decide(obs, params, args.threshold)))
     return EXIT_OK
 
 
@@ -216,8 +214,7 @@ def _cmd_bound(args) -> int:
     if args.output == "csv":
         raise ValueError("--output csv requires --n-values")
     spec = covert.CovertnessSpec(epsilon=args.epsilon, n=args.n, k=k)
-    bound = covert.max_covert_rate(args.lambda_w, spec)
-    print(json_text({"n": args.n, "bound": bound.value, "feasible": bound.feasible}))
+    print(json_text(covert.max_covert_rate(args.lambda_w, spec)))
     return EXIT_OK
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, inf, log, sqrt
-from typing import NamedTuple
 
 from .exponent import i_err_closed, i_err_taylor
 from .model import ModelParams, csv_text
@@ -58,26 +57,22 @@ class CovertnessSpec:
             raise ValueError(f"n must be >= 1, got {self.n}")
 
 
-class BoundResult(NamedTuple):
-    value: float
-    feasible: bool
-
-
-def max_covert_rate(lambda_w: float, spec: CovertnessSpec) -> BoundResult:
+def max_covert_rate(lambda_w: float, spec: CovertnessSpec) -> dict:
     """Largest covert insertion rate compatible with epsilon-covertness.
 
     Inverts the criterion K(N) exp(-I N) >= 1 - epsilon through the
-    quadratic exponent approximation.  When K(N) <= 1 - epsilon the log
-    is non-positive and no positive rate qualifies; the result is then
-    (0, feasible=False).  Rates are in the mu = 1 normalization.
+    quadratic exponent approximation.  Returns the single-N `bound`
+    document {"n", "bound", "feasible"}.  When K(N) <= 1 - epsilon the log
+    is non-positive and no positive rate qualifies; "bound" is then 0.0
+    and "feasible" false.  Rates are in the mu = 1 normalization.
     """
     if not 0 < lambda_w < inf:  # also false for NaN
         raise ValueError(f"lambda_w must be positive and finite, got {lambda_w}")
     log_ratio = spec.k.log_value(spec.n) - log(1.0 - spec.epsilon)
     if log_ratio <= 0.0:
-        return BoundResult(0.0, False)
+        return {"n": spec.n, "bound": 0.0, "feasible": False}
     value = sqrt(8.0 * lambda_w * (lambda_w + 1.0) ** 2 / spec.n * log_ratio)
-    return BoundResult(value, True)
+    return {"n": spec.n, "bound": value, "feasible": True}
 
 
 @dataclass(frozen=True)
@@ -112,8 +107,9 @@ def scaling_table(
 ) -> list[dict]:
     """Tabulate the covert-rate bound across N.
 
-    Rows carry bound * sqrt(N) as well; for constant K that column is
-    constant, the square-root law in explicit form.
+    Each row is the `max_covert_rate` document plus K(N) and bound *
+    sqrt(N); for constant K that column is constant, the square-root law
+    in explicit form.
     """
     if not n_values:
         raise ValueError("n_values must be non-empty")
@@ -121,16 +117,8 @@ def scaling_table(
         raise ValueError("n_values must be strictly increasing")
     rows = []
     for n in n_values:
-        bound = max_covert_rate(lambda_w, CovertnessSpec(epsilon=epsilon, n=n, k=k))
-        rows.append(
-            {
-                "n": n,
-                "k_of_n": k(n),
-                "bound": bound.value,
-                "bound_times_sqrt_n": bound.value * sqrt(n),
-                "feasible": bound.feasible,
-            }
-        )
+        row = max_covert_rate(lambda_w, CovertnessSpec(epsilon=epsilon, n=n, k=k))
+        rows.append({**row, "k_of_n": k(n), "bound_times_sqrt_n": row["bound"] * sqrt(n)})
     return rows
 
 

@@ -25,13 +25,6 @@ from .sim import ObservationSequence, RngSeed, simulate_sequence_batch
 MC_BLOCK_SIZE = 20_000
 
 
-@dataclass(frozen=True)
-class LlrResult:
-    llr: float
-    decision: Hypothesis
-    threshold: float
-
-
 @dataclass(frozen=True, kw_only=True)
 class ErrorProbabilities:
     """Error rates of one test; p_e = (p_f + p_m)/2, and exact rates have se 0."""
@@ -67,13 +60,16 @@ def decide(
     obs: ObservationSequence,
     params: ModelParams,
     threshold: float = 0.0,
-) -> LlrResult:
-    """Threshold rule: H0 when llr >= threshold, H1 otherwise."""
+) -> dict:
+    """Threshold rule: H0 when llr >= threshold, H1 otherwise.
+
+    Returns the `llr_result` document the detect command prints.
+    """
     if not isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     llr = log_likelihood_ratio(obs, params)
-    decision = Hypothesis.H0 if llr >= threshold else Hypothesis.H1
-    return LlrResult(llr=llr, decision=decision, threshold=threshold)
+    return {"llr": llr, "decision": "H0" if llr >= threshold else "H1",
+            "threshold": threshold, "n": obs.n}
 
 
 def _cut(n: int, params: ModelParams, threshold: float) -> int:

@@ -33,7 +33,7 @@ _CONFIG_BOOLS = {"true": True, "false": False, "yes": True, "no": False,
 
 
 def parse_config(text: str) -> dict:
-    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
+    """Parse `key = value` lines; '#' starts a comment, blank lines ignored, no key twice."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -42,7 +42,10 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -118,16 +121,6 @@ class CampaignConfig:
             raise ValueError(f"bad config value: {exc}") from None
 
 
-@dataclass
-class ExperimentResult:
-    rows: list[dict]  # keyed like the result file's rows
-    fitted_slope_f: float | None
-    fitted_slope_m: float | None
-    fitted_slope_e: float | None
-    exponent_ref: dict | None  # exponent_report(params), or None at lambda_b = 0
-    config: CampaignConfig
-
-
 def _row_stream(master: RngSeed, n: int) -> int:
     # Streams keyed by n only.  Every Monte Carlo row reads the one
     # simulation keyed on the longest window, so a grid point added at or
@@ -144,8 +137,12 @@ def _fit_slope(ns: np.ndarray, ps: np.ndarray, floor: float) -> float | None:
     return float(np.polyfit(ns[keep], np.log(ps[keep]), 1)[0])
 
 
-def run_campaign(cfg: CampaignConfig) -> ExperimentResult:
-    """Estimate error probabilities at every grid point and fit decay rates."""
+def run_campaign(cfg: CampaignConfig) -> dict:
+    """Estimate error probabilities at every grid point and fit decay rates.
+
+    Returns the `campaign_result` document the campaign command writes;
+    its exponent_ref is None at lambda_b = 0.
+    """
     exact_ok = cfg.use_exact_when_feasible and cfg.params.lambda_b > 0
     master = cfg.master_seed
     if exact_ok:
@@ -166,18 +163,15 @@ def run_campaign(cfg: CampaignConfig) -> ExperimentResult:
     # Exact rows are reliable down to tiny probabilities; Monte Carlo rows
     # only down to ~10 observed errors.
     floor = 0.0 if exact_ok else 10.0 / cfg.trials_per_point
-    slope_f = _fit_slope(ns, np.array([r["p_f"] for r in rows]), floor)
-    slope_m = _fit_slope(ns, np.array([r["p_m"] for r in rows]), floor)
-    slope_e = _fit_slope(ns, np.array([r["p_e"] for r in rows]), floor)
-    ref = exponent_report(cfg.params) if cfg.params.lambda_b > 0 else None
-    return ExperimentResult(
-        rows=rows,
-        fitted_slope_f=slope_f,
-        fitted_slope_m=slope_m,
-        fitted_slope_e=slope_e,
-        exponent_ref=ref,
-        config=cfg,
-    )
+    return {
+        "version": RESULT_FORMAT_VERSION,
+        "rows": rows,
+        "fitted_slope_f": _fit_slope(ns, np.array([r["p_f"] for r in rows]), floor),
+        "fitted_slope_m": _fit_slope(ns, np.array([r["p_m"] for r in rows]), floor),
+        "fitted_slope_e": _fit_slope(ns, np.array([r["p_e"] for r in rows]), floor),
+        "exponent_ref": exponent_report(cfg.params) if cfg.params.lambda_b > 0 else None,
+        "config": cfg.to_dict(),
+    }
 
 
 def threshold_sweep(
@@ -206,26 +200,17 @@ def threshold_sweep(
 
 # --- persistence ----------------------------------------------------------
 
-def result_to_json(result: ExperimentResult) -> str:
-    doc = {
-        "version": RESULT_FORMAT_VERSION,
-        "rows": result.rows,
-        "fitted_slope_f": result.fitted_slope_f,
-        "fitted_slope_m": result.fitted_slope_m,
-        "fitted_slope_e": result.fitted_slope_e,
-        "exponent_ref": result.exponent_ref,
-        "config": result.config.to_dict(),
-    }
-    return json_text(doc, indent=1)
+def result_to_json(result: dict) -> str:
+    return json_text(result, indent=1)
 
 
-def persist(result: ExperimentResult, path) -> None:
+def persist(result: dict, path) -> None:
     """No command calls this; perfbench/spans.py wraps it by name until it is retargeted."""
     with open(path, "w") as fh:
         fh.write(result_to_json(result))
 
 
-def rows_to_csv(result: ExperimentResult) -> str:
+def rows_to_csv(result: dict) -> str:
     # seed and method are JSON-only
     header = ("n", "p_f", "p_m", "p_e", "se_f", "se_m", "trials")
-    return csv_text(header, [[r[f] for f in header] for r in result.rows])
+    return csv_text(header, [[r[f] for f in header] for r in result["rows"]])

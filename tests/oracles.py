@@ -136,7 +136,7 @@ def brute_force_error_probabilities(params: ModelParams, n: int, threshold=0.0):
     for bits in itertools.product((0, 1), repeat=n):
         obs = ObservationSequence(np.array(bits, dtype=np.uint8))
         result = decide(obs, params, threshold)
-        if result.decision is Hypothesis.H1:
+        if result["decision"] == "H1":
             p_f += sequence_probability(bits, p_mat)
         else:
             p_m += sequence_probability(bits, q_mat)

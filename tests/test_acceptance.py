@@ -187,9 +187,9 @@ def test_criterion_08_decay_rate_reproduction():
     )
     result = run_campaign(cfg)
     i_err = i_err_closed(PARAMS)
-    slope_gap = abs(result.fitted_slope_e + i_err) / i_err
-    fm_gap = abs(result.fitted_slope_f - result.fitted_slope_m) / max(
-        abs(result.fitted_slope_f), abs(result.fitted_slope_m)
+    slope_gap = abs(result["fitted_slope_e"] + i_err) / i_err
+    fm_gap = abs(result["fitted_slope_f"] - result["fitted_slope_m"]) / max(
+        abs(result["fitted_slope_f"]), abs(result["fitted_slope_m"])
     )
     ok = slope_gap < 0.10 and fm_gap < 0.15
     assert report(
@@ -202,7 +202,7 @@ def test_criterion_08_decay_rate_reproduction():
 
 def test_criterion_09_bound_mechanics():
     spec = CovertnessSpec(epsilon=0.1, n=1000)
-    rate = max_covert_rate(0.3, spec).value
+    rate = max_covert_rate(0.3, spec)["bound"]
     chk = covertness_check(ModelParams(0.3, rate, 1.0), spec, mode="taylor")
     boundary_ok = abs(chk.p_e_raw - 0.9) < 1e-12
     rows = scaling_table(0.3, 0.1, k=spec.k, n_values=[100, 400, 1600, 6400])

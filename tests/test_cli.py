@@ -10,8 +10,9 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covertq import cli, experiment
-from covertq.sim import simulate_sequence
+from covertq import cli, covert, detect, experiment, exponent
+from covertq.model import ModelParams
+from covertq.sim import ObservationSequence, RngSeed, simulate_sequence
 from fresh import run_fresh
 
 
@@ -133,6 +134,35 @@ def test_schemas_are_valid():
     assert refs
     for ref in refs:
         jsonschema.Draft202012Validator.check_schema(json.loads(ref.read_text()))
+
+
+LIB_PARAMS = ModelParams(0.3, 0.2, 1.0)
+LIB_CAMPAIGN = {"params": LIB_PARAMS, "n_grid": (20, 40, 60), "trials_per_point": 200,
+                "master_seed": RngSeed(5)}
+# each library call and the schema of the document the CLI writes from it
+LIBRARY_RESULTS = {
+    "decide": ("llr_result", lambda: detect.decide(
+        ObservationSequence.from_line("0110100111"), LIB_PARAMS, 0.5)),
+    "max_covert_rate": ("bound", lambda: covert.max_covert_rate(
+        0.3, covert.CovertnessSpec(epsilon=0.1, n=1000))),
+    "scaling_table": ("bound", lambda: covert.scaling_table(
+        0.3, 0.1, covert.KFunction(), [10, 100, 1000])),
+    "threshold_sweep-exact": ("sweep", lambda: experiment.threshold_sweep(
+        LIB_PARAMS, 50, [-1.0, 0.0, 1.0])),
+    "threshold_sweep-mc": ("sweep", lambda: experiment.threshold_sweep(
+        LIB_PARAMS, 50, [-1.0, 0.0, 1.0], trials=200, seed=RngSeed(1))),
+    "exponent_report": ("exponent_report", lambda: exponent.exponent_report(LIB_PARAMS)),
+    "run_campaign-exact": ("campaign_result", lambda: experiment.run_campaign(
+        experiment.CampaignConfig(**LIB_CAMPAIGN))),
+    "run_campaign-mc": ("campaign_result", lambda: experiment.run_campaign(
+        experiment.CampaignConfig(**LIB_CAMPAIGN, use_exact_when_feasible=False))),
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_RESULTS)
+def test_library_results_are_their_schema_documents(name):
+    schema_name, call = LIBRARY_RESULTS[name]
+    jsonschema.Draft202012Validator(schema(schema_name)).validate(call())
 
 
 def test_exponent_json_schema_and_self_check(capsys):
@@ -380,12 +410,17 @@ def test_shared_parser_parses_as_a_fresh_one(capsys):
     (["detect", *RATES, "latin1.txt"], 3),
     # 2**58 float64 arrival times (2 EiB) exceed any address space
     (["simulate", *RATES, "--n", str(2**58), "--hyp", "h0", "--seed", "1"], 3),
+    # a config key given twice, and a sequence file of more than one line
+    (["campaign", "dup.cfg", "--out", "r"], 3),
+    (["detect", *RATES, "lines.txt"], 3),
 ])
 @pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
 def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "good.cfg").write_text(CAMPAIGN)
     (tmp_path / "latin1.txt").write_bytes(b"\xff\xfe")
+    (tmp_path / "dup.cfg").write_text(CAMPAIGN + "lambda_b = 0.0\n")
+    (tmp_path / "lines.txt").write_text("0101\n1111111\nhello\n")
     got, out, err = run_cli_exit(capsys, *argv)
     assert got == code, err
     assert out == ""
@@ -551,7 +586,7 @@ import covertq, covertq.cli
 HEAVY = ("numpy", "scipy", "concurrent.futures")
 RATES = {RATES!r}
 BOUND = {BOUND!r}
-assert len(covertq.__all__) == 32 and set(covertq.__all__) <= set(dir(covertq))
+assert len(covertq.__all__) == 29 and set(covertq.__all__) <= set(dir(covertq))
 assert not any(m in sys.modules for m in HEAVY), "import covertq"
 calls = [
     (["exponent", *RATES], 0),

@@ -15,19 +15,19 @@ from covertq.model import ModelParams
 
 def test_worked_bound_value():
     bound = max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=1000))
-    assert bound.feasible
-    assert bound.value == pytest.approx(sqrt(4.056 * log(1 / 0.9) / 1000), abs=1e-15)
-    assert bound.value == pytest.approx(0.020672, abs=1e-6)
+    assert bound["feasible"]
+    assert bound["bound"] == pytest.approx(sqrt(4.056 * log(1 / 0.9) / 1000), abs=1e-15)
+    assert bound["bound"] == pytest.approx(0.020672, abs=1e-6)
 
 
 def test_bound_at_n_one_million():
     bound = max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=10**6))
-    assert bound.value == pytest.approx(6.537e-4, abs=1e-7)
+    assert bound["bound"] == pytest.approx(6.537e-4, abs=1e-7)
 
 
 def test_bound_vanishes_as_epsilon_vanishes():
     values = [
-        max_covert_rate(0.3, CovertnessSpec(epsilon=eps, n=1000)).value
+        max_covert_rate(0.3, CovertnessSpec(epsilon=eps, n=1000))["bound"]
         for eps in (1e-2, 1e-4, 1e-6)
     ]
     assert values[0] > values[1] > values[2]
@@ -35,8 +35,8 @@ def test_bound_vanishes_as_epsilon_vanishes():
 
 
 def test_quadrupling_n_halves_bound():
-    b1 = max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=500)).value
-    b4 = max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=2000)).value
+    b1 = max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=500))["bound"]
+    b4 = max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=2000))["bound"]
     assert b4 == pytest.approx(b1 / 2, abs=1e-15)
 
 
@@ -44,15 +44,15 @@ def test_infeasible_prefactor_returns_zero():
     # K(N) = N^-0.5 drops below 1 - epsilon once N > (1-eps)^-2
     k = KFunction(k0=1.0, alpha=0.5)
     bound = max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=10**6, k=k))
-    assert bound.value == 0.0
-    assert not bound.feasible
+    assert bound["bound"] == 0.0
+    assert not bound["feasible"]
 
 
 def test_power_family_infeasibility_onset():
     k = KFunction(k0=1.0, alpha=0.5)
     # onset where N^-0.5 <= 0.9, i.e. N >= (1/0.9)^2 = 1.2345...
-    assert max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=1, k=k)).feasible
-    assert not max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=2, k=k)).feasible
+    assert max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=1, k=k))["feasible"]
+    assert not max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=2, k=k))["feasible"]
 
 
 def test_k_function_sub_exponential():
@@ -79,7 +79,7 @@ def test_covertness_spec_validation():
 
 def test_boundary_equality_at_the_bound():
     spec = CovertnessSpec(epsilon=0.1, n=1000)
-    rate = max_covert_rate(0.3, spec).value
+    rate = max_covert_rate(0.3, spec)["bound"]
     chk = covertness_check(ModelParams(0.3, rate, 1.0), spec, mode="taylor")
     assert chk.p_e_raw == pytest.approx(0.9, abs=1e-12)
     assert chk.covert
@@ -117,10 +117,10 @@ def test_p_e_approx_clipped_raw_kept():
 
 
 def test_bound_monotone_in_epsilon_and_lambda_w():
-    eps_values = [max_covert_rate(0.3, CovertnessSpec(epsilon=e, n=1000)).value
+    eps_values = [max_covert_rate(0.3, CovertnessSpec(epsilon=e, n=1000))["bound"]
                   for e in (0.05, 0.1, 0.2, 0.4)]
     assert all(b > a for a, b in zip(eps_values, eps_values[1:]))
-    lw_values = [max_covert_rate(lw, CovertnessSpec(epsilon=0.1, n=1000)).value
+    lw_values = [max_covert_rate(lw, CovertnessSpec(epsilon=0.1, n=1000))["bound"]
                  for lw in (0.1, 0.3, 0.5, 0.7, 0.9)]
     assert all(b > a for a, b in zip(lw_values, lw_values[1:]))
 

@@ -53,18 +53,18 @@ def test_degenerate_campaign_is_flat_at_half():
             master_seed=RngSeed(3),
         )
     )
-    for row in result.rows:
+    for row in result["rows"]:
         assert row["method"] == "mc"
         assert row["p_f"] == 0.0
         assert row["p_m"] == 1.0
         assert row["p_e"] == 0.5
-    assert result.fitted_slope_e == pytest.approx(0.0, abs=1e-12)
-    assert result.exponent_ref is None
+    assert result["fitted_slope_e"] == pytest.approx(0.0, abs=1e-12)
+    assert result["exponent_ref"] is None
 
 
 def test_exact_campaign_rows_match_oracle():
     result = exact_campaign([50, 100, 150])
-    for row in result.rows:
+    for row in result["rows"]:
         ep = exact_error_probabilities(PARAMS, row["n"])
         assert row["p_f"] == ep.p_f
         assert row["p_m"] == ep.p_m
@@ -77,19 +77,19 @@ def test_decay_slope_approaches_exponent():
     # slope, hence the 10% band on the n <= 2000 window
     result = exact_campaign(range(100, 2001, 100))
     i_err = i_err_closed(PARAMS)
-    assert abs(result.fitted_slope_e + i_err) / i_err < 0.10
+    assert abs(result["fitted_slope_e"] + i_err) / i_err < 0.10
 
 
 def test_equalized_exponents_at_zero_threshold():
     result = exact_campaign(range(100, 2001, 100))
-    gap = abs(result.fitted_slope_f - result.fitted_slope_m)
-    assert gap / max(abs(result.fitted_slope_f), abs(result.fitted_slope_m)) < 0.15
+    gap = abs(result["fitted_slope_f"] - result["fitted_slope_m"])
+    assert gap / max(abs(result["fitted_slope_f"]), abs(result["fitted_slope_m"])) < 0.15
 
 
 def test_slope_window_slides_toward_exponent():
     i_err = i_err_closed(PARAMS)
-    low = exact_campaign(range(100, 1001, 100)).fitted_slope_e
-    high = exact_campaign(range(1000, 2001, 100)).fitted_slope_e
+    low = exact_campaign(range(100, 1001, 100))["fitted_slope_e"]
+    high = exact_campaign(range(1000, 2001, 100))["fitted_slope_e"]
     assert abs(high + i_err) < abs(low + i_err)
 
 
@@ -102,7 +102,7 @@ def test_mc_campaign_agrees_with_exact_everywhere():
         use_exact_when_feasible=False,
     )
     result = run_campaign(cfg)
-    for row in result.rows:
+    for row in result["rows"]:
         ep = exact_error_probabilities(PARAMS, row["n"])
         assert abs(row["p_f"] - ep.p_f) < 4 * max(row["se_f"], 1e-9)
         assert abs(row["p_m"] - ep.p_m) < 4 * max(row["se_m"], 1e-9)
@@ -144,7 +144,7 @@ def mc_campaign(n_grid, master):
 def test_mc_campaign_rows_are_windows_of_the_longest_rows_simulation(monkeypatch):
     master = RngSeed(41, 6)
     calls = _count_simulations(monkeypatch)
-    rows = mc_campaign((30, 64, 65, 200), master).rows
+    rows = mc_campaign((30, 64, 65, 200), master)["rows"]
     # one block per hypothesis serves the whole grid
     assert sorted(hyp.value for hyp in calls) == [0, 1]
     stream = _row_stream(master, 200)
@@ -154,7 +154,7 @@ def test_mc_campaign_rows_are_windows_of_the_longest_rows_simulation(monkeypatch
     assert (rows[-1]["se_f"], rows[-1]["se_m"]) == (top.se_f, top.se_m)
     # a grid point below the longest window moves no other row
     keys = ("n", "p_f", "p_m", "se_f", "se_m", "seed")
-    inserted = [r for r in mc_campaign((30, 64, 65, 120, 200), master).rows
+    inserted = [r for r in mc_campaign((30, 64, 65, 120, 200), master)["rows"]
                 if r["n"] != 120]
     assert [[r[k] for k in keys] for r in inserted] == [[r[k] for k in keys] for r in rows]
 

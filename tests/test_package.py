@@ -9,9 +9,9 @@ from covertq import cli, detect, model
 from fresh import run_fresh
 
 PUBLIC = (
-    "BoundResult", "CampaignConfig", "CovertnessSpec", "DegenerateModelError",
-    "ErrorProbabilities", "ExperimentResult", "Hypothesis",
-    "KFunction", "LlrResult", "ModelParams", "ObservationSequence",
+    "CampaignConfig", "CovertnessSpec", "DegenerateModelError",
+    "ErrorProbabilities", "Hypothesis",
+    "KFunction", "ModelParams", "ObservationSequence",
     "RngSeed", "UnstableRegimeWarning", "covertness_check", "decide",
     "exact_error_probabilities", "exponent_report", "i_err_closed", "i_err_numeric",
     "i_err_taylor", "log_likelihood_ratio", "max_covert_rate",

@@ -60,6 +60,7 @@ def _configs(tmp: Path) -> dict[str, str]:
         "bad_bool": CAMPAIGN + "use_exact_when_feasible = maybe\n",
         "typo_key": CAMPAIGN + "msater_seed = 2\n",
         "no_equals": CAMPAIGN + "garbage\n",
+        "duplicate_key": CAMPAIGN + "lambda_b = 0.0\n",
     }
     paths = {}
     for name, text in texts.items():
@@ -74,6 +75,8 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
     seq.write_text("0110100111010010\n")
     tail = tmp / "tail.txt"
     tail.write_text("110100111010010\n")  # the last 15 symbols of seq.txt
+    lines = tmp / "lines.txt"
+    lines.write_text("0101\n1111111\nhello\n")
     cfg = _configs(tmp)
     calls = [
         ["simulate", *RATES, "--n", "40", "--hyp", "h1", "--seed", "3"],
@@ -133,6 +136,7 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
         # a length too large to allocate
         ["simulate", *RATES, "--n", str(2**58), "--hyp", "h0", "--seed", "1"],
         ["detect", *RATES, str(tmp / "absent.txt")],
+        ["detect", *RATES, str(lines)],
         ["campaign", cfg["exact"], "--out", str(tmp / "threads"), "--threads", "0"],
         ["campaign", cfg["exact"], "--out", str(tmp / "threads"), "--threads", "-4"],
         ["detect", *RATES, "--initial", "conditioned", str(seq)],
