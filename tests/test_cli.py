@@ -454,22 +454,33 @@ def test_exact_campaign_with_nan_tails_exits_4(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
-@pytest.mark.parametrize("line", [
-    "n_grid = 0,10,20",
-    "master_seed = -1",
-    "stream_id = -2",
-    "use_exact_when_feasible = maybe",
-    "msater_seed = 2",
-    "garbage",
+@pytest.mark.parametrize("text, error", [
+    pytest.param(CAMPAIGN.replace("100,200", "0,10,20"),
+                 "bad config value: n_grid values must be >= 1, got 0",
+                 id="n_grid = 0,10,20"),
+    pytest.param(CAMPAIGN.replace("master_seed = 1", "master_seed = -1"),
+                 "bad config value: seed and stream_id must be nonnegative, got (-1, 0)",
+                 id="master_seed = -1"),
+    pytest.param(CAMPAIGN + "stream_id = -2\n",
+                 "bad config value: seed and stream_id must be nonnegative, got (1, -2)",
+                 id="stream_id = -2"),
+    pytest.param(CAMPAIGN + "use_exact_when_feasible = maybe\n",
+                 "bad config value: use_exact_when_feasible: 'maybe' is not a boolean",
+                 id="use_exact_when_feasible = maybe"),
+    pytest.param(CAMPAIGN + "msater_seed = 2\n",
+                 "unknown config key: msater_seed",
+                 id="msater_seed = 2"),
+    pytest.param(CAMPAIGN + "garbage\n",
+                 "line 6: expected 'key = value', got 'garbage'",
+                 id="garbage"),
 ])
-def test_campaign_config_garbage_exits_3(tmp_path, capsys, line):
+def test_campaign_config_garbage_exits_3(tmp_path, capsys, text, error):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(CAMPAIGN + line + "\n")  # a repeated key overrides the first
+    cfg.write_text(text)
     code, out, err = run_cli(capsys, "campaign", str(cfg), "--out", str(tmp_path / "r"))
     assert code == 3, err
     assert out == ""
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    assert err == f"error: {error}\n"
     assert not (tmp_path / "r.json").exists()
 
 
