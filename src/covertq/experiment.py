@@ -134,7 +134,11 @@ def _fit_slope(ns: np.ndarray, ps: np.ndarray, floor: float) -> float | None:
     keep = ps > floor
     if np.count_nonzero(keep) < 3:
         return None
-    return float(np.polyfit(ns[keep], np.log(ps[keep]), 1)[0])
+    # the slope is unchanged by the shift to the first kept point, and a
+    # flat series then fits exactly 0 rather than its log's round-off
+    # (+ 0.0 turns a -0.0 slope into 0.0)
+    logs = np.log(ps[keep])
+    return float(np.polyfit(ns[keep], logs - logs[0], 1)[0]) + 0.0
 
 
 def run_campaign(cfg: CampaignConfig) -> dict:

@@ -13,6 +13,13 @@ max (see _busy_bits_batch), so the exponential draws take most of the
 time.  Both are exact: the counts are bit for bit those of a per-arrival
 loop on the same draws.
 
+Every exponential gap and service is drawn by inversion, -log(1 - U)
+times its mean, from one uniform fill and one vectorised log (see
+_exponential), which is cheaper than numpy's ziggurat.  A run is
+reproducible from its seed on the same numpy build and CPU: numpy's SIMD
+log may differ by an ulp between instruction sets, never between worker
+counts.
+
 A single stream is still simulated event by event and exactly, but
 segment-parallel: about sqrt(n) segments run through the batch recursion
 side by side, and an exact fix-up walk carries the true departure time
@@ -106,6 +113,23 @@ def _arrival_rate(params: ModelParams, hyp: Hypothesis) -> float:
     return params.lambda_w if hyp is Hypothesis.H0 else params.total_rate_h1
 
 
+def _exponential(rng: np.random.Generator, out: np.ndarray, scale: float) -> None:
+    """Fill `out` with exponential draws of mean `scale`, by inversion.
+
+    rng.random gives U = k * 2**-53 in [0, 1), so 1 - U is exact and lies
+    in (0, 1]: the log never sees 0, and every draw -log(1 - U) * scale
+    lies in [0, 53 * ln 2 * scale], which truncates a tail of mass 2**-53.
+    U = 0 gives -0.0, which still meets _busy_bits_batch's nonnegative
+    precondition (-0.0 >= 0 and it compares equal to 0.0).  At scale = inf
+    (rates near 5e-324) that draw is 0 * inf = NaN, which the callers'
+    overflow checks report with the infinite ones.
+    """
+    rng.random(out=out)
+    np.subtract(1.0, out, out=out)
+    np.log(out, out=out)
+    out *= -scale
+
+
 def _busy_bits_batch(times: np.ndarray, ends: np.ndarray,
                      depart: np.ndarray) -> np.ndarray:
     """Same recursion over one time-major chunk, vectorized across trials.
@@ -192,8 +216,8 @@ def simulate_sequence(
     The n + burn_in arrival times come first from the generator, then the
     service times.  Each is drawn into one flat buffer laid out as the
     segments of _busy_bits_segmented and copied from there once into its
-    time-major array; exponential(scale) is scale * standard_exponential,
-    so the draws are those of rng.exponential.
+    time-major array.  Each draw is -log(1 - U) times its mean, from one
+    rng.random fill per array (see _exponential).
     """
     _check_lengths(n, burn_in)
     total = n + burn_in
@@ -203,15 +227,14 @@ def simulate_sequence(
     buf = np.empty(segments * width)
     buf[total:] = np.inf
     draws = buf[:total]
-    with np.errstate(over="ignore"):  # an overflow is reported as NonFiniteError
-        rng.standard_exponential(out=draws)
-        draws *= 1.0 / _arrival_rate(params, hyp)
+    # an overflow, or a 0 * inf draw, is reported as NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):
+        _exponential(rng, draws, 1.0 / _arrival_rate(params, hyp))
         np.cumsum(draws, out=draws)
         last = draws[-1]
         # a copy: ascontiguousarray(.T) is a view of buf if width or segments is 1
         times = buf.reshape(segments, width).T.copy()
-        rng.standard_exponential(out=draws)
-        draws *= 1.0 / params.mu
+        _exponential(rng, draws, 1.0 / params.mu)
         if not math.isfinite(last + draws.max()):
             raise NonFiniteError(_OVERFLOW)
     ends = buf.reshape(segments, width).T.copy()
@@ -266,16 +289,14 @@ def simulate_sequence_batch(
     for start in range(0, total, MC_CHUNK):
         size = min(MC_CHUNK, total - start)
         times, ends = gap_buf[:size], end_buf[:size]
-        rng.standard_exponential(out=times)
-        rng.standard_exponential(out=ends)
-        times *= gap_scale
+        _exponential(rng, times, gap_scale)
+        _exponential(rng, ends, service_scale)
         times[0] += clock
         # the sums of one cumsum over n, row by row: an axis-0 cumsum
         # walks each column at a stride of one row
         for j in range(1, size):
             np.add(times[j - 1], times[j], out=times[j])
         clock[:] = times[-1]
-        ends *= service_scale
         ends += times
         idle = _busy_bits_batch(times, ends, depart)
         lo = max(burn_in - start, 0)

@@ -272,13 +272,19 @@ def test_monte_carlo_worker_count_is_invisible():
 # one MC_CHUNK exactly or spill one or two arrivals into a second.  A
 # moved draw in the simulator's batch kernel moves some of them; a
 # last-bit change in a float sum seldom does, and
-# test_batch_clock_is_one_cumsum_over_each_stream pins those.
-@pytest.mark.parametrize("n, false_alarms, misses",
-                         [(63, 97, 102), (64, 105, 91), (65, 77, 115), (250, 21, 24)])
+# test_batch_clock_is_one_cumsum_over_each_stream pins those.  Each pin
+# also lies within 4 binomial standard errors of trials times the exact
+# error probability, so a new sampler cannot pin a biased count.
+@pytest.mark.parametrize("n, false_alarms, misses", [
+    pytest.param(*pin, id=f"n{pin[0]}")
+    for pin in [(63, 96, 80), (64, 106, 70), (65, 76, 99), (250, 16, 17)]])
 def test_monte_carlo_error_counts_are_pinned(n, false_alarms, misses):
     trials = 500
     mc = monte_carlo_error(PARAMS, n, 0.0, trials, RngSeed(2024, 3))
     assert (mc.p_f, mc.p_m) == (false_alarms / trials, misses / trials)
+    exact = exact_error_probabilities(PARAMS, n)
+    for count, p in ((false_alarms, exact.p_f), (misses, exact.p_m)):
+        assert abs(count - trials * p) <= 4 * sqrt(trials * p * (1 - p))
 
 
 def test_monte_carlo_windows_read_every_cut_off_one_simulation(monkeypatch):

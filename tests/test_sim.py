@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from covertq import sim
-from covertq.model import Hypothesis, ModelParams
+from covertq.model import Hypothesis, ModelParams, NonFiniteError
 from covertq.sim import (
     MC_CHUNK,
     ObservationSequence,
     RngSeed,
     _busy_bits_batch,
     _busy_bits_segmented,
+    _exponential,
     simulate_sequence,
     simulate_sequence_batch,
 )
@@ -117,6 +118,61 @@ def test_batch_statistics_match_single_path():
     assert abs(idle.mean() / 50 - 2 / 3) < 0.005
 
 
+def test_inverted_exponential_has_the_exponential_law():
+    # KS distance under its 0.1% critical value; mean and variance within
+    # 5 standard errors (the sample variance of Exp has variance 8 s^4 / n)
+    n, scale = 200_000, 2.5
+    x = np.empty(n)
+    _exponential(np.random.default_rng(20211), x, scale)
+    assert x.min() >= 0.0 and np.isfinite(x).all()
+    cdf = -np.expm1(-np.sort(x) / scale)
+    ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert ks < math.sqrt(-math.log(0.0005) / 2) / math.sqrt(n)
+    assert abs(x.mean() - scale) < 5 * scale / math.sqrt(n)
+    assert abs(x.var(ddof=1) - scale**2) < 5 * scale**2 * math.sqrt(8 / n)
+
+
+class _FixedUniforms:
+    """A generator whose random() repeats the given values."""
+
+    def __init__(self, *values):
+        self.values = values
+
+    def random(self, out):
+        for i, u in enumerate(self.values):
+            out.flat[i::len(self.values)] = u
+
+
+@pytest.mark.parametrize("scale", [1.0, 3.0, 1e300])
+def test_inverted_exponential_stays_finite_at_both_ends_of_the_uniforms(scale):
+    x = np.empty(6)
+    _exponential(_FixedUniforms(0.0, 1.0 - 2.0**-53), x, scale)
+    assert not np.isnan(x).any() and np.isfinite(x).all()
+    np.testing.assert_array_equal(x[0::2], 0.0)
+    np.testing.assert_allclose(x[1::2], 53 * math.log(2) * scale, rtol=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
+def test_a_nan_draw_at_infinite_scale_is_a_numeric_failure(monkeypatch):
+    # U = 0 at scale 1/5e-324 = inf gives 0 * inf = NaN, not a time;
+    # every draw is NaN here, so no infinite one can raise instead
+    monkeypatch.setattr(RngSeed, "generator", lambda self: _FixedUniforms(0.0))
+    tiny = ModelParams(5e-324, 5e-324, 5e-324)
+    x = np.empty(3)
+    with np.errstate(invalid="ignore"):
+        _exponential(_FixedUniforms(0.0), x, 1 / tiny.mu)
+    assert np.isnan(x).all()
+    with pytest.raises(NonFiniteError):
+        simulate_sequence(tiny, Hypothesis.H1, 10, RngSeed(1))
+    with pytest.raises(NonFiniteError):
+        simulate_sequence_batch(tiny, Hypothesis.H1, 10, 4, RngSeed(1))
+
+
+def _inverted_exponential(rng, size, scale):
+    # the simulator's sampler written out: -log(1 - U) times the mean
+    return np.log(1.0 - rng.random(size)) * -scale
+
+
 def _batch_draws(hyp, total, trials, seed):
     """(gaps, services), (total, trials): the batch's time-major draws
     rebuilt chunk by chunk, scaled as the batch scales them."""
@@ -125,8 +181,8 @@ def _batch_draws(hyp, total, trials, seed):
     gaps, services = [], []
     for start in range(0, total, MC_CHUNK):
         size = (min(MC_CHUNK, total - start), trials)
-        gaps.append(rng.standard_exponential(size) * (1.0 / rate))
-        services.append(rng.standard_exponential(size) * (1.0 / PARAMS.mu))
+        gaps.append(_inverted_exponential(rng, size, 1.0 / rate))
+        services.append(_inverted_exponential(rng, size, 1.0 / PARAMS.mu))
     return np.concatenate(gaps), np.concatenate(services)
 
 
@@ -183,8 +239,8 @@ def _single_stream_draws(params, hyp, n, seed, burn_in):
     # the draws simulate_sequence makes, in its order
     rng = seed.generator()
     rate = params.lambda_w if hyp is Hypothesis.H0 else params.total_rate_h1
-    times = np.cumsum(rng.exponential(1.0 / rate, size=n + burn_in))
-    return times, rng.exponential(1.0 / params.mu, size=n + burn_in)
+    times = np.cumsum(_inverted_exponential(rng, n + burn_in, 1.0 / rate))
+    return times, _inverted_exponential(rng, n + burn_in, 1.0 / params.mu)
 
 
 def _segmented_busy_bits(times, services):
