@@ -1,6 +1,6 @@
 """Event-driven simulation of the bufferless server.
 
-Generates the busy/idle record seen by successive arrivals from exact
+Generates the busy/idle record seen by successive arrivals from
 exponential inter-arrival and service samples.  The Bernoulli idle
 probabilities of :mod:`covertq.model` are deliberately not used here, so
 the simulator is an independent check on that reduction.  Monte Carlo
@@ -13,12 +13,12 @@ max (see _busy_bits_batch), so the exponential draws take most of the
 time.  Both are exact: the counts are bit for bit those of a per-arrival
 loop on the same draws.
 
-Every exponential gap and service is drawn by inversion, -log(1 - U)
-times its mean, from one uniform fill and one vectorised log (see
-_exponential), which is cheaper than numpy's ziggurat.  A run is
-reproducible from its seed on the same numpy build and CPU: numpy's SIMD
-log may differ by an ulp between instruction sets, never between worker
-counts.
+Every gap and service is drawn by inversion, -log(1 - U) times its
+mean, from one uniform fill and one vectorised log (see _exponential),
+which is cheaper than numpy's ziggurat and exact up to a truncated tail
+of mass 2**-53.  A run is reproducible from its seed on the same numpy
+build and CPU: numpy's SIMD log may differ by an ulp between instruction
+sets, but never between worker counts.
 
 A single stream is still simulated event by event and exactly, but
 segment-parallel: about sqrt(n) segments run through the batch recursion
@@ -120,9 +120,9 @@ def _exponential(rng: np.random.Generator, out: np.ndarray, scale: float) -> Non
     in (0, 1]: the log never sees 0, and every draw -log(1 - U) * scale
     lies in [0, 53 * ln 2 * scale], which truncates a tail of mass 2**-53.
     U = 0 gives -0.0, which still meets _busy_bits_batch's nonnegative
-    precondition (-0.0 >= 0 and it compares equal to 0.0).  At scale = inf
-    (rates near 5e-324) that draw is 0 * inf = NaN, which the callers'
-    overflow checks report with the infinite ones.
+    precondition, since -0.0 >= 0.  At scale = inf (rates near 5e-324)
+    that draw is 0 * inf = NaN, which the callers' overflow checks
+    report with the infinite ones.
     """
     rng.random(out=out)
     np.subtract(1.0, out, out=out)

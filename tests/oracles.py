@@ -109,7 +109,9 @@ def willie_busy_bits(params: ModelParams, n: int, rng: np.random.Generator) -> n
     Willie's with probability lambda_w / (lambda_w + lambda_b), independently
     (Poisson thinning); Nillie's jobs occupy the server but are not
     reported.  One extra leading arrival, which always finds the server
-    idle, is dropped.
+    idle, is dropped.  The times come from numpy's own exponential
+    sampler, not the simulator's inversion, so a statistical comparison
+    with the simulator also compares two samplers.
     """
     rate = params.total_rate_h1
     times = np.cumsum(rng.exponential(1.0 / rate, size=n + 1))

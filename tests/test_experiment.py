@@ -58,7 +58,7 @@ def test_degenerate_campaign_is_flat_at_half():
         assert row["p_f"] == 0.0
         assert row["p_m"] == 1.0
         assert row["p_e"] == 0.5
-    assert result["fitted_slope_e"] == 0.0
+    assert repr(result["fitted_slope_e"]) == "0.0"  # exactly 0, and not -0.0
     assert result["exponent_ref"] is None
 
 
