@@ -1,13 +1,13 @@
 """Run the benchmark on one checkout and record it as one BENCH file.
 
-    python tools/bench_record.py CHECKOUT OUT.json [--seconds S] [--seed N]
+    python tools/bench_record.py CHECKOUT OUT.json
 
 CHECKOUT is a git checkout holding `BENCHMARK.json` and `perfbench/`.
-Every workload that its BENCHMARK.json names runs through that
-checkout's `perfbench/run.py --workload W --trace T --out DIR`, once at
---trace 0 and once at --trace 1, each in a fresh process, one after the
-other.  The reports it writes to DIR are read back and OUT.json gets,
-per workload:
+Its `perfbench/run.py --workload all --seed 1 --seconds S --out DIR`
+runs every workload at --trace 0 and then 1, each in a fresh process, S
+being the `run_seconds` of that BENCHMARK.json, so every record is made
+at the run length the benchmark compares.  The reports it writes to DIR
+are read back and OUT.json gets, per workload that BENCHMARK.json names:
 
 - the end-to-end metrics of the untraced run, with their samples: the
   setup probes, and each timed pass's wall time and reference-kernel time;
@@ -18,10 +18,9 @@ per workload:
 
 The file also holds `git rev-parse HEAD` of CHECKOUT, whether its tree
 had uncommitted changes, and the interpreter and library versions that
-ran it.  --seconds defaults to the `run_seconds` of that BENCHMARK.json.
-A change that claims a speed-up commits the records of its parent and of
-itself as BENCH_<n>.json at the repo root, n being each one's position in
-CHANGES.md:
+ran it.  A change that claims a speed-up commits the records of its
+parent and of itself as BENCH_<n>.json at the repo root, n being each
+one's position in CHANGES.md:
 
     git clone -q . ../parent && git -C ../parent checkout -q HEAD~1
     python tools/bench_record.py ../parent parent.json
@@ -37,7 +36,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-FORMAT = 1
+SEED = 1  # perfbench/run.py's default --seed
 TRACES = (0, 1)
 # provenance fields that describe the run, not the checkout or one workload
 SHARED_PROVENANCE = ("python", "numpy", "scipy", "covertq", "nproc")
@@ -51,19 +50,6 @@ def _git(checkout: Path, *args: str) -> str:
 def report_name(workload: str, seed: int, trace: int) -> str:
     """The file name `perfbench/run.py --out` gives a report."""
     return f"{workload}-seed{seed}-trace{trace}.json"
-
-
-def run_workload(checkout: Path, workload: str, seed: int, seconds: float,
-                 trace: int, out: Path) -> dict:
-    """Run one workload at one trace setting; return its result line."""
-    cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
-           "--out", str(out)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(lines[-1])
 
 
 def _workload_record(untraced: dict, traced: dict) -> dict:
@@ -86,14 +72,12 @@ def _workload_record(untraced: dict, traced: dict) -> dict:
     }
 
 
-def assemble(report_dir: Path, workloads: list[str], seed: int, git_sha: str,
-             dirty: bool) -> dict:
+def assemble(report_dir: Path, workloads: list[str], git_sha: str, dirty: bool) -> dict:
     """The BENCH document from the reports `perfbench/run.py --out` wrote."""
-    reports = {(w, t): json.loads((report_dir / report_name(w, seed, t)).read_text())
+    reports = {(w, t): json.loads((report_dir / report_name(w, SEED, t)).read_text())
                for w in workloads for t in TRACES}
     first = reports[workloads[0], 0]["provenance"]
     return {
-        "format": FORMAT,
         "git_sha": git_sha,
         "dirty": dirty,
         "seconds": first["seconds"],
@@ -107,23 +91,22 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("checkout", type=Path)
     p.add_argument("out", type=Path)
-    p.add_argument("--seconds", type=float, default=None)
-    p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
     checkout = args.checkout.resolve()
     bench = json.loads((checkout / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     sha = _git(checkout, "rev-parse", "HEAD")
     dirty = bool(_git(checkout, "status", "--porcelain", "--untracked-files=no"))
     with tempfile.TemporaryDirectory(prefix="bench-record-") as tmp:
-        for workload in workloads:
-            for trace in TRACES:
-                result = run_workload(checkout, workload, args.seed, seconds, trace,
-                                      Path(tmp))
-                print(f"{workload} trace={trace}: correct={result['correct']} "
-                      f"failed={result['failed']}", file=sys.stderr)
-        doc = assemble(Path(tmp), workloads, args.seed, sha, dirty)
+        status = subprocess.run(
+            [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", "all",
+             "--seed", str(SEED), "--seconds", str(bench["run_seconds"]), "--out", tmp],
+        ).returncode
+        if status != 0:
+            print(f"error: perfbench/run.py exited {status}; no record written",
+                  file=sys.stderr)
+            return 1
+        doc = assemble(Path(tmp), workloads, sha, dirty)
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
