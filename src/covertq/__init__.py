@@ -20,8 +20,7 @@ _SUBMODULE = {name: module for module, names in {
     "experiment": ("CampaignConfig", "persist", "run_campaign", "threshold_sweep"),
     "exponent": ("exponent_report", "i_err_closed", "i_err_numeric",
                  "i_err_taylor", "r_of_u", "v_closed_form"),
-    "model": ("DegenerateModelError", "Hypothesis", "ModelParams",
-              "UnstableRegimeWarning"),
+    "model": ("DegenerateModelError", "Hypothesis", "ModelParams"),
     "sim": ("ObservationSequence", "RngSeed", "simulate_sequence",
             "simulate_sequence_batch"),
 }.items() for name in names}

@@ -12,7 +12,6 @@ in :mod:`covertq.sim` does not assume this, and the tests compare the two.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite, log1p
@@ -21,10 +20,6 @@ from math import isfinite, log1p
 class Hypothesis(Enum):
     H0 = 0  # legitimate traffic only, arrival rate lambda_w
     H1 = 1  # merged traffic, arrival rate lambda_w + lambda_b
-
-
-class UnstableRegimeWarning(UserWarning):
-    """Total arrival rate meets or exceeds the service rate."""
 
 
 class DegenerateModelError(ValueError):
@@ -49,8 +44,8 @@ class ModelParams:
     mu : float
         Service rate, jobs per unit time.
 
-    mu <= lambda_w + lambda_b only warns (UnstableRegimeWarning), so
-    boundary behavior stays probeable.
+    Any load is valid: the server holds at most one job, so the loss
+    system is ergodic even where lambda_w + lambda_b exceeds mu.
     """
 
     lambda_w: float
@@ -71,16 +66,6 @@ class ModelParams:
         if not 0.0 < q <= p < 1.0:  # the LLR takes log(p/q) and log((1-p)/(1-q))
             raise ValueError(f"rates too far apart: idle probabilities p={p!r}, "
                              f"q={q!r} must lie strictly between 0 and 1")
-        if not self.stable:
-            # level 3: past the dataclass-generated __init__ to its caller
-            warnings.warn(f"mu={self.mu} does not exceed lambda_w+lambda_b="
-                          f"{self.lambda_w + self.lambda_b}",
-                          UnstableRegimeWarning, stacklevel=3)
-
-    @property
-    def stable(self) -> bool:
-        """Whether mu > lambda_w + lambda_b (the standing modeling regime)."""
-        return self.mu > self.lambda_w + self.lambda_b
 
     @property
     def total_rate_h1(self) -> float:

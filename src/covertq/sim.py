@@ -24,9 +24,8 @@ A single stream is still simulated event by event and exactly, but
 segment-parallel: about sqrt(n) segments run through the batch recursion
 side by side, and an exact fix-up walk carries the true departure time
 across them, so the record is bit for bit that of a per-arrival loop.
-Its draws go straight into the segment layout, so it holds three float64
-arrays of the stream's length: one draw buffer and the time-major arrival
-and end times the recursion reads.
+Its draws go straight into the time-major arrival and end times the
+recursion reads, so it holds two float64 arrays of the stream's length.
 """
 
 from __future__ import annotations
@@ -213,31 +212,34 @@ def simulate_sequence(
 ) -> ObservationSequence:
     """Busy/idle record of n arrivals; deterministic given all arguments.
 
-    The n + burn_in arrival times come first from the generator, then the
-    service times.  Each is drawn into one flat buffer laid out as the
-    segments of _busy_bits_segmented and copied from there once into its
-    time-major array.  Each draw is -log(1 - U) times its mean, from one
-    rng.random fill per array (see _exponential).
+    The draws go straight into the (width, segments) time-major arrays of
+    _busy_bits_segmented: first width * segments gaps into the arrival
+    times, row by row, then as many services into the end times, so draw
+    j of segment k serves that segment's arrival j.  Each draw is
+    -log(1 - U) times its mean, from one rng.random fill per array (see
+    _exponential).  Segment k's clock is its own running sum plus the
+    sum of segments 0..k-1, which is exactly its predecessor's last
+    arrival time, so arrival times never decrease along the stream.
     """
     _check_lengths(n, burn_in)
     total = n + burn_in
     width = math.isqrt(total)
     segments = -(-total // width)
+    last = width - 1 - (width * segments - total)  # last real row of segment -1
     rng = seed.generator()
-    buf = np.empty(segments * width)
-    buf[total:] = np.inf
-    draws = buf[:total]
+    times = np.empty((width, segments))
+    ends = np.empty((width, segments))
     # an overflow, or a 0 * inf draw, is reported as NonFiniteError
     with np.errstate(over="ignore", invalid="ignore"):
-        _exponential(rng, draws, 1.0 / _arrival_rate(params, hyp))
-        np.cumsum(draws, out=draws)
-        last = draws[-1]
-        # a copy: ascontiguousarray(.T) is a view of buf if width or segments is 1
-        times = buf.reshape(segments, width).T.copy()
-        _exponential(rng, draws, 1.0 / params.mu)
-        if not math.isfinite(last + draws.max()):
+        _exponential(rng, times, 1.0 / _arrival_rate(params, hyp))
+        _exponential(rng, ends, 1.0 / params.mu)
+        ends[last + 1:, -1] = 0.0  # pads must not count in the max below
+        for j in range(1, width):
+            np.add(times[j - 1], times[j], out=times[j])
+        times[:, 1:] += np.cumsum(times[-1, :-1])
+        if not math.isfinite(times.item(last, -1) + ends.max()):
             raise NonFiniteError(_OVERFLOW)
-    ends = buf.reshape(segments, width).T.copy()
+    times[last + 1:, -1] = np.inf
     ends += times
     return ObservationSequence(_busy_bits_segmented(times, ends)[burn_in:total])
 

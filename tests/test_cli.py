@@ -184,7 +184,6 @@ def test_exponent_self_check_passes_at_small_lambda_b(capsys, lambda_b):
     ["--lambda-w", "50", "--lambda-b", "0.5", "--mu", "1e-12"],
     ["--lambda-w", "1e-300", "--lambda-b", "0", "--mu", "1e-300"],
 ])
-@pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
 def test_exponent_answers_at_extreme_rates(capsys, rates):
     # (1-p)/(1-q) a hair below 1 at mu << lambda_w, and rates whose
     # products underflow although every reported quantity is of order 1
@@ -414,7 +413,6 @@ def test_shared_parser_parses_as_a_fresh_one(capsys):
     (["campaign", "dup.cfg", "--out", "r"], 3),
     (["detect", *RATES, "lines.txt"], 3),
 ])
-@pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
 def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "good.cfg").write_text(CAMPAIGN)
@@ -434,7 +432,6 @@ def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, co
      "--hyp", "h1", "--seed=1"],
     ["sweep", *TINY_RATES, "--n=26", "--thresholds=0", "--trials=26", "--seed=26"],
 ])
-@pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
 def test_simulated_overflow_prints_only_its_exit_line(capsys, argv):
     # numpy's overflow warnings would print source paths ahead of the
     # error line; under "error" they would escape main() instead
@@ -597,7 +594,7 @@ import covertq, covertq.cli
 HEAVY = ("numpy", "scipy", "concurrent.futures")
 RATES = {RATES!r}
 BOUND = {BOUND!r}
-assert len(covertq.__all__) == 29 and set(covertq.__all__) <= set(dir(covertq))
+assert len(covertq.__all__) == 28 and set(covertq.__all__) <= set(dir(covertq))
 assert not any(m in sys.modules for m in HEAVY), "import covertq"
 calls = [
     (["exponent", *RATES], 0),
@@ -691,7 +688,6 @@ def run_fuzzed(argv):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(fuzz_argv())
-@pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
 def test_fuzzed_exponent_and_bound_exit_cleanly(argv):
     code, out, _ = run_fuzzed(argv)
     # a failed --self-check is the one nonzero exit that prints its report first
@@ -785,7 +781,6 @@ def fuzz_sim_argv(draw, tmp):
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(st.data())
-@pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
 def test_fuzzed_simulating_commands_exit_cleanly(tmp_path_factory, data):
     tmp = tmp_path_factory.mktemp("fuzz")
     argv, result = data.draw(fuzz_sim_argv(tmp))

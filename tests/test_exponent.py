@@ -157,7 +157,6 @@ def test_exponent_matches_mpmath_at_small_lambda_b(lw, lb):
 @pytest.mark.parametrize(
     "lw, lb, mu", [(50.0, 0.5, 1e-12), (10.0, 0.1, 1e-6), (1e3, 1.0, 1e-3), (0.3, 0.2, 1e-8)]
 )
-@pytest.mark.filterwarnings("ignore::covertq.model.UnstableRegimeWarning")
 def test_exponent_matches_mpmath_at_slow_service(lw, lb, mu):
     # mu << lambda_w makes (1-p)/(1-q) a hair below 1: its log has to come
     # from one exact ratio, not from a difference of two logs

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,7 +7,6 @@ from hypothesis import given, strategies as st
 from covertq.model import (
     Hypothesis,
     ModelParams,
-    UnstableRegimeWarning,
     csv_text,
     json_text,
 )
@@ -13,9 +14,7 @@ from oracles import stationary_distribution, transition_matrix
 
 
 def test_h0_matrix_symmetric_case():
-    with pytest.warns(UnstableRegimeWarning):  # lambda_w equals mu
-        params = ModelParams(1.0, 0.0, 1.0)
-    m = transition_matrix(params, Hypothesis.H0)
+    m = transition_matrix(ModelParams(1.0, 0.0, 1.0), Hypothesis.H0)
     np.testing.assert_array_equal(m, [[0.5, 0.5], [0.5, 0.5]])
 
 
@@ -67,16 +66,14 @@ def test_negative_lambda_b_rejected():
         ModelParams(0.3, -0.1, 1.0)
 
 
-def test_unstable_regime_warns_by_default():
-    with pytest.warns(UnstableRegimeWarning):
-        params = ModelParams(0.8, 0.5, 1.0)
-    assert not params.stable
-
-
-def test_unstable_regime_warning_names_the_caller():
-    with pytest.warns(UnstableRegimeWarning) as record:
-        ModelParams(0.8, 0.5, 1.0)
-    assert record[0].filename == __file__
+def test_every_load_is_a_valid_model_and_warns_nothing():
+    # a loss system holds at most one job, so it is ergodic at any load:
+    # an arrival finds the server idle with probability 1/(1 + load)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for load in (1.0, 1.3, 20.0, 1000.0):
+            params = ModelParams(0.5 * load, 0.5 * load, 1.0)
+            assert params.idle_probability(Hypothesis.H1) == 1.0 / (1.0 + load)
 
 
 def test_rows_stochastic_and_equal():

@@ -12,7 +12,7 @@ PUBLIC = (
     "CampaignConfig", "CovertnessSpec", "DegenerateModelError",
     "ErrorProbabilities", "Hypothesis",
     "KFunction", "ModelParams", "ObservationSequence",
-    "RngSeed", "UnstableRegimeWarning", "covertness_check", "decide",
+    "RngSeed", "covertness_check", "decide",
     "exact_error_probabilities", "exponent_report", "i_err_closed", "i_err_numeric",
     "i_err_taylor", "log_likelihood_ratio", "max_covert_rate",
     "monte_carlo_error", "persist", "r_of_u", "run_campaign", "scaling_table",
