@@ -215,7 +215,7 @@ def simulate_sequence(
     The draws go straight into the (width, segments) time-major arrays of
     _busy_bits_segmented: first width * segments gaps into the arrival
     times, row by row, then as many services into the end times, so draw
-    j of segment k serves that segment's arrival j.  Each draw is
+    j of segment k goes to that segment's arrival j.  Each draw is
     -log(1 - U) times its mean, from one rng.random fill per array (see
     _exponential).  Segment k's clock is its own running sum plus the
     sum of segments 0..k-1, which is exactly its predecessor's last
@@ -225,7 +225,7 @@ def simulate_sequence(
     total = n + burn_in
     width = math.isqrt(total)
     segments = -(-total // width)
-    last = width - 1 - (width * segments - total)  # last real row of segment -1
+    last = width - 1 - (width * segments - total)  # last segment's last real row
     rng = seed.generator()
     times = np.empty((width, segments))
     ends = np.empty((width, segments))
