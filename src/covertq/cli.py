@@ -20,7 +20,8 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import covert, exponent
-from .model import DegenerateModelError, Hypothesis, ModelParams, csv_text, json_text
+from .model import (DegenerateModelError, Hypothesis, ModelParams, csv_text, json_text,
+                    write_text)
 
 if TYPE_CHECKING:
     from .sim import ObservationSequence, RngSeed
@@ -142,8 +143,7 @@ def _read_sequence(path: str) -> ObservationSequence:
 
 def _write(path: str, text: str) -> None:
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_text(path, text)
     except OSError as exc:
         raise InputDataError(f"cannot write output: {exc}")
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .detect import exact_error_probabilities, monte_carlo_error
 from .exponent import exponent_report
-from .model import ModelParams, csv_text, json_text
+from .model import ModelParams, csv_text, json_text, write_text
 from .sim import RngSeed
 
 # 2: Monte Carlo rows come from the time-major simulator, whose draw order
@@ -210,8 +210,7 @@ def result_to_json(result: dict) -> str:
 
 def persist(result: dict, path) -> None:
     """No command calls this; perfbench/spans.py wraps it by name until it is retargeted."""
-    with open(path, "w") as fh:
-        fh.write(result_to_json(result))
+    write_text(path, result_to_json(result))
 
 
 def rows_to_csv(result: dict) -> str:

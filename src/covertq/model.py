@@ -12,6 +12,7 @@ in :mod:`covertq.sim` does not assume this, and the tests compare the two.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite, log1p
@@ -110,3 +111,15 @@ def csv_text(header, rows) -> str:
     NaN or an infinity raises NonFiniteError, as in json_text.
     """
     return "".join(",".join(map(_csv_field, row)) + "\n" for row in (header, *rows))
+
+
+def write_text(path, text: str) -> None:
+    """The one file writer: the bytes open(path, "w") writes, written in place.
+
+    Not truncated to zero first, which on ext4 forces a data flush at
+    close: a longer old file is cut after the write, /dev/null or a FIFO
+    (size 0) never.  Not atomic, as "w" is not.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        if os.fstat(fh.fileno()).st_size > fh.write(text.encode()):
+            fh.truncate()  # at the position the write left

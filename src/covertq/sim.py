@@ -91,7 +91,7 @@ class ObservationSequence:
 
     @property
     def busy_fraction(self) -> float:
-        return float(self.bits.mean()) if self.n else 0.0
+        return np.count_nonzero(self.bits) / self.n if self.n else 0.0
 
     def to_line(self) -> str:
         return (self.bits + ord("0")).tobytes().decode()
@@ -193,7 +193,8 @@ def _busy_bits_segmented(times: np.ndarray, ends: np.ndarray) -> np.ndarray:
             idle[m, k] = True
             true_depart = ends.item(m, k)
             j = m + 1
-    return np.logical_not(idle.T.ravel()).view(np.uint8)
+    np.logical_not(idle, out=idle)
+    return idle.T.ravel().view(np.uint8)
 
 
 def _check_lengths(n: int, burn_in: int) -> None:

@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import math
+import os
 import warnings
 from importlib import resources
 
@@ -531,6 +532,57 @@ def test_campaign_failed_csv_write_leaves_no_json(tmp_path, monkeypatch, capsys)
     code, out, err = run_cli(capsys, "campaign", str(cfg), "--out", str(tmp_path / "r"))
     assert (code, out, err) == (3, "", "error: cannot write output: disk full\n")
     assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def test_campaign_rerun_with_a_shorter_grid_rewrites_both_files(tmp_path, capsys):
+    long_cfg, short_cfg = tmp_path / "long.cfg", tmp_path / "short.cfg"
+    long_cfg.write_text(CAMPAIGN.replace("100,200", "100,200,400,800"))
+    short_cfg.write_text(CAMPAIGN)
+    assert run_cli(capsys, "campaign", str(long_cfg), "--out", str(tmp_path / "r"))[0] == 0
+    inode = (tmp_path / "r.json").stat().st_ino
+    assert run_cli(capsys, "campaign", str(short_cfg), "--out", str(tmp_path / "r"))[0] == 0
+    assert run_cli(capsys, "campaign", str(short_cfg), "--out", str(tmp_path / "f"))[0] == 0
+    for ext in (".json", ".csv"):
+        assert (tmp_path / f"r{ext}").read_bytes() == (tmp_path / f"f{ext}").read_bytes()
+    assert (tmp_path / "r.json").stat().st_ino == inode
+
+
+def test_simulate_over_a_longer_file_leaves_only_its_line(tmp_path, capsys):
+    out = tmp_path / "seq.txt"
+    out.write_text("1" * 1000 + "\n")
+    out.chmod(0o600)
+    sim10 = ["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "3"]
+    assert run_cli(capsys, *sim10, "--out", str(out))[0] == 0
+    line = run_cli(capsys, *sim10)[1]
+    assert out.read_bytes() == line.encode() and len(line) == 11
+    assert out.stat().st_mode & 0o777 == 0o600
+
+
+def test_simulate_out_follows_a_symlink(tmp_path, capsys):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("0" * 50 + "\n")
+    link.symlink_to(target)
+    sim10 = ["simulate", *RATES, "--n", "10", "--hyp", "h1", "--seed", "4"]
+    assert run_cli(capsys, *sim10, "--out", str(link))[0] == 0
+    assert link.is_symlink() and link.readlink() == target
+    assert target.read_text() == run_cli(capsys, *sim10)[1]
+
+
+def test_simulate_out_dev_null_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "simulate", *RATES, "--n", "10", "--hyp", "h0",
+                           "--seed", "3", "--out", os.devnull)
+    assert (code, out) == (0, "")
+
+
+def test_new_out_file_gets_0o666_under_the_umask(tmp_path, capsys):
+    old = os.umask(0o027)
+    try:
+        code = run_cli(capsys, "simulate", *RATES, "--n", "10", "--hyp", "h0",
+                       "--seed", "3", "--out", str(tmp_path / "seq.txt"))[0]
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert (tmp_path / "seq.txt").stat().st_mode & 0o777 == 0o640
 
 
 def test_outputs_are_strict_json_and_lf_csv(tmp_path, capsys):

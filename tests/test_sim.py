@@ -51,6 +51,12 @@ def test_busy_fraction_matches_analytic_marginal():
     assert abs(obs.busy_fraction - 1 / 3) < 0.005
 
 
+@pytest.mark.parametrize("n", [1, 7, 999_983, 10**6])
+def test_busy_fraction_is_the_mean_of_the_bits(n):
+    bits = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+    assert ObservationSequence(bits).busy_fraction == float(bits.mean())
+
+
 def test_n_zero_rejected():
     with pytest.raises(ValueError):
         simulate_sequence(PARAMS, Hypothesis.H0, 0, RngSeed(0))

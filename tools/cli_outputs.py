@@ -5,16 +5,18 @@
 SRC is the `src` directory of the checkout to run; it goes first on
 sys.path.  The calls are the seed-7 call lists of the three benchmark
 workloads (`perfbench/workloads.make_inputs` of this checkout, imported
-read-only), one call per subcommand and --output value, the edge
-inputs that must fail with a stated exit code, and argparse's help text
-and usage errors (wrapped at 80 columns).  Every call runs through
-`covertq.cli.main` in this process.  OUT.json holds, per call, argv, the
-exit code, stdout, stderr and every .json/.csv file the call wrote or
-changed, each as a list of lines with their line ends kept, the
-temporary directory shown as <TMP> and, in stdout and stderr, the SRC
-directory shown as <SRC> and a source line number after it as <LINE> (a
-warning names the file and line it came from, which any edit above that
-line moves).
+read-only), one call per subcommand and --output value, two calls that
+rewrite a longer existing output, the edge inputs that must fail with a
+stated exit code, and argparse's help text and usage errors (wrapped at
+80 columns).  Every call runs through `covertq.cli.main` in this
+process.  OUT.json holds, per call, argv, the exit code, stdout, stderr
+and every .json/.csv/.txt file the call wrote or changed.  A .txt file
+(a simulated sequence, up to 1 MB) is recorded by its byte count and
+sha256; the others and the two streams as lists of lines with their
+line ends kept, the temporary directory shown as <TMP> and, in stdout
+and stderr, the SRC directory shown as <SRC> and a source line number
+after it as <LINE> (a warning names the file and line it came from,
+which any edit above that line moves).
 Running it on two checkouts and diffing the two files shows every output
 byte that differs:
 
@@ -26,6 +28,7 @@ byte that differs:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -45,7 +48,7 @@ CAMPAIGN = ("lambda_w = 0.3\nlambda_b = 0.2\nn_grid = 100,200,400\n"
 BOUND = ["bound", "--lambda-w", "0.3", "--epsilon", "0.1"]
 
 
-GOOD_CONFIGS = ("exact", "mc")
+GOOD_CONFIGS = ("exact", "mc", "short")
 
 
 def _configs(tmp: Path) -> dict[str, str]:
@@ -53,6 +56,7 @@ def _configs(tmp: Path) -> dict[str, str]:
     texts = {
         "exact": CAMPAIGN,
         "mc": CAMPAIGN + "use_exact_when_feasible = No\nstream_id = 3\n",
+        "short": CAMPAIGN.replace("100,200,400", "100,200"),
         "missing_key": "lambda_w = 0.3\nlambda_b = 0.2\n",
         "nan_threshold": CAMPAIGN + "threshold = nan\n",
         "zero_n": CAMPAIGN.replace("100,200,400", "0,10,20"),
@@ -100,6 +104,12 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
     ]
     for name in GOOD_CONFIGS:
         calls.append(["campaign", cfg[name], "--out", str(tmp / name), "--threads", "1"])
+    # rewrites of an existing, longer output: a shorter grid, fewer symbols
+    calls += [
+        ["campaign", cfg["short"], "--out", str(tmp / "exact"), "--threads", "1"],
+        ["simulate", *RATES, "--n", "25", "--hyp", "h0", "--seed", "3",
+         "--out", str(tmp / "sim.txt")],
+    ]
     calls += [
         [*BOUND],
         [*BOUND, "--n", "100", "--n-values", "10,100"],
@@ -184,7 +194,13 @@ def _stream_lines(text: str, tmp: str, src: Path) -> list[str]:
 
 def _outputs(tmp: Path) -> dict[str, bytes]:
     return {str(p.relative_to(tmp)): p.read_bytes()
-            for pattern in ("**/*.json", "**/*.csv") for p in tmp.glob(pattern)}
+            for pattern in ("**/*.json", "**/*.csv", "**/*.txt") for p in tmp.glob(pattern)}
+
+
+def _file_record(name: str, data: bytes, tmp: str):
+    if name.endswith(".txt"):
+        return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    return _lines(data.decode(), tmp)
 
 
 def run_call(cli, argv: list[str], tmp: Path, src: Path) -> dict:
@@ -197,7 +213,7 @@ def run_call(cli, argv: list[str], tmp: Path, src: Path) -> dict:
             code = exc.code
         except Exception as exc:  # an uncaught error: record it and go on
             code = f"uncaught {type(exc).__name__}: {exc}".replace(str(tmp), PLACEHOLDER)
-    written = {name: _lines(data.decode(), str(tmp))
+    written = {name: _file_record(name, data, str(tmp))
                for name, data in sorted(_outputs(tmp).items()) if before.get(name) != data}
     return {"argv": [a.replace(str(tmp), PLACEHOLDER) for a in argv], "exit": code,
             "stdout": _stream_lines(out.getvalue(), str(tmp), src),
