@@ -547,13 +547,15 @@ def test_campaign_rerun_with_a_shorter_grid_rewrites_both_files(tmp_path, capsys
     assert (tmp_path / "r.json").stat().st_ino == inode
 
 
+SIM10 = ["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "3"]
+
+
 def test_simulate_over_a_longer_file_leaves_only_its_line(tmp_path, capsys):
     out = tmp_path / "seq.txt"
     out.write_text("1" * 1000 + "\n")
     out.chmod(0o600)
-    sim10 = ["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "3"]
-    assert run_cli(capsys, *sim10, "--out", str(out))[0] == 0
-    line = run_cli(capsys, *sim10)[1]
+    assert run_cli(capsys, *SIM10, "--out", str(out))[0] == 0
+    line = run_cli(capsys, *SIM10)[1]
     assert out.read_bytes() == line.encode() and len(line) == 11
     assert out.stat().st_mode & 0o777 == 0o600
 
@@ -562,23 +564,20 @@ def test_simulate_out_follows_a_symlink(tmp_path, capsys):
     target, link = tmp_path / "target.txt", tmp_path / "link.txt"
     target.write_text("0" * 50 + "\n")
     link.symlink_to(target)
-    sim10 = ["simulate", *RATES, "--n", "10", "--hyp", "h1", "--seed", "4"]
-    assert run_cli(capsys, *sim10, "--out", str(link))[0] == 0
+    assert run_cli(capsys, *SIM10, "--out", str(link))[0] == 0
     assert link.is_symlink() and link.readlink() == target
-    assert target.read_text() == run_cli(capsys, *sim10)[1]
+    assert target.read_text() == run_cli(capsys, *SIM10)[1]
 
 
 def test_simulate_out_dev_null_exits_0(capsys):
-    code, out, _ = run_cli(capsys, "simulate", *RATES, "--n", "10", "--hyp", "h0",
-                           "--seed", "3", "--out", os.devnull)
+    code, out, _ = run_cli(capsys, *SIM10, "--out", os.devnull)
     assert (code, out) == (0, "")
 
 
 def test_new_out_file_gets_0o666_under_the_umask(tmp_path, capsys):
     old = os.umask(0o027)
     try:
-        code = run_cli(capsys, "simulate", *RATES, "--n", "10", "--hyp", "h0",
-                       "--seed", "3", "--out", str(tmp_path / "seq.txt"))[0]
+        code = run_cli(capsys, *SIM10, "--out", str(tmp_path / "seq.txt"))[0]
     finally:
         os.umask(old)
     assert code == 0
