@@ -18,7 +18,7 @@ from covertq import (
 )
 
 params = ModelParams(lambda_w=0.3, lambda_b=0.2, mu=1.0)
-n = 200
+n, trials = 200, 50_000
 
 print(f"rates: {params}")
 print(f"idle seen by an arrival: H0 {params.idle_probability(Hypothesis.H0):.4f}, "
@@ -34,7 +34,7 @@ for hyp in Hypothesis:
 
 print()
 exact = exact_error_probabilities(params, n)
-mc = monte_carlo_error(params, n, 0.0, trials=50_000, seed=RngSeed(42, 7))
-print(f"exact: p_f {exact.p_f:.5f}  p_m {exact.p_m:.5f}  p_e {exact.p_e:.5f}")
-print(f"monte carlo ({mc.trials} trials): p_f {mc.p_f:.5f} (+-{mc.se_f:.5f})  "
-      f"p_m {mc.p_m:.5f} (+-{mc.se_m:.5f})")
+mc = monte_carlo_error(params, n, 0.0, trials=trials, seed=RngSeed(42, 7))
+print(f"exact: p_f {exact['p_f']:.5f}  p_m {exact['p_m']:.5f}  p_e {exact['p_e']:.5f}")
+print(f"monte carlo ({trials} trials): p_f {mc['p_f']:.5f} (+-{mc['se_f']:.5f})  "
+      f"p_m {mc['p_m']:.5f} (+-{mc['se_m']:.5f})")

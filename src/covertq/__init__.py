@@ -15,8 +15,8 @@ from importlib import import_module
 _SUBMODULE = {name: module for module, names in {
     "covert": ("CovertnessSpec", "KFunction", "covertness_check",
                "max_covert_rate", "scaling_table", "scaling_table_csv"),
-    "detect": ("ErrorProbabilities", "decide", "exact_error_probabilities",
-               "log_likelihood_ratio", "monte_carlo_error"),
+    "detect": ("decide", "exact_error_probabilities", "log_likelihood_ratio",
+               "monte_carlo_error"),
     "experiment": ("CampaignConfig", "persist", "run_campaign", "threshold_sweep"),
     "exponent": ("exponent_report", "i_err_closed", "i_err_numeric",
                  "i_err_taylor", "r_of_u", "v_closed_form"),

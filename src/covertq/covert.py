@@ -75,18 +75,13 @@ def max_covert_rate(lambda_w: float, spec: CovertnessSpec) -> dict:
     return {"n": spec.n, "bound": value, "feasible": True}
 
 
-@dataclass(frozen=True)
-class CovertnessCheck:
-    i_err: float
-    p_e_raw: float        # K(N) exp(-I N), can exceed 1 at small N
-    p_e_approx: float     # raw value clipped to [0, 1] for reporting
-    covert: bool
-
-
 def covertness_check(
     params: ModelParams, spec: CovertnessSpec, mode: str = "closed"
-) -> CovertnessCheck:
-    """Evaluate the covertness criterion with the chosen exponent."""
+) -> dict:
+    """Evaluate the covertness criterion with the chosen exponent.
+
+    p_e_raw = K(N) exp(-I N) can exceed 1 at small N; p_e_approx clips it to [0, 1].
+    """
     if mode == "closed":
         i_err = i_err_closed(params)
     elif mode == "taylor":
@@ -94,12 +89,8 @@ def covertness_check(
     else:
         raise ValueError(f"mode must be 'closed' or 'taylor', got {mode!r}")
     raw = spec.k(spec.n) * exp(-i_err * spec.n)
-    return CovertnessCheck(
-        i_err=i_err,
-        p_e_raw=raw,
-        p_e_approx=min(max(raw, 0.0), 1.0),
-        covert=raw >= 1.0 - spec.epsilon,
-    )
+    return {"i_err": i_err, "p_e_raw": raw, "p_e_approx": min(max(raw, 0.0), 1.0),
+            "covert": raw >= 1.0 - spec.epsilon}
 
 
 def scaling_table(

@@ -14,7 +14,6 @@ window of a request on one simulation.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from math import ceil, isfinite, isnan, sqrt
 
 import numpy as np
@@ -25,22 +24,9 @@ from .sim import ObservationSequence, RngSeed, simulate_sequence_batch
 MC_BLOCK_SIZE = 20_000
 
 
-@dataclass(frozen=True, kw_only=True)
-class ErrorProbabilities:
-    """Error rates of one test; p_e = (p_f + p_m)/2, and exact rates have se 0."""
-
-    p_f: float
-    p_m: float
-    p_e: float = field(init=False)
-    se_f: float = 0.0
-    se_m: float = 0.0
-    trials: int | None = None
-
-    def __post_init__(self):
-        for name, v in (("p_f", self.p_f), ("p_m", self.p_m)):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0,1]")
-        object.__setattr__(self, "p_e", (self.p_f + self.p_m) / 2.0)
+def _rates(p_f: float, p_m: float, se_f: float = 0.0, se_m: float = 0.0) -> dict:
+    """Error rates of one test as campaign rows key them; p_e = (p_f + p_m)/2."""
+    return {"p_f": p_f, "p_m": p_m, "p_e": (p_f + p_m) / 2.0, "se_f": se_f, "se_m": se_m}
 
 
 def _llr(k, n: int, c_idle: float, c_busy: float):
@@ -94,12 +80,13 @@ def exact_error_probabilities(
     params: ModelParams,
     n: int,
     threshold: float = 0.0,
-) -> ErrorProbabilities:
-    """Closed-form error probabilities of the threshold test.
+) -> dict:
+    """Closed-form error rates {"p_f", "p_m", "p_e", "se_f", "se_m"} of the threshold test.
 
     The idle count K over the n symbols is Bin(n, p) under H0 and Bin(n, q)
     under H1, and the test is one cut k* on it, so p_f = P_p(K < k*) and
-    p_m = P_q(K >= k*) are two incomplete-beta values: O(1) in n.
+    p_m = P_q(K >= k*) are two incomplete-beta values: O(1) in n.  Exact
+    rates have se 0.
     """
     if params.lambda_b <= 0:
         raise DegenerateModelError("lambda_b must be positive for a nondegenerate test")
@@ -117,7 +104,7 @@ def exact_error_probabilities(
             raise NonFiniteError(f"binomial tail is NaN at n={n}")
     else:  # one tail is empty and the other full; bdtr(-1, ...) is NaN
         p_f, p_m = (0.0, 1.0) if k == 0 else (1.0, 0.0)
-    return ErrorProbabilities(p_f=p_f, p_m=p_m)
+    return _rates(p_f, p_m)
 
 
 def monte_carlo_error(
@@ -127,8 +114,10 @@ def monte_carlo_error(
     trials: int,
     seed: RngSeed,
     workers: int = 1,
-) -> ErrorProbabilities | list[ErrorProbabilities]:
+) -> dict | list[dict]:
     """Empirical error rates over `trials` simulated sequences per hypothesis.
+
+    Keyed as `exact_error_probabilities` keys them; se_* are binomial standard errors.
 
     Trials are split into fixed blocks with independent (seed, stream_id)
     streams; integer error counts are summed in block order, so the result
@@ -137,7 +126,7 @@ def monte_carlo_error(
     `n` may be a strictly increasing tuple of windows.  Each block is then
     simulated once, up to the longest window, and each window's cut is
     applied to its idle counts at that window's end; the result is a list
-    with one ErrorProbabilities per window.  The draws depend on the seed
+    with one dict per window.  The draws depend on the seed
     and the longest window alone, so the last entry equals the scalar call
     there, and a shorter window reads a prefix of the same records:
     entries are positively correlated, and each se is its own marginal
@@ -184,11 +173,6 @@ def monte_carlo_error(
     out = []
     for f, m in zip(false_alarms, misses):
         p_f, p_m = int(f) / trials, int(m) / trials
-        out.append(ErrorProbabilities(
-            p_f=p_f,
-            p_m=p_m,
-            se_f=sqrt(p_f * (1.0 - p_f) / trials),
-            se_m=sqrt(p_m * (1.0 - p_m) / trials),
-            trials=trials,
-        ))
+        out.append(_rates(p_f, p_m, sqrt(p_f * (1.0 - p_f) / trials),
+                          sqrt(p_m * (1.0 - p_m) / trials)))
     return out if isinstance(n, tuple) else out[0]

@@ -156,12 +156,9 @@ def run_campaign(cfg: CampaignConfig) -> dict:
         streams = [_row_stream(master, cfg.n_grid[-1])] * len(cfg.n_grid)
         eps = monte_carlo_error(cfg.params, cfg.n_grid, cfg.threshold, cfg.trials_per_point,
                                 master.with_stream(streams[0]), workers=cfg.workers)
-    rows = [{
-        "n": n, "p_f": ep.p_f, "p_m": ep.p_m, "p_e": ep.p_e,
-        "se_f": ep.se_f, "se_m": ep.se_m,
-        "trials": cfg.trials_per_point, "seed": stream,
-        "method": "exact" if exact_ok else "mc",
-    } for n, ep, stream in zip(cfg.n_grid, eps, streams)]
+    rows = [{"n": n, **ep, "trials": cfg.trials_per_point, "seed": stream,
+             "method": "exact" if exact_ok else "mc"}
+            for n, ep, stream in zip(cfg.n_grid, eps, streams)]
 
     ns = np.array([r["n"] for r in rows], dtype=float)
     # Exact rows are reliable down to tiny probabilities; Monte Carlo rows
@@ -198,7 +195,7 @@ def threshold_sweep(
             if seed is None:
                 raise ValueError("Monte Carlo sweep requires a seed")
             ep = monte_carlo_error(params, n, gamma, trials, seed)
-        rows.append({"gamma": gamma, "p_f": ep.p_f, "p_m": ep.p_m, "p_e": ep.p_e})
+        rows.append({"gamma": gamma, "p_f": ep["p_f"], "p_m": ep["p_m"], "p_e": ep["p_e"]})
     return rows
 
 

@@ -40,23 +40,6 @@ def _dr_du(tilt: tuple[float, float, float], u: float) -> float:
     return q * log_idle * exp(u * log_idle) + (1.0 - q) * log_busy * exp(u * log_busy)
 
 
-def abcd_coefficients(params: ModelParams) -> tuple[float, float, float, float]:
-    """Coefficients of the factored row sum r(u) = A*B^u + C*D^u."""
-    lw, lb, mu = params.lambda_w, params.lambda_b, params.mu
-    lam = lw + lb
-    a_big = mu / (lam + mu)
-    b_big = (lam + mu) / (lw + mu)
-    c_big = lam / (lam + mu)
-    d_big = (lw / lam) * ((lam + mu) / (lw + mu))
-    return a_big, b_big, c_big, d_big
-
-
-def abc_small(params: ModelParams) -> tuple[float, float, float]:
-    """Ingredients of the closed-form minimizer."""
-    lw, lb, mu = params.lambda_w, params.lambda_b, params.mu
-    return (lw + lb) / mu, (lw + lb) / lw, (lw + mu) / (lb + lw + mu)
-
-
 def r_of_u(params: ModelParams, u: float) -> float:
     """Row sum (= spectral radius) of the tilted matrix at tilt u."""
     if not 0.0 <= u <= 1.0:
@@ -124,7 +107,9 @@ def i_err_taylor(params: ModelParams) -> float:
 
 def exponent_report(params: ModelParams) -> dict:
     """Every exponent quantity for one point, keyed as exponent_report.schema.json keys it."""
-    if params.lambda_b > 0:
+    lw, lb, mu = params.lambda_w, params.lambda_b, params.mu
+    lam = lw + lb
+    if lb > 0:
         v_closed = v_closed_form(params)
         v_num, i_num = i_err_numeric(params)
     else:
@@ -135,6 +120,13 @@ def exponent_report(params: ModelParams) -> dict:
         "i_err_closed": i_err_closed(params),
         "i_err_numeric": i_num,
         "i_err_taylor": i_err_taylor(params),
-        **dict(zip("ABCD", abcd_coefficients(params))),
-        **dict(zip("abc", abc_small(params))),
+        # coefficients of the factored row sum r(u) = A*B^u + C*D^u
+        "A": mu / (lam + mu),
+        "B": (lam + mu) / (lw + mu),
+        "C": lam / (lam + mu),
+        "D": (lw / lam) * ((lam + mu) / (lw + mu)),
+        # ingredients of the closed-form minimizer
+        "a": (lw + lb) / mu,
+        "b": (lw + lb) / lw,
+        "c": (lw + mu) / (lb + lw + mu),
     }

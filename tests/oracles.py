@@ -16,15 +16,14 @@ transition counts of criterion 6 are kept here too.
 
 import itertools
 from dataclasses import dataclass
-from math import log, log1p
+from math import log
 
 import mpmath
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from covertq.detect import _llr, decide
-from covertq.exponent import SMALL_LAMBDA_B_RATIO, _r_minus_one, _tilt
-from covertq.model import Hypothesis, ModelParams
+from covertq.model import Hypothesis, ModelParams, _tilt
 from covertq.sim import ObservationSequence
 
 
@@ -315,18 +314,13 @@ def q_of(lambda_w: float, lambda_b: float) -> float:
 def big_f(lambda_w: float, lambda_b: float) -> float:
     """r evaluated at the minimizing tilt, as a function of lambda_b (mu = 1).
 
-    Accepts small negative lambda_b (the formulas extend smoothly), which
-    central differences at 0 need.
+    exp(-I) from the 60-digit `mpmath_exponent`, which accepts small
+    negative lambda_b too (the formulas extend smoothly), as central
+    differences at 0 need.
     """
     if lambda_b == 0.0:
         return 1.0
-    tilt = _tilt(lambda_w, lambda_b, 1.0)
-    if abs(lambda_b) / lambda_w < SMALL_LAMBDA_B_RATIO:
-        v = 0.5
-    else:  # the root of d r/du; (1-q)/q = lambda_w + lambda_b at mu = 1
-        _, log_idle, log_busy = tilt
-        v = log((lambda_w + lambda_b) * (-log_busy / log_idle)) / log1p(lambda_b / lambda_w)
-    return 1.0 + _r_minus_one(tilt, v)
+    return float(mpmath.exp(-mpmath_exponent(lambda_w, lambda_b, 1.0)[1]))
 
 
 def dominant_eigenvalue(m) -> float:

@@ -146,7 +146,7 @@ def test_criterion_05_exhaustive_detector_oracle():
         for n in range(1, 13):
             bf_f, bf_m = brute_force_error_probabilities(params, n)
             ep = exact_error_probabilities(params, n)
-            worst = max(worst, abs(ep.p_f - bf_f), abs(ep.p_m - bf_m))
+            worst = max(worst, abs(ep["p_f"] - bf_f), abs(ep["p_m"] - bf_m))
     assert report(
         5,
         f"binomial formula vs 2^n enumeration, n<=12 x 20 triples "
@@ -173,8 +173,8 @@ def test_criterion_07_monte_carlo_vs_exact():
     for n in (12, 50, 200):
         exact = exact_error_probabilities(PARAMS, n)
         mc = monte_carlo_error(PARAMS, n, 0.0, trials, RngSeed(707, n))
-        ok &= abs(mc.p_f - exact.p_f) < 4 * sqrt(exact.p_f * (1 - exact.p_f) / trials)
-        ok &= abs(mc.p_m - exact.p_m) < 4 * sqrt(exact.p_m * (1 - exact.p_m) / trials)
+        ok &= abs(mc["p_f"] - exact["p_f"]) < 4 * sqrt(exact["p_f"] * (1 - exact["p_f"]) / trials)
+        ok &= abs(mc["p_m"] - exact["p_m"]) < 4 * sqrt(exact["p_m"] * (1 - exact["p_m"]) / trials)
     assert report(7, "Monte Carlo within 4 SE of exact at n in {12,50,200}", ok)
 
 
@@ -204,7 +204,7 @@ def test_criterion_09_bound_mechanics():
     spec = CovertnessSpec(epsilon=0.1, n=1000)
     rate = max_covert_rate(0.3, spec)["bound"]
     chk = covertness_check(ModelParams(0.3, rate, 1.0), spec, mode="taylor")
-    boundary_ok = abs(chk.p_e_raw - 0.9) < 1e-12
+    boundary_ok = abs(chk["p_e_raw"] - 0.9) < 1e-12
     rows = scaling_table(0.3, 0.1, k=spec.k, n_values=[100, 400, 1600, 6400])
     col = [r["bound_times_sqrt_n"] for r in rows]
     sqrt_ok = all(abs(v - col[0]) < 1e-12 for v in col)

@@ -15,6 +15,7 @@ from covertq import cli, covert, detect, experiment, exponent
 from covertq.model import ModelParams
 from covertq.sim import ObservationSequence, RngSeed, simulate_sequence
 from fresh import run_fresh
+from test_package import PUBLIC
 
 
 def run_cli(capsys, *argv):
@@ -140,7 +141,16 @@ def test_schemas_are_valid():
 LIB_PARAMS = ModelParams(0.3, 0.2, 1.0)
 LIB_CAMPAIGN = {"params": LIB_PARAMS, "n_grid": (20, 40, 60), "trials_per_point": 200,
                 "master_seed": RngSeed(5)}
-# each library call and the schema of the document the CLI writes from it
+
+
+def campaign_rows(eps, windows, trials, method):
+    """Campaign rows as run_campaign builds them from error-rate dicts."""
+    return [{"n": n, **ep, "trials": trials, "seed": 0, "method": method}
+            for n, ep in zip(windows, eps)]
+
+
+# each library call and the schema (or `schema/property`) of the document
+# the CLI writes from it
 LIBRARY_RESULTS = {
     "decide": ("llr_result", lambda: detect.decide(
         ObservationSequence.from_line("0110100111"), LIB_PARAMS, 0.5)),
@@ -157,13 +167,22 @@ LIBRARY_RESULTS = {
         experiment.CampaignConfig(**LIB_CAMPAIGN))),
     "run_campaign-mc": ("campaign_result", lambda: experiment.run_campaign(
         experiment.CampaignConfig(**LIB_CAMPAIGN, use_exact_when_feasible=False))),
+    "exact_error_probabilities": ("campaign_result/rows", lambda: campaign_rows(
+        [detect.exact_error_probabilities(LIB_PARAMS, 40)], [40], 1, "exact")),
+    "monte_carlo_error-windows": ("campaign_result/rows", lambda: campaign_rows(
+        detect.monte_carlo_error(LIB_PARAMS, (20, 40), 0.0, 200, RngSeed(1)),
+        [20, 40], 200, "mc")),
 }
 
 
 @pytest.mark.parametrize("name", LIBRARY_RESULTS)
 def test_library_results_are_their_schema_documents(name):
-    schema_name, call = LIBRARY_RESULTS[name]
-    jsonschema.Draft202012Validator(schema(schema_name)).validate(call())
+    path, call = LIBRARY_RESULTS[name]
+    file, *props = path.split("/")
+    doc = schema(file)
+    for prop in props:
+        doc = doc["properties"][prop]
+    jsonschema.Draft202012Validator(doc).validate(call())
 
 
 def test_exponent_json_schema_and_self_check(capsys):
@@ -645,7 +664,7 @@ import covertq, covertq.cli
 HEAVY = ("numpy", "scipy", "concurrent.futures")
 RATES = {RATES!r}
 BOUND = {BOUND!r}
-assert len(covertq.__all__) == 28 and set(covertq.__all__) <= set(dir(covertq))
+assert len(covertq.__all__) == {len(PUBLIC)} and set(covertq.__all__) <= set(dir(covertq))
 assert not any(m in sys.modules for m in HEAVY), "import covertq"
 calls = [
     (["exponent", *RATES], 0),

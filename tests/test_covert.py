@@ -81,10 +81,10 @@ def test_boundary_equality_at_the_bound():
     spec = CovertnessSpec(epsilon=0.1, n=1000)
     rate = max_covert_rate(0.3, spec)["bound"]
     chk = covertness_check(ModelParams(0.3, rate, 1.0), spec, mode="taylor")
-    assert chk.p_e_raw == pytest.approx(0.9, abs=1e-12)
-    assert chk.covert
+    assert chk["p_e_raw"] == pytest.approx(0.9, abs=1e-12)
+    assert chk["covert"]
     above = covertness_check(ModelParams(0.3, rate * 1.0001, 1.0), spec, mode="taylor")
-    assert not above.covert
+    assert not above["covert"]
 
 
 def test_closed_and_taylor_agree_near_the_bound():
@@ -96,24 +96,24 @@ def test_closed_and_taylor_agree_near_the_bound():
         params = ModelParams(0.3, lb, 1.0)
         closed = covertness_check(params, spec, mode="closed")
         taylor = covertness_check(params, spec, mode="taylor")
-        assert abs(closed.i_err - taylor.i_err) / closed.i_err < 0.08
-        assert closed.covert == taylor.covert == expected
+        assert abs(closed["i_err"] - taylor["i_err"]) / closed["i_err"] < 0.08
+        assert closed["covert"] == taylor["covert"] == expected
 
 
 def test_zero_lambda_b_always_covert_with_unit_k():
     spec = CovertnessSpec(epsilon=0.1, n=1000)
     chk = covertness_check(ModelParams(0.3, 0.0, 1.0), spec)
-    assert chk.i_err == 0.0
-    assert chk.p_e_approx == 1.0
-    assert chk.covert
+    assert chk["i_err"] == 0.0
+    assert chk["p_e_approx"] == 1.0
+    assert chk["covert"]
 
 
 def test_p_e_approx_clipped_raw_kept():
     k = KFunction(k0=3.0)
     spec = CovertnessSpec(epsilon=0.1, n=10, k=k)
     chk = covertness_check(ModelParams(0.3, 0.01, 1.0), spec)
-    assert chk.p_e_raw > 1.0
-    assert chk.p_e_approx == 1.0
+    assert chk["p_e_raw"] > 1.0
+    assert chk["p_e_approx"] == 1.0
 
 
 def test_bound_monotone_in_epsilon_and_lambda_w():

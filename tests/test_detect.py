@@ -8,7 +8,6 @@ import pytest
 from covertq import detect
 from covertq.detect import (
     DegenerateModelError,
-    ErrorProbabilities,
     _cut,
     _llr,
     decide,
@@ -89,21 +88,14 @@ def test_exact_rejects_zero_lambda_b():
 
 def test_exact_single_sample():
     ep = exact_error_probabilities(PARAMS, 1)
-    assert ep.p_f == pytest.approx(1 - 1 / 1.3, abs=1e-12)
-    assert ep.p_m == pytest.approx(2 / 3, abs=1e-12)
+    assert ep["p_f"] == pytest.approx(1 - 1 / 1.3, abs=1e-12)
+    assert ep["p_m"] == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_error_probabilities_derive_p_e():
     ep = exact_error_probabilities(PARAMS, 1)
-    assert ep.p_e == (ep.p_f + ep.p_m) / 2.0
-    assert (ep.se_f, ep.se_m, ep.trials) == (0.0, 0.0, None)
-    assert "p_e=" in repr(ep)
-    with pytest.raises(TypeError):
-        ErrorProbabilities(0.25, 0.75, 0.5)  # keyword-only: no p_e can land in se_f
-    with pytest.raises(TypeError):
-        ErrorProbabilities(p_f=0.25, p_m=0.75, p_e=0.5)
-    with pytest.raises(ValueError, match="p_m=1.5 outside"):
-        ErrorProbabilities(p_f=0.25, p_m=1.5)
+    assert ep["p_e"] == (ep["p_f"] + ep["p_m"]) / 2.0
+    assert (ep["se_f"], ep["se_m"]) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("lambda_b", [1e-18, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.2])
@@ -130,7 +122,7 @@ def test_exact_tails_match_the_mpmath_cut(lambda_w, lambda_b, n, rel):
     params = ModelParams(lambda_w, lambda_b, 1.0)
     ep = exact_error_probabilities(params, n)
     refs = mpmath_binomial_tails(params, n, mpmath_cut(params, n, 0.0), dps=60)
-    for got, ref in zip((ep.p_f, ep.p_m), refs):
+    for got, ref in zip((ep["p_f"], ep["p_m"]), refs):
         assert abs(got - ref) <= rel * ref, (got, ref)
 
 
@@ -139,14 +131,14 @@ def test_small_but_resolvable_lambda_b_splits_errors():
     # middle of both nearly identical binomials: each error rate is near
     # 1/2, and only the total stays pinned at 1/2
     ep = exact_error_probabilities(ModelParams(0.3, 1e-12, 1.0), 1000)
-    assert 0.3 < ep.p_f < 0.7
-    assert 0.3 < ep.p_m < 0.7
-    assert ep.p_e == pytest.approx(0.5, abs=1e-6)
+    assert 0.3 < ep["p_f"] < 0.7
+    assert 0.3 < ep["p_m"] < 0.7
+    assert ep["p_e"] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_tiny_lambda_b_total_error_near_half():
     ep = exact_error_probabilities(ModelParams(0.3, 1e-9, 1.0), 1000)
-    assert ep.p_e == pytest.approx(0.5, abs=0.02)
+    assert ep["p_e"] == pytest.approx(0.5, abs=0.02)
 
 
 def first_h0_index(decide_h0):
@@ -185,7 +177,7 @@ def test_exact_tails_match_mpmath(n):
         for threshold in (-2.0, 0.0, 1.5, float(rng.uniform(-5.0, 5.0))):
             ep = exact_error_probabilities(params, n, threshold)
             cut = first_h0_index(llr >= threshold)
-            for got, ref in zip((ep.p_f, ep.p_m),
+            for got, ref in zip((ep["p_f"], ep["p_m"]),
                                 mpmath_binomial_tails(params, n, cut)):
                 case = (lw, lb, threshold, got, ref)
                 if ref < sys.float_info.min:
@@ -199,8 +191,8 @@ def test_exact_matches_the_log_domain_sum():
         for threshold in (-1.0, 0.0, 0.5):
             ep = exact_error_probabilities(PARAMS, n, threshold)
             p_f, p_m = log_domain_error_probabilities(PARAMS, n, threshold)
-            assert ep.p_f == pytest.approx(p_f, rel=1e-9, abs=0.0)
-            assert ep.p_m == pytest.approx(p_m, rel=1e-9, abs=0.0)
+            assert ep["p_f"] == pytest.approx(p_f, rel=1e-9, abs=0.0)
+            assert ep["p_m"] == pytest.approx(p_m, rel=1e-9, abs=0.0)
 
 
 def test_exact_at_ten_million_underflows_in_bounded_memory():
@@ -210,7 +202,7 @@ def test_exact_at_ten_million_underflows_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (ep.p_f, ep.p_m, ep.p_e) == (0.0, 0.0, 0.0)
+    assert (ep["p_f"], ep["p_m"], ep["p_e"]) == (0.0, 0.0, 0.0)
     assert peak < 2**20
 
 
@@ -228,14 +220,14 @@ def test_non_finite_threshold_rejected(threshold):
 def test_brute_force_equivalence_small_n(n):
     p_f, p_m = brute_force_error_probabilities(PARAMS, n)
     ep = exact_error_probabilities(PARAMS, n)
-    assert ep.p_f == pytest.approx(p_f, abs=1e-12)
-    assert ep.p_m == pytest.approx(p_m, abs=1e-12)
+    assert ep["p_f"] == pytest.approx(p_f, abs=1e-12)
+    assert ep["p_m"] == pytest.approx(p_m, abs=1e-12)
 
 
 def test_total_error_monotone_in_n():
     prev = 1.0
     for n in range(1, 201):
-        p_e = exact_error_probabilities(PARAMS, n).p_e
+        p_e = exact_error_probabilities(PARAMS, n)["p_e"]
         assert p_e <= prev + 1e-12
         prev = p_e
 
@@ -244,20 +236,20 @@ def test_monte_carlo_matches_exact():
     n, trials = 12, 100_000
     exact = exact_error_probabilities(PARAMS, n)
     mc = monte_carlo_error(PARAMS, n, 0.0, trials, RngSeed(101))
-    assert abs(mc.p_f - exact.p_f) < 4 * sqrt(exact.p_f * (1 - exact.p_f) / trials)
-    assert abs(mc.p_m - exact.p_m) < 4 * sqrt(exact.p_m * (1 - exact.p_m) / trials)
+    assert abs(mc["p_f"] - exact["p_f"]) < 4 * sqrt(exact["p_f"] * (1 - exact["p_f"]) / trials)
+    assert abs(mc["p_m"] - exact["p_m"]) < 4 * sqrt(exact["p_m"] * (1 - exact["p_m"]) / trials)
 
 
 def test_monte_carlo_zero_lambda_b_never_false_alarms():
     mc = monte_carlo_error(ModelParams(0.3, 0.0, 1.0), 20, 0.0, 2000, RngSeed(5))
-    assert mc.p_f == 0.0
-    assert mc.p_m == 1.0
+    assert mc["p_f"] == 0.0
+    assert mc["p_m"] == 1.0
 
 
 def test_monte_carlo_single_trial_is_bernoulli():
     mc = monte_carlo_error(PARAMS, 12, 0.0, 1, RngSeed(9))
-    assert mc.p_f in (0.0, 1.0)
-    assert mc.p_m in (0.0, 1.0)
+    assert mc["p_f"] in (0.0, 1.0)
+    assert mc["p_m"] in (0.0, 1.0)
 
 
 def test_monte_carlo_worker_count_is_invisible():
@@ -281,9 +273,9 @@ def test_monte_carlo_worker_count_is_invisible():
 def test_monte_carlo_error_counts_are_pinned(n, false_alarms, misses):
     trials = 500
     mc = monte_carlo_error(PARAMS, n, 0.0, trials, RngSeed(2024, 3))
-    assert (mc.p_f, mc.p_m) == (false_alarms / trials, misses / trials)
+    assert (mc["p_f"], mc["p_m"]) == (false_alarms / trials, misses / trials)
     exact = exact_error_probabilities(PARAMS, n)
-    for count, p in ((false_alarms, exact.p_f), (misses, exact.p_m)):
+    for count, p in ((false_alarms, exact["p_f"]), (misses, exact["p_m"])):
         assert abs(count - trials * p) <= 4 * sqrt(trials * p * (1 - p))
 
 
@@ -301,10 +293,9 @@ def test_monte_carlo_windows_read_every_cut_off_one_simulation(monkeypatch):
             for i, w in enumerate(windows):
                 below = np.count_nonzero(counts[i] < _cut(w, PARAMS, gamma))
                 errors[hyp.value, i] += below if hyp is Hypothesis.H0 else bt - below
-    expected = [ErrorProbabilities(p_f=f / trials, p_m=m / trials,
-                                   se_f=sqrt(f / trials * (1 - f / trials) / trials),
-                                   se_m=sqrt(m / trials * (1 - m / trials) / trials),
-                                   trials=trials)
+    expected = [{"p_f": f / trials, "p_m": m / trials, "p_e": (f / trials + m / trials) / 2,
+                 "se_f": sqrt(f / trials * (1 - f / trials) / trials),
+                 "se_m": sqrt(m / trials * (1 - m / trials) / trials)}
                 for f, m in zip(errors[0], errors[1])]
     assert grid == expected
     # the longest window is the scalar call's simulation
@@ -314,7 +305,7 @@ def test_monte_carlo_windows_read_every_cut_off_one_simulation(monkeypatch):
 
 def test_monte_carlo_error_shapes_follow_the_arguments():
     one = monte_carlo_error(PARAMS, 20, 0.0, 50, RngSeed(3))
-    assert isinstance(one, ErrorProbabilities)
+    assert isinstance(one, dict)
     assert monte_carlo_error(PARAMS, (20,), 0.0, 50, RngSeed(3)) == [one]
     assert len(monte_carlo_error(PARAMS, (5, 10, 20), 0.0, 50, RngSeed(3))) == 3
     for n in ((), (20, 10), (10, 10)):

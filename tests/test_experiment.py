@@ -66,8 +66,8 @@ def test_exact_campaign_rows_match_oracle():
     result = exact_campaign([50, 100, 150])
     for row in result["rows"]:
         ep = exact_error_probabilities(PARAMS, row["n"])
-        assert row["p_f"] == ep.p_f
-        assert row["p_m"] == ep.p_m
+        assert row["p_f"] == ep["p_f"]
+        assert row["p_m"] == ep["p_m"]
         assert (row["se_f"], row["se_m"]) == (0.0, 0.0)
         assert row["method"] == "exact"
 
@@ -104,8 +104,8 @@ def test_mc_campaign_agrees_with_exact_everywhere():
     result = run_campaign(cfg)
     for row in result["rows"]:
         ep = exact_error_probabilities(PARAMS, row["n"])
-        assert abs(row["p_f"] - ep.p_f) < 4 * max(row["se_f"], 1e-9)
-        assert abs(row["p_m"] - ep.p_m) < 4 * max(row["se_m"], 1e-9)
+        assert abs(row["p_f"] - ep["p_f"]) < 4 * max(row["se_f"], 1e-9)
+        assert abs(row["p_m"] - ep["p_m"]) < 4 * max(row["se_m"], 1e-9)
 
 
 def test_mc_campaign_reproducible_across_workers():
@@ -150,8 +150,8 @@ def test_mc_campaign_rows_are_windows_of_the_longest_rows_simulation(monkeypatch
     stream = _row_stream(master, 200)
     assert [r["seed"] for r in rows] == [stream] * 4
     top = monte_carlo_error(PARAMS, 200, 0.0, 600, master.with_stream(stream))
-    assert (rows[-1]["p_f"], rows[-1]["p_m"]) == (top.p_f, top.p_m)
-    assert (rows[-1]["se_f"], rows[-1]["se_m"]) == (top.se_f, top.se_m)
+    assert (rows[-1]["p_f"], rows[-1]["p_m"]) == (top["p_f"], top["p_m"])
+    assert (rows[-1]["se_f"], rows[-1]["se_m"]) == (top["se_f"], top["se_m"])
     # a grid point below the longest window moves no other row
     keys = ("n", "p_f", "p_m", "se_f", "se_m", "seed")
     inserted = [r for r in mc_campaign((30, 64, 65, 120, 200), master)["rows"]

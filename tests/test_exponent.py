@@ -5,7 +5,6 @@ import pytest
 
 from covertq import exponent
 from covertq.exponent import (
-    abcd_coefficients,
     exponent_report,
     i_err_closed,
     i_err_numeric,
@@ -43,7 +42,7 @@ def test_r_midpoint_hand_value():
 def test_r_two_factorizations_agree():
     rng = np.random.default_rng(7)
     for params in param_grid(20, rng):
-        a, b, c, d = abcd_coefficients(params)
+        a, b, c, d = (exponent_report(params)[k] for k in "ABCD")
         for u in rng.uniform(0.0, 1.0, size=5):
             assert r_of_u(params, u) == pytest.approx(a * b**u + c * d**u, abs=1e-14)
 
@@ -260,7 +259,7 @@ def test_exponent_report_fields():
     a, b, c, d = (rep[k] for k in "ABCD")
     assert a + c == pytest.approx(1.0, abs=1e-15)
     assert a * b + c * d == pytest.approx(1.0, abs=1e-12)
-    assert (a, b, c, d) == abcd_coefficients(PARAMS)
+    assert (a, b, c, d) == pytest.approx((2 / 3, 15 / 13, 1 / 3, 9 / 13), abs=1e-15)
     small_a, small_b, small_c = (rep[k] for k in "abc")
     assert small_a == pytest.approx(0.5, abs=1e-15)
     assert small_b == pytest.approx(5 / 3, abs=1e-15)
