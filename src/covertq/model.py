@@ -84,8 +84,7 @@ def _tilt(lw: float, lb: float, mu: float) -> tuple[float, float, float]:
 
     p/q = 1 + lb/(lw+mu) and (1-p)/(1-q) = 1 - (lb/(lw+lb)) * (mu/(lw+mu)),
     so both logs come from log1p of exact small ratios and keep their
-    digits as lb -> 0 or mu -> 0.  Small negative lb is accepted (central
-    differences at 0 need it).
+    digits as lb -> 0 or mu -> 0.
     """
     return (mu / (lw + lb + mu), log1p(lb / (lw + mu)),
             log1p(-(lb / (lw + lb)) * (mu / (lw + mu))))

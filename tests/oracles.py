@@ -5,13 +5,13 @@ probabilities come from explicit products over the entries of the 2x2
 busy/idle transition matrices (which live here, not in the package),
 exact error probabilities from all n+1 binomial terms summed in the log
 domain or from an mpmath tail sum, the Chernoff information from
-grid-plus-refinement minimization or from a 60-digit mpmath root of
-d r/du, the spectral radius from a dense eigensolve, and the simulator's
-busy/idle record from a per-arrival loop over one stream, which also
-gives the record of Willie's own jobs in a thinned merged stream, and
-the batch recursion's departure update from a masked select.  The
-small-lambda_b derivative facts of criterion 3 and the empirical
-transition counts of criterion 6 are kept here too.
+grid-plus-refinement minimization or from the mpmath tilted law at which
+the two divergences are equal, the spectral radius from a dense
+eigensolve, and the simulator's busy/idle record from a per-arrival loop
+over one stream, which also gives the record of Willie's own jobs in a
+thinned merged stream, and the batch recursion's departure update from
+a masked select.  The small-lambda_b derivative facts of criterion 3
+and the empirical transition counts of criterion 6 are kept here too.
 """
 
 import itertools
@@ -250,25 +250,43 @@ def chernoff_information(p: float, q: float, resolution=1e-12) -> float:
         hi = min(1.0, us[i] + step)
 
 
-def mpmath_exponent(lambda_w: float, lambda_b: float, mu: float):
-    """(v, -log r(v)) at the minimizing tilt v, in 60-digit arithmetic.
+def _mpmath_dps(lambda_b: float) -> int:
+    """Working digits: 60, plus two per decade of lambda_b away from 1.
 
-    p and q are formed from the exact binary values of the rates, and v is
-    the root of d r/du on [0, 1]; r is convex, so that root is the minimizer.
+    -log r sits near lambda_b^2 while the terms that make it are near
+    lambda_b, so each decade below 1 cancels two more digits.
     """
-    with mpmath.workdps(60):
+    return 60 + 2 * abs(int(mpmath.log10(abs(lambda_b))))
+
+
+def mpmath_exponent(lambda_w: float, lambda_b: float, mu: float):
+    """(v, -log r(v)) at the minimizing tilt v, in high-precision arithmetic.
+
+    p and q are formed from the exact binary values of the rates.  At the
+    minimizer the tilted law t* has D(t*||p) = D(t*||q), so t* is the root
+    -b/(a-b) of t a + (1-t) b with a = log(p/q), b = log((1-p)/(1-q)), the
+    exponent is D(t*||q), and v = (logit(t*) - logit(q)) / (a - b).  This
+    holds for small negative lambda_b too, as central differences at 0 need.
+    """
+    with mpmath.workdps(_mpmath_dps(lambda_b)):
         lw, lb, mu = mpmath.mpf(lambda_w), mpmath.mpf(lambda_b), mpmath.mpf(mu)
         p, q = mu / (lw + mu), mu / (lw + lb + mu)
         a, b = mpmath.log(p / q), mpmath.log((1 - p) / (1 - q))
+        t = -b / (a - b)
+        i_err = t * mpmath.log(t / q) + (1 - t) * mpmath.log((1 - t) / (1 - q))
+        v = (mpmath.log(t / (1 - t)) - mpmath.log(q / (1 - q))) / (a - b)
+        return v, i_err
 
-        def r(u):
-            return q * mpmath.exp(u * a) + (1 - q) * mpmath.exp(u * b)
 
-        def dr(u):
-            return q * a * mpmath.exp(u * a) + (1 - q) * b * mpmath.exp(u * b)
-
-        v = mpmath.findroot(dr, (mpmath.mpf(0), mpmath.mpf(1)), solver="anderson")
-        return v, -mpmath.log(r(v))
+def mpmath_row_sum(params: ModelParams, u: float):
+    """(r(u), d r/du) at the float tilt u, in high-precision arithmetic."""
+    with mpmath.workdps(_mpmath_dps(params.lambda_b)):
+        lw = mpmath.mpf(params.lambda_w)
+        lb, mu = mpmath.mpf(params.lambda_b), mpmath.mpf(params.mu)
+        p, q = mu / (lw + mu), mu / (lw + lb + mu)
+        a, b = mpmath.log(p / q), mpmath.log((1 - p) / (1 - q))
+        idle, busy = q * mpmath.exp(u * a), (1 - q) * mpmath.exp(u * b)
+        return idle + busy, a * idle + b * busy
 
 
 @dataclass(frozen=True)
@@ -314,9 +332,8 @@ def q_of(lambda_w: float, lambda_b: float) -> float:
 def big_f(lambda_w: float, lambda_b: float) -> float:
     """r evaluated at the minimizing tilt, as a function of lambda_b (mu = 1).
 
-    exp(-I) from the 60-digit `mpmath_exponent`, which accepts small
-    negative lambda_b too (the formulas extend smoothly), as central
-    differences at 0 need.
+    exp(-I) from `mpmath_exponent`, which accepts small negative lambda_b
+    too (the formulas extend smoothly), as central differences at 0 need.
     """
     if lambda_b == 0.0:
         return 1.0

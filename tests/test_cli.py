@@ -193,9 +193,11 @@ def test_exponent_json_schema_and_self_check(capsys):
     assert rec["v_closed"] == pytest.approx(0.490653, abs=1e-6)
 
 
-@pytest.mark.parametrize("lambda_b", ["1e-5", "1e-4"])
-def test_exponent_self_check_passes_at_small_lambda_b(capsys, lambda_b):
-    code, _, err = run_cli(capsys, "exponent", "--lambda-w", "0.5",
+@pytest.mark.parametrize("lambda_w, lambda_b", [
+    ("0.5", "1e-5"), ("0.5", "1e-4"), ("0.3", "1e-9"), ("0.2", "1e-150"),
+], ids=["1e-5", "1e-4", "0.3-1e-9", "0.2-1e-150"])
+def test_exponent_self_check_passes_at_small_lambda_b(capsys, lambda_w, lambda_b):
+    code, _, err = run_cli(capsys, "exponent", "--lambda-w", lambda_w,
                            "--lambda-b", lambda_b, "--self-check")
     assert code == 0, err
 
@@ -767,17 +769,18 @@ def test_fuzzed_exponent_and_bound_exit_cleanly(argv):
             assert all(math.isfinite(float(field)) for field in line.split(",")), out
     elif out:
         doc = json.loads(out, parse_constant=_reject_constant)
-        if argv[0] == "bound":
-            jsonschema.validate(doc, schema("bound"))
+        jsonschema.validate(doc, schema("bound" if argv[0] == "bound" else "exponent_report"))
 
 
-# a known defect: the strict xfail turns into a failure once the exponent
-# keeps its digits below lambda_b/lambda_w ~ 1e-7
-@pytest.mark.xfail(strict=True, reason="_r_minus_one cancels, so i_err_closed is -1.36e-166")
 def test_exponent_at_tiny_lambda_b_is_what_the_schema_defines(capsys):
+    # the exponent is 4.34e-301 here; an r - 1 formed from two terms of
+    # order lambda_b would leave a negative rounding residue instead
     code, out, err = run_cli(capsys, "exponent", "--lambda-w", "0.2", "--lambda-b", "1e-150")
     assert code == 0, err
-    jsonschema.validate(json.loads(out), schema("exponent_report"))
+    rec = json.loads(out)
+    jsonschema.validate(rec, schema("exponent_report"))
+    for key in ("i_err_closed", "i_err_numeric"):
+        assert rec[key] == pytest.approx(4.3402777777777775e-301, rel=1e-13, abs=0)
 
 
 # The simulating commands.  Half the calls draw only usable values, so they

@@ -12,12 +12,13 @@ from covertq.exponent import (
     r_of_u,
     v_closed_form,
 )
-from covertq.model import Hypothesis, ModelParams, _tilt, json_text
+from covertq.model import Hypothesis, ModelParams, json_text
 from oracles import (
     big_f,
     chernoff_information,
     dominant_eigenvalue,
     mpmath_exponent,
+    mpmath_row_sum,
     param_grid,
     q_derivative_facts,
     q_of,
@@ -81,9 +82,8 @@ def test_v_closed_form_hand_value():
 
 def test_v_closed_form_is_the_zero_of_dr_du():
     for params in GRID:
-        v = v_closed_form(params)
-        tilt = _tilt(params.lambda_w, params.lambda_b, params.mu)
-        assert abs(exponent._dr_du(tilt, v)) < 1e-10
+        _, slope = mpmath_row_sum(params, v_closed_form(params))
+        assert abs(slope) < 1e-10
 
 
 def test_v_limit_is_half():
@@ -95,8 +95,10 @@ def test_v_limit_is_half():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
-def test_small_lambda_b_switch_returns_half():
-    assert v_closed_form(ModelParams(0.3, 1e-10, 1.0)) == 0.5
+def test_v_closed_form_at_tiny_lambda_b_is_the_mpmath_value():
+    # 1/2 - 7.5e-12, which a switch to the limit 1/2 would miss
+    assert v_closed_form(ModelParams(0.3, 1e-10, 1.0)) == pytest.approx(
+        0.49999999999252137, rel=1e-15)
 
 
 def test_v_rejects_zero_lambda_b():
@@ -141,16 +143,39 @@ def test_chernoff_oracle_agreement():
 @pytest.mark.parametrize("lw", [0.05, 0.1, 0.2, 0.3, 0.5, 0.6])
 def test_exponent_matches_mpmath_at_small_lambda_b(lw, lb):
     # r(v) sits within ~lb^2 of 1 here, so -log r(v) keeps its digits only
-    # if r - 1 is formed without cancellation; below lb = 1e-6 the two
-    # expm1 terms of r - 1 cancel and only the minimizers are pinned
+    # if nothing forms r - 1 from two terms of order lb
     params = ModelParams(lw, lb, 1.0)
     v_ref, i_ref = (float(x) for x in mpmath_exponent(lw, lb, 1.0))
     v_num, i_num = i_err_numeric(params)
     assert abs(v_closed_form(params) - v_ref) <= 1e-8
     assert abs(v_num - v_ref) <= 1e-8
-    if lb >= 1e-6:
-        assert abs(i_err_closed(params) - i_ref) <= 1e-9 * i_ref
-        assert abs(i_num - i_ref) <= 1e-9 * i_ref
+    assert abs(i_err_closed(params) - i_ref) <= 1e-9 * i_ref
+    assert abs(i_num - i_ref) <= 1e-9 * i_ref
+
+
+PINNED_LB = [1e-150, 1e-120, 1e-90, 1e-60, 1e-40, 1e-30, 1e-20, 1e-15, 1e-12, 1e-9,
+             1e-7, 1e-5, 1e-4, 1e-3, 1e-2, 0.05, 0.2, 0.5, 1.0, 3.0]
+
+
+@pytest.mark.parametrize("lw, lb, mu", [
+    *((lw, lb, 1.0) for lw in (0.1, 0.3, 0.6, 5.0) for lb in PINNED_LB),
+    (50.0, 0.5, 1e-12),  # 1 - p a hair below 1 - q
+    (0.3, 0.2, 1e8),  # p and q a hair below 1
+    (0.3, 1e160, 1.0),  # q near 1e-160
+])
+def test_exponent_pinned_to_mpmath(lw, lb, mu):
+    # every exponent quantity to 1e-13 relative (the numeric minimizer to
+    # its bracket), from lambda_b = 1e-150, where the exponent is 4e-301
+    params = ModelParams(lw, lb, mu)
+    v_ref, i_ref = (float(x) for x in mpmath_exponent(lw, lb, mu))
+    v_num, i_num = i_err_numeric(params)
+    assert v_closed_form(params) == pytest.approx(v_ref, rel=1e-13, abs=0)
+    assert i_err_closed(params) == pytest.approx(i_ref, rel=1e-13, abs=0)
+    assert i_num == pytest.approx(i_ref, rel=1e-13, abs=0)
+    assert abs(v_num - v_ref) <= 1e-10
+    for u in (0.25, 0.5, 0.75):
+        r_ref, _ = mpmath_row_sum(params, u)
+        assert r_of_u(params, u) == pytest.approx(float(r_ref), rel=1e-15, abs=0)
 
 
 @pytest.mark.parametrize(
