@@ -15,7 +15,8 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
-from math import isfinite, log1p
+from functools import cached_property
+from math import isfinite, log, log1p
 
 
 class Hypothesis(Enum):
@@ -29,6 +30,31 @@ class DegenerateModelError(ValueError):
 
 class NonFiniteError(ValueError, ArithmeticError):
     """A result to be written holds NaN or an infinity; an arithmetic failure too."""
+
+
+def _h2(x: float) -> float:
+    """h(x)/x^2 for h(x) = (1+x) log1p(x) - x >= 0; 1/2 at x = 0, 1 at x = -1.
+
+    Below |x| = 0.2, the bd0 series of Loader (2000) in v = x/(2+x),
+    h = x v + 2 (1+x) sum_{j>=1} v^(2j+1)/(2j+1), to 1e-17.
+    """
+    if abs(x) > 0.2:  # x * x could overflow, so divide twice
+        return ((1.0 + x) * log1p(x) - x) / x / x if x > -1.0 else 1.0
+    v = x / (2.0 + x)
+    w = v * v
+    s = 1 / 3 + w * (1 / 5 + w * (1 / 7 + w * (1 / 9 + w * (1 / 11 + w * (
+        1 / 13 + w * (1 / 15 + w / 17))))))
+    return (1.0 + 2.0 * (1.0 + x) * v * s / (2.0 + x)) / (2.0 + x)
+
+
+def _kl2(q: float, qbar: float, d: float) -> float:
+    """D(q+d || q) / d^2 = (q h(d/q) + qbar h(-d/qbar)) / d^2 for Bernoulli laws, qbar = 1-q."""
+    return _h2(d / q) / q + _h2(-d / qbar) / qbar
+
+
+def _l(t: float) -> float:
+    """log1p(t)/t; 1 at t = 0."""
+    return log1p(t) / t if t else 1.0
 
 
 @dataclass(frozen=True)
@@ -78,16 +104,25 @@ class ModelParams:
             return self.mu / (self.lambda_w + self.mu)
         return self.mu / (self.lambda_w + self.lambda_b + self.mu)
 
+    @cached_property
+    def _ratios(self) -> tuple[float, ...]:
+        """(p, 1-p, q, 1-q, p-q, a, b, log1p(x), s, A, B), x = lambda_b/lambda_w.
 
-def _tilt(lw: float, lb: float, mu: float) -> tuple[float, float, float]:
-    """(q, log(p/q), log((1-p)/(1-q))) for p = mu/(lw+mu), q = mu/(lw+lb+mu).
-
-    p/q = 1 + lb/(lw+mu) and (1-p)/(1-q) = 1 - (lb/(lw+lb)) * (mu/(lw+mu)),
-    so both logs come from log1p of exact small ratios and keep their
-    digits as lb -> 0 or mu -> 0.
-    """
-    return (mu / (lw + lb + mu), log1p(lb / (lw + mu)),
-            log1p(-(lb / (lw + lb)) * (mu / (lw + mu))))
+        Formed once per instance from exact ratios of rates; every analytic path
+        reads it.  The LLR coefficients are a = log(p/q) = log1p(r), r = lambda_b/
+        (lambda_w+mu), and b = log((1-p)/(1-q)) = log1p(-y), y = p lambda_b/(lambda_w+
+        lambda_b), or from y = 1/2 on the log of (1-p)/(1-q) itself.  s = (t* - q)/
+        log1p(x) = D(q||p)/log1p(x)^2, t* the minimizer's tilted law, A = a/log1p(x)
+        = (1-p) l(r)/l(x) and B = b/log1p(x) = -p l(-y)/((1+x) l(x)), l = `_l`, stay
+        of order 1 as x -> 0: p - q = x (1-p) q, log1p(x) = x (1 + x h2(x))/(1 + x).
+        """
+        lw, lb, mu = self.lambda_w, self.lambda_b, self.mu
+        p, pbar, q, x = mu / (lw + mu), lw / (lw + mu), mu / (lw + lb + mu), lb / lw
+        r, y, ell = lb / (lw + mu), (lb / (lw + lb)) * p, log1p(x)
+        b = log1p(-y) if y < 0.5 else log(pbar * ((lw + lb + mu) / (lw + lb)))
+        s = (pbar * q * (1.0 + x) / (1.0 + x * _h2(x))) ** 2 * _kl2(p, pbar, -x * pbar * q)
+        return (p, pbar, q, (lw + lb) / (lw + lb + mu), x * pbar * q, log1p(r), b, ell, s,
+                pbar * _l(r) / _l(x), (-p / (1.0 + x) * _l(-y) / _l(x) if y < 0.5 else b / ell))
 
 
 def json_text(doc, indent: int | None = None) -> str:

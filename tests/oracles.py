@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from covertq.detect import _llr, decide
-from covertq.model import Hypothesis, ModelParams, _tilt
+from covertq.model import Hypothesis, ModelParams
 from covertq.sim import ObservationSequence
 
 
@@ -153,7 +153,7 @@ def log_domain_error_probabilities(params: ModelParams, n: int, threshold=0.0):
     p = params.idle_probability(Hypothesis.H0)
     q = params.idle_probability(Hypothesis.H1)
     k = np.arange(n + 1)
-    _, c_idle, c_busy = _tilt(params.lambda_w, params.lambda_b, params.mu)
+    c_idle, c_busy = params._ratios[5:7]
     decide_h0 = _llr(k, n, c_idle, c_busy) >= threshold
 
     def tail(ks, prob):

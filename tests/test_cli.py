@@ -195,20 +195,25 @@ def test_exponent_json_schema_and_self_check(capsys):
 
 @pytest.mark.parametrize("lambda_w, lambda_b", [
     ("0.5", "1e-5"), ("0.5", "1e-4"), ("0.3", "1e-9"), ("0.2", "1e-150"),
-], ids=["1e-5", "1e-4", "0.3-1e-9", "0.2-1e-150"])
+    # lambda_b/lambda_w subnormal, and underflowing to 0
+    ("0.5", "5e-324"), ("1000", "5e-324"),
+], ids=["1e-5", "1e-4", "0.3-1e-9", "0.2-1e-150", "0.5-5e-324", "1000-5e-324"])
 def test_exponent_self_check_passes_at_small_lambda_b(capsys, lambda_w, lambda_b):
-    code, _, err = run_cli(capsys, "exponent", "--lambda-w", lambda_w,
-                           "--lambda-b", lambda_b, "--self-check")
+    code, out, err = run_cli(capsys, "exponent", "--lambda-w", lambda_w,
+                             "--lambda-b", lambda_b, "--self-check")
     assert code == 0, err
+    jsonschema.validate(json.loads(out), schema("exponent_report"))
 
 
 @pytest.mark.parametrize("rates", [
     ["--lambda-w", "50", "--lambda-b", "0.5", "--mu", "1e-12"],
     ["--lambda-w", "1e-300", "--lambda-b", "0", "--mu", "1e-300"],
+    ["--lambda-w", "5.86e-11", "--lambda-b", "1.88e10", "--mu", "3.26e5"],
 ])
 def test_exponent_answers_at_extreme_rates(capsys, rates):
-    # (1-p)/(1-q) a hair below 1 at mu << lambda_w, and rates whose
-    # products underflow although every reported quantity is of order 1
+    # (1-p)/(1-q) a hair below 1 at mu << lambda_w, rates whose products
+    # underflow although every reported quantity is of order 1, and
+    # (1-p)/(1-q) = 1.8e-16 at mu >> lambda_w << lambda_b
     code, out, err = run_cli(capsys, "exponent", *rates, "--self-check")
     assert code == 0, err
     jsonschema.validate(json.loads(out), schema("exponent_report"))

@@ -15,7 +15,7 @@ from covertq.detect import (
     log_likelihood_ratio,
     monte_carlo_error,
 )
-from covertq.model import Hypothesis, ModelParams, _tilt
+from covertq.model import Hypothesis, ModelParams
 from covertq.sim import ObservationSequence, RngSeed, simulate_sequence_batch
 from oracles import (
     brute_force_error_probabilities,
@@ -34,7 +34,7 @@ def obs(*bits):
 
 def coefficients(params):
     """The LLR's (c_idle, c_busy), as every test in detect reads them."""
-    return _tilt(params.lambda_w, params.lambda_b, params.mu)[1:]
+    return params._ratios[5:7]
 
 
 def test_identical_hypotheses_give_zero_llr():
@@ -107,6 +107,17 @@ def test_one_symbol_llr_matches_mpmath(lambda_w, lambda_b):
     for bits, ref in zip(((0,), (1,)), mpmath_llr_coefficients(params)):
         got = log_likelihood_ratio(obs(*bits), params)
         assert abs(got - ref) <= 1e-14 * abs(ref), (bits, got, ref)
+
+
+def test_busy_coefficient_and_cut_at_fast_service():
+    # mu >> lambda_w << lambda_b puts (1-p)/(1-q) at 1.8e-16, where log1p(-y)
+    # with y a hair below 1 would keep only the first few digits of log of it
+    params = ModelParams(5.86e-11, 1.88e10, 3.26e5)
+    for bits, ref in zip(((0,), (1,)), mpmath_llr_coefficients(params)):
+        got = log_likelihood_ratio(obs(*bits), params)
+        assert abs(got - ref) <= 1e-14 * abs(ref), (bits, got, ref)
+    for n, k in ((10**3, 768), (10**5, 76783)):
+        assert _cut(n, params, 0.0) == mpmath_cut(params, n, 0.0) == k
 
 
 # Cephes bdtr is 1.5e-9 relative off mid-distribution at N = 1e6 (1.2e-3

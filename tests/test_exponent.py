@@ -1,3 +1,4 @@
+import functools
 from math import exp, log
 
 import numpy as np
@@ -316,3 +317,23 @@ def test_report_runs_the_minimizer_once(monkeypatch, lambda_b):
     # i_err_closed reads the closed-form minimizer alone, at every lambda_b
     assert report["i_err_closed"] == i_err_closed(params)
     assert len(calls) == 1
+
+
+def test_report_derives_the_rates_once_and_the_closed_minimizer_once(monkeypatch):
+    cores, closed = [], []
+    derive = ModelParams.__dict__["_ratios"].func
+
+    def counting_core(params):
+        cores.append(params)
+        return derive(params)
+
+    def counting_closed(params):
+        closed.append(params)
+        return v_closed_form(params)
+
+    core = functools.cached_property(counting_core)
+    core.__set_name__(ModelParams, "_ratios")
+    monkeypatch.setattr(ModelParams, "_ratios", core)
+    monkeypatch.setattr(exponent, "v_closed_form", counting_closed)
+    exponent_report(ModelParams(0.3, 0.2, 1.0))
+    assert (len(cores), len(closed)) == (1, 1)

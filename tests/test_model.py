@@ -1,16 +1,25 @@
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from covertq.detect import _cut
+from covertq.exponent import i_err_numeric
 from covertq.model import (
     Hypothesis,
     ModelParams,
     csv_text,
     json_text,
 )
-from oracles import stationary_distribution, transition_matrix
+from oracles import (
+    mpmath_cut,
+    mpmath_exponent,
+    mpmath_llr_coefficients,
+    stationary_distribution,
+    transition_matrix,
+)
 
 
 def test_h0_matrix_symmetric_case():
@@ -118,6 +127,38 @@ def test_p_exceeds_q_iff_lambda_b_positive(lw, lb, mu):
     p = params.idle_probability(Hypothesis.H0)
     q = params.idle_probability(Hypothesis.H1)
     assert (p > q) == (lb > 0)
+
+
+def test_rate_ratio_core_leaves_equality_hash_and_repr_alone():
+    params = ModelParams(0.3, 0.2, 1.0)
+    assert params._ratios is params._ratios  # formed once
+    assert params == ModelParams(0.3, 0.2, 1.0)
+    assert hash(params) == hash(ModelParams(0.3, 0.2, 1.0))
+    assert repr(params) == "ModelParams(lambda_w=0.3, lambda_b=0.2, mu=1.0)"
+
+
+def test_rate_ratio_core_matches_mpmath_on_random_triples():
+    # every rate log-uniform over 24 decades, drawn once from a fixed seed;
+    # the LLR coefficients, the cut and the numeric exponent all read the core
+    rng = np.random.default_rng(2026)
+    triples = []
+    while len(triples) < 3000:
+        try:
+            triples.append(ModelParams(*(float(r) for r in 10.0 ** rng.uniform(-12, 12, 3))))
+        except ValueError:  # p rounds to 1 where mu > 1e16 lambda_w
+            pass
+    coefficients_off, cuts_off, exponents_off = [], [], []
+    for params in triples:
+        refs = [float(r) for r in mpmath_llr_coefficients(params)]
+        if any(abs(c - r) > 1e-14 * abs(r) for c, r in zip(params._ratios[5:7], refs)):
+            coefficients_off.append(params)
+        cuts_off += [(params, n) for n in (10**3, 10**5)
+                     if _cut(n, params, 0.0) != mpmath_cut(params, n, 0.0)]
+        v, i_err = i_err_numeric(params)
+        v_ref, i_ref = (float(r) for r in mpmath_exponent(*astuple(params)))
+        if abs(v - v_ref) > 1e-10 or abs(i_err - i_ref) > 1e-11 * i_ref:
+            exponents_off.append(params)
+    assert (coefficients_off, cuts_off, exponents_off) == ([], [], [])
 
 
 def test_csv_text_writes_numpy_floats_like_floats():

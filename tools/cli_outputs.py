@@ -123,6 +123,14 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
         # (1-p)/(1-q) a hair below 1, and rates whose products underflow
         ["exponent", "--lambda-w", "50", "--lambda-b", "0.5", "--mu", "1e-12"],
         ["exponent", "--lambda-w", "1e-300", "--lambda-b", "0", "--mu", "1e-300"],
+        # (1-p)/(1-q) = 1.8e-16 at mu >> lambda_w << lambda_b; lambda_b/lambda_w
+        # subnormal, then underflowing to 0
+        ["exponent", "--lambda-w", "5.86e-11", "--lambda-b", "1.88e10", "--mu", "3.26e5",
+         "--self-check"],
+        ["detect", "--lambda-w", "5.86e-11", "--lambda-b", "1.88e10", "--mu", "3.26e5",
+         str(seq)],
+        ["exponent", "--lambda-w", "0.5", "--lambda-b", "5e-324", "--self-check"],
+        ["exponent", "--lambda-w", "1000", "--lambda-b", "5e-324", "--self-check"],
         # results that overflow to inf or nan
         ["exponent", "--lambda-w", "0.3", "--lambda-b", "1e160"],
         ["exponent", "--lambda-w", "0.3", "--lambda-b", "1e160", "--output", "csv"],
