@@ -77,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Covert queueing analysis for a bufferless M/M/1/1 server",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser._command_parsers = sub.choices  # name -> subparser, for main()
 
     p = sub.add_parser("simulate", help="simulate a busy/idle observation sequence")
     _add_rate_flags(p)
@@ -266,13 +267,19 @@ _COMMANDS = {
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # parse_args leaves the parser unchanged, so calls to main() in one
-    # process share it
+    # parse_args leaves it unchanged, so calls to main() in one process share
+    # it; main() hands a known command's arguments straight to its subparser
     return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser._command_parsers.get(argv[0]) if argv else None
+    args, extra = (parser.parse_known_args(argv) if sub is None else
+                   sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0])))
+    if extra:  # parse_args' own message, from the top-level parser
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return _COMMANDS[args.command](args)
     except (InputDataError, DegenerateModelError, MemoryError) as exc:

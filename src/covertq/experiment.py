@@ -10,9 +10,7 @@ analytical exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
-
-import numpy as np
+from math import isfinite, log
 
 from .detect import exact_error_probabilities, monte_carlo_error
 from .exponent import exponent_report
@@ -130,15 +128,17 @@ def _row_stream(master: RngSeed, n: int) -> int:
     return master.stream_id + (n + 1) * 2**24
 
 
-def _fit_slope(ns: np.ndarray, ps: np.ndarray, floor: float) -> float | None:
-    keep = ps > floor
-    if np.count_nonzero(keep) < 3:
+def _fit_slope(ns: list[int], ps: list[float], floor: float) -> float | None:
+    xs = [n for n, p in zip(ns, ps) if p > floor]
+    if len(xs) < 3:
         return None
-    # the slope is unchanged by the shift to the first kept point, and a
-    # flat series then fits exactly 0 rather than its log's round-off
-    # (+ 0.0 turns a -0.0 slope into 0.0)
-    logs = np.log(ps[keep])
-    return float(np.polyfit(ns[keep], logs - logs[0], 1)[0]) + 0.0
+    ys = [log(p) for p in ps if p > floor]
+    # centred least squares on logs shifted to the first kept point: the
+    # slope is unchanged, and a flat series fits exactly 0 rather than its
+    # log's round-off (+ 0.0 turns a -0.0 slope into 0.0)
+    xbar, ybar = sum(xs) / len(xs), sum(y - ys[0] for y in ys) / len(ys)
+    sxy = sum((x - xbar) * (y - ys[0] - ybar) for x, y in zip(xs, ys))
+    return sxy / sum((x - xbar) ** 2 for x in xs) + 0.0
 
 
 def run_campaign(cfg: CampaignConfig) -> dict:
@@ -160,16 +160,16 @@ def run_campaign(cfg: CampaignConfig) -> dict:
              "method": "exact" if exact_ok else "mc"}
             for n, ep, stream in zip(cfg.n_grid, eps, streams)]
 
-    ns = np.array([r["n"] for r in rows], dtype=float)
+    ns = [r["n"] for r in rows]
     # Exact rows are reliable down to tiny probabilities; Monte Carlo rows
     # only down to ~10 observed errors.
     floor = 0.0 if exact_ok else 10.0 / cfg.trials_per_point
     return {
         "version": RESULT_FORMAT_VERSION,
         "rows": rows,
-        "fitted_slope_f": _fit_slope(ns, np.array([r["p_f"] for r in rows]), floor),
-        "fitted_slope_m": _fit_slope(ns, np.array([r["p_m"] for r in rows]), floor),
-        "fitted_slope_e": _fit_slope(ns, np.array([r["p_e"] for r in rows]), floor),
+        "fitted_slope_f": _fit_slope(ns, [r["p_f"] for r in rows], floor),
+        "fitted_slope_m": _fit_slope(ns, [r["p_m"] for r in rows], floor),
+        "fitted_slope_e": _fit_slope(ns, [r["p_e"] for r in rows], floor),
         "exponent_ref": exponent_report(cfg.params) if cfg.params.lambda_b > 0 else None,
         "config": cfg.to_dict(),
     }

@@ -42,7 +42,7 @@ from .model import Hypothesis, ModelParams, NonFiniteError
 # Discarding one leading arrival removes the mismatch.
 DEFAULT_BURN_IN = 1
 
-# Arrivals per time-major draw in simulate_sequence_batch.
+# Arrivals per time-major draw in simulate_sequence_batch; under 256, as chunk sums are uint8.
 MC_CHUNK = 64
 
 # A clock or service end past the float64 range leaves later busy bits meaningless.
@@ -306,11 +306,11 @@ def simulate_sequence_batch(
         # split the chunk's count at every window end inside it
         while pending < len(marks) and burn_in + marks[pending] <= start + size:
             hi = burn_in + marks[pending] - start
-            counts += np.count_nonzero(idle[lo:hi], axis=0)
+            counts += np.add.reduce(idle[lo:hi].view(np.uint8), axis=0, dtype=np.uint8)
             out[pending] = counts
             lo, pending = hi, pending + 1
         if lo < size:
-            counts += np.count_nonzero(idle[lo:], axis=0)
+            counts += np.add.reduce(idle[lo:].view(np.uint8), axis=0, dtype=np.uint8)
     if not np.isfinite(depart).all():  # a clock or service end overflowed
         raise NonFiniteError(_OVERFLOW)
     return out[0] if windows is None else out

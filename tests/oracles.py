@@ -11,11 +11,14 @@ eigensolve, and the simulator's busy/idle record from a per-arrival loop
 over one stream, which also gives the record of Willie's own jobs in a
 thinned merged stream, and the batch recursion's departure update from
 a masked select.  The small-lambda_b derivative facts of criterion 3
-and the empirical transition counts of criterion 6 are kept here too.
+and the empirical transition counts of criterion 6 are kept here too, as
+is the least-squares slope of a campaign's log errors, summed exactly in
+rationals from the float logs.
 """
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from math import log
 
 import mpmath
@@ -248,6 +251,22 @@ def chernoff_information(p: float, q: float, resolution=1e-12) -> float:
             return -float(vals[i])
         lo = max(0.0, us[i] - step)
         hi = min(1.0, us[i] + step)
+
+
+def fraction_slope(ns, ps, floor: float):
+    """Least-squares slope of log(p) against n over the rows with p > floor.
+
+    Each float log converts to a Fraction exactly, so every sum after the
+    log is exact and the result is the exact slope rounded once.  None
+    below 3 kept rows.
+    """
+    kept = [(Fraction(n), Fraction(log(p))) for n, p in zip(ns, ps) if p > floor]
+    if len(kept) < 3:
+        return None
+    xbar = sum(x for x, _ in kept) / len(kept)
+    ybar = sum(y for _, y in kept) / len(kept)
+    sxy = sum((x - xbar) * (y - ybar) for x, y in kept)
+    return float(sxy / sum((x - xbar) ** 2 for x, _ in kept))
 
 
 def _mpmath_dps(lambda_b: float) -> int:

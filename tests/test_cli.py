@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import sys
 import warnings
 from importlib import resources
 
@@ -400,6 +401,24 @@ def test_shared_parser_parses_as_a_fresh_one(capsys):
     for cmd, args in VALID.items():
         argv = [cmd, *args]
         assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+def _dispatched(monkeypatch, argv=None):
+    """The namespace main(argv) hands to its command, every command stubbed out."""
+    seen = []
+    monkeypatch.setattr(cli, "_COMMANDS",
+                        {cmd: lambda args: seen.append(dict(vars(args))) or 0 for cmd in VALID})
+    assert cli.main(argv) == 0
+    return seen[0]
+
+
+@pytest.mark.parametrize("cmd", VALID)
+def test_main_hands_its_command_what_a_fresh_parser_parses(monkeypatch, cmd):
+    argv = [cmd, *VALID[cmd]]
+    expected = vars(cli.build_parser().parse_args(argv))
+    assert _dispatched(monkeypatch, argv) == expected
+    monkeypatch.setattr(sys, "argv", ["covertq", *argv])  # main() reads sys.argv[1:]
+    assert _dispatched(monkeypatch) == expected
 
 
 @pytest.mark.parametrize("argv, code", [

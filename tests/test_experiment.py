@@ -8,6 +8,7 @@ from covertq import detect
 from covertq.detect import exact_error_probabilities, monte_carlo_error
 from covertq.experiment import (
     CampaignConfig,
+    _fit_slope,
     _row_stream,
     result_to_json,
     rows_to_csv,
@@ -17,6 +18,7 @@ from covertq.experiment import (
 from covertq.exponent import i_err_closed
 from covertq.model import ModelParams
 from covertq.sim import RngSeed
+from oracles import fraction_slope
 
 PARAMS = ModelParams(0.3, 0.2, 1.0)
 
@@ -91,6 +93,45 @@ def test_slope_window_slides_toward_exponent():
     low = exact_campaign(range(100, 1001, 100))["fitted_slope_e"]
     high = exact_campaign(range(1000, 2001, 100))["fitted_slope_e"]
     assert abs(high + i_err) < abs(low + i_err)
+
+
+# the exact benchmark campaign's 13 log-spaced points from 1e3 to 1e7, and
+# three short grids
+SLOPE_GRIDS = [tuple(round(10 ** (3 + i / 3)) for i in range(13)), (100, 200, 400),
+               tuple(range(100, 1001, 100)), (250, 500, 1000, 2000)]
+
+
+@pytest.mark.parametrize("rates", [(0.3, 0.2), (0.3, 1e-3), (0.6, 0.05), (5, 1), (0.1, 0.01)])
+def test_fitted_slopes_are_the_exact_least_squares_slope(rates):
+    # np.polyfit was up to 1.06e-15 off on these campaigns
+    for grid in SLOPE_GRIDS:
+        result = exact_campaign(grid, ModelParams(*rates, 1.0))
+        ns = [r["n"] for r in result["rows"]]
+        for f in "fme":
+            exact = fraction_slope(ns, [r["p_" + f] for r in result["rows"]], 0.0)
+            assert exact is not None
+            assert abs(result["fitted_slope_" + f] - exact) <= 1e-15 * abs(exact)
+
+
+def test_fitted_slope_keeps_rows_above_the_floor_and_needs_three():
+    ns, ps = (100, 200, 300, 400), (0.5, 0.2, 0.1, 0.01)
+    assert _fit_slope(ns, ps, 0.01) == fraction_slope(ns[:3], ps[:3], 0.0)  # p == floor drops
+    assert _fit_slope(ns, ps, 0.1) is None
+    assert _fit_slope(ns[:2], ps[:2], 0.0) is None
+    assert _fit_slope(ns, (0.5, 0.0, 0.25, 0.0), 0.0) is None
+
+
+def test_mc_campaign_fits_the_rows_above_ten_errors():
+    cfg = CampaignConfig(params=PARAMS, n_grid=(50, 100, 200, 400, 800), trials_per_point=1000,
+                         master_seed=RngSeed(29), use_exact_when_feasible=False)
+    result = run_campaign(cfg)
+    ns = [r["n"] for r in result["rows"]]
+    floor = 10 / cfg.trials_per_point
+    for f in "fme":
+        ps = [r["p_" + f] for r in result["rows"]]
+        assert min(ps) <= floor < max(ps)  # the floor drops a row here
+        assert result["fitted_slope_" + f] == pytest.approx(fraction_slope(ns, ps, floor),
+                                                            rel=1e-15)
 
 
 def test_mc_campaign_agrees_with_exact_everywhere():

@@ -194,6 +194,10 @@ def _batch_draws(hyp, total, trials, seed):
     return np.concatenate(gaps), np.concatenate(services)
 
 
+def test_a_chunk_idle_count_fits_the_uint8_it_is_summed_in():
+    assert MC_CHUNK < 256
+
+
 @pytest.mark.parametrize("hyp", list(Hypothesis))
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
 @pytest.mark.parametrize("burn_in", [0, 1, 70])
