@@ -110,11 +110,11 @@ def exact_error_probabilities(
 def monte_carlo_error(
     params: ModelParams,
     n: int | tuple[int, ...],
-    threshold: float,
+    threshold: float | tuple[float, ...],
     trials: int,
     seed: RngSeed,
     workers: int = 1,
-) -> dict | list[dict]:
+) -> dict | list[dict] | list[list[dict]]:
     """Empirical error rates over `trials` simulated sequences per hypothesis.
 
     Keyed as `exact_error_probabilities` keys them; se_* are binomial standard errors.
@@ -131,17 +131,27 @@ def monte_carlo_error(
     there, and a shorter window reads a prefix of the same records:
     entries are positively correlated, and each se is its own marginal
     standard error.
+
+    `threshold` may be a tuple too.  Every threshold's cut is then applied
+    to the same idle counts, and each window's entry becomes a list with
+    one dict per threshold, each equal to the call with that threshold
+    alone.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not isfinite(threshold):
-        raise ValueError(f"threshold must be finite, got {threshold}")
     windows = n if isinstance(n, tuple) else (n,)
+    gammas = threshold if isinstance(threshold, tuple) else (threshold,)
     if not windows:
         raise ValueError("n must not be an empty tuple")
-    cuts = np.array([_cut(w, params, threshold) for w in windows])[:, None]
+    if not gammas:
+        raise ValueError("threshold must not be an empty tuple")
+    for gamma in gammas:
+        if not isfinite(gamma):
+            raise ValueError(f"threshold must be finite, got {gamma}")
+    # (windows, thresholds, 1): broadcast against each block's (windows, 1, trials) counts
+    cuts = np.array([[_cut(w, params, gamma) for gamma in gammas] for w in windows])[..., None]
     jobs = []
     for hyp in (Hypothesis.H0, Hypothesis.H1):
         done = 0
@@ -160,7 +170,7 @@ def monte_carlo_error(
         # at the window ends; H0 errs below the cut, H1 at or above it
         hyp, bt, s = job
         counts = simulate_sequence_batch(params, hyp, windows[-1], bt, s, windows=windows)
-        below = np.count_nonzero(counts < cuts, axis=1)
+        below = np.count_nonzero(counts[:, None] < cuts, axis=2)
         return hyp, below if hyp is Hypothesis.H0 else bt - below
 
     if workers > 1:
@@ -170,9 +180,14 @@ def monte_carlo_error(
         results = [run(j) for j in jobs]
     false_alarms = sum(count for hyp, count in results if hyp is Hypothesis.H0)
     misses = sum(count for hyp, count in results if hyp is Hypothesis.H1)
-    out = []
-    for f, m in zip(false_alarms, misses):
-        p_f, p_m = int(f) / trials, int(m) / trials
-        out.append(_rates(p_f, p_m, sqrt(p_f * (1.0 - p_f) / trials),
-                          sqrt(p_m * (1.0 - p_m) / trials)))
+
+    def rates(f, m):
+        p_f, p_m = f / trials, m / trials
+        return _rates(p_f, p_m, sqrt(p_f * (1.0 - p_f) / trials),
+                      sqrt(p_m * (1.0 - p_m) / trials))
+
+    out = [[rates(f, m) for f, m in zip(fs, ms)]
+           for fs, ms in zip(false_alarms.tolist(), misses.tolist())]
+    if not isinstance(threshold, tuple):
+        out = [row[0] for row in out]
     return out if isinstance(n, tuple) else out[0]

@@ -15,7 +15,7 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from math import isfinite, log, log1p
 
 
@@ -125,8 +125,57 @@ class ModelParams:
                 pbar * _l(r) / _l(x), (-p / (1.0 + x) * _l(-y) / _l(x) if y < 0.5 else b / ell))
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+@cache
+def _flat_encoder(indent: str, depth: int):
+    """json's C encoder for a container of scalars at `depth` of an indented document.
+
+    Its item separator carries the newline and indentation of the next
+    item, so only the brackets lack theirs.
+    """
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ": ", ",\n" + indent * (depth + 1), True, False, False)
+
+
+def _indented(o, indent: str, depth: int) -> str:
+    """json.dumps(o, sort_keys=True, indent=indent, allow_nan=False) nested at `depth`.
+
+    A container of scalars is one C encoder call; one that holds a container
+    is joined here, its dict keys being str (any other key raises TypeError).
+    """
+    encode = _flat_encoder(indent, depth)
+    if not isinstance(o, _CONTAINERS) or not o:
+        return "".join(encode(o, 0))  # a scalar, [] or {}
+    pad, end = "\n" + indent * (depth + 1), "\n" + indent * depth
+    if isinstance(o, dict):
+        if any(isinstance(v, _CONTAINERS) for v in o.values()):
+            key = json.encoder.encode_basestring_ascii
+            return "{" + pad + ("," + pad).join(
+                key(k) + ": " + _indented(v, indent, depth + 1)
+                for k, v in sorted(o.items())) + end + "}"
+    elif any(isinstance(v, _CONTAINERS) for v in o):
+        return "[" + pad + ("," + pad).join(
+            _indented(v, indent, depth + 1) for v in o) + end + "]"
+    text = "".join(encode(o, 0))
+    return text[0] + pad + text[1:-1] + end + text[-1]
+
+
 def json_text(doc, indent: int | None = None) -> str:
-    """The one JSON writer: sorted keys; NaN or Infinity raises NonFiniteError."""
+    """The one JSON writer: sorted keys; NaN or Infinity raises NonFiniteError.
+
+    The bytes of json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False).
+    An indent is written by `_indented` rather than json's pure-Python encoder,
+    which its indent would select; on any failure json.dumps runs instead, so its
+    error and message (": inf" included) are the ones raised.
+    """
+    if indent is not None:
+        try:
+            return _indented(doc, " " * indent, 0)
+        except (ValueError, TypeError, RecursionError):
+            pass  # json.dumps raises it again, with its own message
     try:
         return json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
     except ValueError as exc:  # the only ValueError json.dumps raises on acyclic data

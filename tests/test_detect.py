@@ -324,6 +324,27 @@ def test_monte_carlo_error_shapes_follow_the_arguments():
             monte_carlo_error(PARAMS, n, 0.0, 50, RngSeed(3))
 
 
+def test_monte_carlo_thresholds_read_one_simulation(monkeypatch):
+    # two blocks per hypothesis; the one call equals the per-threshold calls
+    # at the same seed, on one window and on a tuple of windows
+    monkeypatch.setattr(detect, "MC_BLOCK_SIZE", 256)
+    gammas, trials, seed = (-2.0, -0.5, 0.0, 0.5, 2.0), 400, RngSeed(17, 4)
+    calls = []
+    original = detect.simulate_sequence_batch
+    monkeypatch.setattr(detect, "simulate_sequence_batch",
+                        lambda *a, **k: calls.append(a[1]) or original(*a, **k))
+    one = monte_carlo_error(PARAMS, 40, gammas, trials, seed)
+    assert len(calls) == 4
+    assert one == [monte_carlo_error(PARAMS, 40, g, trials, seed) for g in gammas]
+    grid = monte_carlo_error(PARAMS, (10, 40), gammas, trials, seed, workers=2)
+    assert grid[-1] == one
+    assert grid[0] == [monte_carlo_error(PARAMS, (10, 40), g, trials, seed)[0] for g in gammas]
+    assert monte_carlo_error(PARAMS, 40, (0.0,), trials, seed) == [one[2]]
+    for bad in ((), (0.0, float("nan"))):
+        with pytest.raises(ValueError, match="threshold"):
+            monte_carlo_error(PARAMS, 40, bad, trials, seed)
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_monte_carlo_error_rejects_nonpositive_workers(workers):
     with pytest.raises(ValueError, match="workers"):

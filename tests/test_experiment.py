@@ -230,6 +230,33 @@ def test_zero_threshold_near_optimal():
     assert abs(best["gamma"]) <= step
 
 
+def test_mc_sweep_is_one_simulation_for_every_threshold(monkeypatch):
+    calls = _count_simulations(monkeypatch)
+    gammas, seed = [-1.0, 0.0, 0.25, 1.0], RngSeed(12, 5)
+    rows = threshold_sweep(PARAMS, 60, gammas, trials=300, seed=seed)
+    assert sorted(hyp.value for hyp in calls) == [0, 1]
+    keys = ("p_f", "p_m", "p_e")
+    assert rows == [{"gamma": g, **{k: ep[k] for k in keys}}
+                    for g, ep in ((g, monte_carlo_error(PARAMS, 60, g, 300, seed))
+                                  for g in gammas)]
+
+
+def test_result_to_json_never_runs_the_pure_python_encoder(monkeypatch):
+    # json's indent path builds its encoder with _make_iterencode; the
+    # result file's bytes must come without it, and be json.dumps' bytes
+    results = [exact_campaign((100, 200, 400)),
+               mc_campaign((30, 64), RngSeed(8)),
+               run_campaign(CampaignConfig(params=ModelParams(0.3, 0.0, 1.0), n_grid=(20, 40),
+                                           trials_per_point=50, master_seed=RngSeed(2)))]
+    expected = [json.dumps(r, sort_keys=True, indent=1, allow_nan=False) for r in results]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder called")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert [result_to_json(r) for r in results] == expected
+
+
 def test_mc_sweep_requires_seed():
     with pytest.raises(ValueError):
         threshold_sweep(PARAMS, 20, [0.0], trials=100)

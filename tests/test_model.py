@@ -1,15 +1,18 @@
+import json
 import warnings
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from covertq.detect import _cut
 from covertq.exponent import i_err_numeric
 from covertq.model import (
     Hypothesis,
     ModelParams,
+    NonFiniteError,
     csv_text,
     json_text,
 )
@@ -172,6 +175,45 @@ def test_json_text_rejects_non_finite_values():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             json_text({"x": bad})
+
+
+def json_trees(floats):
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(-(10**300), 10**300),
+                        floats, st.text())
+    return st.recursive(scalars, lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(st.text(), kids, max_size=4)), max_leaves=24)
+
+
+@given(doc=json_trees(st.floats()), indent=st.integers(0, 3))
+@example(doc={"a": [1, {"b": float("inf")}]}, indent=1)
+@example(doc={"é": {"z": [], "y": {}}, "a": [[[]], ()]}, indent=2)
+def test_indented_json_text_is_json_dumps(doc, indent):
+    # the indent path writes json.dumps' bytes without json's pure-Python
+    # encoder, and raises json.dumps' own message for NaN and infinities
+    try:
+        expected = json.dumps(doc, sort_keys=True, indent=indent, allow_nan=False)
+    except ValueError as exc:
+        with pytest.raises(NonFiniteError) as err:
+            json_text(doc, indent)
+        assert str(err.value) == str(exc)
+        assert str(err.value).startswith("Out of range float values are not JSON compliant: ")
+    else:
+        with mock.patch.object(json.encoder, "_make_iterencode", side_effect=AssertionError):
+            assert json_text(doc, indent) == expected
+
+
+@pytest.mark.parametrize("doc", [
+    {1: [2], 1.5: {"x": 1}, None: 0, True: "t"}, {"a": {2: [3]}}, [{0.5: 1, False: 2}],
+    {"a": {"b": 1, 2: [3]}}, {"a": [object()]}])
+def test_indented_json_text_handles_keys_and_errors_as_json_dumps(doc):
+    try:
+        expected = json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=str(exc)):
+            json_text(doc, 1)
+    else:
+        assert json_text(doc, 1) == expected
 
 
 def test_csv_text_rejects_non_finite_values():

@@ -48,7 +48,7 @@ CAMPAIGN = ("lambda_w = 0.3\nlambda_b = 0.2\nn_grid = 100,200,400\n"
 BOUND = ["bound", "--lambda-w", "0.3", "--epsilon", "0.1"]
 
 
-GOOD_CONFIGS = ("exact", "mc", "short")
+GOOD_CONFIGS = ("exact", "mc", "short", "zero_b")
 
 
 def _configs(tmp: Path) -> dict[str, str]:
@@ -57,6 +57,10 @@ def _configs(tmp: Path) -> dict[str, str]:
         "exact": CAMPAIGN,
         "mc": CAMPAIGN + "use_exact_when_feasible = No\nstream_id = 3\n",
         "short": CAMPAIGN.replace("100,200,400", "100,200"),
+        # no exponent (exponent_ref null) and Monte Carlo rows
+        "zero_b": CAMPAIGN.replace("lambda_b = 0.2", "lambda_b = 0"),
+        # an exponent that overflows: exit 4, no result file
+        "huge_b": CAMPAIGN.replace("lambda_b = 0.2", "lambda_b = 1e160"),
         "missing_key": "lambda_w = 0.3\nlambda_b = 0.2\n",
         "nan_threshold": CAMPAIGN + "threshold = nan\n",
         "zero_n": CAMPAIGN.replace("100,200,400", "0,10,20"),
