@@ -121,7 +121,8 @@ def monte_carlo_error(
 
     Trials are split into fixed blocks with independent (seed, stream_id)
     streams; integer error counts are summed in block order, so the result
-    is bit-identical at any worker count.
+    is bit-identical at any worker count.  A hypothesis has 2**19 streams,
+    so `trials` above 2**19 * MC_BLOCK_SIZE raises ValueError.
 
     `n` may be a strictly increasing tuple of windows.  Each block is then
     simulated once, up to the longest window, and each window's cut is
@@ -141,6 +142,9 @@ def monte_carlo_error(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials > 2**19 * MC_BLOCK_SIZE:  # block 2**19 of H0 would draw H1's block 0 stream
+        raise ValueError(f"trials must be <= {2**19 * MC_BLOCK_SIZE} "
+                         f"(2**19 blocks of {MC_BLOCK_SIZE}), got {trials}")
     windows = n if isinstance(n, tuple) else (n,)
     gammas = threshold if isinstance(threshold, tuple) else (threshold,)
     if not windows:

@@ -13,6 +13,16 @@ max (see _busy_bits_batch), so the exponential draws take most of the
 time.  Both are exact: the counts are bit for bit those of a per-arrival
 loop on the same draws.
 
+That row-by-row section (clock carry, row sums, end times, recursion) is
+some 250 short ufunc calls per chunk, and it runs one thread at a time,
+under a module lock.  Each short call releases the GIL, so two Monte
+Carlo workers running it at once hand the GIL back and forth at every
+call and finish later than one after the other.  Under the lock, one
+worker runs its rows while the other runs its few long draw calls,
+which release the GIL for their whole length.  The lock orders work
+without changing any arithmetic, so the counts stay the same at any
+worker count.
+
 Every gap and service is drawn by inversion, -log(1 - U) times its
 mean, from one uniform fill and one vectorised log (see _exponential),
 which is cheaper than numpy's ziggurat and exact up to a truncated tail
@@ -31,6 +41,7 @@ recursion reads, so it holds two float64 arrays of the stream's length.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +58,10 @@ MC_CHUNK = 64
 
 # A clock or service end past the float64 range leaves later busy bits meaningless.
 _OVERFLOW = "simulated time overflows float64 at these rates"
+
+# Held by simulate_sequence_batch around each chunk's row-by-row section
+# (see the module docstring).
+_ROW_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -294,14 +309,15 @@ def simulate_sequence_batch(
         times, ends = gap_buf[:size], end_buf[:size]
         _exponential(rng, times, gap_scale)
         _exponential(rng, ends, service_scale)
-        times[0] += clock
-        # the sums of one cumsum over n, row by row: an axis-0 cumsum
-        # walks each column at a stride of one row
-        for j in range(1, size):
-            np.add(times[j - 1], times[j], out=times[j])
-        clock[:] = times[-1]
-        ends += times
-        idle = _busy_bits_batch(times, ends, depart)
+        with _ROW_LOCK:
+            times[0] += clock
+            # the sums of one cumsum over n, row by row: an axis-0 cumsum
+            # walks each column at a stride of one row
+            for j in range(1, size):
+                np.add(times[j - 1], times[j], out=times[j])
+            clock[:] = times[-1]
+            ends += times
+            idle = _busy_bits_batch(times, ends, depart)
         lo = max(burn_in - start, 0)
         # split the chunk's count at every window end inside it
         while pending < len(marks) and burn_in + marks[pending] <= start + size:

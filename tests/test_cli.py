@@ -497,6 +497,27 @@ def test_exact_campaign_with_nan_tails_exits_4(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_monte_carlo_trials_past_the_stream_range_exit_2(tmp_path, monkeypatch, capsys):
+    # refused before any Monte Carlo job is built, with one error line;
+    # one-trial blocks put the limit at 2**19 trials
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a block")
+
+    monkeypatch.setattr(detect, "MC_BLOCK_SIZE", 1)
+    monkeypatch.setattr(detect, "simulate_sequence_batch", no_simulation)
+    too_many = 2**19 + 1
+    sweep = run_cli(capsys, "sweep", *RATES, "--n", "10", "--thresholds=0",
+                    "--trials", str(too_many), "--seed", "1")
+    cfg = tmp_path / "many.cfg"
+    cfg.write_text(CAMPAIGN.replace("= 10\n", f"= {too_many}\n")
+                   + "use_exact_when_feasible = false\n")
+    campaign = run_cli(capsys, "campaign", str(cfg), "--out", str(tmp_path / "r"))
+    for code, out, err in (sweep, campaign):
+        assert (code, out) == (2, "")
+        assert err == f"error: trials must be <= 524288 (2**19 blocks of 1), got {too_many}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("text, error", [
     pytest.param(CAMPAIGN.replace("100,200", "0,10,20"),
                  "bad config value: n_grid values must be >= 1, got 0",

@@ -349,3 +349,16 @@ def test_monte_carlo_thresholds_read_one_simulation(monkeypatch):
 def test_monte_carlo_error_rejects_nonpositive_workers(workers):
     with pytest.raises(ValueError, match="workers"):
         monte_carlo_error(PARAMS, 20, 0.0, 50, RngSeed(3), workers=workers)
+
+
+def test_monte_carlo_error_refuses_trials_that_would_reuse_a_stream(monkeypatch):
+    # block b of H0 draws stream offset 1 + 2b and block b of H1 draws
+    # 1 + 2**20 + 2b, so a 2**19-th H0 block would draw H1's block 0;
+    # the call refuses before it builds a job or simulates a trial
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a block")
+
+    monkeypatch.setattr(detect, "MC_BLOCK_SIZE", 1)
+    monkeypatch.setattr(detect, "simulate_sequence_batch", no_simulation)
+    with pytest.raises(ValueError, match=r"trials must be <= 524288 .*got 524289"):
+        monte_carlo_error(PARAMS, 20, 0.0, 2**19 + 1, RngSeed(3))

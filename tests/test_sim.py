@@ -1,6 +1,9 @@
 import math
+import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -245,6 +248,80 @@ def test_batch_clock_is_one_cumsum_over_each_stream(monkeypatch):
                                   times.view(np.int64))
     np.testing.assert_array_equal(np.concatenate([e for _, e in seen]).view(np.int64),
                                   (services + times).view(np.int64))
+
+
+def _two_window_batch(hyp, seed):
+    return simulate_sequence_batch(PARAMS, hyp, 300, 500, seed, windows=(100, 300))
+
+
+def test_batch_calls_on_two_threads_equal_the_calls_one_after_the_other(monkeypatch):
+    # the row sections of the two calls take turns under the module lock:
+    # a recursion never starts while another runs, and the counts are
+    # those of the calls made one after the other
+    calls = [(Hypothesis.H0, RngSeed(5, 1)), (Hypothesis.H1, RngSeed(6, 2))]
+    alone = [_two_window_batch(*call) for call in calls]
+    running, most = [], []
+
+    def tracked(times, ends, depart):
+        assert sim._ROW_LOCK.locked()
+        running.append(None)
+        most.append(len(running))
+        time.sleep(0.001)  # long enough for the other thread to arrive
+        try:
+            return _busy_bits_batch(times, ends, depart)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(sim, "_busy_bits_batch", tracked)
+    start = threading.Barrier(2)
+
+    def started(call):
+        start.wait()
+        return _two_window_batch(*call)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        together = list(pool.map(started, calls))
+    assert max(most) == 1 and len(most) == 2 * -(-301 // MC_CHUNK)
+    for one, both in zip(alone, together):
+        assert one.shape == (2, 500)
+        np.testing.assert_array_equal(both, one)
+
+
+def test_batch_frees_the_row_lock_when_its_row_section_raises(monkeypatch):
+    seed = RngSeed(8, 3)
+    before = _two_window_batch(Hypothesis.H1, seed)
+
+    def failing(times, ends, depart):
+        raise RuntimeError("recursion failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "_busy_bits_batch", failing)
+        with pytest.raises(RuntimeError, match="recursion failed"):
+            _two_window_batch(Hypothesis.H1, seed)
+    assert not sim._ROW_LOCK.locked()
+    np.testing.assert_array_equal(_two_window_batch(Hypothesis.H1, seed), before)
+
+
+class _CountingLock:
+    """Stands in for sim._ROW_LOCK and counts the sections run under it."""
+
+    def __init__(self):
+        self.entered = 0
+
+    def __enter__(self):
+        self.entered += 1
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_only_the_batch_takes_the_row_lock(monkeypatch):
+    lock = _CountingLock()
+    monkeypatch.setattr(sim, "_ROW_LOCK", lock)
+    simulate_sequence(PARAMS, Hypothesis.H1, 5000, RngSeed(9))
+    assert lock.entered == 0
+    simulate_sequence_batch(PARAMS, Hypothesis.H1, 200, 7, RngSeed(9))
+    assert lock.entered == -(-201 // MC_CHUNK)  # once per chunk
 
 
 def _single_stream_layout(params, hyp, n, seed, burn_in):
