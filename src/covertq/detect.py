@@ -107,6 +107,14 @@ def exact_error_probabilities(
     return _rates(p_f, p_m)
 
 
+def _check_trials(trials: int) -> None:
+    """Refuse more than 2**19 Monte Carlo blocks, past which monte_carlo_error's
+    stream offsets would leave [1, 2**20]."""
+    if trials > 2**19 * MC_BLOCK_SIZE:
+        raise ValueError(f"trials must be <= {2**19 * MC_BLOCK_SIZE} "
+                         f"(2**19 blocks of {MC_BLOCK_SIZE}), got {trials}")
+
+
 def monte_carlo_error(
     params: ModelParams,
     n: int | tuple[int, ...],
@@ -119,13 +127,25 @@ def monte_carlo_error(
 
     Keyed as `exact_error_probabilities` keys them; se_* are binomial standard errors.
 
-    Trials are split into fixed blocks with independent (seed, stream_id)
-    streams; integer error counts are summed in block order, so the result
-    is bit-identical at any worker count.  A hypothesis has 2**19 streams,
-    so `trials` above 2**19 * MC_BLOCK_SIZE raises ValueError.
+    Trials are split into fixed blocks of MC_BLOCK_SIZE, and each block
+    into two halves of ceil and floor half its trials; half h of block b
+    draws stream offset 1 + 2b + h from `seed.stream_id`, and an empty
+    half makes no job.  Each half simulates both hypotheses on one set of
+    draws (see simulate_sequence_batch), so its H0 and H1 records of a
+    trial are dependent and the rest independent.  Integer error counts
+    are summed in job order, so the result is bit-identical at any worker
+    count.  `trials` above 2**19 * MC_BLOCK_SIZE raises ValueError; below
+    it every offset is at most 2**20.
 
-    `n` may be a strictly increasing tuple of windows.  Each block is then
-    simulated once, up to the longest window, and each window's cut is
+    The false-alarm and miss estimates of one call are thus coupled: at P
+    = (0.3, 0.2, 1) and threshold 0, with 2e5 trials, a trial's H0 and H1
+    idle counts correlated at 0.80, but its false-alarm and miss
+    indicators at only -0.036 (N = 250) and -0.005 (N = 500).  So p_e is
+    estimated no worse than from independent streams, and se_f and se_m
+    are each the marginal binomial standard error.
+
+    `n` may be a strictly increasing tuple of windows.  Each half-block is
+    then simulated once, up to the longest window, and each window's cut is
     applied to its idle counts at that window's end; the result is a list
     with one dict per window.  The draws depend on the seed
     and the longest window alone, so the last entry equals the scalar call
@@ -142,9 +162,7 @@ def monte_carlo_error(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if trials > 2**19 * MC_BLOCK_SIZE:  # block 2**19 of H0 would draw H1's block 0 stream
-        raise ValueError(f"trials must be <= {2**19 * MC_BLOCK_SIZE} "
-                         f"(2**19 blocks of {MC_BLOCK_SIZE}), got {trials}")
+    _check_trials(trials)
     windows = n if isinstance(n, tuple) else (n,)
     gammas = threshold if isinstance(threshold, tuple) else (threshold,)
     if not windows:
@@ -154,36 +172,30 @@ def monte_carlo_error(
     for gamma in gammas:
         if not isfinite(gamma):
             raise ValueError(f"threshold must be finite, got {gamma}")
-    # (windows, thresholds, 1): broadcast against each block's (windows, 1, trials) counts
+    # (windows, thresholds, 1): broadcast against each job's (2, windows, 1, trials) counts
     cuts = np.array([[_cut(w, params, gamma) for gamma in gammas] for w in windows])[..., None]
     jobs = []
-    for hyp in (Hypothesis.H0, Hypothesis.H1):
-        done = 0
-        block_index = 0
-        while done < trials:
-            bt = min(MC_BLOCK_SIZE, trials - done)
-            # hypothesis and block packed into disjoint offset ranges so
-            # streams never collide across rows of a campaign grid
-            stream = seed.stream_id + 1 + hyp.value * 2**20 + 2 * block_index
-            jobs.append((hyp, bt, seed.with_stream(stream)))
-            done += bt
-            block_index += 1
+    for block, done in enumerate(range(0, trials, MC_BLOCK_SIZE)):
+        bt = min(MC_BLOCK_SIZE, trials - done)
+        for half, ht in enumerate((bt - bt // 2, bt // 2)):
+            if ht:
+                jobs.append((ht, seed.with_stream(seed.stream_id + 1 + 2 * block + half)))
 
     def run(job):
         # the simulator streams each trial and returns only its idle counts
         # at the window ends; H0 errs below the cut, H1 at or above it
-        hyp, bt, s = job
-        counts = simulate_sequence_batch(params, hyp, windows[-1], bt, s, windows=windows)
-        below = np.count_nonzero(counts[:, None] < cuts, axis=2)
-        return hyp, below if hyp is Hypothesis.H0 else bt - below
+        ht, s = job
+        counts = simulate_sequence_batch(params, windows[-1], ht, s, windows=windows)
+        below = np.count_nonzero(counts[:, :, None] < cuts, axis=3)
+        return below[Hypothesis.H0.value], ht - below[Hypothesis.H1.value]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, jobs))
     else:
         results = [run(j) for j in jobs]
-    false_alarms = sum(count for hyp, count in results if hyp is Hypothesis.H0)
-    misses = sum(count for hyp, count in results if hyp is Hypothesis.H1)
+    false_alarms = sum(f for f, _ in results)
+    misses = sum(m for _, m in results)
 
     def rates(f, m):
         p_f, p_m = f / trials, m / trials

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite, log
 
-from .detect import exact_error_probabilities, monte_carlo_error
+from .detect import _check_trials, exact_error_probabilities, monte_carlo_error
 from .exponent import exponent_report
 from .model import ModelParams, csv_text, json_text, write_text
 from .sim import RngSeed
@@ -22,7 +22,10 @@ from .sim import RngSeed
 # 3: the Monte Carlo rows of a campaign are nested windows of one simulation
 # keyed on the longest window, so at the same seed only that row keeps its
 # version-2 value.
-RESULT_FORMAT_VERSION = 3
+# 4: each Monte Carlo block runs in two halves, each simulating both
+# hypotheses on one set of draws, so every Monte Carlo row differs from
+# version 3 at the same seed.
+RESULT_FORMAT_VERSION = 4
 
 _CONFIG_KEYS = ("lambda_w", "lambda_b", "mu", "n_grid", "trials_per_point",
                 "threshold", "master_seed", "stream_id", "use_exact_when_feasible")
@@ -72,6 +75,13 @@ class CampaignConfig:
             raise ValueError(f"threshold must be finite, got {self.threshold}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not self._exact:  # the simulation's streams bound its trials
+            _check_trials(self.trials_per_point)
+
+    @property
+    def _exact(self) -> bool:
+        """Whether run_campaign computes every row exactly, not by Monte Carlo."""
+        return self.use_exact_when_feasible and self.params.lambda_b > 0
 
     def to_dict(self) -> dict:
         """The `config` block of a result file.
@@ -147,7 +157,7 @@ def run_campaign(cfg: CampaignConfig) -> dict:
     Returns the `campaign_result` document the campaign command writes;
     its exponent_ref is None at lambda_b = 0.
     """
-    exact_ok = cfg.use_exact_when_feasible and cfg.params.lambda_b > 0
+    exact_ok = cfg._exact
     master = cfg.master_seed
     if exact_ok:
         streams = [_row_stream(master, n) for n in cfg.n_grid]

@@ -13,18 +13,25 @@ max (see _busy_bits_batch), so the exponential draws take most of the
 time.  Both are exact: the counts are bit for bit those of a per-arrival
 loop on the same draws.
 
-That row-by-row section (clock carry, row sums, end times, recursion) is
-some 250 short ufunc calls per chunk, and it runs one thread at a time,
-under a module lock.  Each short call releases the GIL, so two Monte
-Carlo workers running it at once hand the GIL back and forth at every
-call and finish later than one after the other.  Under the lock, one
-worker runs its rows while the other runs its few long draw calls,
-which release the GIL for their whole length.  The lock orders work
-without changing any arithmetic, so the counts stay the same at any
-worker count.
+A batch draws each trial's exponentials once and runs both hypotheses
+on them (common random numbers): H0 divides the unit gaps by lambda_w
+and H1 by lambda_w + lambda_b, so H1's record is H0's arrivals
+compressed in time by lambda_w / (lambda_w + lambda_b), with the same
+services.  Each hypothesis's records keep their own law, and the draws
+and logs are half of what two separate runs would take.
+
+The row-by-row section of each hypothesis (clock carry, row sums, end
+times, recursion) is some 250 short ufunc calls per chunk, and it runs
+one thread at a time, under a module lock.  Each short call releases
+the GIL, so two Monte Carlo workers running it at once hand the GIL back
+and forth at every call and finish later than one after the other.
+Under the lock, one worker runs its rows while the other runs its few
+long draw calls, which release the GIL for their whole length.  The
+lock orders work without changing any arithmetic, so the counts stay the
+same at any worker count.
 
 Every gap and service is drawn by inversion, -log(1 - U) times its
-mean, from one uniform fill and one vectorised log (see _exponential),
+mean, from one uniform fill and one vectorised log (see _log_uniforms),
 which is cheaper than numpy's ziggurat and exact up to a truncated tail
 of mass 2**-53.  A run is reproducible from its seed on the same numpy
 build and CPU: numpy's SIMD log may differ by an ulp between instruction
@@ -59,8 +66,8 @@ MC_CHUNK = 64
 # A clock or service end past the float64 range leaves later busy bits meaningless.
 _OVERFLOW = "simulated time overflows float64 at these rates"
 
-# Held by simulate_sequence_batch around each chunk's row-by-row section
-# (see the module docstring).
+# Held by simulate_sequence_batch around each hypothesis's row-by-row
+# section of a chunk (see the module docstring).
 _ROW_LOCK = threading.Lock()
 
 
@@ -127,20 +134,27 @@ def _arrival_rate(params: ModelParams, hyp: Hypothesis) -> float:
     return params.lambda_w if hyp is Hypothesis.H0 else params.total_rate_h1
 
 
-def _exponential(rng: np.random.Generator, out: np.ndarray, scale: float) -> None:
-    """Fill `out` with exponential draws of mean `scale`, by inversion.
+def _log_uniforms(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill `out` with log(1 - U): minus a unit-mean exponential, by inversion.
 
     rng.random gives U = k * 2**-53 in [0, 1), so 1 - U is exact and lies
-    in (0, 1]: the log never sees 0, and every draw -log(1 - U) * scale
-    lies in [0, 53 * ln 2 * scale], which truncates a tail of mass 2**-53.
-    U = 0 gives -0.0, which still meets _busy_bits_batch's nonnegative
-    precondition, since -0.0 >= 0.  At scale = inf (rates near 5e-324)
-    that draw is 0 * inf = NaN, which the callers' overflow checks
-    report with the infinite ones.
+    in (0, 1]: the log never sees 0, and every value lies in [-53 * ln 2,
+    0], which truncates the exponential's tail at mass 2**-53.  U = 0
+    gives 0.0, and a negative scale then gives -0.0, which still meets
+    _busy_bits_batch's nonnegative precondition, since -0.0 >= 0.
     """
     rng.random(out=out)
     np.subtract(1.0, out, out=out)
     np.log(out, out=out)
+
+
+def _exponential(rng: np.random.Generator, out: np.ndarray, scale: float) -> None:
+    """Fill `out` with exponential draws of mean `scale`: _log_uniforms times -scale.
+
+    At scale = inf (rates near 5e-324) a U = 0 draw is 0 * inf = NaN,
+    which the callers' overflow checks report with the infinite ones.
+    """
+    _log_uniforms(rng, out)
     out *= -scale
 
 
@@ -260,31 +274,46 @@ def simulate_sequence(
     return ObservationSequence(_busy_bits_segmented(times, ends)[burn_in:total])
 
 
+def _add_idle(counts: np.ndarray, idle: list[np.ndarray], lo: int, hi: int) -> None:
+    """Add rows lo:hi of each hypothesis's idle flags to its row of `counts`.
+
+    The flags are summed as uint8, which is exact since a chunk has at most
+    MC_CHUNK < 256 rows.
+    """
+    for row, flags in zip(counts, idle):
+        row += np.add.reduce(flags[lo:hi].view(np.uint8), axis=0, dtype=np.uint8)
+
+
 # overflow raises NonFiniteError below; errstate is thread-local, so set it per call
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_sequence_batch(
     params: ModelParams,
-    hyp: Hypothesis,
     n: int,
     trials: int,
     seed: RngSeed,
     burn_in: int = DEFAULT_BURN_IN,
     windows: tuple[int, ...] | None = None,
 ) -> np.ndarray:
-    """Idle counts of `trials` independent n-arrival records, int64 (trials,).
+    """Idle counts of `trials` n-arrival records per hypothesis, int64 (2, trials).
 
-    Draws run time-major: each MC_CHUNK arrivals take one (chunk, trials)
-    block of inter-arrival gaps, then one of service times.  Each trial's
-    clock, departure time and idle count carry over from chunk to chunk,
-    so memory is O(trials) at any n.  Trial i does NOT reproduce
+    Row h holds the counts under Hypothesis(h).  Draws run time-major:
+    each MC_CHUNK arrivals take one (chunk, trials) block of log(1 - U),
+    minus unit exponential gaps, then one of service times.  Both
+    hypotheses run on those draws: H0 scales the block by -1/lambda_w and
+    H1 by -1/(lambda_w + lambda_b), so H1's arrivals are H0's compressed
+    in time, with the same services.  Each hypothesis keeps its own clock, departure time and
+    idle count, carried over from chunk to chunk, so memory is O(trials)
+    at any n.  The trials are independent within a row, and row h is bit
+    for bit what the draws of one hypothesis alone would give: only the
+    two rows of one trial are dependent.  Trial i does NOT reproduce
     simulate_sequence with any particular seed; the statistics are the
     same, which is what Monte Carlo needs.
 
     `windows`, strictly increasing and ending at n, asks for the running
     idle count of every trial after each window's first w observed
-    arrivals instead: an int64 (len(windows), trials) array whose rows
-    are nested prefixes of the same records.  The draws depend on n
-    alone, so the last row equals the single-window call bit for bit.
+    arrivals instead: an int64 (2, len(windows), trials) array whose
+    windows are nested prefixes of the same records.  The draws depend on
+    n alone, so the last window equals the single-window call bit for bit.
     """
     _check_lengths(n, burn_in)
     if trials < 1:
@@ -293,40 +322,45 @@ def simulate_sequence_batch(
     if not marks or marks[0] < 1 or marks[-1] != n or any(
             b <= a for a, b in zip(marks, marks[1:])):
         raise ValueError(f"windows must increase strictly from >= 1 to n={n}, got {windows}")
-    out = np.empty((len(marks), trials), dtype=np.int64)
+    out = np.empty((2, len(marks), trials), dtype=np.int64)
     pending = 0  # index of the next window to record
     total = n + burn_in
     rng = seed.generator()
-    gap_scale = 1.0 / _arrival_rate(params, hyp)
+    h0_scale, h1_scale = (-1.0 / _arrival_rate(params, hyp) for hyp in Hypothesis)
     service_scale = 1.0 / params.mu
-    gap_buf = np.empty((MC_CHUNK, trials))
-    end_buf = np.empty((MC_CHUNK, trials))
-    clock = np.zeros(trials)
-    depart = np.full(trials, -np.inf)
-    counts = np.zeros(trials, dtype=np.int64)
+    # H1's arrival times are formed in place of the unit gaps
+    bufs = [np.empty((MC_CHUNK, trials)) for _ in range(4)]
+    clock = np.zeros((2, trials))
+    depart = np.full((2, trials), -np.inf)
+    counts = np.zeros((2, trials), dtype=np.int64)
     for start in range(0, total, MC_CHUNK):
         size = min(MC_CHUNK, total - start)
-        times, ends = gap_buf[:size], end_buf[:size]
-        _exponential(rng, times, gap_scale)
-        _exponential(rng, ends, service_scale)
-        with _ROW_LOCK:
-            times[0] += clock
-            # the sums of one cumsum over n, row by row: an axis-0 cumsum
-            # walks each column at a stride of one row
-            for j in range(1, size):
-                np.add(times[j - 1], times[j], out=times[j])
-            clock[:] = times[-1]
-            ends += times
-            idle = _busy_bits_batch(times, ends, depart)
+        gaps, h0_times, services, ends = (buf[:size] for buf in bufs)
+        _log_uniforms(rng, gaps)
+        _exponential(rng, services, service_scale)
+        np.multiply(gaps, h0_scale, out=h0_times)
+        gaps *= h1_scale
+        idle = []
+        for h, times in enumerate((h0_times, gaps)):
+            with _ROW_LOCK:
+                times[0] += clock[h]
+                # the sums of one cumsum over n, row by row: an axis-0 cumsum
+                # walks each column at a stride of one row
+                for j in range(1, size):
+                    np.add(times[j - 1], times[j], out=times[j])
+                clock[h] = times[-1]
+                np.add(services, times, out=ends)
+                idle.append(_busy_bits_batch(times, ends, depart[h]))
         lo = max(burn_in - start, 0)
-        # split the chunk's count at every window end inside it
+        # split the chunk's counts at every window end inside it
         while pending < len(marks) and burn_in + marks[pending] <= start + size:
             hi = burn_in + marks[pending] - start
-            counts += np.add.reduce(idle[lo:hi].view(np.uint8), axis=0, dtype=np.uint8)
-            out[pending] = counts
+            _add_idle(counts, idle, lo, hi)
+            out[:, pending] = counts
             lo, pending = hi, pending + 1
         if lo < size:
-            counts += np.add.reduce(idle[lo:].view(np.uint8), axis=0, dtype=np.uint8)
+            _add_idle(counts, idle, lo, size)
     if not np.isfinite(depart).all():  # a clock or service end overflowed
         raise NonFiniteError(_OVERFLOW)
-    return out[0] if windows is None else out
+    return out[:, 0] if windows is None else out
+

@@ -497,25 +497,42 @@ def test_exact_campaign_with_nan_tails_exits_4(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
-def test_monte_carlo_trials_past_the_stream_range_exit_2(tmp_path, monkeypatch, capsys):
-    # refused before any Monte Carlo job is built, with one error line;
-    # one-trial blocks put the limit at 2**19 trials
+def _past_the_stream_range(monkeypatch):
+    """One-trial blocks put the limit at 2**19 trials; simulating one fails the test."""
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated a block")
 
     monkeypatch.setattr(detect, "MC_BLOCK_SIZE", 1)
     monkeypatch.setattr(detect, "simulate_sequence_batch", no_simulation)
-    too_many = 2**19 + 1
-    sweep = run_cli(capsys, "sweep", *RATES, "--n", "10", "--thresholds=0",
-                    "--trials", str(too_many), "--seed", "1")
+    return 2**19 + 1
+
+
+def test_monte_carlo_trials_past_the_stream_range_exit_2(monkeypatch, capsys):
+    # refused before any Monte Carlo job is built, with one error line
+    too_many = _past_the_stream_range(monkeypatch)
+    code, out, err = run_cli(capsys, "sweep", *RATES, "--n", "10", "--thresholds=0",
+                             "--trials", str(too_many), "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: trials must be <= 524288 (2**19 blocks of 1), got {too_many}\n"
+
+
+@pytest.mark.parametrize("mc_key", ["use_exact_when_feasible = false", "lambda_b = 0"])
+def test_monte_carlo_campaign_trials_past_the_stream_range_exit_3(tmp_path, monkeypatch,
+                                                                  capsys, mc_key):
+    # a bad config value: refused before the --out check or any job, with
+    # one error line; an exact campaign draws nothing and takes any count
+    too_many = _past_the_stream_range(monkeypatch)
+    text = CAMPAIGN.replace("= 10\n", f"= {too_many}\n")
     cfg = tmp_path / "many.cfg"
-    cfg.write_text(CAMPAIGN.replace("= 10\n", f"= {too_many}\n")
-                   + "use_exact_when_feasible = false\n")
-    campaign = run_cli(capsys, "campaign", str(cfg), "--out", str(tmp_path / "r"))
-    for code, out, err in (sweep, campaign):
-        assert (code, out) == (2, "")
-        assert err == f"error: trials must be <= 524288 (2**19 blocks of 1), got {too_many}\n"
+    cfg.write_text(text.replace("lambda_b = 0.2", mc_key) if mc_key.startswith("lambda_b")
+                   else text + mc_key + "\n")
+    code, out, err = run_cli(capsys, "campaign", str(cfg), "--out", str(tmp_path / "r"))
+    assert (code, out) == (3, "")
+    assert err == ("error: bad config value: trials must be <= 524288 "
+                   f"(2**19 blocks of 1), got {too_many}\n")
     assert list(tmp_path.iterdir()) == [cfg]
+    cfg.write_text(text)
+    assert run_cli(capsys, "campaign", str(cfg), "--out", str(tmp_path / "r"))[0] == 0
 
 
 @pytest.mark.parametrize("text, error", [

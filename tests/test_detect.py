@@ -271,7 +271,7 @@ def test_monte_carlo_worker_count_is_invisible():
 
 
 # error counts (H0 false alarms, H1 misses) out of 500 trials per
-# hypothesis at one seed; with the burn-in arrival, N = 63, 64 and 65 fill
+# hypothesis at one seed, both read off the same draws; with the burn-in arrival, N = 63, 64 and 65 fill
 # one MC_CHUNK exactly or spill one or two arrivals into a second.  A
 # moved draw in the simulator's batch kernel moves some of them; a
 # last-bit change in a float sum seldom does, and
@@ -280,7 +280,7 @@ def test_monte_carlo_worker_count_is_invisible():
 # error probability, so a new sampler cannot pin a biased count.
 @pytest.mark.parametrize("n, false_alarms, misses", [
     pytest.param(*pin, id=f"n{pin[0]}")
-    for pin in [(63, 96, 80), (64, 106, 70), (65, 76, 99), (250, 16, 17)]])
+    for pin in [(63, 91, 96), (64, 102, 79), (65, 72, 108), (250, 19, 20)]])
 def test_monte_carlo_error_counts_are_pinned(n, false_alarms, misses):
     trials = 500
     mc = monte_carlo_error(PARAMS, n, 0.0, trials, RngSeed(2024, 3))
@@ -291,19 +291,21 @@ def test_monte_carlo_error_counts_are_pinned(n, false_alarms, misses):
 
 
 def test_monte_carlo_windows_read_every_cut_off_one_simulation(monkeypatch):
-    # three blocks per hypothesis; each block's idle counts at the window
-    # ends come from one windowed simulation, cut here by hand
+    # three blocks of 256, 256 and 188 trials, each in two halves; each
+    # half's idle counts of both hypotheses at the window ends come from
+    # one windowed simulation, cut here by hand
     monkeypatch.setattr(detect, "MC_BLOCK_SIZE", 256)
     windows, gamma, trials, seed = (12, 63, 64, 65), 0.5, 700, RngSeed(31, 2)
     grid = monte_carlo_error(PARAMS, windows, gamma, trials, seed)
     errors = np.zeros((2, len(windows)), dtype=np.int64)
-    for hyp in Hypothesis:
-        for block, bt in enumerate((256, 256, 188)):
-            s = seed.with_stream(seed.stream_id + 1 + hyp.value * 2**20 + 2 * block)
-            counts = simulate_sequence_batch(PARAMS, hyp, 65, bt, s, windows=windows)
-            for i, w in enumerate(windows):
-                below = np.count_nonzero(counts[i] < _cut(w, PARAMS, gamma))
-                errors[hyp.value, i] += below if hyp is Hypothesis.H0 else bt - below
+    for block, halves in enumerate(((128, 128), (128, 128), (94, 94))):
+        for half, ht in enumerate(halves):
+            s = seed.with_stream(seed.stream_id + 1 + 2 * block + half)
+            counts = simulate_sequence_batch(PARAMS, 65, ht, s, windows=windows)
+            for hyp in Hypothesis:
+                for i, w in enumerate(windows):
+                    below = np.count_nonzero(counts[hyp.value, i] < _cut(w, PARAMS, gamma))
+                    errors[hyp.value, i] += below if hyp is Hypothesis.H0 else ht - below
     expected = [{"p_f": f / trials, "p_m": m / trials, "p_e": (f / trials + m / trials) / 2,
                  "se_f": sqrt(f / trials * (1 - f / trials) / trials),
                  "se_m": sqrt(m / trials * (1 - m / trials) / trials)}
@@ -325,16 +327,16 @@ def test_monte_carlo_error_shapes_follow_the_arguments():
 
 
 def test_monte_carlo_thresholds_read_one_simulation(monkeypatch):
-    # two blocks per hypothesis; the one call equals the per-threshold calls
+    # two blocks, four half-block jobs; the one call equals the per-threshold calls
     # at the same seed, on one window and on a tuple of windows
     monkeypatch.setattr(detect, "MC_BLOCK_SIZE", 256)
     gammas, trials, seed = (-2.0, -0.5, 0.0, 0.5, 2.0), 400, RngSeed(17, 4)
     calls = []
     original = detect.simulate_sequence_batch
     monkeypatch.setattr(detect, "simulate_sequence_batch",
-                        lambda *a, **k: calls.append(a[1]) or original(*a, **k))
+                        lambda *a, **k: calls.append(a[2]) or original(*a, **k))
     one = monte_carlo_error(PARAMS, 40, gammas, trials, seed)
-    assert len(calls) == 4
+    assert sorted(calls) == [72, 72, 128, 128]
     assert one == [monte_carlo_error(PARAMS, 40, g, trials, seed) for g in gammas]
     grid = monte_carlo_error(PARAMS, (10, 40), gammas, trials, seed, workers=2)
     assert grid[-1] == one
@@ -345,6 +347,30 @@ def test_monte_carlo_thresholds_read_one_simulation(monkeypatch):
             monte_carlo_error(PARAMS, 40, bad, trials, seed)
 
 
+def test_monte_carlo_uneven_halves_are_invisible_to_the_worker_count(monkeypatch):
+    # 517 trials in blocks of 256 are blocks of 256, 256 and 5 trials, and
+    # the last block's halves take 3 and 2; each half is one job on its own
+    # stream offset, and the counts are summed in job order
+    monkeypatch.setattr(detect, "MC_BLOCK_SIZE", 256)
+    seed, jobs = RngSeed(61, 7), []
+    original = detect.simulate_sequence_batch
+
+    def recording(params, n, trials, s, **kwargs):
+        jobs.append((trials, s.stream_id - seed.stream_id))
+        return original(params, n, trials, s, **kwargs)
+
+    monkeypatch.setattr(detect, "simulate_sequence_batch", recording)
+    results = [monte_carlo_error(PARAMS, (20, 40), (-0.5, 0.0), 517, seed, workers=workers)
+               for workers in (1, 2, 4, 8)]
+    assert all(result == results[0] for result in results[1:])
+    halves = [(128, 1), (128, 2), (128, 3), (128, 4), (3, 5), (2, 6)]
+    assert sorted(jobs) == sorted(halves * 4)
+    # one trial: the second half is empty and makes no job
+    jobs.clear()
+    monte_carlo_error(PARAMS, 20, 0.0, 1, seed, workers=8)
+    assert jobs == [(1, 1)]
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_monte_carlo_error_rejects_nonpositive_workers(workers):
     with pytest.raises(ValueError, match="workers"):
@@ -352,9 +378,9 @@ def test_monte_carlo_error_rejects_nonpositive_workers(workers):
 
 
 def test_monte_carlo_error_refuses_trials_that_would_reuse_a_stream(monkeypatch):
-    # block b of H0 draws stream offset 1 + 2b and block b of H1 draws
-    # 1 + 2**20 + 2b, so a 2**19-th H0 block would draw H1's block 0;
-    # the call refuses before it builds a job or simulates a trial
+    # the halves of block b draw stream offsets 1 + 2b and 2 + 2b, so
+    # 2**19 blocks keep every offset at most 2**20; one more block is
+    # refused before the call builds a job or simulates a trial
     def no_simulation(*args, **kwargs):
         raise AssertionError("simulated a block")
 

@@ -169,7 +169,7 @@ def _count_simulations(monkeypatch):
     original = detect.simulate_sequence_batch
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[2])  # the trials of one half-block
         return original(*args, **kwargs)
 
     monkeypatch.setattr(detect, "simulate_sequence_batch", counting)
@@ -186,8 +186,8 @@ def test_mc_campaign_rows_are_windows_of_the_longest_rows_simulation(monkeypatch
     master = RngSeed(41, 6)
     calls = _count_simulations(monkeypatch)
     rows = mc_campaign((30, 64, 65, 200), master)["rows"]
-    # one block per hypothesis serves the whole grid
-    assert sorted(hyp.value for hyp in calls) == [0, 1]
+    # one block, simulated in two halves, serves the whole grid
+    assert calls == [300, 300]
     stream = _row_stream(master, 200)
     assert [r["seed"] for r in rows] == [stream] * 4
     top = monte_carlo_error(PARAMS, 200, 0.0, 600, master.with_stream(stream))
@@ -234,7 +234,7 @@ def test_mc_sweep_is_one_simulation_for_every_threshold(monkeypatch):
     calls = _count_simulations(monkeypatch)
     gammas, seed = [-1.0, 0.0, 0.25, 1.0], RngSeed(12, 5)
     rows = threshold_sweep(PARAMS, 60, gammas, trials=300, seed=seed)
-    assert sorted(hyp.value for hyp in calls) == [0, 1]
+    assert calls == [150, 150]
     keys = ("p_f", "p_m", "p_e")
     assert rows == [{"gamma": g, **{k: ep[k] for k in keys}}
                     for g, ep in ((g, monte_carlo_error(PARAMS, 60, g, 300, seed))

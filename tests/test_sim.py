@@ -123,9 +123,10 @@ def test_rate_swap_leaves_sequence_invariant_with_matched_seed():
 
 
 def test_batch_statistics_match_single_path():
-    idle = simulate_sequence_batch(PARAMS, Hypothesis.H1, 50, 20_000, RngSeed(29))
-    assert idle.shape == (20_000,)
-    assert abs(idle.mean() / 50 - 2 / 3) < 0.005
+    idle = simulate_sequence_batch(PARAMS, 50, 20_000, RngSeed(29))
+    assert idle.shape == (2, 20_000)
+    assert abs(idle[Hypothesis.H0.value].mean() / 50 - 1 / 1.3) < 0.005
+    assert abs(idle[Hypothesis.H1.value].mean() / 50 - 2 / 3) < 0.005
 
 
 def test_inverted_exponential_has_the_exponential_law():
@@ -176,7 +177,7 @@ def test_a_nan_draw_at_infinite_scale_is_a_numeric_failure(monkeypatch):
         with pytest.raises(NonFiniteError):
             simulate_sequence(tiny, Hypothesis.H1, 10, RngSeed(1))
         with pytest.raises(NonFiniteError):
-            simulate_sequence_batch(tiny, Hypothesis.H1, 10, 4, RngSeed(1))
+            simulate_sequence_batch(tiny, 10, 4, RngSeed(1))
 
 
 def _inverted_exponential(rng, size, scale):
@@ -207,32 +208,34 @@ def test_a_chunk_idle_count_fits_the_uint8_it_is_summed_in():
 def test_batch_counts_equal_the_scalar_recursion_on_the_same_draws(hyp, n, burn_in):
     # run each trial through the scalar recursion over its whole stream;
     # the windowed call also records the running count at window ends on,
-    # just before and just after a chunk boundary
+    # just before and just after a chunk boundary.  One call at one seed
+    # serves both hypotheses, each on the draws _batch_draws rebuilds for it
     trials, seed = 9, RngSeed(43, 5)
     gaps, services = _batch_draws(hyp, n + burn_in, trials, seed)
     busy = np.array([scalar_busy_bits(np.cumsum(gaps[:, i]), services[:, i])[burn_in:]
                      for i in range(trials)])
     windows = tuple(w for w in (1, 2, 63, 64, 65, 130) if w < n) + (n,)
     expected = [[w - busy[i, :w].sum() for i in range(trials)] for w in windows]
-    got = simulate_sequence_batch(PARAMS, hyp, n, trials, seed, burn_in=burn_in)
-    assert got.dtype == np.int64
-    np.testing.assert_array_equal(got, expected[-1])
-    windowed = simulate_sequence_batch(PARAMS, hyp, n, trials, seed, burn_in=burn_in,
+    got = simulate_sequence_batch(PARAMS, n, trials, seed, burn_in=burn_in)
+    assert got.dtype == np.int64 and got.shape == (2, trials)
+    np.testing.assert_array_equal(got[hyp.value], expected[-1])
+    windowed = simulate_sequence_batch(PARAMS, n, trials, seed, burn_in=burn_in,
                                        windows=windows)
-    assert windowed.dtype == np.int64
-    np.testing.assert_array_equal(windowed, expected)
-    assert windowed[-1].tobytes() == got.tobytes()
+    assert windowed.dtype == np.int64 and windowed.shape == (2, len(windows), trials)
+    np.testing.assert_array_equal(windowed[hyp.value], expected)
+    assert windowed[:, -1].tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("windows", [(), (0, 10), (5, 5, 10), (10, 5), (5,), (5, 11)])
 def test_batch_windows_must_increase_to_n(windows):
     with pytest.raises(ValueError, match="windows"):
-        simulate_sequence_batch(PARAMS, Hypothesis.H1, 10, 3, RngSeed(1), windows=windows)
+        simulate_sequence_batch(PARAMS, 10, 3, RngSeed(1), windows=windows)
 
 
 def test_batch_clock_is_one_cumsum_over_each_stream(monkeypatch):
     # a last-bit change in a sum rarely flips a busy bit, so compare the
-    # arrival and end times the recursion receives, chunk by chunk
+    # arrival and end times the recursion receives, chunk by chunk; each
+    # chunk runs H0, then H1, on the same draws
     n, trials, seed = 200, 9, RngSeed(43, 5)
     seen = []
 
@@ -241,25 +244,28 @@ def test_batch_clock_is_one_cumsum_over_each_stream(monkeypatch):
         return _busy_bits_batch(times, ends, depart)
 
     monkeypatch.setattr(sim, "_busy_bits_batch", recording)
-    simulate_sequence_batch(PARAMS, Hypothesis.H1, n, trials, seed)
-    gaps, services = _batch_draws(Hypothesis.H1, n + 1, trials, seed)
-    times = np.cumsum(gaps, axis=0)
-    np.testing.assert_array_equal(np.concatenate([t for t, _ in seen]).view(np.int64),
-                                  times.view(np.int64))
-    np.testing.assert_array_equal(np.concatenate([e for _, e in seen]).view(np.int64),
-                                  (services + times).view(np.int64))
+    simulate_sequence_batch(PARAMS, n, trials, seed)
+    assert len(seen) == 2 * -(-(n + 1) // MC_CHUNK)
+    for hyp in Hypothesis:
+        gaps, services = _batch_draws(hyp, n + 1, trials, seed)
+        times = np.cumsum(gaps, axis=0)
+        calls = seen[hyp.value::2]
+        np.testing.assert_array_equal(np.concatenate([t for t, _ in calls]).view(np.int64),
+                                      times.view(np.int64))
+        np.testing.assert_array_equal(np.concatenate([e for _, e in calls]).view(np.int64),
+                                      (services + times).view(np.int64))
 
 
-def _two_window_batch(hyp, seed):
-    return simulate_sequence_batch(PARAMS, hyp, 300, 500, seed, windows=(100, 300))
+def _two_window_batch(seed):
+    return simulate_sequence_batch(PARAMS, 300, 500, seed, windows=(100, 300))
 
 
 def test_batch_calls_on_two_threads_equal_the_calls_one_after_the_other(monkeypatch):
     # the row sections of the two calls take turns under the module lock:
     # a recursion never starts while another runs, and the counts are
     # those of the calls made one after the other
-    calls = [(Hypothesis.H0, RngSeed(5, 1)), (Hypothesis.H1, RngSeed(6, 2))]
-    alone = [_two_window_batch(*call) for call in calls]
+    calls = [RngSeed(5, 1), RngSeed(6, 2)]
+    alone = [_two_window_batch(call) for call in calls]
     running, most = [], []
 
     def tracked(times, ends, depart):
@@ -277,19 +283,20 @@ def test_batch_calls_on_two_threads_equal_the_calls_one_after_the_other(monkeypa
 
     def started(call):
         start.wait()
-        return _two_window_batch(*call)
+        return _two_window_batch(call)
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         together = list(pool.map(started, calls))
-    assert max(most) == 1 and len(most) == 2 * -(-301 // MC_CHUNK)
+    # two calls, each with one recursion per hypothesis per chunk
+    assert max(most) == 1 and len(most) == 2 * 2 * -(-301 // MC_CHUNK)
     for one, both in zip(alone, together):
-        assert one.shape == (2, 500)
+        assert one.shape == (2, 2, 500)
         np.testing.assert_array_equal(both, one)
 
 
 def test_batch_frees_the_row_lock_when_its_row_section_raises(monkeypatch):
     seed = RngSeed(8, 3)
-    before = _two_window_batch(Hypothesis.H1, seed)
+    before = _two_window_batch(seed)
 
     def failing(times, ends, depart):
         raise RuntimeError("recursion failed")
@@ -297,9 +304,9 @@ def test_batch_frees_the_row_lock_when_its_row_section_raises(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(sim, "_busy_bits_batch", failing)
         with pytest.raises(RuntimeError, match="recursion failed"):
-            _two_window_batch(Hypothesis.H1, seed)
+            _two_window_batch(seed)
     assert not sim._ROW_LOCK.locked()
-    np.testing.assert_array_equal(_two_window_batch(Hypothesis.H1, seed), before)
+    np.testing.assert_array_equal(_two_window_batch(seed), before)
 
 
 class _CountingLock:
@@ -320,8 +327,8 @@ def test_only_the_batch_takes_the_row_lock(monkeypatch):
     monkeypatch.setattr(sim, "_ROW_LOCK", lock)
     simulate_sequence(PARAMS, Hypothesis.H1, 5000, RngSeed(9))
     assert lock.entered == 0
-    simulate_sequence_batch(PARAMS, Hypothesis.H1, 200, 7, RngSeed(9))
-    assert lock.entered == -(-201 // MC_CHUNK)  # once per chunk
+    simulate_sequence_batch(PARAMS, 200, 7, RngSeed(9))
+    assert lock.entered == 2 * -(-201 // MC_CHUNK)  # once per hypothesis per chunk
 
 
 def _single_stream_layout(params, hyp, n, seed, burn_in):
@@ -474,11 +481,11 @@ def test_batch_memory_does_not_grow_with_n():
     # (trials, n) float64 arrays would take over 100 MB here
     tracemalloc.start()
     try:
-        idle = simulate_sequence_batch(PARAMS, Hypothesis.H1, 10**5, 64, RngSeed(47))
+        idle = simulate_sequence_batch(PARAMS, 10**5, 64, RngSeed(47))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert idle.shape == (64,)
+    assert idle.shape == (2, 64)
     assert peak < 2**20
 
 
