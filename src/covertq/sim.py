@@ -298,12 +298,12 @@ def simulate_sequence_batch(
 
     Row h holds the counts under Hypothesis(h).  Draws run time-major:
     each MC_CHUNK arrivals take one (chunk, trials) block of log(1 - U),
-    minus unit exponential gaps, then one of service times.  Both
+    the negated unit exponential gaps, then one of service times.  Both
     hypotheses run on those draws: H0 scales the block by -1/lambda_w and
     H1 by -1/(lambda_w + lambda_b), so H1's arrivals are H0's compressed
-    in time, with the same services.  Each hypothesis keeps its own clock, departure time and
-    idle count, carried over from chunk to chunk, so memory is O(trials)
-    at any n.  The trials are independent within a row, and row h is bit
+    in time, with the same services.  Each hypothesis keeps its own
+    clock, departure time and idle count, carried over from chunk to
+    chunk, so memory is O(trials) at any n.  The trials are independent within a row, and row h is bit
     for bit what the draws of one hypothesis alone would give: only the
     two rows of one trial are dependent.  Trial i does NOT reproduce
     simulate_sequence with any particular seed; the statistics are the

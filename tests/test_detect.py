@@ -271,13 +271,13 @@ def test_monte_carlo_worker_count_is_invisible():
 
 
 # error counts (H0 false alarms, H1 misses) out of 500 trials per
-# hypothesis at one seed, both read off the same draws; with the burn-in arrival, N = 63, 64 and 65 fill
-# one MC_CHUNK exactly or spill one or two arrivals into a second.  A
-# moved draw in the simulator's batch kernel moves some of them; a
-# last-bit change in a float sum seldom does, and
-# test_batch_clock_is_one_cumsum_over_each_stream pins those.  Each pin
-# also lies within 4 binomial standard errors of trials times the exact
-# error probability, so a new sampler cannot pin a biased count.
+# hypothesis at one seed, both read off the same draws; with the burn-in
+# arrival, N = 63, 64 and 65 fill one MC_CHUNK exactly or spill one or
+# two arrivals into a second.  A moved draw in the simulator's batch
+# kernel moves some of them; a last-bit change in a float sum seldom
+# does, and test_batch_clock_is_one_cumsum_over_each_stream pins those.
+# Each pin also lies within 4 binomial standard errors of trials times
+# the exact error probability, so a new sampler cannot pin a biased count.
 @pytest.mark.parametrize("n, false_alarms, misses", [
     pytest.param(*pin, id=f"n{pin[0]}")
     for pin in [(63, 91, 96), (64, 102, 79), (65, 72, 108), (250, 19, 20)]])
