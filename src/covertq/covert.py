@@ -71,7 +71,7 @@ def max_covert_rate(lambda_w: float, spec: CovertnessSpec) -> dict:
     log_ratio = spec.k.log_value(spec.n) - log(1.0 - spec.epsilon)
     if log_ratio <= 0.0:
         return {"n": spec.n, "bound": 0.0, "feasible": False}
-    value = sqrt(8.0 * lambda_w * (lambda_w + 1.0) ** 2 / spec.n * log_ratio)
+    value = (lambda_w + 1.0) * sqrt(8.0 * lambda_w / spec.n * log_ratio)
     return {"n": spec.n, "bound": value, "feasible": True}
 
 

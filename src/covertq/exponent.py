@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import exp, expm1
 
-from .model import ModelParams, _h2, _kl2
+from .model import ModelParams, NonFiniteError, _h2, _kl2
 
 # Width of the final bracket around the numeric minimizer.
 V_NUMERIC_TOL = 1e-10
@@ -49,7 +49,10 @@ def v_closed_form(params: ModelParams) -> float:
         raise ValueError("v is undefined for lambda_b = 0 (take the limit 1/2)")
     _, _, q, qbar, _, _, _, ell, s = params._ratios[:9]
     z = s * ell / (q * (qbar - s * ell))
-    return s * (1.0 + z * _h2(z)) / (qbar * (q + s * ell))  # (1 + z) q (1 - t*) = (1 - q) t*
+    v = s * (1.0 + z * _h2(z)) / (qbar * (q + s * ell))  # (1 + z) q (1 - t*) = (1 - q) t*
+    if not v > 0.0:  # s squares a quantity of order p - q, which can underflow
+        raise NonFiniteError("the closed-form minimizer underflows at these rates")
+    return v
 
 
 def i_err_numeric(params: ModelParams) -> tuple[float, float]:
@@ -88,8 +91,8 @@ def i_err_taylor(params: ModelParams) -> float:
     1/mu, which leaves the exponent invariant (p and q are rate ratios).
     """
     lw = params.lambda_w / params.mu
-    lb = params.lambda_b / params.mu
-    return lb * lb / (8.0 * lw * (lw + 1.0) ** 2)
+    r = params.lambda_b / params.mu / (lw + 1.0)
+    return r * (r / (8.0 * lw))  # lb**2 and (lw + 1)**2 would leave the float range first
 
 
 def exponent_report(params: ModelParams) -> dict:

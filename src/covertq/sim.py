@@ -3,46 +3,21 @@
 Generates the busy/idle record seen by successive arrivals from
 exponential inter-arrival and service samples.  The Bernoulli idle
 probabilities of :mod:`covertq.model` are deliberately not used here, so
-the simulator is an independent check on that reduction.  Monte Carlo
-batches run the same recursion time-major and keep only each trial's
-state and running idle count, read at every requested window end, never
-an array of length n.  Each step of the
-batch works on whole contiguous rows of trials with no per-trial
-branch: the clock is summed row by row and the departure update is a
-max (see _busy_bits_batch), so the exponential draws take most of the
-time.  Both are exact: the counts are bit for bit those of a per-arrival
-loop on the same draws.
+the simulator is an independent check on that reduction.
 
-A batch draws each trial's exponentials once and runs both hypotheses
-on them (common random numbers): H0 divides the unit gaps by lambda_w
-and H1 by lambda_w + lambda_b, so H1's record is H0's arrivals
-compressed in time by lambda_w / (lambda_w + lambda_b), with the same
-services.  Each hypothesis's records keep their own law, and the draws
-and logs are half of what two separate runs would take.
+A Monte Carlo chunk's row-by-row section (clock carry, row sums, end
+times, recursion) is some 250 short ufunc calls over rows that hold both
+hypotheses' trials, and it runs one thread at a time, under a module
+lock.  Each short call releases the GIL, so two Monte Carlo workers
+running it at once hand the GIL back and forth at every call and finish
+later than one after the other.  Under the lock, one worker runs its
+rows while the other runs its few long draw calls, which release the GIL
+for their whole length.  The lock orders work without changing any
+arithmetic, so the counts stay the same at any worker count.
 
-The row-by-row section of each hypothesis (clock carry, row sums, end
-times, recursion) is some 250 short ufunc calls per chunk, and it runs
-one thread at a time, under a module lock.  Each short call releases
-the GIL, so two Monte Carlo workers running it at once hand the GIL back
-and forth at every call and finish later than one after the other.
-Under the lock, one worker runs its rows while the other runs its few
-long draw calls, which release the GIL for their whole length.  The
-lock orders work without changing any arithmetic, so the counts stay the
-same at any worker count.
-
-Every gap and service is drawn by inversion, -log(1 - U) times its
-mean, from one uniform fill and one vectorised log (see _log_uniforms),
-which is cheaper than numpy's ziggurat and exact up to a truncated tail
-of mass 2**-53.  A run is reproducible from its seed on the same numpy
-build and CPU: numpy's SIMD log may differ by an ulp between instruction
-sets, but never between worker counts.
-
-A single stream is still simulated event by event and exactly, but
-segment-parallel: about sqrt(n) segments run through the batch recursion
-side by side, and an exact fix-up walk carries the true departure time
-across them, so the record is bit for bit that of a per-arrival loop.
-Its draws go straight into the time-major arrival and end times the
-recursion reads, so it holds two float64 arrays of the stream's length.
+A run is reproducible from its seed on the same numpy build and CPU:
+numpy's SIMD log may differ by an ulp between instruction sets, but
+never between worker counts.
 """
 
 from __future__ import annotations
@@ -66,8 +41,8 @@ MC_CHUNK = 64
 # A clock or service end past the float64 range leaves later busy bits meaningless.
 _OVERFLOW = "simulated time overflows float64 at these rates"
 
-# Held by simulate_sequence_batch around each hypothesis's row-by-row
-# section of a chunk (see the module docstring).
+# Held by simulate_sequence_batch around each chunk's row-by-row section
+# (see the module docstring).
 _ROW_LOCK = threading.Lock()
 
 
@@ -274,16 +249,6 @@ def simulate_sequence(
     return ObservationSequence(_busy_bits_segmented(times, ends)[burn_in:total])
 
 
-def _add_idle(counts: np.ndarray, idle: list[np.ndarray], lo: int, hi: int) -> None:
-    """Add rows lo:hi of each hypothesis's idle flags to its row of `counts`.
-
-    The flags are summed as uint8, which is exact since a chunk has at most
-    MC_CHUNK < 256 rows.
-    """
-    for row, flags in zip(counts, idle):
-        row += np.add.reduce(flags[lo:hi].view(np.uint8), axis=0, dtype=np.uint8)
-
-
 # overflow raises NonFiniteError below; errstate is thread-local, so set it per call
 @np.errstate(over="ignore", invalid="ignore")
 def simulate_sequence_batch(
@@ -301,11 +266,13 @@ def simulate_sequence_batch(
     the negated unit exponential gaps, then one of service times.  Both
     hypotheses run on those draws: H0 scales the block by -1/lambda_w and
     H1 by -1/(lambda_w + lambda_b), so H1's arrivals are H0's compressed
-    in time, with the same services.  Each hypothesis keeps its own
-    clock, departure time and idle count, carried over from chunk to
-    chunk, so memory is O(trials) at any n.  The trials are independent within a row, and row h is bit
-    for bit what the draws of one hypothesis alone would give: only the
-    two rows of one trial are dependent.  Trial i does NOT reproduce
+    in time, with the same services.  A chunk's arrival and end times are
+    (chunk, 2, trials), so the recursion runs once, over rows of H0's
+    trials, then H1's.  Each trial keeps its two clocks, departure times
+    and idle counts from chunk to chunk, so memory is O(trials) at any n.
+    The trials are independent within a row of the result, and row h is
+    bit for bit what the draws of one hypothesis alone would give: only
+    the two rows of one trial are dependent.  Trial i does NOT reproduce
     simulate_sequence with any particular seed; the statistics are the
     same, which is what Monte Carlo needs.
 
@@ -326,41 +293,43 @@ def simulate_sequence_batch(
     pending = 0  # index of the next window to record
     total = n + burn_in
     rng = seed.generator()
-    h0_scale, h1_scale = (-1.0 / _arrival_rate(params, hyp) for hyp in Hypothesis)
+    scales = np.array([[-1.0 / _arrival_rate(params, hyp)] for hyp in Hypothesis])
     service_scale = 1.0 / params.mu
-    # H1's arrival times are formed in place of the unit gaps
-    bufs = [np.empty((MC_CHUNK, trials)) for _ in range(4)]
-    clock = np.zeros((2, trials))
-    depart = np.full((2, trials), -np.inf)
-    counts = np.zeros((2, trials), dtype=np.int64)
+    time_bufs = np.empty((2, MC_CHUNK, 2, trials))  # arrival and end times
+    service_buf = np.empty((MC_CHUNK, trials))
+    clock = np.zeros(2 * trials)
+    depart = np.full(2 * trials, -np.inf)
+    counts = np.zeros(2 * trials, dtype=np.int64)
     for start in range(0, total, MC_CHUNK):
         size = min(MC_CHUNK, total - start)
-        gaps, h0_times, services, ends = (buf[:size] for buf in bufs)
+        times, ends = time_bufs[:, :size]
+        services = service_buf[:size]
+        gaps = ends.reshape(2, size, trials)[0]  # free until the end times are formed
         _log_uniforms(rng, gaps)
         _exponential(rng, services, service_scale)
-        np.multiply(gaps, h0_scale, out=h0_times)
-        gaps *= h1_scale
-        idle = []
-        for h, times in enumerate((h0_times, gaps)):
-            with _ROW_LOCK:
-                times[0] += clock[h]
-                # the sums of one cumsum over n, row by row: an axis-0 cumsum
-                # walks each column at a stride of one row
-                for j in range(1, size):
-                    np.add(times[j - 1], times[j], out=times[j])
-                clock[h] = times[-1]
-                np.add(services, times, out=ends)
-                idle.append(_busy_bits_batch(times, ends, depart[h]))
+        np.multiply(gaps[:, None], scales, out=times)
+        with _ROW_LOCK:
+            rows = times.reshape(size, -1)
+            rows[0] += clock
+            # the sums of one cumsum over n, row by row: an axis-0 cumsum
+            # walks each column at a stride of one row
+            for j in range(1, size):
+                np.add(rows[j - 1], rows[j], out=rows[j])
+            clock[:] = rows[-1]
+            np.add(services[:, None], times, out=ends)
+            idle = _busy_bits_batch(rows, ends.reshape(size, -1), depart)
+        # split the chunk's rows at every window end inside it
         lo = max(burn_in - start, 0)
-        # split the chunk's counts at every window end inside it
-        while pending < len(marks) and burn_in + marks[pending] <= start + size:
-            hi = burn_in + marks[pending] - start
-            _add_idle(counts, idle, lo, hi)
-            out[:, pending] = counts
-            lo, pending = hi, pending + 1
-        if lo < size:
-            _add_idle(counts, idle, lo, size)
+        while lo < size:
+            mark = burn_in + marks[pending] - start
+            hi = min(mark, size)
+            # summed as uint8, exact since a chunk has at most MC_CHUNK < 256 rows
+            counts += np.add.reduce(idle[lo:hi].view(np.uint8), axis=0, dtype=np.uint8)
+            if hi == mark:
+                out[:, pending] = counts.reshape(2, trials)
+                pending += 1
+            lo = hi
+        del idle  # before the next chunk's flags are allocated
     if not np.isfinite(depart).all():  # a clock or service end overflowed
         raise NonFiniteError(_OVERFLOW)
     return out[:, 0] if windows is None else out
-

@@ -220,6 +220,24 @@ def test_exponent_answers_at_extreme_rates(capsys, rates):
     jsonschema.validate(json.loads(out), schema("exponent_report"))
 
 
+@pytest.mark.parametrize("argv, key, expected", [
+    # (lambda_w + 1)**2 past the float64 range; the true 4.6e-464 underflows
+    (["exponent", "--lambda-w", "1.4e154", "--lambda-b", "1"], "i_err_taylor", 0.0),
+    # lambda_b**2 underflowing to 0
+    (["exponent", "--lambda-w", "1e150", "--lambda-b", "1e140"], "i_err_taylor", 1.25e-171),
+    (["bound", "--lambda-w", "3e102", "--epsilon", "0.1", "--n", "100"], "bound",
+     4.77052108077204e152),
+    (["bound", "--lambda-w", "1e200", "--epsilon", "0.1", "--n", "100"], "bound",
+     9.18087210052841e298),
+])
+def test_quadratic_forms_neither_overflow_nor_underflow(capsys, argv, key, expected):
+    # expected values from mpmath at 15 digits
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    value = json.loads(out, parse_constant=_reject_constant)[key]
+    assert value == pytest.approx(expected, rel=1e-13)
+
+
 def test_exponent_csv(capsys):
     code, out, _ = run_cli(capsys, "exponent", *RATES, "--output", "csv")
     assert code == 0
@@ -428,7 +446,8 @@ def test_main_hands_its_command_what_a_fresh_parser_parses(monkeypatch, cmd):
     ([*BOUND, "--n", "100", "--k0", "inf"], 2),
     ([*BOUND, "--n", "100", "--n-values", "10,100"], 2),
     ([*BOUND, "--n", "100", "--output", "csv"], 2),
-    (["bound", "--lambda-w", "1e200", "--epsilon", "0.1", "--n", "100"], 4),
+    # a bound of about 1e450, and a closed-form minimizer that underflows
+    (["bound", "--lambda-w", "1e300", "--epsilon", "0.1", "--n", "100"], 4),
     (["exponent", "--lambda-w", "1e200", "--lambda-b", "1"], 4),
     (["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "-3"], 2),
     # removed flags are unknown arguments

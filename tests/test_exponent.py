@@ -13,7 +13,7 @@ from covertq.exponent import (
     r_of_u,
     v_closed_form,
 )
-from covertq.model import Hypothesis, ModelParams, json_text
+from covertq.model import Hypothesis, ModelParams, NonFiniteError, json_text
 from oracles import (
     big_f,
     chernoff_information,
@@ -105,6 +105,14 @@ def test_v_closed_form_at_tiny_lambda_b_is_the_mpmath_value():
 def test_v_rejects_zero_lambda_b():
     with pytest.raises(ValueError):
         v_closed_form(ModelParams(0.3, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("rates", [(1e200, 1.0, 1.0), (2.59e-74, 3.62e-70, 1.05e-255)])
+def test_v_closed_form_refuses_where_its_square_underflows(rates):
+    # v is near 0.5 and 0.76 here (mpmath), but s, a square of order
+    # p - q, is 0
+    with pytest.raises(NonFiniteError, match="underflows"):
+        v_closed_form(ModelParams(*rates))
 
 
 def test_closed_and_numeric_agree():

@@ -235,7 +235,7 @@ def test_batch_windows_must_increase_to_n(windows):
 def test_batch_clock_is_one_cumsum_over_each_stream(monkeypatch):
     # a last-bit change in a sum rarely flips a busy bit, so compare the
     # arrival and end times the recursion receives, chunk by chunk; each
-    # chunk runs H0, then H1, on the same draws
+    # chunk runs once, over rows of H0's trials, then H1's, on the same draws
     n, trials, seed = 200, 9, RngSeed(43, 5)
     seen = []
 
@@ -245,15 +245,16 @@ def test_batch_clock_is_one_cumsum_over_each_stream(monkeypatch):
 
     monkeypatch.setattr(sim, "_busy_bits_batch", recording)
     simulate_sequence_batch(PARAMS, n, trials, seed)
-    assert len(seen) == 2 * -(-(n + 1) // MC_CHUNK)
+    assert len(seen) == -(-(n + 1) // MC_CHUNK)
+    assert all(t.shape[1] == e.shape[1] == 2 * trials for t, e in seen)
     for hyp in Hypothesis:
         gaps, services = _batch_draws(hyp, n + 1, trials, seed)
         times = np.cumsum(gaps, axis=0)
-        calls = seen[hyp.value::2]
-        np.testing.assert_array_equal(np.concatenate([t for t, _ in calls]).view(np.int64),
-                                      times.view(np.int64))
-        np.testing.assert_array_equal(np.concatenate([e for _, e in calls]).view(np.int64),
-                                      (services + times).view(np.int64))
+        cols = slice(hyp.value * trials, (hyp.value + 1) * trials)
+        got_times = np.concatenate([t[:, cols] for t, _ in seen])
+        got_ends = np.concatenate([e[:, cols] for _, e in seen])
+        np.testing.assert_array_equal(got_times.view(np.int64), times.view(np.int64))
+        np.testing.assert_array_equal(got_ends.view(np.int64), (services + times).view(np.int64))
 
 
 def _two_window_batch(seed):
@@ -269,7 +270,7 @@ def test_batch_calls_on_two_threads_equal_the_calls_one_after_the_other(monkeypa
     running, most = [], []
 
     def tracked(times, ends, depart):
-        assert sim._ROW_LOCK.locked()
+        assert sim._ROW_LOCK.locked() and times.shape[1] == depart.size == 2 * 500
         running.append(None)
         most.append(len(running))
         time.sleep(0.001)  # long enough for the other thread to arrive
@@ -287,8 +288,8 @@ def test_batch_calls_on_two_threads_equal_the_calls_one_after_the_other(monkeypa
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         together = list(pool.map(started, calls))
-    # two calls, each with one recursion per hypothesis per chunk
-    assert max(most) == 1 and len(most) == 2 * 2 * -(-301 // MC_CHUNK)
+    # two calls, each with one recursion per chunk over both hypotheses
+    assert max(most) == 1 and len(most) == 2 * -(-301 // MC_CHUNK)
     for one, both in zip(alone, together):
         assert one.shape == (2, 2, 500)
         np.testing.assert_array_equal(both, one)
@@ -328,7 +329,7 @@ def test_only_the_batch_takes_the_row_lock(monkeypatch):
     simulate_sequence(PARAMS, Hypothesis.H1, 5000, RngSeed(9))
     assert lock.entered == 0
     simulate_sequence_batch(PARAMS, 200, 7, RngSeed(9))
-    assert lock.entered == 2 * -(-201 // MC_CHUNK)  # once per hypothesis per chunk
+    assert lock.entered == -(-201 // MC_CHUNK)  # once per chunk, for both hypotheses
 
 
 def _single_stream_layout(params, hyp, n, seed, burn_in):
@@ -487,6 +488,22 @@ def test_batch_memory_does_not_grow_with_n():
         tracemalloc.stop()
     assert idle.shape == (2, 64)
     assert peak < 2**20
+
+
+def test_batch_memory_is_under_six_chunk_buffers():
+    # a chunk's (chunk, 2, trials) arrival and end times and its services
+    # are five float64 (MC_CHUNK, trials) buffers; a sixth would be a draw
+    # buffer of its own or a copy per hypothesis
+    trials = 2000
+    tracemalloc.start()
+    try:
+        idle = simulate_sequence_batch(PARAMS, 2000, trials, RngSeed(47),
+                                       windows=(250, 500, 1000, 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idle.shape == (2, 4, trials)
+    assert peak < 6 * MC_CHUNK * trials * 8
 
 
 def test_single_stream_memory_is_under_three_floats_per_arrival():
