@@ -24,6 +24,9 @@ from .model import ModelParams, NonFiniteError, _h2, _kl2
 # Width of the final bracket around the numeric minimizer.
 V_NUMERIC_TOL = 1e-10
 
+# `ModelParams._ratios` gives s = NaN where its square of order p - q underflows.
+_S_UNDERFLOWS = "the minimizer's slope s underflows at these rates"
+
 
 def _neg_log_r(params: ModelParams, u: float) -> float:
     """-log r(u) = u D(t_u||p) + (1-u) D(t_u||q), t_u the tilted law."""
@@ -48,11 +51,10 @@ def v_closed_form(params: ModelParams) -> float:
     if params.lambda_b <= 0:
         raise ValueError("v is undefined for lambda_b = 0 (take the limit 1/2)")
     _, _, q, qbar, _, _, _, ell, s = params._ratios[:9]
+    if s != s:
+        raise NonFiniteError(_S_UNDERFLOWS)
     z = s * ell / (q * (qbar - s * ell))
-    v = s * (1.0 + z * _h2(z)) / (qbar * (q + s * ell))  # (1 + z) q (1 - t*) = (1 - q) t*
-    if not v > 0.0:  # s squares a quantity of order p - q, which can underflow
-        raise NonFiniteError("the closed-form minimizer underflows at these rates")
-    return v
+    return s * (1.0 + z * _h2(z)) / (qbar * (q + s * ell))  # (1 + z) q (1 - t*) = (1 - q) t*
 
 
 def i_err_numeric(params: ModelParams) -> tuple[float, float]:
@@ -65,6 +67,8 @@ def i_err_numeric(params: ModelParams) -> tuple[float, float]:
     if params.lambda_b <= 0:
         raise ValueError("numeric exponent requires lambda_b > 0")
     _, _, q, qbar, _, a, b, _, s, big_a, big_b = params._ratios
+    if s != s:
+        raise NonFiniteError(_S_UNDERFLOWS)
     wa, wb = q * big_a * big_a, qbar * big_b * big_b
     lo, hi = 0.0, 1.0
     while hi - lo > V_NUMERIC_TOL:

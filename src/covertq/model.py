@@ -16,7 +16,8 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from math import isfinite, log, log1p
+from math import isfinite, log, log1p, nan
+from sys import float_info
 
 
 class Hypothesis(Enum):
@@ -120,7 +121,9 @@ class ModelParams:
         p, pbar, q, x = mu / (lw + mu), lw / (lw + mu), mu / (lw + lb + mu), lb / lw
         r, y, ell = lb / (lw + mu), (lb / (lw + lb)) * p, log1p(x)
         b = log1p(-y) if y < 0.5 else log(pbar * ((lw + lb + mu) / (lw + lb)))
-        s = (pbar * q * (1.0 + x) / (1.0 + x * _h2(x))) ** 2 * _kl2(p, pbar, -x * pbar * q)
+        w2 = (pbar * q * (1.0 + x) / (1.0 + x * _h2(x))) ** 2
+        # NaN once the square is subnormal past 4 lost bits; the exponent refuses it
+        s = w2 * _kl2(p, pbar, -x * pbar * q) if w2 >= float_info.min / 16 else nan
         return (p, pbar, q, (lw + lb) / (lw + lb + mu), x * pbar * q, log1p(r), b, ell, s,
                 pbar * _l(r) / _l(x), (-p / (1.0 + x) * _l(-y) / _l(x) if y < 0.5 else b / ell))
 

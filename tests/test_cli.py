@@ -223,6 +223,8 @@ def test_exponent_answers_at_extreme_rates(capsys, rates):
 @pytest.mark.parametrize("argv, key, expected", [
     # (lambda_w + 1)**2 past the float64 range; the true 4.6e-464 underflows
     (["exponent", "--lambda-w", "1.4e154", "--lambda-b", "1"], "i_err_taylor", 0.0),
+    # where s's square is subnormal but has lost under 4 bits, v keeps its digits
+    (["exponent", "--lambda-w", "1.4e154", "--lambda-b", "1"], "v_closed", 0.5),
     # lambda_b**2 underflowing to 0
     (["exponent", "--lambda-w", "1e150", "--lambda-b", "1e140"], "i_err_taylor", 1.25e-171),
     (["bound", "--lambda-w", "3e102", "--epsilon", "0.1", "--n", "100"], "bound",
@@ -235,7 +237,7 @@ def test_quadratic_forms_neither_overflow_nor_underflow(capsys, argv, key, expec
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     value = json.loads(out, parse_constant=_reject_constant)[key]
-    assert value == pytest.approx(expected, rel=1e-13)
+    assert value == pytest.approx(expected, rel=1e-13, abs=0)  # so 0.0 must be exact
 
 
 def test_exponent_csv(capsys):
@@ -446,7 +448,7 @@ def test_main_hands_its_command_what_a_fresh_parser_parses(monkeypatch, cmd):
     ([*BOUND, "--n", "100", "--k0", "inf"], 2),
     ([*BOUND, "--n", "100", "--n-values", "10,100"], 2),
     ([*BOUND, "--n", "100", "--output", "csv"], 2),
-    # a bound of about 1e450, and a closed-form minimizer that underflows
+    # a bound of about 1e450
     (["bound", "--lambda-w", "1e300", "--epsilon", "0.1", "--n", "100"], 4),
     (["exponent", "--lambda-w", "1e200", "--lambda-b", "1"], 4),
     (["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "-3"], 2),
@@ -477,6 +479,10 @@ def test_main_hands_its_command_what_a_fresh_parser_parses(monkeypatch, cmd):
     # a config key given twice, and a sequence file of more than one line
     (["campaign", "dup.cfg", "--out", "r"], 3),
     (["detect", *RATES, "lines.txt"], 3),
+    # s's square of order p - q is subnormal: v = 1/2 would print as
+    # 0.4999999918 and 0.9992
+    (["exponent", "--lambda-w", "1e158", "--lambda-b", "1"], 4),
+    (["exponent", "--lambda-w", "6.36e161", "--lambda-b", "1"], 4),
 ])
 def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)

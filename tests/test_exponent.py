@@ -107,12 +107,14 @@ def test_v_rejects_zero_lambda_b():
         v_closed_form(ModelParams(0.3, 0.0, 1.0))
 
 
-@pytest.mark.parametrize("rates", [(1e200, 1.0, 1.0), (2.59e-74, 3.62e-70, 1.05e-255)])
+@pytest.mark.parametrize("rates", [
+    (1e200, 1.0, 1.0), (1e161, 1.0, 1.0), (2.59e-74, 3.62e-70, 1.05e-255)])
 def test_v_closed_form_refuses_where_its_square_underflows(rates):
-    # v is near 0.5 and 0.76 here (mpmath), but s, a square of order
-    # p - q, is 0
-    with pytest.raises(NonFiniteError, match="underflows"):
-        v_closed_form(ModelParams(*rates))
+    # v is near 0.5, 0.5 and 0.76 here (mpmath), but s, a square of order
+    # p - q, is 0 or subnormal, and read 0.4941 at 1e161
+    for minimizer in (v_closed_form, i_err_numeric):
+        with pytest.raises(NonFiniteError, match="underflows"):
+            minimizer(ModelParams(*rates))
 
 
 def test_closed_and_numeric_agree():
