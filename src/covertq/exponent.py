@@ -17,7 +17,7 @@ are equal at the minimizer (Cover & Thomas, Elements of Information Theory, 11.9
 
 from __future__ import annotations
 
-from math import exp, expm1
+from math import exp, expm1, log
 
 from .model import ModelParams, NonFiniteError, _h2, _kl2
 
@@ -60,9 +60,12 @@ def v_closed_form(params: ModelParams) -> float:
 def i_err_numeric(params: ModelParams) -> tuple[float, float]:
     """Minimize log r(u) numerically; returns (v_numeric, i_err).
 
-    Bisection over [0, 1] down to V_NUMERIC_TOL (34 halvings) on the sign of dr/du /
-    log1p(x)^2 = u (q A^2 E(ua) + (1-q) B^2 E(ub)) - s, E(t) = expm1(t)/t, a, b, A, B from
-    `ModelParams._ratios`: nothing cancels, and nothing is subnormal before lambda_b/lambda_w is.
+    Bisection over [0, 1] down to V_NUMERIC_TOL (34 halvings) on the sign of dr/du =
+    q a e^(ua) + (1-q) b e^(ub), a > 0 > b from `ModelParams._ratios`.  Up to a - b = 1
+    it reads dr/du / log1p(x)^2 = u (q A^2 E(ua) + (1-q) B^2 E(ub)) - s, E(t) = expm1(t)/t:
+    nothing cancels, and nothing is subnormal before lambda_b/lambda_w is.  Past 1 that
+    difference keeps too few digits where q is tiny (s then differs from the sum by about
+    q a / log1p(x)^2), so it compares log(q a) + ua with log((1-q) |b|) + ub instead.
     """
     if params.lambda_b <= 0:
         raise ValueError("numeric exponent requires lambda_b > 0")
@@ -70,12 +73,18 @@ def i_err_numeric(params: ModelParams) -> tuple[float, float]:
     if s != s:
         raise NonFiniteError(_S_UNDERFLOWS)
     wa, wb = q * big_a * big_a, qbar * big_b * big_b
+    # log(q a) and log((1-q) |b|), the log-domain form's two intercepts
+    logs = (log(q) + log(a), log(qbar) + log(-b)) if a - b > 1.0 else None
     lo, hi = 0.0, 1.0
     while hi - lo > V_NUMERIC_TOL:
         mid = 0.5 * (lo + hi)
         ua, ub = mid * a, mid * b
-        if mid * (wa * (expm1(ua) / ua if ua else 1.0)
-                  + wb * (expm1(ub) / ub if ub else 1.0)) < s:
+        if logs:
+            falling = logs[0] + ua < logs[1] + ub
+        else:
+            falling = mid * (wa * (expm1(ua) / ua if ua else 1.0)
+                             + wb * (expm1(ub) / ub if ub else 1.0)) < s
+        if falling:
             lo = mid
         else:
             hi = mid

@@ -5,8 +5,8 @@ exponential inter-arrival and service samples.  The Bernoulli idle
 probabilities of :mod:`covertq.model` are deliberately not used here, so
 the simulator is an independent check on that reduction.
 
-A Monte Carlo chunk's row-by-row section (clock carry, row sums, end
-times, recursion) is some 250 short ufunc calls over rows that hold both
+A Monte Carlo chunk's row section (the clocks, end times and recursion,
+row by row) is some 384 short ufunc calls over rows that hold both
 hypotheses' trials, and it runs one thread at a time, under a module
 lock.  Each short call releases the GIL, so two Monte Carlo workers
 running it at once hand the GIL back and forth at every call and finish
@@ -116,7 +116,7 @@ def _log_uniforms(rng: np.random.Generator, out: np.ndarray) -> None:
     in (0, 1]: the log never sees 0, and every value lies in [-53 * ln 2,
     0], which truncates the exponential's tail at mass 2**-53.  U = 0
     gives 0.0, and a negative scale then gives -0.0, which still meets
-    _busy_bits_batch's nonnegative precondition, since -0.0 >= 0.
+    _depart's nonnegative precondition, since -0.0 >= 0.
     """
     rng.random(out=out)
     np.subtract(1.0, out, out=out)
@@ -133,29 +133,62 @@ def _exponential(rng: np.random.Generator, out: np.ndarray, scale: float) -> Non
     out *= -scale
 
 
+def _depart(depart: np.ndarray, ends: np.ndarray, idle: np.ndarray,
+            out: np.ndarray) -> None:
+    """The branchless departure update depart = max(depart, ends * idle).
+
+    Arrival and service times must be nonnegative (+inf allowed), and a
+    -inf `depart` marks an empty server.  A served arrival's end is then
+    at least its arrival time, which is at least depart, and a lost one
+    gives 0.0, below its depart.  That is bit for bit the masked copy of
+    `ends` where idle, without the copy's mispredicted branch per trial.
+    A +inf arrival is always idle, so 0 * inf never occurs.  `out` takes
+    ends * idle and may be `ends` itself.
+    """
+    np.multiply(ends, idle, out=out)
+    np.maximum(depart, out, out=depart)
+
+
 def _busy_bits_batch(times: np.ndarray, ends: np.ndarray,
                      depart: np.ndarray) -> np.ndarray:
-    """Same recursion over one time-major chunk, vectorized across trials.
+    """The recursion over _busy_bits_segmented's segments, vectorized across them.
 
     `times` and `ends` (arrival time plus service time) are (arrivals,
-    trials); `depart` carries each trial's departure time in and out.
-    Returns the (arrivals, trials) flags that are True where the arrival
-    found the server idle, i.e. the complement of the busy bits.
-
-    Arrival and service times must be nonnegative (+inf allowed); a
-    -inf `depart` marks an empty server.  The departure update is then
-    the branchless max(depart, end * idle): a served arrival's end is at
-    least its arrival time, which is at least depart, and a lost one
-    gives 0.0, below its depart.  That is bit for bit the masked copy of
-    `end` where idle, without the copy's mispredicted branch per trial.
-    A +inf arrival is always idle, so 0 * inf never occurs.
+    segments), time-major; `depart` carries each segment's departure
+    time in and out.  Returns the (arrivals, segments) flags that are
+    True where the arrival found the server idle, i.e. the complement of
+    the busy bits.  Times must meet _depart's precondition.
     """
     idle = np.empty(times.shape, dtype=bool)
     served_end = np.empty(times.shape[1])
     for j in range(times.shape[0]):
         np.greater_equal(times[j], depart, out=idle[j])
-        np.multiply(ends[j], idle[j], out=served_end)
-        np.maximum(depart, served_end, out=depart)
+        _depart(depart, ends[j], idle[j], served_end)
+    return idle
+
+
+def _chunk_rows(gaps: np.ndarray, services: np.ndarray, scales: np.ndarray,
+                clock: np.ndarray, depart: np.ndarray) -> np.ndarray:
+    """The row section of one simulate_sequence_batch chunk; its idle flags.
+
+    `gaps` (log(1 - U)) and `services` are the chunk's (arrivals, trials)
+    draws, `scales` the (2, 1) gap scale of each hypothesis, and `clock`
+    and `depart` carry each (hypothesis, trial)'s last arrival time and
+    departure time in and out.  Row by row it steps both hypotheses'
+    clocks by their scaled gaps, flags the arrivals that find the server
+    idle and updates the departure times (see _depart): six ufunc calls
+    over (2, trials) vectors, which stay in cache.  The clock of row j is
+    the sum of the gaps up to j in the order one cumsum adds them, and an
+    end time is services + clock.  Returns the (arrivals, 2, trials) flags.
+    """
+    idle = np.empty((gaps.shape[0], *clock.shape), dtype=bool)
+    step = np.empty(clock.shape)
+    for j in range(gaps.shape[0]):
+        np.multiply(gaps[j], scales, out=step)
+        clock += step
+        np.greater_equal(clock, depart, out=idle[j])
+        np.add(services[j], clock, out=step)
+        _depart(depart, step, idle[j], step)
     return idle
 
 
@@ -266,10 +299,12 @@ def simulate_sequence_batch(
     the negated unit exponential gaps, then one of service times.  Both
     hypotheses run on those draws: H0 scales the block by -1/lambda_w and
     H1 by -1/(lambda_w + lambda_b), so H1's arrivals are H0's compressed
-    in time, with the same services.  A chunk's arrival and end times are
-    (chunk, 2, trials), so the recursion runs once, over rows of H0's
-    trials, then H1's.  Each trial keeps its two clocks, departure times
-    and idle counts from chunk to chunk, so memory is O(trials) at any n.
+    in time, with the same services.  _chunk_rows then runs the chunk row
+    by row, each row stepping H0's and H1's clocks, end times and
+    departure times together, so no chunk of arrival or end times is ever
+    formed: a chunk holds its gaps, its services and its idle flags.  Each
+    trial keeps its two clocks, departure times and idle counts from chunk
+    to chunk, so memory is O(trials) at any n.
     The trials are independent within a row of the result, and row h is
     bit for bit what the draws of one hypothesis alone would give: only
     the two rows of one trial are dependent.  Trial i does NOT reproduce
@@ -295,29 +330,18 @@ def simulate_sequence_batch(
     rng = seed.generator()
     scales = np.array([[-1.0 / _arrival_rate(params, hyp)] for hyp in Hypothesis])
     service_scale = 1.0 / params.mu
-    time_bufs = np.empty((2, MC_CHUNK, 2, trials))  # arrival and end times
+    gap_buf = np.empty((MC_CHUNK, trials))
     service_buf = np.empty((MC_CHUNK, trials))
-    clock = np.zeros(2 * trials)
-    depart = np.full(2 * trials, -np.inf)
-    counts = np.zeros(2 * trials, dtype=np.int64)
+    clock = np.zeros((2, trials))
+    depart = np.full((2, trials), -np.inf)
+    counts = np.zeros((2, trials), dtype=np.int64)
     for start in range(0, total, MC_CHUNK):
         size = min(MC_CHUNK, total - start)
-        times, ends = time_bufs[:, :size]
-        services = service_buf[:size]
-        gaps = ends.reshape(2, size, trials)[0]  # free until the end times are formed
+        gaps, services = gap_buf[:size], service_buf[:size]
         _log_uniforms(rng, gaps)
         _exponential(rng, services, service_scale)
-        np.multiply(gaps[:, None], scales, out=times)
         with _ROW_LOCK:
-            rows = times.reshape(size, -1)
-            rows[0] += clock
-            # the sums of one cumsum over n, row by row: an axis-0 cumsum
-            # walks each column at a stride of one row
-            for j in range(1, size):
-                np.add(rows[j - 1], rows[j], out=rows[j])
-            clock[:] = rows[-1]
-            np.add(services[:, None], times, out=ends)
-            idle = _busy_bits_batch(rows, ends.reshape(size, -1), depart)
+            idle = _chunk_rows(gaps, services, scales, clock, depart)
         # split the chunk's rows at every window end inside it
         lo = max(burn_in - start, 0)
         while lo < size:
@@ -326,7 +350,7 @@ def simulate_sequence_batch(
             # summed as uint8, exact since a chunk has at most MC_CHUNK < 256 rows
             counts += np.add.reduce(idle[lo:hi].view(np.uint8), axis=0, dtype=np.uint8)
             if hi == mark:
-                out[:, pending] = counts.reshape(2, trials)
+                out[:, pending] = counts
                 pending += 1
             lo = hi
         del idle  # before the next chunk's flags are allocated

@@ -269,13 +269,23 @@ def fraction_slope(ns, ps, floor: float):
     return float(sxy / sum((x - xbar) ** 2 for x, _ in kept))
 
 
-def _mpmath_dps(lambda_b: float) -> int:
-    """Working digits: 60, plus two per decade of lambda_b away from 1.
+def _decades(y: float) -> int:
+    return abs(int(mpmath.log10(abs(y))))
 
-    -log r sits near lambda_b^2 while the terms that make it are near
-    lambda_b, so each decade below 1 cancels two more digits.
+
+def _mpmath_dps(lambda_w: float, lambda_b: float, mu: float) -> int:
+    """Working digits: 60 plus the digits the rates' spread cancels.
+
+    -log r sits near x^2 m, x = lambda_b/lambda_w and m = min(p, 1-p)
+    (about mu/lambda_w or its inverse), while the terms that make it are
+    near x m and are formed from numbers near 1.  So each decade of x
+    below 1 cancels two digits, and each decade of mu/lambda_w away from
+    1 one more.  Two digits per decade of lambda_b away from 1, the rule
+    at lambda_w = mu = 1, stays a floor.
     """
-    return 60 + 2 * abs(int(mpmath.log10(abs(lambda_b))))
+    lambda_w = mpmath.mpf(lambda_w)  # so the ratios neither overflow nor underflow
+    spread = 2 * _decades(lambda_b / lambda_w) + _decades(mu / lambda_w)
+    return 60 + max(2 * _decades(lambda_b), spread)
 
 
 def mpmath_exponent(lambda_w: float, lambda_b: float, mu: float):
@@ -287,7 +297,7 @@ def mpmath_exponent(lambda_w: float, lambda_b: float, mu: float):
     exponent is D(t*||q), and v = (logit(t*) - logit(q)) / (a - b).  This
     holds for small negative lambda_b too, as central differences at 0 need.
     """
-    with mpmath.workdps(_mpmath_dps(lambda_b)):
+    with mpmath.workdps(_mpmath_dps(lambda_w, lambda_b, mu)):
         lw, lb, mu = mpmath.mpf(lambda_w), mpmath.mpf(lambda_b), mpmath.mpf(mu)
         p, q = mu / (lw + mu), mu / (lw + lb + mu)
         a, b = mpmath.log(p / q), mpmath.log((1 - p) / (1 - q))
@@ -299,7 +309,7 @@ def mpmath_exponent(lambda_w: float, lambda_b: float, mu: float):
 
 def mpmath_row_sum(params: ModelParams, u: float):
     """(r(u), d r/du) at the float tilt u, in high-precision arithmetic."""
-    with mpmath.workdps(_mpmath_dps(params.lambda_b)):
+    with mpmath.workdps(_mpmath_dps(params.lambda_w, params.lambda_b, params.mu)):
         lw = mpmath.mpf(params.lambda_w)
         lb, mu = mpmath.mpf(params.lambda_b), mpmath.mpf(params.mu)
         p, q = mu / (lw + mu), mu / (lw + lb + mu)

@@ -16,6 +16,7 @@ from covertq import cli, covert, detect, experiment, exponent
 from covertq.model import ModelParams
 from covertq.sim import ObservationSequence, RngSeed, simulate_sequence
 from fresh import run_fresh
+from oracles import mpmath_exponent
 from test_package import PUBLIC
 
 
@@ -218,6 +219,18 @@ def test_exponent_answers_at_extreme_rates(capsys, rates):
     code, out, err = run_cli(capsys, "exponent", *rates, "--self-check")
     assert code == 0, err
     jsonschema.validate(json.loads(out), schema("exponent_report"))
+
+
+def test_numeric_minimizer_keeps_its_digits_where_q_is_tiny(capsys):
+    # q = 1e-65 and a - b = 184: dr/du's difference form is s less a sum
+    # within q a / log1p(x)^2 of it, so the bisection compares logs there
+    rates = (1.0, 1e80, 1e15)
+    code, out, err = run_cli(capsys, "exponent", "--lambda-w", "1", "--lambda-b", "1e80",
+                             "--mu", "1e15", "--self-check")
+    assert code == 0, err
+    v_ref = float(mpmath_exponent(*rates)[0])
+    assert v_ref == pytest.approx(0.8045397237801604, rel=1e-15, abs=0)
+    assert abs(json.loads(out)["v_numeric"] - v_ref) < 1e-9
 
 
 @pytest.mark.parametrize("argv, key, expected", [

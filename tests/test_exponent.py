@@ -4,6 +4,7 @@ from math import exp, log
 import numpy as np
 import pytest
 
+import oracles
 from covertq import exponent
 from covertq.exponent import (
     exponent_report,
@@ -202,6 +203,18 @@ def test_exponent_matches_mpmath_at_slow_service(lw, lb, mu):
     assert abs(v_num - v_ref) <= 1e-9
     assert abs(i_err_closed(params) - i_ref) <= 1e-9 * i_ref
     assert abs(i_num - i_ref) <= 1e-9 * i_ref
+
+
+def test_mpmath_exponent_sizes_its_digits_from_the_rate_ratios(monkeypatch):
+    # lambda_b/lambda_w = 7.7e-55 and mu/lambda_w = 7.7e-155 here; digits
+    # sized from lambda_b alone (260) gave v = 0.8039 and I = 7.45e-262
+    rates = (1.3e154, 1e100, 1.0)
+    v, i_err = mpmath_exponent(*rates)
+    monkeypatch.setattr(oracles, "_mpmath_dps", lambda *_: 800)
+    v_800, i_800 = mpmath_exponent(*rates)
+    assert abs(v - v_800) < 1e-40 and abs(i_err - i_800) < 1e-40 * i_800
+    assert float(v) == pytest.approx(0.5, rel=1e-15, abs=0)
+    assert float(i_err) == pytest.approx(5.69e-264, rel=1e-3, abs=0)
 
 
 def test_log_r_convex_on_grid():

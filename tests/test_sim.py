@@ -16,6 +16,7 @@ from covertq.sim import (
     RngSeed,
     _busy_bits_batch,
     _busy_bits_segmented,
+    _chunk_rows,
     _exponential,
     simulate_sequence,
     simulate_sequence_batch,
@@ -234,27 +235,31 @@ def test_batch_windows_must_increase_to_n(windows):
 
 def test_batch_clock_is_one_cumsum_over_each_stream(monkeypatch):
     # a last-bit change in a sum rarely flips a busy bit, so compare the
-    # arrival and end times the recursion receives, chunk by chunk; each
-    # chunk runs once, over rows of H0's trials, then H1's, on the same draws
+    # clocks each chunk's row section leaves, and its idle flags row by
+    # row; each chunk runs once, over H0's and H1's trials on the same draws
     n, trials, seed = 200, 9, RngSeed(43, 5)
     seen = []
 
-    def recording(times, ends, depart):
-        seen.append((times.copy(), ends.copy()))
-        return _busy_bits_batch(times, ends, depart)
+    def recording(gaps, services, scales, clock, depart):
+        idle = _chunk_rows(gaps, services, scales, clock, depart)
+        seen.append((clock.copy(), idle.copy()))
+        return idle
 
-    monkeypatch.setattr(sim, "_busy_bits_batch", recording)
-    simulate_sequence_batch(PARAMS, n, trials, seed)
-    assert len(seen) == -(-(n + 1) // MC_CHUNK)
-    assert all(t.shape[1] == e.shape[1] == 2 * trials for t, e in seen)
+    monkeypatch.setattr(sim, "_chunk_rows", recording)
+    simulate_sequence_batch(PARAMS, n, trials, seed, burn_in=0)
+    chunk_ends = np.minimum(np.arange(MC_CHUNK, n + MC_CHUNK, MC_CHUNK), n) - 1
+    assert len(seen) == chunk_ends.size
+    assert all(c.shape == (2, trials) and i.shape[1:] == (2, trials) for c, i in seen)
     for hyp in Hypothesis:
-        gaps, services = _batch_draws(hyp, n + 1, trials, seed)
+        gaps, services = _batch_draws(hyp, n, trials, seed)
         times = np.cumsum(gaps, axis=0)
-        cols = slice(hyp.value * trials, (hyp.value + 1) * trials)
-        got_times = np.concatenate([t[:, cols] for t, _ in seen])
-        got_ends = np.concatenate([e[:, cols] for _, e in seen])
-        np.testing.assert_array_equal(got_times.view(np.int64), times.view(np.int64))
-        np.testing.assert_array_equal(got_ends.view(np.int64), (services + times).view(np.int64))
+        got_clocks = np.array([c[hyp.value] for c, _ in seen])
+        np.testing.assert_array_equal(got_clocks.view(np.int64),
+                                      times[chunk_ends].view(np.int64))
+        got_idle = np.concatenate([i[:, hyp.value] for _, i in seen])
+        busy = np.array([scalar_busy_bits(times[:, i], services[:, i])
+                         for i in range(trials)]).T
+        np.testing.assert_array_equal(got_idle, busy == 0)
 
 
 def _two_window_batch(seed):
@@ -263,23 +268,23 @@ def _two_window_batch(seed):
 
 def test_batch_calls_on_two_threads_equal_the_calls_one_after_the_other(monkeypatch):
     # the row sections of the two calls take turns under the module lock:
-    # a recursion never starts while another runs, and the counts are
+    # a row section never starts while another runs, and the counts are
     # those of the calls made one after the other
     calls = [RngSeed(5, 1), RngSeed(6, 2)]
     alone = [_two_window_batch(call) for call in calls]
     running, most = [], []
 
-    def tracked(times, ends, depart):
-        assert sim._ROW_LOCK.locked() and times.shape[1] == depart.size == 2 * 500
+    def tracked(gaps, services, scales, clock, depart):
+        assert sim._ROW_LOCK.locked() and clock.shape == depart.shape == (2, 500)
         running.append(None)
         most.append(len(running))
         time.sleep(0.001)  # long enough for the other thread to arrive
         try:
-            return _busy_bits_batch(times, ends, depart)
+            return _chunk_rows(gaps, services, scales, clock, depart)
         finally:
             running.pop()
 
-    monkeypatch.setattr(sim, "_busy_bits_batch", tracked)
+    monkeypatch.setattr(sim, "_chunk_rows", tracked)
     start = threading.Barrier(2)
 
     def started(call):
@@ -288,7 +293,7 @@ def test_batch_calls_on_two_threads_equal_the_calls_one_after_the_other(monkeypa
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         together = list(pool.map(started, calls))
-    # two calls, each with one recursion per chunk over both hypotheses
+    # two calls, each with one row section per chunk over both hypotheses
     assert max(most) == 1 and len(most) == 2 * -(-301 // MC_CHUNK)
     for one, both in zip(alone, together):
         assert one.shape == (2, 2, 500)
@@ -299,12 +304,12 @@ def test_batch_frees_the_row_lock_when_its_row_section_raises(monkeypatch):
     seed = RngSeed(8, 3)
     before = _two_window_batch(seed)
 
-    def failing(times, ends, depart):
-        raise RuntimeError("recursion failed")
+    def failing(gaps, services, scales, clock, depart):
+        raise RuntimeError("row section failed")
 
     with monkeypatch.context() as patch:
-        patch.setattr(sim, "_busy_bits_batch", failing)
-        with pytest.raises(RuntimeError, match="recursion failed"):
+        patch.setattr(sim, "_chunk_rows", failing)
+        with pytest.raises(RuntimeError, match="row section failed"):
             _two_window_batch(seed)
     assert not sim._ROW_LOCK.locked()
     np.testing.assert_array_equal(_two_window_batch(seed), before)
@@ -490,11 +495,13 @@ def test_batch_memory_does_not_grow_with_n():
     assert peak < 2**20
 
 
-def test_batch_memory_is_under_six_chunk_buffers():
-    # a chunk's (chunk, 2, trials) arrival and end times and its services
-    # are five float64 (MC_CHUNK, trials) buffers; a sixth would be a draw
-    # buffer of its own or a copy per hypothesis
+def test_batch_memory_is_under_three_chunk_buffers():
+    # a chunk's gaps and services are two float64 (MC_CHUNK, trials)
+    # buffers and its (MC_CHUNK, 2, trials) idle flags half of one; a
+    # third would be a chunk of arrival or end times.  The warm-up call
+    # imports numpy.random, which is no part of the kernel's memory
     trials = 2000
+    simulate_sequence_batch(PARAMS, 10, trials, RngSeed(47))
     tracemalloc.start()
     try:
         idle = simulate_sequence_batch(PARAMS, 2000, trials, RngSeed(47),
@@ -503,7 +510,7 @@ def test_batch_memory_is_under_six_chunk_buffers():
     finally:
         tracemalloc.stop()
     assert idle.shape == (2, 4, trials)
-    assert peak < 6 * MC_CHUNK * trials * 8
+    assert peak < 3 * MC_CHUNK * trials * 8
 
 
 def test_single_stream_memory_is_under_three_floats_per_arrival():
