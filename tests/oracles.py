@@ -269,7 +269,7 @@ def fraction_slope(ns, ps, floor: float):
     return float(sxy / sum((x - xbar) ** 2 for x, _ in kept))
 
 
-def _decades(y: float) -> int:
+def _decades(y) -> int:
     return abs(int(mpmath.log10(abs(y))))
 
 
