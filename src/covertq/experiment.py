@@ -25,6 +25,9 @@ from .sim import RngSeed
 # 4: each Monte Carlo block runs in two halves, each simulating both
 # hypotheses on one set of draws, so every Monte Carlo row differs from
 # version 3 at the same seed.
+# Still 4: the Monte Carlo recursion on residual work in mean gaps rounds
+# apart from the clock it replaced only where a clock's last bit straddled
+# a departure, and no recorded output or pinned count moved.
 RESULT_FORMAT_VERSION = 4
 
 _CONFIG_KEYS = ("lambda_w", "lambda_b", "mu", "n_grid", "trials_per_point",

@@ -5,15 +5,13 @@ exponential inter-arrival and service samples.  The Bernoulli idle
 probabilities of :mod:`covertq.model` are deliberately not used here, so
 the simulator is an independent check on that reduction.
 
-A Monte Carlo chunk's row section (the clocks, end times and recursion,
-row by row) is some 384 short ufunc calls over rows that hold both
-hypotheses' trials, and it runs one thread at a time, under a module
-lock.  Each short call releases the GIL, so two Monte Carlo workers
-running it at once hand the GIL back and forth at every call and finish
-later than one after the other.  Under the lock, one worker runs its
-rows while the other runs its few long draw calls, which release the GIL
-for their whole length.  The lock orders work without changing any
-arithmetic, so the counts stay the same at any worker count.
+A Monte Carlo chunk's row section is some 320 short ufunc calls, and it
+runs one thread at a time, under a module lock.  Each short call
+releases the GIL, so two Monte Carlo workers running it at once hand the
+GIL back and forth at every call and finish later than one after the
+other.  Under the lock, one worker runs its rows while the other runs its
+few long draw calls.  The lock changes no arithmetic, so the counts stay
+the same at any worker count.
 
 A run is reproducible from its seed on the same numpy build and CPU:
 numpy's SIMD log may differ by an ulp between instruction sets, but
@@ -38,11 +36,11 @@ DEFAULT_BURN_IN = 1
 # Arrivals per time-major draw in simulate_sequence_batch; under 256, as chunk sums are uint8.
 MC_CHUNK = 64
 
-# A clock or service end past the float64 range leaves later busy bits meaningless.
+# A time past the float64 range leaves later busy bits meaningless.
 _OVERFLOW = "simulated time overflows float64 at these rates"
 
-# Held by simulate_sequence_batch around each chunk's row-by-row section
-# (see the module docstring).
+# Held by simulate_sequence_batch around each chunk's row section (see
+# the module docstring).
 _ROW_LOCK = threading.Lock()
 
 
@@ -116,7 +114,8 @@ def _log_uniforms(rng: np.random.Generator, out: np.ndarray) -> None:
     in (0, 1]: the log never sees 0, and every value lies in [-53 * ln 2,
     0], which truncates the exponential's tail at mass 2**-53.  U = 0
     gives 0.0, and a negative scale then gives -0.0, which still meets
-    _depart's nonnegative precondition, since -0.0 >= 0.
+    _depart's nonnegative precondition, since -0.0 >= 0.  The batch takes
+    these logs as they are and scales only its services (see _chunk_rows).
     """
     rng.random(out=out)
     np.subtract(1.0, out, out=out)
@@ -126,8 +125,9 @@ def _log_uniforms(rng: np.random.Generator, out: np.ndarray) -> None:
 def _exponential(rng: np.random.Generator, out: np.ndarray, scale: float) -> None:
     """Fill `out` with exponential draws of mean `scale`: _log_uniforms times -scale.
 
-    At scale = inf (rates near 5e-324) a U = 0 draw is 0 * inf = NaN,
-    which the callers' overflow checks report with the infinite ones.
+    Only simulate_sequence scales its draws by a mean.  At scale = inf
+    (rates near 5e-324) a U = 0 draw is 0 * inf = NaN, which its overflow
+    check reports with the infinite ones.
     """
     _log_uniforms(rng, out)
     out *= -scale
@@ -143,7 +143,8 @@ def _depart(depart: np.ndarray, ends: np.ndarray, idle: np.ndarray,
     gives 0.0, below its depart.  That is bit for bit the masked copy of
     `ends` where idle, without the copy's mispredicted branch per trial.
     A +inf arrival is always idle, so 0 * inf never occurs.  `out` takes
-    ends * idle and may be `ends` itself.
+    ends * idle and may be `ends` itself.  _chunk_rows runs it on residual
+    work, where every arrival is at time 0.
     """
     np.multiply(ends, idle, out=out)
     np.maximum(depart, out, out=depart)
@@ -167,28 +168,30 @@ def _busy_bits_batch(times: np.ndarray, ends: np.ndarray,
     return idle
 
 
-def _chunk_rows(gaps: np.ndarray, services: np.ndarray, scales: np.ndarray,
-                clock: np.ndarray, depart: np.ndarray) -> np.ndarray:
+def _chunk_rows(gaps: np.ndarray, services: np.ndarray, loads: np.ndarray,
+                residual: np.ndarray) -> np.ndarray:
     """The row section of one simulate_sequence_batch chunk; its idle flags.
 
-    `gaps` (log(1 - U)) and `services` are the chunk's (arrivals, trials)
-    draws, `scales` the (2, 1) gap scale of each hypothesis, and `clock`
-    and `depart` carry each (hypothesis, trial)'s last arrival time and
-    departure time in and out.  Row by row it steps both hypotheses'
-    clocks by their scaled gaps, flags the arrivals that find the server
-    idle and updates the departure times (see _depart): six ufunc calls
-    over (2, trials) vectors, which stay in cache.  The clock of row j is
-    the sum of the gaps up to j in the order one cumsum adds them, and an
-    end time is services + clock.  Returns the (arrivals, 2, trials) flags.
+    `gaps` and `services` are the chunk's (arrivals, trials) draws of
+    log(1 - U), and `loads` is the (2, 1) array -lambda_h / mu.  Lindley's
+    recursion: `residual` carries the work each (hypothesis, trial)'s
+    server has left, in units of that hypothesis's mean gap 1/lambda_h, in
+    and out; -inf marks an empty server.  In those units both hypotheses
+    take the same gap, -gaps[j], and hypothesis h the service
+    services[j] * loads[h].  Row by row, five ufunc calls over (2, trials)
+    vectors, which stay in cache: the gap drains the residual, an arrival
+    that finds none left (<= 0, so one on the departure is served) is
+    idle, and an idle arrival's service becomes the residual (see
+    _depart).  The caller keeps every service finite, so service * idle
+    never meets 0 * inf.  Returns the (arrivals, 2, trials) flags.
     """
-    idle = np.empty((gaps.shape[0], *clock.shape), dtype=bool)
-    step = np.empty(clock.shape)
+    idle = np.empty((gaps.shape[0], *residual.shape), dtype=bool)
+    step = np.empty(residual.shape)
     for j in range(gaps.shape[0]):
-        np.multiply(gaps[j], scales, out=step)
-        clock += step
-        np.greater_equal(clock, depart, out=idle[j])
-        np.add(services[j], clock, out=step)
-        _depart(depart, step, idle[j], step)
+        residual += gaps[j]
+        np.less_equal(residual, 0.0, out=idle[j])
+        np.multiply(services[j], loads, out=step)
+        _depart(residual, step, idle[j], step)
     return idle
 
 
@@ -282,8 +285,6 @@ def simulate_sequence(
     return ObservationSequence(_busy_bits_segmented(times, ends)[burn_in:total])
 
 
-# overflow raises NonFiniteError below; errstate is thread-local, so set it per call
-@np.errstate(over="ignore", invalid="ignore")
 def simulate_sequence_batch(
     params: ModelParams,
     n: int,
@@ -295,16 +296,15 @@ def simulate_sequence_batch(
     """Idle counts of `trials` n-arrival records per hypothesis, int64 (2, trials).
 
     Row h holds the counts under Hypothesis(h).  Draws run time-major:
-    each MC_CHUNK arrivals take one (chunk, trials) block of log(1 - U),
-    the negated unit exponential gaps, then one of service times.  Both
-    hypotheses run on those draws: H0 scales the block by -1/lambda_w and
-    H1 by -1/(lambda_w + lambda_b), so H1's arrivals are H0's compressed
-    in time, with the same services.  _chunk_rows then runs the chunk row
-    by row, each row stepping H0's and H1's clocks, end times and
-    departure times together, so no chunk of arrival or end times is ever
-    formed: a chunk holds its gaps, its services and its idle flags.  Each
-    trial keeps its two clocks, departure times and idle counts from chunk
-    to chunk, so memory is O(trials) at any n.
+    each MC_CHUNK arrivals take one (chunk, trials) block of gap logs
+    log(1 - U), then one of service logs (see _log_uniforms).  Both
+    hypotheses run on those draws, each in units of its own mean gap
+    1/lambda_h, where only the rate ratios lambda_h / mu enter: H1's
+    arrivals are H0's compressed in time, with the same services.
+    _chunk_rows runs the chunk row by row on each trial's residual work,
+    so a chunk holds only its draws and idle flags, and memory is
+    O(trials) at any n.  Rates whose longest service overflows raise
+    NonFiniteError before any draw; past that check no time can.
     The trials are independent within a row of the result, and row h is
     bit for bit what the draws of one hypothesis alone would give: only
     the two rows of one trial are dependent.  Trial i does NOT reproduce
@@ -327,21 +327,23 @@ def simulate_sequence_batch(
     out = np.empty((2, len(marks), trials), dtype=np.int64)
     pending = 0  # index of the next window to record
     total = n + burn_in
+    loads = np.array([[-_arrival_rate(params, hyp) / params.mu] for hyp in Hypothesis])
+    # log(2**-53) is the least log _log_uniforms draws, so this is the longest service
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.log(2.0**-53) * loads).all():
+            raise NonFiniteError(_OVERFLOW)
     rng = seed.generator()
-    scales = np.array([[-1.0 / _arrival_rate(params, hyp)] for hyp in Hypothesis])
-    service_scale = 1.0 / params.mu
     gap_buf = np.empty((MC_CHUNK, trials))
     service_buf = np.empty((MC_CHUNK, trials))
-    clock = np.zeros((2, trials))
-    depart = np.full((2, trials), -np.inf)
+    residual = np.full((2, trials), -np.inf)
     counts = np.zeros((2, trials), dtype=np.int64)
     for start in range(0, total, MC_CHUNK):
         size = min(MC_CHUNK, total - start)
         gaps, services = gap_buf[:size], service_buf[:size]
         _log_uniforms(rng, gaps)
-        _exponential(rng, services, service_scale)
+        _log_uniforms(rng, services)
         with _ROW_LOCK:
-            idle = _chunk_rows(gaps, services, scales, clock, depart)
+            idle = _chunk_rows(gaps, services, loads, residual)
         # split the chunk's rows at every window end inside it
         lo = max(burn_in - start, 0)
         while lo < size:
@@ -354,6 +356,4 @@ def simulate_sequence_batch(
                 pending += 1
             lo = hi
         del idle  # before the next chunk's flags are allocated
-    if not np.isfinite(depart).all():  # a clock or service end overflowed
-        raise NonFiniteError(_OVERFLOW)
     return out[:, 0] if windows is None else out

@@ -275,7 +275,7 @@ def test_monte_carlo_worker_count_is_invisible():
 # arrival, N = 63, 64 and 65 fill one MC_CHUNK exactly or spill one or
 # two arrivals into a second.  A moved draw in the simulator's batch
 # kernel moves some of them; a last-bit change in a float sum seldom
-# does, and test_batch_clock_is_one_cumsum_over_each_stream pins those.
+# does, and test_batch_residual_is_lindleys_recursion_over_each_stream pins those.
 # Each pin also lies within 4 binomial standard errors of trials times
 # the exact error probability, so a new sampler cannot pin a biased count.
 @pytest.mark.parametrize("n, false_alarms, misses", [

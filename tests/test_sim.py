@@ -177,8 +177,37 @@ def test_a_nan_draw_at_infinite_scale_is_a_numeric_failure(monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteError):
             simulate_sequence(tiny, Hypothesis.H1, 10, RngSeed(1))
+
+
+# the largest H1 load lambda_h / mu whose longest service, 53 ln 2 times
+# the load, is finite; the batch refuses the next float up before drawing
+_LAST_FINITE_LOAD = 4.8934395673698066e+306
+
+
+def test_batch_refuses_rates_whose_longest_service_overflows(monkeypatch):
+    # every draw is the longest: gaps and services of 53 ln 2 mean units
+    monkeypatch.setattr(RngSeed, "generator",
+                        lambda self: _FixedUniforms(1.0 - 2.0**-53))
+    past = math.nextafter(_LAST_FINITE_LOAD, math.inf)
+    with warnings.catch_warnings():  # numpy prints no warning either way
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteError):
-            simulate_sequence_batch(tiny, 10, 4, RngSeed(1))
+            simulate_sequence_batch(ModelParams(1.0, past, 1.0), 10, 4, RngSeed(1))
+        got = simulate_sequence_batch(ModelParams(1.0, _LAST_FINITE_LOAD, 1.0), 10, 4,
+                                      RngSeed(1), burn_in=0)
+    # H0's load is 1, so each service ends on the next arrival, which is
+    # served; H1's first service is finite but outlasts the other nine gaps
+    np.testing.assert_array_equal(got, [[10] * 4, [1] * 4])
+
+
+@pytest.mark.parametrize("k", [-1018, -500, 500, 1000])
+def test_batch_counts_depend_only_on_the_rate_ratios(k):
+    # scaling all three rates by 2**k is exact and leaves every ratio
+    windows = (1, 64, 65, 300)
+    scaled = ModelParams(0.3 * 2.0**k, 0.2 * 2.0**k, 2.0**k)
+    got = simulate_sequence_batch(scaled, 300, 50, RngSeed(71), windows=windows)
+    expected = simulate_sequence_batch(PARAMS, 300, 50, RngSeed(71), windows=windows)
+    np.testing.assert_array_equal(got, expected)
 
 
 def _inverted_exponential(rng, size, scale):
@@ -186,17 +215,24 @@ def _inverted_exponential(rng, size, scale):
     return np.log(1.0 - rng.random(size)) * -scale
 
 
-def _batch_draws(hyp, total, trials, seed):
-    """(gaps, services), (total, trials): the batch's time-major draws
-    rebuilt chunk by chunk, scaled as the batch scales them."""
+def _batch_logs(total, trials, seed):
+    """(gap logs, service logs), (total, trials): the batch's time-major
+    draws of log(1 - U), rebuilt chunk by chunk."""
     rng = seed.generator()
-    rate = PARAMS.lambda_w if hyp is Hypothesis.H0 else PARAMS.total_rate_h1
     gaps, services = [], []
     for start in range(0, total, MC_CHUNK):
         size = (min(MC_CHUNK, total - start), trials)
-        gaps.append(_inverted_exponential(rng, size, 1.0 / rate))
-        services.append(_inverted_exponential(rng, size, 1.0 / PARAMS.mu))
+        gaps.append(np.log(1.0 - rng.random(size)))
+        services.append(np.log(1.0 - rng.random(size)))
     return np.concatenate(gaps), np.concatenate(services)
+
+
+def _batch_draws(hyp, total, trials, seed):
+    """(gaps, services), (total, trials): the batch's draws as exponential
+    times, scaled by hyp's mean gap and the mean service."""
+    rate = PARAMS.lambda_w if hyp is Hypothesis.H0 else PARAMS.total_rate_h1
+    gaps, services = _batch_logs(total, trials, seed)
+    return gaps * (-1.0 / rate), services * (-1.0 / PARAMS.mu)
 
 
 def test_a_chunk_idle_count_fits_the_uint8_it_is_summed_in():
@@ -233,29 +269,48 @@ def test_batch_windows_must_increase_to_n(windows):
         simulate_sequence_batch(PARAMS, 10, 3, RngSeed(1), windows=windows)
 
 
-def test_batch_clock_is_one_cumsum_over_each_stream(monkeypatch):
-    # a last-bit change in a sum rarely flips a busy bit, so compare the
-    # clocks each chunk's row section leaves, and its idle flags row by
-    # row; each chunk runs once, over H0's and H1's trials on the same draws
+def _scalar_residuals(gaps, services, load):
+    """Lindley's recursion over one trial's logs, one arrival at a time: the
+    work left after each arrival, in units of the mean gap.  `load` is
+    -lambda_h / mu, so a log times it is a service in those units."""
+    residual, left = -math.inf, []
+    for gap, service in zip(gaps.tolist(), services.tolist()):
+        residual += gap
+        if residual <= 0.0:  # idle: the arrival's service is all the work left
+            residual = service * load
+        left.append(residual)
+    return np.array(left)
+
+
+def test_batch_residual_is_lindleys_recursion_over_each_stream(monkeypatch):
+    # a last-bit change in a residual rarely flips a busy bit, so compare
+    # the residuals each chunk's row section leaves, and its idle flags
+    # row by row with the clock-form recursion; each chunk runs once,
+    # over H0's and H1's trials on the same draws
     n, trials, seed = 200, 9, RngSeed(43, 5)
     seen = []
 
-    def recording(gaps, services, scales, clock, depart):
-        idle = _chunk_rows(gaps, services, scales, clock, depart)
-        seen.append((clock.copy(), idle.copy()))
+    def recording(gaps, services, loads, residual):
+        idle = _chunk_rows(gaps, services, loads, residual)
+        seen.append((residual.copy(), idle.copy()))
         return idle
 
     monkeypatch.setattr(sim, "_chunk_rows", recording)
     simulate_sequence_batch(PARAMS, n, trials, seed, burn_in=0)
     chunk_ends = np.minimum(np.arange(MC_CHUNK, n + MC_CHUNK, MC_CHUNK), n) - 1
     assert len(seen) == chunk_ends.size
-    assert all(c.shape == (2, trials) and i.shape[1:] == (2, trials) for c, i in seen)
+    assert all(r.shape == (2, trials) and i.shape[1:] == (2, trials) for r, i in seen)
+    gap_logs, service_logs = _batch_logs(n, trials, seed)
     for hyp in Hypothesis:
+        rate = PARAMS.lambda_w if hyp is Hypothesis.H0 else PARAMS.total_rate_h1
+        left = np.array([_scalar_residuals(gap_logs[:, i], service_logs[:, i],
+                                           -rate / PARAMS.mu)
+                         for i in range(trials)]).T
+        got_left = np.array([r[hyp.value] for r, _ in seen])
+        np.testing.assert_array_equal(got_left.view(np.int64),
+                                      left[chunk_ends].view(np.int64))
         gaps, services = _batch_draws(hyp, n, trials, seed)
         times = np.cumsum(gaps, axis=0)
-        got_clocks = np.array([c[hyp.value] for c, _ in seen])
-        np.testing.assert_array_equal(got_clocks.view(np.int64),
-                                      times[chunk_ends].view(np.int64))
         got_idle = np.concatenate([i[:, hyp.value] for _, i in seen])
         busy = np.array([scalar_busy_bits(times[:, i], services[:, i])
                          for i in range(trials)]).T
@@ -274,13 +329,13 @@ def test_batch_calls_on_two_threads_equal_the_calls_one_after_the_other(monkeypa
     alone = [_two_window_batch(call) for call in calls]
     running, most = [], []
 
-    def tracked(gaps, services, scales, clock, depart):
-        assert sim._ROW_LOCK.locked() and clock.shape == depart.shape == (2, 500)
+    def tracked(gaps, services, loads, residual):
+        assert sim._ROW_LOCK.locked() and residual.shape == (2, 500)
         running.append(None)
         most.append(len(running))
         time.sleep(0.001)  # long enough for the other thread to arrive
         try:
-            return _chunk_rows(gaps, services, scales, clock, depart)
+            return _chunk_rows(gaps, services, loads, residual)
         finally:
             running.pop()
 
@@ -304,7 +359,7 @@ def test_batch_frees_the_row_lock_when_its_row_section_raises(monkeypatch):
     seed = RngSeed(8, 3)
     before = _two_window_batch(seed)
 
-    def failing(gaps, services, scales, clock, depart):
+    def failing(gaps, services, loads, residual):
         raise RuntimeError("row section failed")
 
     with monkeypatch.context() as patch:
