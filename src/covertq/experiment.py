@@ -28,7 +28,9 @@ from .sim import RngSeed
 # Still 4: the Monte Carlo recursion on residual work in mean gaps rounds
 # apart from the clock it replaced only where a clock's last bit straddled
 # a departure, and no recorded output or pinned count moved.
-RESULT_FORMAT_VERSION = 4
+# 5: exponent_ref keeps p and q in place of the seven coefficients A..D, a..c
+# that restated them; the rows are those of version 4.
+RESULT_FORMAT_VERSION = 5
 
 _CONFIG_KEYS = ("lambda_w", "lambda_b", "mu", "n_grid", "trials_per_point",
                 "threshold", "master_seed", "stream_id", "use_exact_when_feasible")

@@ -109,10 +109,9 @@ def i_err_taylor(params: ModelParams) -> float:
 
 
 def exponent_report(params: ModelParams) -> dict:
-    """Every exponent quantity for one point, keyed as exponent_report.schema.json keys it."""
-    lw, lb, mu = params.lambda_w, params.lambda_b, params.mu
-    lam = lw + lb
-    if lb > 0:
+    """The exponents for one point and the p, q fixing them, keyed as the report schema."""
+    p, _, q = params._ratios[:3]
+    if params.lambda_b > 0:
         v_closed = v_closed_form(params)
         i_closed = _neg_log_r(params, v_closed)
         v_num, i_num = i_err_numeric(params)
@@ -124,13 +123,6 @@ def exponent_report(params: ModelParams) -> dict:
         "i_err_closed": i_closed,
         "i_err_numeric": i_num,
         "i_err_taylor": i_err_taylor(params),
-        # coefficients of the factored row sum r(u) = A*B^u + C*D^u
-        "A": mu / (lam + mu),
-        "B": (lam + mu) / (lw + mu),
-        "C": lam / (lam + mu),
-        "D": (lw / lam) * ((lam + mu) / (lw + mu)),
-        # rate ratios: a = (1-q)/q, b = 1 + lambda_b/lambda_w, c = q/p
-        "a": (lw + lb) / mu,
-        "b": (lw + lb) / lw,
-        "c": (lw + mu) / (lb + lw + mu),
+        "p": p,
+        "q": q,
     }

@@ -303,8 +303,11 @@ def simulate_sequence_batch(
     arrivals are H0's compressed in time, with the same services.
     _chunk_rows runs the chunk row by row on each trial's residual work,
     so a chunk holds only its draws and idle flags, and memory is
-    O(trials) at any n.  Rates whose longest service overflows raise
-    NonFiniteError before any draw; past that check no time can.
+    O(trials) at any n.  A load lambda_h / mu is capped at 4.9e306, where
+    its longest service is the float maximum.  That changes no count: a
+    nonzero service at the cap lasts at least 5.4e290 mean gaps, and a gap
+    drains at most 53 ln 2 of them, so a served arrival keeps the server
+    busy to the end of any run, as at every higher load.  No time overflows.
     The trials are independent within a row of the result, and row h is
     bit for bit what the draws of one hypothesis alone would give: only
     the two rows of one trial are dependent.  Trial i does NOT reproduce
@@ -327,11 +330,10 @@ def simulate_sequence_batch(
     out = np.empty((2, len(marks), trials), dtype=np.int64)
     pending = 0  # index of the next window to record
     total = n + burn_in
-    loads = np.array([[-_arrival_rate(params, hyp) / params.mu] for hyp in Hypothesis])
-    # log(2**-53) is the least log _log_uniforms draws, so this is the longest service
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.log(2.0**-53) * loads).all():
-            raise NonFiniteError(_OVERFLOW)
+    # log(2**-53) is the least log _log_uniforms draws, so at the capped load the
+    # longest service is the float maximum; see the docstring for why the cap is exact
+    loads = np.maximum([[-_arrival_rate(params, hyp) / params.mu] for hyp in Hypothesis],
+                       np.finfo(float).max / np.log(2.0**-53))
     rng = seed.generator()
     gap_buf = np.empty((MC_CHUNK, trials))
     service_buf = np.empty((MC_CHUNK, trials))

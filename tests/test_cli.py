@@ -48,6 +48,8 @@ RATES = ["--lambda-w", "0.3", "--lambda-b", "0.2", "--mu", "1"]
 TINY_RATES = ["--lambda-w=6.8e-308", "--lambda-b=8.6e-308", "--mu=6.2e-308"]
 HUGE_LOAD_SWEEP = ["sweep", "--lambda-w=1", "--lambda-b=1e308", "--mu=1", "--n=26",
                    "--thresholds=0", "--trials=26", "--seed=26"]
+LONG_SERVICE_SIMULATE = ["simulate", "--lambda-w=1", "--lambda-b=1", "--mu=1e-308", "--n=26",
+                         "--hyp=h0", "--seed=1"]
 BOUND = ["bound", "--lambda-w", "0.3", "--epsilon", "0.1"]
 CAMPAIGN = ("lambda_w = 0.3\nlambda_b = 0.2\nn_grid = 100,200\n"
             "trials_per_point = 10\nmaster_seed = 1\n")
@@ -484,9 +486,9 @@ def test_main_hands_its_command_what_a_fresh_parser_parses(monkeypatch, cmd):
     ([*BOUND, "--alpha", "200", "--n-values", "10,100"], 4),
     # Cephes binomial tails are NaN from N = 2**31 on
     (["sweep", *RATES, "--n", "3000000000", "--thresholds=0"], 4),
-    # simulated times past the float64 range: a Monte Carlo service
-    # 1e308 mean gaps long, and a clock of about 26 / 6.8e-308
-    (HUGE_LOAD_SWEEP, 4),
+    # simulated times past the float64 range: services of mean 1e308,
+    # and a clock of about 26 / 6.8e-308
+    (LONG_SERVICE_SIMULATE, 4),
     (["simulate", *TINY_RATES, "--n=26", "--hyp=h0", "--seed=1"], 4),
     # a sequence file that is not UTF-8
     (["detect", *RATES, "latin1.txt"], 3),
@@ -517,7 +519,7 @@ def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, co
 @pytest.mark.parametrize("argv", [
     ["simulate", "--lambda-w=1e-307", "--lambda-b=1e-307", "--mu=1e-307", "--n=1000",
      "--hyp", "h1", "--seed=1"],
-    HUGE_LOAD_SWEEP,
+    LONG_SERVICE_SIMULATE,
 ])
 def test_simulated_overflow_prints_only_its_exit_line(capsys, argv):
     # numpy's overflow warnings would print source paths ahead of the
@@ -542,6 +544,29 @@ def test_monte_carlo_sweep_at_tiny_rates_sees_only_their_ratios(capsys):
     for key in ("p_f", "p_m"):
         p = exact[key]
         assert abs(got[key] - p) <= 5 * math.sqrt(p * (1 - p) / 4000)
+
+
+@pytest.mark.parametrize("argv", [
+    HUGE_LOAD_SWEEP,
+    # lambda_b / mu = inf
+    [*HUGE_LOAD_SWEEP[:2], "--lambda-w=1e308", "--lambda-b=1e307", "--mu=1e-10",
+     *HUGE_LOAD_SWEEP[4:]],
+])
+def test_monte_carlo_sweep_past_the_load_cap_matches_the_exact_sweep(capsys, argv):
+    # the Monte Carlo simulator caps a load whose longest service would
+    # overflow, which leaves every count as the uncapped load's
+    trials = 26
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    (got,) = json.loads(out)
+    code, out, err = run_cli(capsys, *argv[:-2])  # no --trials or --seed: exact
+    assert code == 0, err
+    (exact,) = json.loads(out)
+    for key in ("p_f", "p_m"):
+        p = exact[key]
+        assert abs(got[key] - p) <= 5 * math.sqrt(p * (1 - p) / trials) + 1 / trials
 
 
 def test_exact_campaign_with_nan_tails_exits_4(tmp_path, capsys):

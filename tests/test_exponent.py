@@ -32,7 +32,8 @@ GRID = param_grid(40, np.random.default_rng(2024))
 
 
 def test_r_endpoints_are_one():
-    # A + C = 1 and A*B + C*D = 1 algebraically
+    # r(u) = q (p/q)^u + (1-q) ((1-p)/(1-q))^u is q + (1-q) = 1 at u = 0
+    # and p + (1-p) = 1 at u = 1
     for params in GRID:
         assert r_of_u(params, 0.0) == pytest.approx(1.0, abs=1e-12)
         assert r_of_u(params, 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -43,9 +44,14 @@ def test_r_midpoint_hand_value():
 
 
 def test_r_two_factorizations_agree():
+    # r(u) = A B^u + C D^u, A..D formed from the rates apart from ModelParams._ratios
     rng = np.random.default_rng(7)
     for params in param_grid(20, rng):
-        a, b, c, d = (exponent_report(params)[k] for k in "ABCD")
+        lw, lb, mu = params.lambda_w, params.lambda_b, params.mu
+        a = mu / (lw + lb + mu)
+        b = (lw + lb + mu) / (lw + mu)
+        c = (lw + lb) / (lw + lb + mu)
+        d = (lw / (lw + lb)) * ((lw + lb + mu) / (lw + mu))
         for u in rng.uniform(0.0, 1.0, size=5):
             assert r_of_u(params, u) == pytest.approx(a * b**u + c * d**u, abs=1e-14)
 
@@ -305,14 +311,12 @@ def test_exponent_report_fields():
     rep = exponent_report(PARAMS)
     assert rep["v_closed"] == pytest.approx(rep["v_numeric"], abs=1e-8)
     assert rep["i_err_closed"] >= 0
-    a, b, c, d = (rep[k] for k in "ABCD")
-    assert a + c == pytest.approx(1.0, abs=1e-15)
-    assert a * b + c * d == pytest.approx(1.0, abs=1e-12)
-    assert (a, b, c, d) == pytest.approx((2 / 3, 15 / 13, 1 / 3, 9 / 13), abs=1e-15)
-    small_a, small_b, small_c = (rep[k] for k in "abc")
-    assert small_a == pytest.approx(0.5, abs=1e-15)
-    assert small_b == pytest.approx(5 / 3, abs=1e-15)
-    assert small_c == pytest.approx(13 / 15, abs=1e-15)
+    assert rep["p"] == pytest.approx(10 / 13, abs=1e-15)
+    assert rep["q"] == pytest.approx(2 / 3, abs=1e-15)
+    for params in GRID:  # bit for bit
+        rep = exponent_report(params)
+        assert (rep["p"], rep["q"]) == (params.idle_probability(Hypothesis.H0),
+                                        params.idle_probability(Hypothesis.H1))
 
 
 def test_exponent_report_json():
@@ -321,7 +325,7 @@ def test_exponent_report_json():
     rec = json.loads(json_text(exponent_report(PARAMS)))
     assert set(rec) == {
         "v_closed", "v_numeric", "i_err_closed", "i_err_numeric",
-        "i_err_taylor", "A", "B", "C", "D", "a", "b", "c",
+        "i_err_taylor", "p", "q",
     }
 
 

@@ -180,24 +180,26 @@ def test_a_nan_draw_at_infinite_scale_is_a_numeric_failure(monkeypatch):
 
 
 # the largest H1 load lambda_h / mu whose longest service, 53 ln 2 times
-# the load, is finite; the batch refuses the next float up before drawing
+# the load, is finite; the batch caps every higher load to it
 _LAST_FINITE_LOAD = 4.8934395673698066e+306
 
 
-def test_batch_refuses_rates_whose_longest_service_overflows(monkeypatch):
+def test_batch_caps_loads_whose_longest_service_overflows(monkeypatch):
     # every draw is the longest: gaps and services of 53 ln 2 mean units
     monkeypatch.setattr(RngSeed, "generator",
                         lambda self: _FixedUniforms(1.0 - 2.0**-53))
     past = math.nextafter(_LAST_FINITE_LOAD, math.inf)
-    with warnings.catch_warnings():  # numpy prints no warning either way
+    got = []
+    with warnings.catch_warnings():  # numpy prints no warning at any load
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonFiniteError):
-            simulate_sequence_batch(ModelParams(1.0, past, 1.0), 10, 4, RngSeed(1))
-        got = simulate_sequence_batch(ModelParams(1.0, _LAST_FINITE_LOAD, 1.0), 10, 4,
-                                      RngSeed(1), burn_in=0)
+        # the cap, one ulp past it, and lambda_b / mu = inf
+        for params in (ModelParams(1.0, _LAST_FINITE_LOAD, 1.0), ModelParams(1.0, past, 1.0),
+                       ModelParams(1e-10, 1e308, 1e-10)):
+            got.append(simulate_sequence_batch(params, 10, 4, RngSeed(1), burn_in=0))
     # H0's load is 1, so each service ends on the next arrival, which is
     # served; H1's first service is finite but outlasts the other nine gaps
-    np.testing.assert_array_equal(got, [[10] * 4, [1] * 4])
+    for counts in got:
+        np.testing.assert_array_equal(counts, [[10] * 4, [1] * 4])
 
 
 @pytest.mark.parametrize("k", [-1018, -500, 500, 1000])

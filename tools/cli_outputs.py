@@ -155,6 +155,12 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
          "--hyp", "h1", "--seed=1"],
         ["sweep", "--lambda-w=6.8e-308", "--lambda-b=8.6e-308", "--mu=6.2e-308", "--n=26",
          "--thresholds=0", "--trials=26", "--seed=26"],
+        # Monte Carlo loads past the cap, lambda_b / mu = 1e308 and inf, which
+        # the simulator caps without changing a count
+        ["sweep", "--lambda-w=1", "--lambda-b=1e308", "--mu=1", "--n=26",
+         "--thresholds=0", "--trials=26", "--seed=26"],
+        ["sweep", "--lambda-w=1e308", "--lambda-b=1e307", "--mu=1e-10", "--n=26",
+         "--thresholds=0", "--trials=26", "--seed=26"],
         # a length too large to allocate
         ["simulate", *RATES, "--n", str(2**58), "--hyp", "h0", "--seed", "1"],
         ["detect", *RATES, str(tmp / "absent.txt")],
