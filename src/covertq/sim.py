@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Hypothesis, ModelParams, NonFiniteError
+from .model import Hypothesis, ModelParams
 
 # Arrival 1 always finds an empty system when the simulation starts idle,
 # while the analytic chain treats the first observation as stationary.
@@ -35,9 +35,6 @@ DEFAULT_BURN_IN = 1
 
 # Arrivals per time-major draw in simulate_sequence_batch; under 256, as chunk sums are uint8.
 MC_CHUNK = 64
-
-# A time past the float64 range leaves later busy bits meaningless.
-_OVERFLOW = "simulated time overflows float64 at these rates"
 
 # Held by simulate_sequence_batch around each chunk's row section (see
 # the module docstring).
@@ -103,8 +100,18 @@ class ObservationSequence:
         return cls(bits)
 
 
-def _arrival_rate(params: ModelParams, hyp: Hypothesis) -> float:
-    return params.lambda_w if hyp is Hypothesis.H0 else params.total_rate_h1
+def _load(params: ModelParams, hyp: Hypothesis) -> float:
+    """-lambda_h / mu, capped: turns a log(1 - U) draw into a service in hyp's mean gaps.
+
+    The cap is the float maximum over log(2**-53), the least log
+    _log_uniforms draws, so at the capped load the longest service is the
+    float maximum.  That changes no busy bit: a nonzero service at the cap
+    lasts at least 5.4e290 mean gaps, and a gap drains at most 53 ln 2 of
+    them, so a served arrival keeps the server busy to the end of any run,
+    as at every higher load.  No time overflows.
+    """
+    rate = params.lambda_w if hyp is Hypothesis.H0 else params.total_rate_h1
+    return max(-rate / params.mu, np.finfo(float).max / np.log(2.0**-53))
 
 
 def _log_uniforms(rng: np.random.Generator, out: np.ndarray) -> None:
@@ -112,25 +119,15 @@ def _log_uniforms(rng: np.random.Generator, out: np.ndarray) -> None:
 
     rng.random gives U = k * 2**-53 in [0, 1), so 1 - U is exact and lies
     in (0, 1]: the log never sees 0, and every value lies in [-53 * ln 2,
-    0], which truncates the exponential's tail at mass 2**-53.  U = 0
-    gives 0.0, and a negative scale then gives -0.0, which still meets
-    _depart's nonnegative precondition, since -0.0 >= 0.  The batch takes
-    these logs as they are and scales only its services (see _chunk_rows).
+    0], which truncates the exponential's tail at mass 2**-53.  Both
+    simulators count time in mean gaps, where a gap is minus a log and a
+    service a log times _load.  U = 0 gives 0.0, and either then gives
+    -0.0, which still meets _depart's nonnegative precondition, since
+    -0.0 >= 0.
     """
     rng.random(out=out)
     np.subtract(1.0, out, out=out)
     np.log(out, out=out)
-
-
-def _exponential(rng: np.random.Generator, out: np.ndarray, scale: float) -> None:
-    """Fill `out` with exponential draws of mean `scale`: _log_uniforms times -scale.
-
-    Only simulate_sequence scales its draws by a mean.  At scale = inf
-    (rates near 5e-324) a U = 0 draw is 0 * inf = NaN, which its overflow
-    check reports with the infinite ones.
-    """
-    _log_uniforms(rng, out)
-    out *= -scale
 
 
 def _depart(depart: np.ndarray, ends: np.ndarray, idle: np.ndarray,
@@ -253,14 +250,18 @@ def simulate_sequence(
 ) -> ObservationSequence:
     """Busy/idle record of n arrivals; deterministic given all arguments.
 
-    The draws go straight into the (width, segments) time-major arrays of
-    _busy_bits_segmented: first width * segments gaps into the arrival
-    times, row by row, then as many services into the end times, so draw
-    j of segment k goes to that segment's arrival j.  Each draw is
-    -log(1 - U) times its mean, from one rng.random fill per array (see
-    _exponential).  Segment k's clock is its own running sum plus the
-    sum of segments 0..k-1, which is exactly its predecessor's last
-    arrival time, so arrival times never decrease along the stream.
+    Time runs in units of the mean gap 1/lambda_h, as in the batch, so
+    only the rate ratio lambda_h / mu enters.  The draws go straight into
+    the (width, segments) time-major arrays of _busy_bits_segmented:
+    first width * segments gap logs into the arrival times, row by row,
+    then as many service logs into the end times, so draw j of segment k
+    goes to that segment's arrival j (see _log_uniforms).  A gap is minus
+    its log and a service its log times _load.  Segment k's clock is its
+    own running sum plus the sum of segments 0..k-1, which is exactly its
+    predecessor's last arrival time, so arrival times never decrease
+    along the stream.  Nothing overflows: an arrival time is at most
+    53 ln 2 * (n + burn_in), a service at most the float maximum, and
+    their sum rounds to at most the float maximum.
     """
     _check_lengths(n, burn_in)
     total = n + burn_in
@@ -270,16 +271,13 @@ def simulate_sequence(
     rng = seed.generator()
     times = np.empty((width, segments))
     ends = np.empty((width, segments))
-    # an overflow, or a 0 * inf draw, is reported as NonFiniteError
-    with np.errstate(over="ignore", invalid="ignore"):
-        _exponential(rng, times, 1.0 / _arrival_rate(params, hyp))
-        _exponential(rng, ends, 1.0 / params.mu)
-        ends[last + 1:, -1] = 0.0  # pads must not count in the max below
-        for j in range(1, width):
-            np.add(times[j - 1], times[j], out=times[j])
-        times[:, 1:] += np.cumsum(times[-1, :-1])
-        if not math.isfinite(times.item(last, -1) + ends.max()):
-            raise NonFiniteError(_OVERFLOW)
+    _log_uniforms(rng, times)
+    _log_uniforms(rng, ends)
+    ends *= _load(params, hyp)
+    np.negative(times[0], out=times[0])
+    for j in range(1, width):
+        np.subtract(times[j - 1], times[j], out=times[j])
+    times[:, 1:] += np.cumsum(times[-1, :-1])
     times[last + 1:, -1] = np.inf
     ends += times
     return ObservationSequence(_busy_bits_segmented(times, ends)[burn_in:total])
@@ -300,19 +298,15 @@ def simulate_sequence_batch(
     log(1 - U), then one of service logs (see _log_uniforms).  Both
     hypotheses run on those draws, each in units of its own mean gap
     1/lambda_h, where only the rate ratios lambda_h / mu enter: H1's
-    arrivals are H0's compressed in time, with the same services.
-    _chunk_rows runs the chunk row by row on each trial's residual work,
-    so a chunk holds only its draws and idle flags, and memory is
-    O(trials) at any n.  A load lambda_h / mu is capped at 4.9e306, where
-    its longest service is the float maximum.  That changes no count: a
-    nonzero service at the cap lasts at least 5.4e290 mean gaps, and a gap
-    drains at most 53 ln 2 of them, so a served arrival keeps the server
-    busy to the end of any run, as at every higher load.  No time overflows.
-    The trials are independent within a row of the result, and row h is
-    bit for bit what the draws of one hypothesis alone would give: only
-    the two rows of one trial are dependent.  Trial i does NOT reproduce
-    simulate_sequence with any particular seed; the statistics are the
-    same, which is what Monte Carlo needs.
+    arrivals are H0's compressed in time, with the same services, scaled
+    by _load.  _chunk_rows runs the chunk row by row on each trial's
+    residual work, so a chunk holds only its draws and idle flags, and
+    memory is O(trials) at any n.  The trials are independent within a
+    row of the result, and row h is bit for bit what the draws of one
+    hypothesis alone would give: only the two rows of one trial are
+    dependent.  Trial i does NOT reproduce simulate_sequence with any
+    particular seed; the statistics are the same, which is what Monte
+    Carlo needs.
 
     `windows`, strictly increasing and ending at n, asks for the running
     idle count of every trial after each window's first w observed
@@ -330,10 +324,7 @@ def simulate_sequence_batch(
     out = np.empty((2, len(marks), trials), dtype=np.int64)
     pending = 0  # index of the next window to record
     total = n + burn_in
-    # log(2**-53) is the least log _log_uniforms draws, so at the capped load the
-    # longest service is the float maximum; see the docstring for why the cap is exact
-    loads = np.maximum([[-_arrival_rate(params, hyp) / params.mu] for hyp in Hypothesis],
-                       np.finfo(float).max / np.log(2.0**-53))
+    loads = np.array([[_load(params, hyp)] for hyp in Hypothesis])
     rng = seed.generator()
     gap_buf = np.empty((MC_CHUNK, trials))
     service_buf = np.empty((MC_CHUNK, trials))

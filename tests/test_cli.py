@@ -486,10 +486,10 @@ def test_main_hands_its_command_what_a_fresh_parser_parses(monkeypatch, cmd):
     ([*BOUND, "--alpha", "200", "--n-values", "10,100"], 4),
     # Cephes binomial tails are NaN from N = 2**31 on
     (["sweep", *RATES, "--n", "3000000000", "--thresholds=0"], 4),
-    # simulated times past the float64 range: services of mean 1e308,
-    # and a clock of about 26 / 6.8e-308
-    (LONG_SERVICE_SIMULATE, 4),
-    (["simulate", *TINY_RATES, "--n=26", "--hyp=h0", "--seed=1"], 4),
+    # a campaign whose exponent reference overflows, and a bound table row
+    # that does
+    (["campaign", "huge.cfg", "--out", "r"], 4),
+    (["bound", "--lambda-w", "1e300", "--epsilon", "0.1", "--n-values", "10,100"], 4),
     # a sequence file that is not UTF-8
     (["detect", *RATES, "latin1.txt"], 3),
     # 2**58 float64 arrival times (2 EiB) exceed any address space
@@ -505,6 +505,7 @@ def test_main_hands_its_command_what_a_fresh_parser_parses(monkeypatch, cmd):
 def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "good.cfg").write_text(CAMPAIGN)
+    (tmp_path / "huge.cfg").write_text(CAMPAIGN.replace("lambda_b = 0.2", "lambda_b = 1e160"))
     (tmp_path / "latin1.txt").write_bytes(b"\xff\xfe")
     (tmp_path / "dup.cfg").write_text(CAMPAIGN + "lambda_b = 0.0\n")
     (tmp_path / "lines.txt").write_text("0101\n1111111\nhello\n")
@@ -516,19 +517,32 @@ def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, co
     assert code != 4 or err.startswith("numeric failure: ")
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--lambda-w=1e-307", "--lambda-b=1e-307", "--mu=1e-307", "--n=1000",
-     "--hyp", "h1", "--seed=1"],
-    LONG_SERVICE_SIMULATE,
+@pytest.mark.parametrize("argv, same", [
+    # the burn-in arrival's service, at the capped load, outlasts the run
+    (LONG_SERVICE_SIMULATE, None),
+    # 1000 gaps of mean 1e307 would pass 1e308, but these rates' ratios are (1, 1, 1)
+    (["simulate", "--lambda-w=1e-307", "--lambda-b=1e-307", "--mu=1e-307", "--n=1000",
+      "--hyp", "h1", "--seed=1"],
+     ["simulate", "--lambda-w", "1", "--lambda-b", "1", "--mu", "1", "--n=1000",
+      "--hyp", "h1", "--seed=1"]),
+    # the same for a clock of about 26 / 6.8e-308; 2**1000 times each rate is exact
+    (["simulate", *TINY_RATES, "--n=26", "--hyp=h0", "--seed=1"],
+     ["simulate", *(f"{flag}={float(rate) * 2.0**1000!r}"
+                    for flag, rate in (r.split("=") for r in TINY_RATES)),
+      "--n=26", "--hyp=h0", "--seed=1"]),
 ])
-def test_simulated_overflow_prints_only_its_exit_line(capsys, argv):
-    # numpy's overflow warnings would print source paths ahead of the
-    # error line; under "error" they would escape main() instead
+def test_simulate_at_extreme_rates_sees_only_their_ratios(capsys, argv, same):
+    # the single stream counts time in mean gaps, so no time overflows;
+    # numpy warnings would print source paths, or under "error" escape main()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (4, "")
-    assert err == "numeric failure: simulated time overflows float64 at these rates\n"
+    assert code == 0, err
+    assert err.startswith("busy_fraction: ")
+    if same is None:
+        assert out == "1" * 26 + "\n"
+    else:
+        assert (0, out) == run_cli(capsys, *same)[:2]
 
 
 def test_monte_carlo_sweep_at_tiny_rates_sees_only_their_ratios(capsys):

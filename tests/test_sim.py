@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from covertq import sim
-from covertq.model import Hypothesis, ModelParams, NonFiniteError
+from covertq.model import Hypothesis, ModelParams
 from covertq.sim import (
     MC_CHUNK,
     ObservationSequence,
@@ -17,7 +17,7 @@ from covertq.sim import (
     _busy_bits_batch,
     _busy_bits_segmented,
     _chunk_rows,
-    _exponential,
+    _log_uniforms,
     simulate_sequence,
     simulate_sequence_batch,
 )
@@ -131,11 +131,13 @@ def test_batch_statistics_match_single_path():
 
 
 def test_inverted_exponential_has_the_exponential_law():
+    # a log(1 - U) draw times -scale, as a service is formed (see sim._load):
     # KS distance under its 0.1% critical value; mean and variance within
     # 5 standard errors (the sample variance of Exp has variance 8 s^4 / n)
     n, scale = 200_000, 2.5
     x = np.empty(n)
-    _exponential(np.random.default_rng(20211), x, scale)
+    _log_uniforms(np.random.default_rng(20211), x)
+    x *= -scale
     assert x.min() >= 0.0 and np.isfinite(x).all()
     cdf = -np.expm1(-np.sort(x) / scale)
     ks = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
@@ -158,29 +160,26 @@ class _FixedUniforms:
 @pytest.mark.parametrize("scale", [1.0, 3.0, 1e300])
 def test_inverted_exponential_stays_finite_at_both_ends_of_the_uniforms(scale):
     x = np.empty(6)
-    _exponential(_FixedUniforms(0.0, 1.0 - 2.0**-53), x, scale)
+    _log_uniforms(_FixedUniforms(0.0, 1.0 - 2.0**-53), x)
+    x *= -scale
     assert np.isfinite(x).all()  # never NaN or -inf
     np.testing.assert_array_equal(x[0::2], 0.0)
     np.testing.assert_allclose(x[1::2], 53 * math.log(2) * scale, rtol=1e-15)
 
 
-def test_a_nan_draw_at_infinite_scale_is_a_numeric_failure(monkeypatch):
-    # U = 0 at scale 1/5e-324 = inf gives 0 * inf = NaN, not a time;
-    # every draw is NaN here, so no infinite one can raise instead
-    monkeypatch.setattr(RngSeed, "generator", lambda self: _FixedUniforms(0.0))
-    tiny = ModelParams(5e-324, 5e-324, 5e-324)
-    x = np.empty(3)
-    with np.errstate(invalid="ignore"):
-        _exponential(_FixedUniforms(0.0), x, 1 / tiny.mu)
-    assert np.isnan(x).all()
-    with warnings.catch_warnings():  # and numpy prints no warning on the way
+def test_single_stream_at_the_least_rates_sees_only_their_ratios():
+    # gaps of mean 1/5e-324 = inf would make an absolute clock inf or NaN;
+    # in mean gaps these rates are (1, 1, 1), and numpy warns of nothing
+    with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonFiniteError):
-            simulate_sequence(tiny, Hypothesis.H1, 10, RngSeed(1))
+        got = simulate_sequence(ModelParams(5e-324, 5e-324, 5e-324), Hypothesis.H1,
+                                1000, RngSeed(1))
+    expected = simulate_sequence(ModelParams(1.0, 1.0, 1.0), Hypothesis.H1, 1000, RngSeed(1))
+    np.testing.assert_array_equal(got.bits, expected.bits)
 
 
 # the largest H1 load lambda_h / mu whose longest service, 53 ln 2 times
-# the load, is finite; the batch caps every higher load to it
+# the load, is finite; both simulators cap every higher load to it
 _LAST_FINITE_LOAD = 4.8934395673698066e+306
 
 
@@ -202,18 +201,38 @@ def test_batch_caps_loads_whose_longest_service_overflows(monkeypatch):
         np.testing.assert_array_equal(counts, [[10] * 4, [1] * 4])
 
 
+def test_single_stream_caps_loads_as_the_batch_does(monkeypatch):
+    # every draw is the longest, as in the batch's test above: H1's first
+    # service is the float maximum, not inf, and outlasts the other nine gaps
+    monkeypatch.setattr(RngSeed, "generator",
+                        lambda self: _FixedUniforms(1.0 - 2.0**-53))
+    past = math.nextafter(_LAST_FINITE_LOAD, math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for params in (ModelParams(1.0, _LAST_FINITE_LOAD, 1.0), ModelParams(1.0, past, 1.0),
+                       ModelParams(1e-10, 1e308, 1e-10)):
+            for hyp, bits in ((Hypothesis.H0, [0] * 10), (Hypothesis.H1, [0] + [1] * 9)):
+                obs = simulate_sequence(params, hyp, 10, RngSeed(1), burn_in=0)
+                np.testing.assert_array_equal(obs.bits, bits)
+
+
 @pytest.mark.parametrize("k", [-1018, -500, 500, 1000])
 def test_batch_counts_depend_only_on_the_rate_ratios(k):
-    # scaling all three rates by 2**k is exact and leaves every ratio
+    # scaling all three rates by 2**k is exact and leaves every ratio, so
+    # the batch's counts and the single stream's records stay bit for bit
     windows = (1, 64, 65, 300)
     scaled = ModelParams(0.3 * 2.0**k, 0.2 * 2.0**k, 2.0**k)
     got = simulate_sequence_batch(scaled, 300, 50, RngSeed(71), windows=windows)
     expected = simulate_sequence_batch(PARAMS, 300, 50, RngSeed(71), windows=windows)
     np.testing.assert_array_equal(got, expected)
+    for hyp in Hypothesis:
+        np.testing.assert_array_equal(simulate_sequence(scaled, hyp, 300, RngSeed(71)).bits,
+                                      simulate_sequence(PARAMS, hyp, 300, RngSeed(71)).bits)
 
 
 def _inverted_exponential(rng, size, scale):
-    # the simulator's sampler written out: -log(1 - U) times the mean
+    # the single stream's draw written out: -log(1 - U) times the mean,
+    # which is 1 for a gap and lambda_h / mu for a service
     return np.log(1.0 - rng.random(size)) * -scale
 
 
@@ -396,9 +415,10 @@ def test_only_the_batch_takes_the_row_lock(monkeypatch):
 
 def _single_stream_layout(params, hyp, n, seed, burn_in):
     """(times, services), (width, segments): the arrival times and services
-    simulate_sequence forms, rebuilt from its draws.  The stream is cut
-    into isqrt(n + burn_in)-arrival segments, column k being segment k.
-    width * segments gaps are drawn row by row, then as many services.
+    simulate_sequence forms, in units of the mean gap, rebuilt from its
+    draws.  The stream is cut into isqrt(n + burn_in)-arrival segments,
+    column k being segment k.  width * segments gaps of mean 1 are drawn
+    row by row, then as many services of mean lambda_h / mu.
     Segment k's arrival j is at the sum of its gaps 0..j plus the exclusive
     base, the sum of the segment totals before k.  The pads past
     n + burn_in are +inf arrivals, so their draws do not matter."""
@@ -407,8 +427,8 @@ def _single_stream_layout(params, hyp, n, seed, burn_in):
     segments = -(-total // width)
     rng = seed.generator()
     rate = params.lambda_w if hyp is Hypothesis.H0 else params.total_rate_h1
-    gaps = _inverted_exponential(rng, (width, segments), 1.0 / rate)
-    services = _inverted_exponential(rng, (width, segments), 1.0 / params.mu)
+    gaps = _inverted_exponential(rng, (width, segments), 1.0)
+    services = _inverted_exponential(rng, (width, segments), rate / params.mu)
     times = np.empty_like(gaps)
     base = 0.0
     for k in range(segments):

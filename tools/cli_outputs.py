@@ -150,9 +150,12 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
         # binomial tails past 2**31 trials, and a K(N) that underflows
         ["sweep", *RATES, "--n", "3000000000", "--thresholds=0"],
         [*BOUND, "--alpha", "200", "--n-values", "10,100"],
-        # simulated times past the float64 range
+        # rates whose absolute clock or services would pass the float64 range;
+        # both simulators count time in mean gaps and cap their loads
         ["simulate", "--lambda-w=1e-307", "--lambda-b=1e-307", "--mu=1e-307", "--n=1000",
          "--hyp", "h1", "--seed=1"],
+        ["simulate", "--lambda-w=1", "--lambda-b=1", "--mu=1e-308", "--n=26",
+         "--hyp=h0", "--seed=1"],
         ["sweep", "--lambda-w=6.8e-308", "--lambda-b=8.6e-308", "--mu=6.2e-308", "--n=26",
          "--thresholds=0", "--trials=26", "--seed=26"],
         # Monte Carlo loads past the cap, lambda_b / mu = 1e308 and inf, which
