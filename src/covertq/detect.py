@@ -2,13 +2,13 @@
 
 The busy/idle record is i.i.d. Bernoulli, so the LLR is the affine function
 `_llr` of the idle count k.  Its coefficients log(p/q) >= 0 >= log((1-p)/(1-q))
-come from the rate-ratio core the error exponent reads (`ModelParams._ratios`).
-IEEE rounding is monotone, so the float LLR never decreases in k, and every test
-is one integer cut k* (`_cut`): H0 exactly when k >= k*.  Ties at the
-threshold decide H0 (the ">= gamma implies H0" orientation), which makes
-every error probability bit-exactly reproducible.  Monte Carlo blocks
-compare the simulator's per-trial idle counts with the same cut, every
-window of a request on one simulation.
+are the fields `a` and `b` of the rate-ratio core the error exponent reads
+(`ModelParams._ratios`).  IEEE rounding is monotone, so the float LLR never
+decreases in k, and every test is one integer cut k* (`_cut`): H0 exactly when
+k >= k*.  Ties at the threshold decide H0 (the ">= gamma implies H0"
+orientation), which makes every error probability bit-exactly reproducible.
+Monte Carlo blocks compare the simulator's per-trial idle counts with the same
+cut, every window of a request on one simulation.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ def _rates(p_f: float, p_m: float, se_f: float = 0.0, se_m: float = 0.0) -> dict
 
 
 def _llr(k, n: int, c_idle: float, c_busy: float):
-    """LLR of H0 over H1 for k idle symbols among n (coefficients: `ModelParams._ratios`)."""
+    """LLR of H0 over H1 for k idle symbols among n (coefficients: the core's a and b)."""
     return k * c_idle + (n - k) * c_busy
 
 
@@ -38,8 +38,8 @@ def log_likelihood_ratio(obs: ObservationSequence, params: ModelParams) -> float
     """Natural-log likelihood ratio of H0 over H1 for the busy/idle record."""
     if obs.n < 1:
         raise ValueError("observation sequence is empty")
-    c_idle, c_busy = params._ratios[5:7]
-    return _llr(obs.n - int(np.count_nonzero(obs.bits)), obs.n, c_idle, c_busy)
+    c = params._ratios
+    return _llr(obs.n - int(np.count_nonzero(obs.bits)), obs.n, c.a, c.b)
 
 
 def decide(
@@ -64,7 +64,7 @@ def _cut(n: int, params: ModelParams, threshold: float) -> int:
     The closed form only starts the search: the steps test the float
     predicate of `decide`, so ties match it.
     """
-    c_idle, c_busy = params._ratios[5:7]
+    c_idle, c_busy = params._ratios.a, params._ratios.b
     if c_idle == c_busy:  # both underflow to 0 (lambda_b = 5e-324, lambda_w = mu = 1)
         return 0 if threshold <= 0.0 else n + 1
     x = (threshold - n * c_busy) / (c_idle - c_busy)
@@ -98,8 +98,8 @@ def exact_error_probabilities(
     if 0 < k <= n:
         # imported here: scipy is most of a cold start, and only exact tails need it
         from scipy.special import bdtr, bdtrc
-        p, _, q = params._ratios[:3]
-        p_f, p_m = float(bdtr(k - 1, n, p)), float(bdtrc(k - 1, n, q))
+        c = params._ratios
+        p_f, p_m = float(bdtr(k - 1, n, c.p)), float(bdtrc(k - 1, n, c.q))
         if isnan(p_f) or isnan(p_m):  # Cephes gives NaN from n = 2**31 on
             raise NonFiniteError(f"binomial tail is NaN at n={n}")
     else:  # one tail is empty and the other full; bdtr(-1, ...) is NaN

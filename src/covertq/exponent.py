@@ -24,13 +24,14 @@ from .model import ModelParams, NonFiniteError, _h2, _kl2
 # Width of the final bracket around the numeric minimizer.
 V_NUMERIC_TOL = 1e-10
 
-# `ModelParams._ratios` gives s = NaN where its square of order p - q underflows.
+# The rate-ratio core's `s` is NaN where its square of order p - q underflows.
 _S_UNDERFLOWS = "the minimizer's slope s underflows at these rates"
 
 
 def _neg_log_r(params: ModelParams, u: float) -> float:
     """-log r(u) = u D(t_u||p) + (1-u) D(t_u||q), t_u the tilted law."""
-    p, pbar, q, qbar, gap, _, _, ell = params._ratios[:8]
+    c = params._ratios
+    p, pbar, q, qbar, gap, ell = c.p, c.pbar, c.q, c.qbar, c.gap, c.ell
     e = q * expm1(u * ell)
     d = qbar * e / (1.0 + e)  # t_u - q, as logit(t_u) - logit(q) = u log1p(x)
     return u * (d - gap) ** 2 * _kl2(p, pbar, d - gap) + (1.0 - u) * d * d * _kl2(q, qbar, d)
@@ -50,7 +51,8 @@ def v_closed_form(params: ModelParams) -> float:
     """
     if params.lambda_b <= 0:
         raise ValueError("v is undefined for lambda_b = 0 (take the limit 1/2)")
-    _, _, q, qbar, _, _, _, ell, s = params._ratios[:9]
+    c = params._ratios
+    q, qbar, ell, s = c.q, c.qbar, c.ell, c.s
     if s != s:
         raise NonFiniteError(_S_UNDERFLOWS)
     z = s * ell / (q * (qbar - s * ell))
@@ -61,7 +63,7 @@ def i_err_numeric(params: ModelParams) -> tuple[float, float]:
     """Minimize log r(u) numerically; returns (v_numeric, i_err).
 
     Bisection over [0, 1] down to V_NUMERIC_TOL (34 halvings) on the sign of dr/du =
-    q a e^(ua) + (1-q) b e^(ub), a > 0 > b from `ModelParams._ratios`.  Up to a - b = 1
+    q a e^(ua) + (1-q) b e^(ub), a > 0 > b from the rate-ratio core.  Up to a - b = 1
     it reads dr/du / log1p(x)^2 = u (q A^2 E(ua) + (1-q) B^2 E(ub)) - s, E(t) = expm1(t)/t:
     nothing cancels, and nothing is subnormal before lambda_b/lambda_w is.  Past 1 that
     difference keeps too few digits where q is tiny (s then differs from the sum by about
@@ -69,10 +71,11 @@ def i_err_numeric(params: ModelParams) -> tuple[float, float]:
     """
     if params.lambda_b <= 0:
         raise ValueError("numeric exponent requires lambda_b > 0")
-    _, _, q, qbar, _, a, b, _, s, big_a, big_b = params._ratios
+    c = params._ratios
+    q, qbar, a, b, s = c.q, c.qbar, c.a, c.b, c.s
     if s != s:
         raise NonFiniteError(_S_UNDERFLOWS)
-    wa, wb = q * big_a * big_a, qbar * big_b * big_b
+    wa, wb = q * c.big_a * c.big_a, qbar * c.big_b * c.big_b
     # log(q a) and log((1-q) |b|), the log-domain form's two intercepts
     logs = (log(q) + log(a), log(qbar) + log(-b)) if a - b > 1.0 else None
     lo, hi = 0.0, 1.0
@@ -110,7 +113,6 @@ def i_err_taylor(params: ModelParams) -> float:
 
 def exponent_report(params: ModelParams) -> dict:
     """The exponents for one point and the p, q fixing them, keyed as the report schema."""
-    p, _, q = params._ratios[:3]
     if params.lambda_b > 0:
         v_closed = v_closed_form(params)
         i_closed = _neg_log_r(params, v_closed)
@@ -123,6 +125,6 @@ def exponent_report(params: ModelParams) -> dict:
         "i_err_closed": i_closed,
         "i_err_numeric": i_num,
         "i_err_taylor": i_err_taylor(params),
-        "p": p,
-        "q": q,
+        "p": params._ratios.p,
+        "q": params._ratios.q,
     }

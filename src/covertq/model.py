@@ -18,6 +18,7 @@ from enum import Enum
 from functools import cache, cached_property
 from math import isfinite, log, log1p, nan
 from sys import float_info
+from typing import NamedTuple
 
 
 class Hypothesis(Enum):
@@ -58,6 +59,22 @@ def _l(t: float) -> float:
     return log1p(t) / t if t else 1.0
 
 
+class _Ratios(NamedTuple):
+    """The rate-ratio core of `ModelParams`; x = lambda_b/lambda_w."""
+
+    p: float  # mu/(lambda_w+mu): an arrival finds the server idle under H0
+    pbar: float  # 1 - p
+    q: float  # mu/(lambda_w+lambda_b+mu): the same under H1
+    qbar: float  # 1 - q
+    gap: float  # p - q
+    a: float  # log(p/q), the LLR's idle coefficient
+    b: float  # log((1-p)/(1-q)), its busy coefficient
+    ell: float  # log1p(x)
+    s: float  # D(q||p)/ell^2, or NaN once its square has lost its digits
+    big_a: float  # a/ell
+    big_b: float  # b/ell
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Rate triple defining both hypotheses.
@@ -90,10 +107,7 @@ class ModelParams:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.lambda_b < 0:
             raise ValueError(f"lambda_b must be nonnegative, got {self.lambda_b}")
-        p, q = self.idle_probability(Hypothesis.H0), self.idle_probability(Hypothesis.H1)
-        if not 0.0 < q <= p < 1.0:  # the LLR takes log(p/q) and log((1-p)/(1-q))
-            raise ValueError(f"rates too far apart: idle probabilities p={p!r}, "
-                             f"q={q!r} must lie strictly between 0 and 1")
+        self._ratios  # forms the core, which refuses rates whose p and q do not resolve
 
     @property
     def total_rate_h1(self) -> float:
@@ -101,31 +115,32 @@ class ModelParams:
 
     def idle_probability(self, hyp: Hypothesis) -> float:
         """Probability an arrival finds the server idle (p under H0, q under H1)."""
-        if hyp is Hypothesis.H0:
-            return self.mu / (self.lambda_w + self.mu)
-        return self.mu / (self.lambda_w + self.lambda_b + self.mu)
+        return self._ratios.p if hyp is Hypothesis.H0 else self._ratios.q
 
     @cached_property
-    def _ratios(self) -> tuple[float, ...]:
-        """(p, 1-p, q, 1-q, p-q, a, b, log1p(x), s, A, B), x = lambda_b/lambda_w.
+    def _ratios(self) -> _Ratios:
+        """p, q and what the analytics read of them, formed and checked in this one place.
 
-        Formed once per instance from exact ratios of rates; every analytic path
-        reads it.  The LLR coefficients are a = log(p/q) = log1p(r), r = lambda_b/
-        (lambda_w+mu), and b = log((1-p)/(1-q)) = log1p(-y), y = p lambda_b/(lambda_w+
-        lambda_b), or from y = 1/2 on the log of (1-p)/(1-q) itself.  s = (t* - q)/
-        log1p(x) = D(q||p)/log1p(x)^2, t* the minimizer's tilted law, A = a/log1p(x)
-        = (1-p) l(r)/l(x) and B = b/log1p(x) = -p l(-y)/((1+x) l(x)), l = `_l`, stay
-        of order 1 as x -> 0: p - q = x (1-p) q, log1p(x) = x (1 + x h2(x))/(1 + x).
+        Formed once per instance from exact ratios of rates.  a = log1p(r), r = lambda_b/
+        (lambda_w+mu), and b = log1p(-y), y = p lambda_b/(lambda_w+lambda_b), or from y = 1/2
+        on the log of (1-p)/(1-q) itself.  s = (t* - q)/log1p(x), t* the minimizer's tilted
+        law, A = (1-p) l(r)/l(x) and B = -p l(-y)/((1+x) l(x)), l = `_l`, stay of order 1
+        as x -> 0: p - q = x (1-p) q, log1p(x) = x (1 + x h2(x))/(1 + x).
         """
         lw, lb, mu = self.lambda_w, self.lambda_b, self.mu
-        p, pbar, q, x = mu / (lw + mu), lw / (lw + mu), mu / (lw + lb + mu), lb / lw
+        p, pbar, x = mu / (lw + mu), lw / (lw + mu), lb / lw
+        q, qbar = mu / (lw + lb + mu), (lw + lb) / (lw + lb + mu)
+        if not 0.0 < q <= p < 1.0:  # the LLR takes log(p/q) and log((1-p)/(1-q))
+            raise ValueError(f"rates too far apart: idle probabilities p={p!r}, "
+                             f"q={q!r} must lie strictly between 0 and 1")
         r, y, ell = lb / (lw + mu), (lb / (lw + lb)) * p, log1p(x)
         b = log1p(-y) if y < 0.5 else log(pbar * ((lw + lb + mu) / (lw + lb)))
         w2 = (pbar * q * (1.0 + x) / (1.0 + x * _h2(x))) ** 2
         # NaN once the square is subnormal past 4 lost bits; the exponent refuses it
         s = w2 * _kl2(p, pbar, -x * pbar * q) if w2 >= float_info.min / 16 else nan
-        return (p, pbar, q, (lw + lb) / (lw + lb + mu), x * pbar * q, log1p(r), b, ell, s,
-                pbar * _l(r) / _l(x), (-p / (1.0 + x) * _l(-y) / _l(x) if y < 0.5 else b / ell))
+        return _Ratios(p, pbar, q, qbar, x * pbar * q, log1p(r), b, ell, s,
+                       big_a=pbar * _l(r) / _l(x),
+                       big_b=-p / (1.0 + x) * _l(-y) / _l(x) if y < 0.5 else b / ell)
 
 
 _CONTAINERS = (dict, list, tuple)

@@ -37,7 +37,8 @@ def transition_matrix(params: ModelParams, hyp: Hypothesis) -> np.ndarray:
     p = mu/(lambda_w+mu); under H1 it is q = mu/(lambda_w+lambda_b+mu).
     Both rows are identical.
     """
-    idle = params.idle_probability(hyp)
+    rate = params.lambda_w + (params.lambda_b if hyp is Hypothesis.H1 else 0.0)
+    idle = params.mu / (rate + params.mu)
     return np.array([[idle, 1.0 - idle], [idle, 1.0 - idle]])
 
 
@@ -153,11 +154,10 @@ def log_domain_error_probabilities(params: ModelParams, n: int, threshold=0.0):
     Each k gets a log-binomial pmf term and a decision from `_llr`; each
     tail is exp(logsumexp) over the terms of the counts it covers.
     """
-    p = params.idle_probability(Hypothesis.H0)
-    q = params.idle_probability(Hypothesis.H1)
+    lw, lb, mu = params.lambda_w, params.lambda_b, params.mu
+    p, q = mu / (lw + mu), mu / (lw + lb + mu)
     k = np.arange(n + 1)
-    c_idle, c_busy = params._ratios[5:7]
-    decide_h0 = _llr(k, n, c_idle, c_busy) >= threshold
+    decide_h0 = _llr(k, n, params._ratios.a, params._ratios.b) >= threshold
 
     def tail(ks, prob):
         if ks.size == 0:

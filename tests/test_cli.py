@@ -458,49 +458,59 @@ def test_main_hands_its_command_what_a_fresh_parser_parses(monkeypatch, cmd):
     assert _dispatched(monkeypatch) == expected
 
 
+# Explicit ids, so dropping a row renames no other row; the first 27 keep the
+# names pytest gave them by position.
 @pytest.mark.parametrize("argv, code", [
-    (["bound", "--lambda-w", "inf", "--epsilon", "0.1", "--n", "100"], 2),
-    (["bound", "--lambda-w", "nan", "--epsilon", "0.1", "--n", "100"], 2),
-    ([*BOUND, "--n", "100", "--alpha", "nan"], 2),
-    ([*BOUND, "--n", "100", "--k0", "inf"], 2),
-    ([*BOUND, "--n", "100", "--n-values", "10,100"], 2),
-    ([*BOUND, "--n", "100", "--output", "csv"], 2),
+    pytest.param(["bound", "--lambda-w", "inf", "--epsilon", "0.1", "--n", "100"], 2,
+                 id="argv0-2"),
+    pytest.param(["bound", "--lambda-w", "nan", "--epsilon", "0.1", "--n", "100"], 2,
+                 id="argv1-2"),
+    pytest.param([*BOUND, "--n", "100", "--alpha", "nan"], 2, id="argv2-2"),
+    pytest.param([*BOUND, "--n", "100", "--k0", "inf"], 2, id="argv3-2"),
+    pytest.param([*BOUND, "--n", "100", "--n-values", "10,100"], 2, id="argv4-2"),
+    pytest.param([*BOUND, "--n", "100", "--output", "csv"], 2, id="argv5-2"),
     # a bound of about 1e450
-    (["bound", "--lambda-w", "1e300", "--epsilon", "0.1", "--n", "100"], 4),
-    (["exponent", "--lambda-w", "1e200", "--lambda-b", "1"], 4),
-    (["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "-3"], 2),
+    pytest.param(["bound", "--lambda-w", "1e300", "--epsilon", "0.1", "--n", "100"], 4,
+                 id="argv6-4"),
+    pytest.param(["exponent", "--lambda-w", "1e200", "--lambda-b", "1"], 4, id="argv7-4"),
+    pytest.param(["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "-3"], 2,
+                 id="argv8-2"),
     # removed flags are unknown arguments
-    (["detect", *RATES, "--initial", "conditioned", "seq.txt"], 2),
-    ([*BOUND, "--n", "100", "--k-family", "power"], 2),
-    (["simulate", *RATES, "--n", "10", "--hyp", "h0", "--burn-in", "2"], 2),
+    pytest.param(["detect", *RATES, "--initial", "conditioned", "seq.txt"], 2, id="argv9-2"),
+    pytest.param([*BOUND, "--n", "100", "--k-family", "power"], 2, id="argv10-2"),
+    pytest.param(["simulate", *RATES, "--n", "10", "--hyp", "h0", "--burn-in", "2"], 2,
+                 id="argv11-2"),
     # an --out path that cannot be written
-    (["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "3",
-      "--out", "/nonexistent/x"], 3),
-    (["campaign", "good.cfg", "--out", "/nonexistent/x"], 3),
+    pytest.param(["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "3",
+                  "--out", "/nonexistent/x"], 3, id="argv12-3"),
+    pytest.param(["campaign", "good.cfg", "--out", "/nonexistent/x"], 3, id="argv13-3"),
     # a result that overflows to inf or nan
-    (["exponent", "--lambda-w", "0.3", "--lambda-b", "1e160"], 4),
-    (["exponent", "--lambda-w", "0.3", "--lambda-b", "1e160", "--output", "csv"], 4),
-    (["exponent", "--lambda-w", "0.3", "--lambda-b", "0.3", "--mu", "5e-324",
-      "--output", "csv"], 4),
+    pytest.param(["exponent", "--lambda-w", "0.3", "--lambda-b", "1e160"], 4, id="argv14-4"),
+    pytest.param(["exponent", "--lambda-w", "0.3", "--lambda-b", "1e160", "--output", "csv"],
+                 4, id="argv15-4"),
+    pytest.param(["exponent", "--lambda-w", "0.3", "--lambda-b", "0.3", "--mu", "5e-324",
+                  "--output", "csv"], 4, id="argv16-4"),
     # K(N) = 100**-200 underflows to 0
-    ([*BOUND, "--alpha", "200", "--n-values", "10,100"], 4),
+    pytest.param([*BOUND, "--alpha", "200", "--n-values", "10,100"], 4, id="argv17-4"),
     # Cephes binomial tails are NaN from N = 2**31 on
-    (["sweep", *RATES, "--n", "3000000000", "--thresholds=0"], 4),
+    pytest.param(["sweep", *RATES, "--n", "3000000000", "--thresholds=0"], 4, id="argv18-4"),
     # a campaign whose exponent reference overflows, and a bound table row
     # that does
-    (["campaign", "huge.cfg", "--out", "r"], 4),
-    (["bound", "--lambda-w", "1e300", "--epsilon", "0.1", "--n-values", "10,100"], 4),
+    pytest.param(["campaign", "huge.cfg", "--out", "r"], 4, id="argv19-4"),
+    pytest.param(["bound", "--lambda-w", "1e300", "--epsilon", "0.1", "--n-values", "10,100"],
+                 4, id="argv20-4"),
     # a sequence file that is not UTF-8
-    (["detect", *RATES, "latin1.txt"], 3),
+    pytest.param(["detect", *RATES, "latin1.txt"], 3, id="argv21-3"),
     # 2**58 float64 arrival times (2 EiB) exceed any address space
-    (["simulate", *RATES, "--n", str(2**58), "--hyp", "h0", "--seed", "1"], 3),
+    pytest.param(["simulate", *RATES, "--n", str(2**58), "--hyp", "h0", "--seed", "1"], 3,
+                 id="argv22-3"),
     # a config key given twice, and a sequence file of more than one line
-    (["campaign", "dup.cfg", "--out", "r"], 3),
-    (["detect", *RATES, "lines.txt"], 3),
+    pytest.param(["campaign", "dup.cfg", "--out", "r"], 3, id="argv23-3"),
+    pytest.param(["detect", *RATES, "lines.txt"], 3, id="argv24-3"),
     # s's square of order p - q is subnormal: v = 1/2 would print as
     # 0.4999999918 and 0.9992
-    (["exponent", "--lambda-w", "1e158", "--lambda-b", "1"], 4),
-    (["exponent", "--lambda-w", "6.36e161", "--lambda-b", "1"], 4),
+    pytest.param(["exponent", "--lambda-w", "1e158", "--lambda-b", "1"], 4, id="argv25-4"),
+    pytest.param(["exponent", "--lambda-w", "6.36e161", "--lambda-b", "1"], 4, id="argv26-4"),
 ])
 def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)

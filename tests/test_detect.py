@@ -34,7 +34,7 @@ def obs(*bits):
 
 def coefficients(params):
     """The LLR's (c_idle, c_busy), as every test in detect reads them."""
-    return params._ratios[5:7]
+    return params._ratios.a, params._ratios.b
 
 
 def test_identical_hypotheses_give_zero_llr():

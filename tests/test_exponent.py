@@ -313,10 +313,10 @@ def test_exponent_report_fields():
     assert rep["i_err_closed"] >= 0
     assert rep["p"] == pytest.approx(10 / 13, abs=1e-15)
     assert rep["q"] == pytest.approx(2 / 3, abs=1e-15)
-    for params in GRID:  # bit for bit
+    for params in GRID:  # bit for bit the formulas, formed here from the rates
         rep = exponent_report(params)
-        assert (rep["p"], rep["q"]) == (params.idle_probability(Hypothesis.H0),
-                                        params.idle_probability(Hypothesis.H1))
+        lw, lb, mu = params.lambda_w, params.lambda_b, params.mu
+        assert (rep["p"], rep["q"]) == (mu / (lw + mu), mu / (lw + lb + mu))
 
 
 def test_exponent_report_json():

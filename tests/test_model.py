@@ -56,16 +56,42 @@ def test_invalid_rates_rejected(lambda_w, mu):
         ModelParams(lambda_w, 0.1, mu)
 
 
-@pytest.mark.parametrize("rates", [
-    (float("nan"), 0.1, 1.0), (0.3, float("nan"), 1.0), (0.3, 0.1, float("nan")),
-    (float("inf"), 0.1, 1.0), (0.3, float("inf"), 1.0), (0.3, 0.1, float("inf")),
-    (1e-17, 0.0, 1.0),  # p = mu/(lambda_w+mu) rounds to 1
-    (1e-17, 0.5, 1.0),
-    (1e308, 1e308, 1.0),  # lambda_w+lambda_b+mu overflows, so q = 0
-])
-def test_non_finite_or_unresolvable_rates_rejected(rates):
-    with pytest.raises(ValueError):
+UNRESOLVABLE = [
+    ((float("nan"), 0.1, 1.0), "must be finite"), ((0.3, float("nan"), 1.0), "must be finite"),
+    ((0.3, 0.1, float("nan")), "must be finite"), ((float("inf"), 0.1, 1.0), "must be finite"),
+    ((0.3, float("inf"), 1.0), "must be finite"), ((0.3, 0.1, float("inf")), "must be finite"),
+    ((1e-17, 0.0, 1.0), "too far apart"),  # p = mu/(lambda_w+mu) rounds to 1
+    ((1e-17, 0.5, 1.0), "too far apart"),
+    ((1e308, 1e308, 1.0), "too far apart"),  # lambda_w+lambda_b+mu overflows, so q = 0
+]
+
+
+@pytest.mark.parametrize("rates, match", UNRESOLVABLE,
+                         ids=[f"rates{i}" for i in range(len(UNRESOLVABLE))])
+def test_non_finite_or_unresolvable_rates_rejected(rates, match):
+    with pytest.raises(ValueError, match=match):
         ModelParams(*rates)
+
+
+def test_construction_accepts_exactly_the_triples_whose_p_and_q_resolve():
+    # every rate log-uniform over the positive floats, drawn once from a fixed
+    # seed: the core is formed on construction, so no later division, log or
+    # square may raise where the formula p and q pass 0 < q <= p < 1
+    rng = np.random.default_rng(900729077)
+    wrong, accepted = [], 0
+    for lw, lb, mu in (10.0 ** rng.uniform(-320, 308, (3000, 3))).tolist():
+        p, q = mu / (lw + mu), mu / (lw + lb + mu)
+        try:
+            params = ModelParams(lw, lb, mu)
+        except ValueError:
+            got = None
+        else:
+            got = params.idle_probability(Hypothesis.H0), params.idle_probability(Hypothesis.H1)
+            accepted += 1
+        if got != ((p, q) if 0.0 < q <= p < 1.0 else None):
+            wrong.append((lw, lb, mu))
+    assert wrong == []
+    assert 300 < accepted < 2700  # both sides of the check are drawn
 
 
 def test_lambda_b_below_float_resolution_is_accepted():
@@ -153,7 +179,8 @@ def test_rate_ratio_core_matches_mpmath_on_random_triples():
     coefficients_off, cuts_off, exponents_off = [], [], []
     for params in triples:
         refs = [float(r) for r in mpmath_llr_coefficients(params)]
-        if any(abs(c - r) > 1e-14 * abs(r) for c, r in zip(params._ratios[5:7], refs)):
+        coefficients = params._ratios.a, params._ratios.b
+        if any(abs(c - r) > 1e-14 * abs(r) for c, r in zip(coefficients, refs)):
             coefficients_off.append(params)
         cuts_off += [(params, n) for n in (10**3, 10**5)
                      if _cut(n, params, 0.0) != mpmath_cut(params, n, 0.0)]
