@@ -8,7 +8,6 @@ below shows the bound and the constant bound * sqrt(N).
 
 from covertq import (
     CovertnessSpec,
-    KFunction,
     ModelParams,
     covertness_check,
     max_covert_rate,
@@ -18,7 +17,7 @@ from covertq import (
 
 lambda_w, epsilon = 0.3, 0.1
 
-rows = scaling_table(lambda_w, epsilon, KFunction(), [100, 1000, 10**4, 10**5, 10**6])
+rows = scaling_table(lambda_w, epsilon, [100, 1000, 10**4, 10**5, 10**6])
 print(scaling_table_csv(rows))
 print()
 

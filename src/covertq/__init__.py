@@ -13,8 +13,8 @@ from importlib import import_module
 # (PEP 562), so `import covertq` loads no numpy until a name that needs it
 # is used.
 _SUBMODULE = {name: module for module, names in {
-    "covert": ("CovertnessSpec", "KFunction", "covertness_check",
-               "max_covert_rate", "scaling_table", "scaling_table_csv"),
+    "covert": ("CovertnessSpec", "covertness_check", "max_covert_rate",
+               "scaling_table", "scaling_table_csv"),
     "detect": ("decide", "exact_error_probabilities", "log_likelihood_ratio",
                "monte_carlo_error"),
     "experiment": ("CampaignConfig", "persist", "run_campaign", "threshold_sweep"),

@@ -104,8 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     n_or_table.add_argument("--n", type=int, default=None, help="single N to evaluate")
     n_or_table.add_argument("--n-values", default=None,
                             help="comma-separated increasing N list for the table")
-    p.add_argument("--k0", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--output", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("campaign", help="run an error-probability campaign")
@@ -206,15 +204,14 @@ def _cmd_exponent(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    k = covert.KFunction(k0=args.k0, alpha=args.alpha)
     if args.n_values is not None:
         n_values = [int(s) for s in args.n_values.split(",")]
-        rows = covert.scaling_table(args.lambda_w, args.epsilon, k, n_values)
+        rows = covert.scaling_table(args.lambda_w, args.epsilon, n_values)
         _emit(args, rows, lambda: covert.scaling_table_csv(rows))
         return EXIT_OK
     if args.output == "csv":
         raise ValueError("--output csv requires --n-values")
-    spec = covert.CovertnessSpec(epsilon=args.epsilon, n=args.n, k=k)
+    spec = covert.CovertnessSpec(epsilon=args.epsilon, n=args.n)
     print(json_text(covert.max_covert_rate(args.lambda_w, spec)))
     return EXIT_OK
 

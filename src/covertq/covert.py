@@ -1,10 +1,10 @@
 """Covertness criterion and the bound on the covert insertion rate.
 
 Covertness asks that the detector's total error stay at or above
-1 - epsilon.  Approximating that error by K(N) * exp(-I_err * N) and
-replacing the exponent with its small-rate expansion inverts into an
-explicit ceiling on the covert arrival rate, which decays like
-sqrt(log(K(N)) / N).
+1 - epsilon.  Approximating that error by exp(-I_err * N) and replacing
+the exponent with its small-rate expansion inverts into an explicit
+ceiling on the covert arrival rate, which decays like
+sqrt(-log(1 - epsilon) / N).
 """
 
 from __future__ import annotations
@@ -17,38 +17,9 @@ from .model import ModelParams, csv_text
 
 
 @dataclass(frozen=True)
-class KFunction:
-    """Sub-exponential prefactor K(N) = k0 * N**(-alpha); alpha = 0 is constant.
-
-    Every such K satisfies (1/N) log K(N) -> 0, the only constraint the
-    theory places on K.
-    """
-
-    k0: float = 1.0
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if not 0 < self.k0 < inf:  # also false for NaN
-            raise ValueError(f"k0 must be positive and finite, got {self.k0}")
-        if not 0 <= self.alpha < inf:
-            raise ValueError(f"alpha must be nonnegative and finite, got {self.alpha}")
-
-    def __call__(self, n: int) -> float:
-        value = self.k0 * float(n) ** (-self.alpha)
-        if value == 0.0:
-            raise ArithmeticError(f"K(N) underflows to 0 at N={n}")
-        return value
-
-    def log_value(self, n: int) -> float:
-        """log K(N) without forming N**alpha (safe at very large N)."""
-        return log(self.k0) - self.alpha * log(float(n))
-
-
-@dataclass(frozen=True)
 class CovertnessSpec:
     epsilon: float
     n: int
-    k: KFunction = KFunction()
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
@@ -60,15 +31,15 @@ class CovertnessSpec:
 def max_covert_rate(lambda_w: float, spec: CovertnessSpec) -> dict:
     """Largest covert insertion rate compatible with epsilon-covertness.
 
-    Inverts the criterion K(N) exp(-I N) >= 1 - epsilon through the
-    quadratic exponent approximation.  Returns the single-N `bound`
-    document {"n", "bound", "feasible"}.  When K(N) <= 1 - epsilon the log
-    is non-positive and no positive rate qualifies; "bound" is then 0.0
-    and "feasible" false.  Rates are in the mu = 1 normalization.
+    Inverts the criterion exp(-I N) >= 1 - epsilon through the quadratic
+    exponent approximation.  Returns the single-N `bound` document
+    {"n", "bound", "feasible"}.  When 1 - epsilon rounds to 1.0 the log is
+    zero and no positive rate qualifies; "bound" is then 0.0 and
+    "feasible" false.  Rates are in the mu = 1 normalization.
     """
     if not 0 < lambda_w < inf:  # also false for NaN
         raise ValueError(f"lambda_w must be positive and finite, got {lambda_w}")
-    log_ratio = spec.k.log_value(spec.n) - log(1.0 - spec.epsilon)
+    log_ratio = -log(1.0 - spec.epsilon)
     if log_ratio <= 0.0:
         return {"n": spec.n, "bound": 0.0, "feasible": False}
     value = (lambda_w + 1.0) * sqrt(8.0 * lambda_w / spec.n * log_ratio)
@@ -80,7 +51,7 @@ def covertness_check(
 ) -> dict:
     """Evaluate the covertness criterion with the chosen exponent.
 
-    p_e_raw = K(N) exp(-I N) can exceed 1 at small N; p_e_approx clips it to [0, 1].
+    p_e_raw = p_e_approx = exp(-I N), which lies in [0, 1].
     """
     if mode == "closed":
         i_err = i_err_closed(params)
@@ -88,19 +59,18 @@ def covertness_check(
         i_err = i_err_taylor(params)
     else:
         raise ValueError(f"mode must be 'closed' or 'taylor', got {mode!r}")
-    raw = spec.k(spec.n) * exp(-i_err * spec.n)
-    return {"i_err": i_err, "p_e_raw": raw, "p_e_approx": min(max(raw, 0.0), 1.0),
+    raw = exp(-i_err * spec.n)
+    return {"i_err": i_err, "p_e_raw": raw, "p_e_approx": raw,
             "covert": raw >= 1.0 - spec.epsilon}
 
 
 def scaling_table(
-    lambda_w: float, epsilon: float, k: KFunction, n_values: list[int]
+    lambda_w: float, epsilon: float, n_values: list[int]
 ) -> list[dict]:
     """Tabulate the covert-rate bound across N.
 
-    Each row is the `max_covert_rate` document plus K(N) and bound *
-    sqrt(N); for constant K that column is constant, the square-root law
-    in explicit form.
+    Each row is the `max_covert_rate` document plus K(N) = 1 and bound *
+    sqrt(N); that column is constant, the square-root law in explicit form.
     """
     if not n_values:
         raise ValueError("n_values must be non-empty")
@@ -108,8 +78,8 @@ def scaling_table(
         raise ValueError("n_values must be strictly increasing")
     rows = []
     for n in n_values:
-        row = max_covert_rate(lambda_w, CovertnessSpec(epsilon=epsilon, n=n, k=k))
-        rows.append({**row, "k_of_n": k(n), "bound_times_sqrt_n": row["bound"] * sqrt(n)})
+        row = max_covert_rate(lambda_w, CovertnessSpec(epsilon=epsilon, n=n))
+        rows.append({**row, "k_of_n": 1.0, "bound_times_sqrt_n": row["bound"] * sqrt(n)})
     return rows
 
 

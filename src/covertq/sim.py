@@ -197,18 +197,19 @@ def _busy_bits_segmented(times: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
     `times` and `ends` (arrival time plus service time) hold the stream
     cut into segments of `width` arrivals, time-major: column k of the
-    (width, segments) arrays is segment k, and the tail is padded with
-    +inf arrivals.  Every segment runs through _busy_bits_batch once,
-    starting empty.  A walk over the segments in order then carries the
-    true departure time, stepping from one arrival the true run serves to
-    the next with a binary search over the busy span between them: once
-    the true run serves an arrival the empty-start run serves too, the
-    two agree, so the segment ends on the batch's departure time.  A
-    segment where they never meet ends on the walk's.  The walk costs one
-    step per arrival served before the runs meet, so heavy load, where a
-    busy span covers many arrivals, stays cheap.  Times and services must
-    be nonnegative, as _busy_bits_batch requires.  Returns the bits of
-    all width * segments arrivals in stream order; a pad is never busy.
+    (width, segments) arrays is segment k; rows past the stream's end
+    (further arrivals, or +inf) change no earlier bit.  Every segment runs
+    through _busy_bits_batch once, starting empty.  A walk over the
+    segments in order then carries the true departure time, stepping from
+    one arrival the true run serves to the next with a binary search over
+    the busy span between them: once the true run serves an arrival the
+    empty-start run serves too, the two agree, so the segment ends on the
+    batch's departure time.  A segment where they never meet ends on the
+    walk's.  The walk costs one step per arrival served before the runs
+    meet, so heavy load, where a busy span covers many arrivals, stays
+    cheap.  Times and services must be nonnegative, as _busy_bits_batch
+    requires.  Returns the bits of all width * segments arrivals in stream
+    order.
     """
     width, segments = times.shape
     depart = np.full(segments, -np.inf)
@@ -259,15 +260,16 @@ def simulate_sequence(
     its log and a service its log times _load.  Segment k's clock is its
     own running sum plus the sum of segments 0..k-1, which is exactly its
     predecessor's last arrival time, so arrival times never decrease
-    along the stream.  Nothing overflows: an arrival time is at most
-    53 ln 2 * (n + burn_in), a service at most the float maximum, and
-    their sum rounds to at most the float maximum.
+    along the stream.  The width * segments - total rows past the end
+    follow every real arrival, so they cannot change its bit, and the
+    [burn_in:total] slice drops them.  Nothing overflows: an arrival time
+    is at most 53 ln 2 * (width * segments), a service at most the float
+    maximum, and their sum rounds to at most the float maximum.
     """
     _check_lengths(n, burn_in)
     total = n + burn_in
     width = math.isqrt(total)
     segments = -(-total // width)
-    last = width - 1 - (width * segments - total)  # last segment's last real row
     rng = seed.generator()
     times = np.empty((width, segments))
     ends = np.empty((width, segments))
@@ -278,7 +280,6 @@ def simulate_sequence(
     for j in range(1, width):
         np.subtract(times[j - 1], times[j], out=times[j])
     times[:, 1:] += np.cumsum(times[-1, :-1])
-    times[last + 1:, -1] = np.inf
     ends += times
     return ObservationSequence(_busy_bits_segmented(times, ends)[burn_in:total])
 

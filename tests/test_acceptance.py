@@ -205,7 +205,7 @@ def test_criterion_09_bound_mechanics():
     rate = max_covert_rate(0.3, spec)["bound"]
     chk = covertness_check(ModelParams(0.3, rate, 1.0), spec, mode="taylor")
     boundary_ok = abs(chk["p_e_raw"] - 0.9) < 1e-12
-    rows = scaling_table(0.3, 0.1, k=spec.k, n_values=[100, 400, 1600, 6400])
+    rows = scaling_table(0.3, 0.1, n_values=[100, 400, 1600, 6400])
     col = [r["bound_times_sqrt_n"] for r in rows]
     sqrt_ok = all(abs(v - col[0]) < 1e-12 for v in col)
     worked_ok = abs(rate - 0.020672) < 1e-6

@@ -163,7 +163,7 @@ LIBRARY_RESULTS = {
     "max_covert_rate": ("bound", lambda: covert.max_covert_rate(
         0.3, covert.CovertnessSpec(epsilon=0.1, n=1000))),
     "scaling_table": ("bound", lambda: covert.scaling_table(
-        0.3, 0.1, covert.KFunction(), [10, 100, 1000])),
+        0.3, 0.1, [10, 100, 1000])),
     "threshold_sweep-exact": ("sweep", lambda: experiment.threshold_sweep(
         LIB_PARAMS, 50, [-1.0, 0.0, 1.0])),
     "threshold_sweep-mc": ("sweep", lambda: experiment.threshold_sweep(
@@ -287,6 +287,14 @@ def test_bound_table_json_and_csv(capsys):
     code, out, _ = run_cli(capsys, *args, "--output", "csv")
     assert code == 0
     assert out.splitlines()[0] == "N,K_of_N,bound,bound_times_sqrtN"
+
+
+def test_bound_is_infeasible_where_one_minus_epsilon_rounds_to_one(capsys):
+    code, out, _ = run_cli(
+        capsys, "bound", "--lambda-w", "0.3", "--epsilon", "1e-17", "--n", "100"
+    )
+    assert code == 0
+    assert json.loads(out) == {"bound": 0.0, "feasible": False, "n": 100}
 
 
 def test_bound_requires_n_or_table(capsys):
@@ -465,6 +473,7 @@ def test_main_hands_its_command_what_a_fresh_parser_parses(monkeypatch, cmd):
                  id="argv0-2"),
     pytest.param(["bound", "--lambda-w", "nan", "--epsilon", "0.1", "--n", "100"], 2,
                  id="argv1-2"),
+    # flags that bound does not define are unrecognized arguments
     pytest.param([*BOUND, "--n", "100", "--alpha", "nan"], 2, id="argv2-2"),
     pytest.param([*BOUND, "--n", "100", "--k0", "inf"], 2, id="argv3-2"),
     pytest.param([*BOUND, "--n", "100", "--n-values", "10,100"], 2, id="argv4-2"),
@@ -490,8 +499,6 @@ def test_main_hands_its_command_what_a_fresh_parser_parses(monkeypatch, cmd):
                  4, id="argv15-4"),
     pytest.param(["exponent", "--lambda-w", "0.3", "--lambda-b", "0.3", "--mu", "5e-324",
                   "--output", "csv"], 4, id="argv16-4"),
-    # K(N) = 100**-200 underflows to 0
-    pytest.param([*BOUND, "--alpha", "200", "--n-values", "10,100"], 4, id="argv17-4"),
     # Cephes binomial tails are NaN from N = 2**31 on
     pytest.param(["sweep", *RATES, "--n", "3000000000", "--thresholds=0"], 4, id="argv18-4"),
     # a campaign whose exponent reference overflows, and a bound table row
@@ -907,7 +914,6 @@ def fuzz_argv(draw):
                 *maybe(f"--mu={draw(FLOATS)}"), *maybe("--self-check")]
     else:
         argv = ["bound", f"--lambda-w={draw(FLOATS)}", f"--epsilon={draw(FLOATS)}",
-                *maybe(f"--k0={draw(FLOATS)}"), *maybe(f"--alpha={draw(FLOATS)}"),
                 *maybe(f"--n={draw(N_VALUES)}"), *maybe(f"--n-values={draw(N_LISTS)}")]
     return argv + maybe("--output=csv")
 

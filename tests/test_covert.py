@@ -4,7 +4,6 @@ import pytest
 
 from covertq.covert import (
     CovertnessSpec,
-    KFunction,
     covertness_check,
     max_covert_rate,
     scaling_table,
@@ -38,34 +37,6 @@ def test_quadrupling_n_halves_bound():
     b1 = max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=500))["bound"]
     b4 = max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=2000))["bound"]
     assert b4 == pytest.approx(b1 / 2, abs=1e-15)
-
-
-def test_infeasible_prefactor_returns_zero():
-    # K(N) = N^-0.5 drops below 1 - epsilon once N > (1-eps)^-2
-    k = KFunction(k0=1.0, alpha=0.5)
-    bound = max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=10**6, k=k))
-    assert bound["bound"] == 0.0
-    assert not bound["feasible"]
-
-
-def test_power_family_infeasibility_onset():
-    k = KFunction(k0=1.0, alpha=0.5)
-    # onset where N^-0.5 <= 0.9, i.e. N >= (1/0.9)^2 = 1.2345...
-    assert max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=1, k=k))["feasible"]
-    assert not max_covert_rate(0.3, CovertnessSpec(epsilon=0.1, n=2, k=k))["feasible"]
-
-
-def test_k_function_sub_exponential():
-    for k in (KFunction(), KFunction(2.0, 0.5)):
-        for n, tol in ((10**3, 1e-2), (10**6, 1e-5), (10**9, 1e-8)):
-            assert abs(k.log_value(n) / n) < tol
-
-
-def test_k_function_validation():
-    with pytest.raises(ValueError):
-        KFunction(k0=0.0)
-    with pytest.raises(ValueError):
-        KFunction(alpha=-1.0)
 
 
 def test_covertness_spec_validation():
@@ -108,14 +79,6 @@ def test_zero_lambda_b_always_covert_with_unit_k():
     assert chk["covert"]
 
 
-def test_p_e_approx_clipped_raw_kept():
-    k = KFunction(k0=3.0)
-    spec = CovertnessSpec(epsilon=0.1, n=10, k=k)
-    chk = covertness_check(ModelParams(0.3, 0.01, 1.0), spec)
-    assert chk["p_e_raw"] > 1.0
-    assert chk["p_e_approx"] == 1.0
-
-
 def test_bound_monotone_in_epsilon_and_lambda_w():
     eps_values = [max_covert_rate(0.3, CovertnessSpec(epsilon=e, n=1000))["bound"]
                   for e in (0.05, 0.1, 0.2, 0.4)]
@@ -126,32 +89,21 @@ def test_bound_monotone_in_epsilon_and_lambda_w():
 
 
 def test_sqrt_n_law_in_scaling_table():
-    rows = scaling_table(0.3, 0.1, KFunction(), [100, 400, 1600, 6400, 25600])
+    rows = scaling_table(0.3, 0.1, [100, 400, 1600, 6400, 25600])
     col = [r["bound_times_sqrt_n"] for r in rows]
     for val in col[1:]:
         assert val == pytest.approx(col[0], abs=1e-12)
 
 
-def test_scaling_table_power_family_follows_formula_until_infeasible():
-    k = KFunction(k0=1.0, alpha=0.5)
-    rows = scaling_table(0.3, 0.9, k, [10, 100, 1000])
-    # with epsilon = 0.9 feasibility needs N^-0.5 > 0.1, i.e. N < 100
-    assert rows[0]["feasible"]
-    expected = sqrt(4.056 / 10 * (log(10**-0.5) - log(0.1)))
-    assert rows[0]["bound"] == pytest.approx(expected, abs=1e-12)
-    assert not rows[1]["feasible"] and rows[1]["bound"] == 0.0
-    assert not rows[2]["feasible"] and rows[2]["bound"] == 0.0
-
-
 def test_scaling_table_input_validation():
     with pytest.raises(ValueError):
-        scaling_table(0.3, 0.1, KFunction(), [])
+        scaling_table(0.3, 0.1, [])
     with pytest.raises(ValueError):
-        scaling_table(0.3, 0.1, KFunction(), [100, 100])
+        scaling_table(0.3, 0.1, [100, 100])
 
 
 def test_scaling_table_csv_columns():
-    rows = scaling_table(0.3, 0.1, KFunction(), [100, 200])
+    rows = scaling_table(0.3, 0.1, [100, 200])
     text = scaling_table_csv(rows)
     lines = text.splitlines()
     assert lines[0] == "N,K_of_N,bound,bound_times_sqrtN"

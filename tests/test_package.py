@@ -10,7 +10,7 @@ from fresh import run_fresh
 
 PUBLIC = (
     "CampaignConfig", "CovertnessSpec", "DegenerateModelError",
-    "Hypothesis", "KFunction", "ModelParams", "ObservationSequence",
+    "Hypothesis", "ModelParams", "ObservationSequence",
     "RngSeed", "covertness_check", "decide",
     "exact_error_probabilities", "exponent_report", "i_err_closed", "i_err_numeric",
     "i_err_taylor", "log_likelihood_ratio", "max_covert_rate",

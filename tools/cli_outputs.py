@@ -98,7 +98,6 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
         [*BOUND, "--n", "1000"],
         [*BOUND, "--n-values", "10,100,1000"],
         [*BOUND, "--n-values", "10,100,1000", "--output", "csv"],
-        [*BOUND, "--n-values", "10,100", "--alpha", "0.5", "--output", "csv"],
         ["sweep", *RATES, "--n", "200", "--thresholds=-1,0,1"],
         ["sweep", *RATES, "--n", "200", "--thresholds=-1,0,1", "--output", "csv"],
         ["sweep", *RATES, "--n", "50", "--thresholds=0", "--trials", "300",
@@ -147,9 +146,8 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
         # p and q nearly coincide: the cut sits mid-distribution
         ["sweep", "--lambda-w", "0.3", "--lambda-b", "1e-15", "--n", "1000",
          "--thresholds=0"],
-        # binomial tails past 2**31 trials, and a K(N) that underflows
+        # binomial tails past 2**31 trials
         ["sweep", *RATES, "--n", "3000000000", "--thresholds=0"],
-        [*BOUND, "--alpha", "200", "--n-values", "10,100"],
         # rates whose absolute clock or services would pass the float64 range;
         # both simulators count time in mean gaps and cap their loads
         ["simulate", "--lambda-w=1e-307", "--lambda-b=1e-307", "--mu=1e-307", "--n=1000",
