@@ -27,4 +27,4 @@ print(f"at N=1000 the bound is lambda_b <= {rate:.6f}")
 for lb, label in ((0.9 * rate, "below"), (rate, "at"), (1.1 * rate, "above")):
     chk = covertness_check(ModelParams(lambda_w, lb, 1.0), spec, mode="taylor")
     print(f"  {label:>5} the bound: lambda_b={lb:.6f}  "
-          f"predicted p_e {chk['p_e_approx']:.4f}  covert={chk['covert']}")
+          f"predicted p_e {chk['p_e_raw']:.4f}  covert={chk['covert']}")

@@ -4,13 +4,13 @@ Covertness asks that the detector's total error stay at or above
 1 - epsilon.  Approximating that error by exp(-I_err * N) and replacing
 the exponent with its small-rate expansion inverts into an explicit
 ceiling on the covert arrival rate, which decays like
-sqrt(-log(1 - epsilon) / N).
+sqrt(-log1p(-epsilon) / N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, inf, log, sqrt
+from math import exp, inf, log1p, sqrt
 
 from .exponent import i_err_closed, i_err_taylor
 from .model import ModelParams, csv_text
@@ -33,17 +33,14 @@ def max_covert_rate(lambda_w: float, spec: CovertnessSpec) -> dict:
 
     Inverts the criterion exp(-I N) >= 1 - epsilon through the quadratic
     exponent approximation.  Returns the single-N `bound` document
-    {"n", "bound", "feasible"}.  When 1 - epsilon rounds to 1.0 the log is
-    zero and no positive rate qualifies; "bound" is then 0.0 and
-    "feasible" false.  Rates are in the mu = 1 normalization.
+    {"n", "bound", "feasible"}; -log1p(-epsilon) > 0 for every epsilon
+    in (0, 1), so "feasible" is true.  Rates are in the mu = 1 normalization.
     """
     if not 0 < lambda_w < inf:  # also false for NaN
         raise ValueError(f"lambda_w must be positive and finite, got {lambda_w}")
-    log_ratio = -log(1.0 - spec.epsilon)
-    if log_ratio <= 0.0:
-        return {"n": spec.n, "bound": 0.0, "feasible": False}
-    value = (lambda_w + 1.0) * sqrt(8.0 * lambda_w / spec.n * log_ratio)
-    return {"n": spec.n, "bound": value, "feasible": True}
+    # one root per factor, so no product under a root can underflow (epsilon = 5e-324)
+    root = sqrt(8.0 * lambda_w) / sqrt(spec.n) * sqrt(-log1p(-spec.epsilon))
+    return {"n": spec.n, "bound": (lambda_w + 1.0) * root, "feasible": True}
 
 
 def covertness_check(
@@ -51,7 +48,7 @@ def covertness_check(
 ) -> dict:
     """Evaluate the covertness criterion with the chosen exponent.
 
-    p_e_raw = p_e_approx = exp(-I N), which lies in [0, 1].
+    p_e_raw = exp(-I N), which lies in [0, 1].
     """
     if mode == "closed":
         i_err = i_err_closed(params)
@@ -60,8 +57,7 @@ def covertness_check(
     else:
         raise ValueError(f"mode must be 'closed' or 'taylor', got {mode!r}")
     raw = exp(-i_err * spec.n)
-    return {"i_err": i_err, "p_e_raw": raw, "p_e_approx": raw,
-            "covert": raw >= 1.0 - spec.epsilon}
+    return {"i_err": i_err, "p_e_raw": raw, "covert": raw >= 1.0 - spec.epsilon}
 
 
 def scaling_table(

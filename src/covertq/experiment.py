@@ -30,6 +30,8 @@ from .sim import RngSeed
 # a departure, and no recorded output or pinned count moved.
 # 5: exponent_ref keeps p and q in place of the seven coefficients A..D, a..c
 # that restated them; the rows are those of version 4.
+# Still 5: the exponent forms its products of order (p - q)^2 as d (d kl2),
+# which moves only last digits of exponent_ref; keys and meaning are unchanged.
 RESULT_FORMAT_VERSION = 5
 
 _CONFIG_KEYS = ("lambda_w", "lambda_b", "mu", "n_grid", "trials_per_point",

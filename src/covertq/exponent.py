@@ -19,13 +19,10 @@ from __future__ import annotations
 
 from math import exp, expm1, log
 
-from .model import ModelParams, NonFiniteError, _h2, _kl2
+from .model import ModelParams, _h2, _kl2
 
 # Width of the final bracket around the numeric minimizer.
 V_NUMERIC_TOL = 1e-10
-
-# The rate-ratio core's `s` is NaN where its square of order p - q underflows.
-_S_UNDERFLOWS = "the minimizer's slope s underflows at these rates"
 
 
 def _neg_log_r(params: ModelParams, u: float) -> float:
@@ -34,7 +31,9 @@ def _neg_log_r(params: ModelParams, u: float) -> float:
     p, pbar, q, qbar, gap, ell = c.p, c.pbar, c.q, c.qbar, c.gap, c.ell
     e = q * expm1(u * ell)
     d = qbar * e / (1.0 + e)  # t_u - q, as logit(t_u) - logit(q) = u log1p(x)
-    return u * (d - gap) ** 2 * _kl2(p, pbar, d - gap) + (1.0 - u) * d * d * _kl2(q, qbar, d)
+    g = d - gap  # t_u - p
+    # g (g kl2), not g^2 kl2: a square of order (p - q)^2 underflows where I need not
+    return u * (g * (g * _kl2(p, pbar, g))) + (1.0 - u) * (d * (d * _kl2(q, qbar, d)))
 
 
 def r_of_u(params: ModelParams, u: float) -> float:
@@ -53,8 +52,6 @@ def v_closed_form(params: ModelParams) -> float:
         raise ValueError("v is undefined for lambda_b = 0 (take the limit 1/2)")
     c = params._ratios
     q, qbar, ell, s = c.q, c.qbar, c.ell, c.s
-    if s != s:
-        raise NonFiniteError(_S_UNDERFLOWS)
     z = s * ell / (q * (qbar - s * ell))
     return s * (1.0 + z * _h2(z)) / (qbar * (q + s * ell))  # (1 + z) q (1 - t*) = (1 - q) t*
 
@@ -65,16 +62,15 @@ def i_err_numeric(params: ModelParams) -> tuple[float, float]:
     Bisection over [0, 1] down to V_NUMERIC_TOL (34 halvings) on the sign of dr/du =
     q a e^(ua) + (1-q) b e^(ub), a > 0 > b from the rate-ratio core.  Up to a - b = 1
     it reads dr/du / log1p(x)^2 = u (q A^2 E(ua) + (1-q) B^2 E(ub)) - s, E(t) = expm1(t)/t:
-    nothing cancels, and nothing is subnormal before lambda_b/lambda_w is.  Past 1 that
-    difference keeps too few digits where q is tiny (s then differs from the sum by about
-    q a / log1p(x)^2), so it compares log(q a) + ua with log((1-q) |b|) + ub instead.
+    nothing cancels, and s and the larger term, both of order p (1-p), are subnormal only
+    where p (1-p) nearly is.  Past 1 that difference keeps too few digits where q is tiny
+    (s then differs from the sum by about q a / log1p(x)^2), so it compares log(q a) + ua
+    with log((1-q) |b|) + ub instead.
     """
     if params.lambda_b <= 0:
         raise ValueError("numeric exponent requires lambda_b > 0")
     c = params._ratios
     q, qbar, a, b, s = c.q, c.qbar, c.a, c.b, c.s
-    if s != s:
-        raise NonFiniteError(_S_UNDERFLOWS)
     wa, wb = q * c.big_a * c.big_a, qbar * c.big_b * c.big_b
     # log(q a) and log((1-q) |b|), the log-domain form's two intercepts
     logs = (log(q) + log(a), log(qbar) + log(-b)) if a - b > 1.0 else None

@@ -16,8 +16,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from math import isfinite, log, log1p, nan
-from sys import float_info
+from math import isfinite, log, log1p
 from typing import NamedTuple
 
 
@@ -70,7 +69,7 @@ class _Ratios(NamedTuple):
     a: float  # log(p/q), the LLR's idle coefficient
     b: float  # log((1-p)/(1-q)), its busy coefficient
     ell: float  # log1p(x)
-    s: float  # D(q||p)/ell^2, or NaN once its square has lost its digits
+    s: float  # D(q||p)/ell^2
     big_a: float  # a/ell
     big_b: float  # b/ell
 
@@ -135,9 +134,8 @@ class ModelParams:
                              f"q={q!r} must lie strictly between 0 and 1")
         r, y, ell = lb / (lw + mu), (lb / (lw + lb)) * p, log1p(x)
         b = log1p(-y) if y < 0.5 else log(pbar * ((lw + lb + mu) / (lw + lb)))
-        w2 = (pbar * q * (1.0 + x) / (1.0 + x * _h2(x))) ** 2
-        # NaN once the square is subnormal past 4 lost bits; the exponent refuses it
-        s = w2 * _kl2(p, pbar, -x * pbar * q) if w2 >= float_info.min / 16 else nan
+        w = pbar * q * (1.0 + x) / (1.0 + x * _h2(x))  # (p - q)/ell
+        s = w * (w * _kl2(p, pbar, -x * pbar * q))  # w * w could underflow where s does not
         return _Ratios(p, pbar, q, qbar, x * pbar * q, log1p(r), b, ell, s,
                        big_a=pbar * _l(r) / _l(x),
                        big_b=-p / (1.0 + x) * _l(-y) / _l(x) if y < 0.5 else b / ell)

@@ -9,14 +9,16 @@ import warnings
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from covertq import cli, covert, detect, experiment, exponent
-from covertq.model import ModelParams
+from covertq.model import ModelParams, json_text
 from covertq.sim import ObservationSequence, RngSeed, simulate_sequence
 from fresh import run_fresh
 from oracles import mpmath_exponent
+from test_exponent import assert_matches_mpmath
 from test_package import PUBLIC
 
 
@@ -225,6 +227,56 @@ def test_exponent_answers_at_extreme_rates(capsys, rates):
     jsonschema.validate(json.loads(out), schema("exponent_report"))
 
 
+@pytest.mark.parametrize("rates", [
+    ("1e200", "1", "1"), ("1e158", "1", "1"), ("6.36e161", "1", "1"),
+    ("2.59e-74", "3.62e-70", "1.05e-255"),
+], ids=["1e200", "1e158", "6.36e161", "2.59e-74"])
+def test_exponent_answers_where_the_square_of_p_minus_q_underflows(capsys, rates):
+    # p - q is of order 1/lambda_w or q: its square is 0 or subnormal where
+    # v (1/2, or 0.7636397077791709 at 2.59e-74) and I are not, or I is 0.0
+    code, out, err = run_cli(capsys, "exponent", "--lambda-w", rates[0], "--lambda-b",
+                             rates[1], "--mu", rates[2], "--self-check")
+    assert code == 0, err
+    rep = json.loads(out, parse_constant=_reject_constant)
+    jsonschema.validate(rep, schema("exponent_report"))
+    assert_matches_mpmath(tuple(map(float, rates)), rep)
+
+
+# Drawn once; rates log-uniform in [1e-100, 1e100]
+EXPONENT_FUZZ_SEED = 551182061
+
+
+def test_exponent_fuzz_over_two_hundred_decades(capsys):
+    # v and I of every accepted triple are within assert_matches_mpmath's
+    # bounds.  Its report is a schema document, and every tenth passes
+    # --self-check, unless the quadratic term (lambda_b/mu)^2 / (8 lambda_w/mu)
+    # overflows (3 triples here), which exits 4; a refused triple exits 2
+    validator = jsonschema.Draft202012Validator(schema("exponent_report"))
+    rng = np.random.default_rng(EXPONENT_FUZZ_SEED)
+    accepted = 0
+    for rates in 10.0 ** rng.uniform(-100.0, 100.0, size=(1000, 3)):
+        rates = tuple(map(float, rates))
+        argv = ["exponent", *(f"--{flag}={rate!r}" for flag, rate in
+                              zip(("lambda-w", "lambda-b", "mu"), rates)), "--self-check"]
+        try:
+            params = ModelParams(*rates)
+        except ValueError:
+            assert run_cli(capsys, *argv)[0] == 2
+            continue
+        rep = exponent.exponent_report(params)
+        assert_matches_mpmath(rates, rep)
+        if math.isinf(rep["i_err_taylor"]):
+            assert run_cli(capsys, *argv)[0] == 4
+            continue
+        validator.validate(json.loads(json_text(rep)))
+        if accepted % 10 == 0:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, (rates, err)
+            assert json.loads(out) == rep
+        accepted += 1
+    assert accepted >= 500
+
+
 def test_numeric_minimizer_keeps_its_digits_where_q_is_tiny(capsys):
     # q = 1e-65 and a - b = 184: dr/du's difference form is s less a sum
     # within q a / log1p(x)^2 of it, so the bisection compares logs there
@@ -240,7 +292,7 @@ def test_numeric_minimizer_keeps_its_digits_where_q_is_tiny(capsys):
 @pytest.mark.parametrize("argv, key, expected", [
     # (lambda_w + 1)**2 past the float64 range; the true 4.6e-464 underflows
     (["exponent", "--lambda-w", "1.4e154", "--lambda-b", "1"], "i_err_taylor", 0.0),
-    # where s's square is subnormal but has lost under 4 bits, v keeps its digits
+    # where (p - q)^2 is subnormal, v keeps its digits
     (["exponent", "--lambda-w", "1.4e154", "--lambda-b", "1"], "v_closed", 0.5),
     # lambda_b**2 underflowing to 0
     (["exponent", "--lambda-w", "1e150", "--lambda-b", "1e140"], "i_err_taylor", 1.25e-171),
@@ -289,12 +341,22 @@ def test_bound_table_json_and_csv(capsys):
     assert out.splitlines()[0] == "N,K_of_N,bound,bound_times_sqrtN"
 
 
-def test_bound_is_infeasible_where_one_minus_epsilon_rounds_to_one(capsys):
-    code, out, _ = run_cli(
-        capsys, "bound", "--lambda-w", "0.3", "--epsilon", "1e-17", "--n", "100"
+@pytest.mark.parametrize("epsilon, expected", [
+    # 50-digit mpmath values.  1 - epsilon rounds to 1.0 at 1e-17 and drops
+    # digits at 1e-16, and 8 lambda_w / N * 5e-324 would underflow under one root
+    ("1e-17", 6.368673331236263e-10),
+    ("1e-16", 2.0139513400278568e-09),
+    ("5e-324", 4.4765279620841153e-163),
+], ids=["1e-17", "1e-16", "5e-324"])
+def test_bound_keeps_the_digits_of_a_tiny_epsilon(capsys, epsilon, expected):
+    code, out, err = run_cli(
+        capsys, "bound", "--lambda-w", "0.3", "--epsilon", epsilon, "--n", "100"
     )
-    assert code == 0
-    assert json.loads(out) == {"bound": 0.0, "feasible": False, "n": 100}
+    assert code == 0, err
+    rec = json.loads(out)
+    jsonschema.validate(rec, schema("bound"))
+    assert rec["feasible"] is True
+    assert rec["bound"] == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 def test_bound_requires_n_or_table(capsys):
@@ -466,8 +528,8 @@ def test_main_hands_its_command_what_a_fresh_parser_parses(monkeypatch, cmd):
     assert _dispatched(monkeypatch) == expected
 
 
-# Explicit ids, so dropping a row renames no other row; the first 27 keep the
-# names pytest gave them by position.
+# Explicit ids, so dropping a row renames no other row; each keeps the name
+# pytest gave it by position.
 @pytest.mark.parametrize("argv, code", [
     pytest.param(["bound", "--lambda-w", "inf", "--epsilon", "0.1", "--n", "100"], 2,
                  id="argv0-2"),
@@ -481,7 +543,6 @@ def test_main_hands_its_command_what_a_fresh_parser_parses(monkeypatch, cmd):
     # a bound of about 1e450
     pytest.param(["bound", "--lambda-w", "1e300", "--epsilon", "0.1", "--n", "100"], 4,
                  id="argv6-4"),
-    pytest.param(["exponent", "--lambda-w", "1e200", "--lambda-b", "1"], 4, id="argv7-4"),
     pytest.param(["simulate", *RATES, "--n", "10", "--hyp", "h0", "--seed", "-3"], 2,
                  id="argv8-2"),
     # removed flags are unknown arguments
@@ -514,10 +575,6 @@ def test_main_hands_its_command_what_a_fresh_parser_parses(monkeypatch, cmd):
     # a config key given twice, and a sequence file of more than one line
     pytest.param(["campaign", "dup.cfg", "--out", "r"], 3, id="argv23-3"),
     pytest.param(["detect", *RATES, "lines.txt"], 3, id="argv24-3"),
-    # s's square of order p - q is subnormal: v = 1/2 would print as
-    # 0.4999999918 and 0.9992
-    pytest.param(["exponent", "--lambda-w", "1e158", "--lambda-b", "1"], 4, id="argv25-4"),
-    pytest.param(["exponent", "--lambda-w", "6.36e161", "--lambda-b", "1"], 4, id="argv26-4"),
 ])
 def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)

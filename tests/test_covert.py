@@ -75,7 +75,7 @@ def test_zero_lambda_b_always_covert_with_unit_k():
     spec = CovertnessSpec(epsilon=0.1, n=1000)
     chk = covertness_check(ModelParams(0.3, 0.0, 1.0), spec)
     assert chk["i_err"] == 0.0
-    assert chk["p_e_approx"] == 1.0
+    assert chk["p_e_raw"] == 1.0
     assert chk["covert"]
 
 

@@ -1,5 +1,6 @@
 import functools
 from math import exp, log
+from sys import float_info
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from covertq.exponent import (
     r_of_u,
     v_closed_form,
 )
-from covertq.model import Hypothesis, ModelParams, NonFiniteError, json_text
+from covertq.model import Hypothesis, ModelParams, json_text
 from oracles import (
     big_f,
     chernoff_information,
@@ -114,14 +115,33 @@ def test_v_rejects_zero_lambda_b():
         v_closed_form(ModelParams(0.3, 0.0, 1.0))
 
 
-@pytest.mark.parametrize("rates", [
-    (1e200, 1.0, 1.0), (1e161, 1.0, 1.0), (2.59e-74, 3.62e-70, 1.05e-255)])
-def test_v_closed_form_refuses_where_its_square_underflows(rates):
-    # v is near 0.5, 0.5 and 0.76 here (mpmath), but s, a square of order
-    # p - q, is 0 or subnormal, and read 0.4941 at 1e161
-    for minimizer in (v_closed_form, i_err_numeric):
-        with pytest.raises(NonFiniteError, match="underflows"):
-            minimizer(ModelParams(*rates))
+def assert_matches_mpmath(rates, rep):
+    """An exponent report's v and I against `mpmath_exponent` at these rates.
+
+    v_closed to 1e-14, v_numeric to its bracket, and both exponents to 1e-14
+    relative where mpmath's I is a normal double, two subnormal steps where not.
+    """
+    v_ref, i_ref = (float(x) for x in mpmath_exponent(*rates))
+    assert abs(rep["v_closed"] - v_ref) <= 1e-14, (rates, rep, v_ref)
+    assert abs(rep["v_numeric"] - v_ref) <= exponent.V_NUMERIC_TOL, (rates, rep, v_ref)
+    tol = 1e-14 * i_ref if i_ref >= float_info.min else 2 * 5e-324
+    for key in ("i_err_closed", "i_err_numeric"):
+        assert abs(rep[key] - i_ref) <= tol, (rates, key, rep[key], i_ref)
+
+
+@pytest.mark.parametrize("rates, i_err", [
+    # p - q of order 1/lambda_w, so (p - q)^2 is 0 or subnormal while s and v
+    # are not: v is 1/2, and I is 0.0 at 1e200 as mpmath's is
+    ((1e200, 1.0, 1.0), 0.0),
+    ((1e161, 1.0, 1.0), 0.0),
+    ((2.59e-74, 3.62e-70, 1.05e-255), 2.6712150893001473e-182),  # v = 0.7636397077791709
+    ((1e150, 1e140, 1.0), 1.2499999998125002e-171),
+    ((1.3e154, 1e100, 1.0), 5.689576695493856e-264),
+], ids=["1e200", "1e161", "2.59e-74", "1e150", "1.3e154"])
+def test_exponent_answers_where_squares_of_order_p_minus_q_underflow(rates, i_err):
+    rep = exponent_report(ModelParams(*rates))
+    assert_matches_mpmath(rates, rep)
+    assert rep["i_err_closed"] == pytest.approx(i_err, rel=1e-15, abs=0)
 
 
 def test_closed_and_numeric_agree():

@@ -123,6 +123,15 @@ def subcommand_calls(tmp: Path) -> list[list[str]]:
         [*BOUND, "--n", "100", "--k0", "inf"],
         ["bound", "--lambda-w", "1e200", "--epsilon", "0.1", "--n", "100"],
         ["exponent", "--lambda-w", "1e200", "--lambda-b", "1"],
+        # (p - q)^2 is 0 or subnormal where v and I are not, or I is 0.0
+        ["exponent", "--lambda-w", "1e200", "--lambda-b", "1", "--self-check"],
+        ["exponent", "--lambda-w", "1e158", "--lambda-b", "1", "--self-check"],
+        ["exponent", "--lambda-w", "6.36e161", "--lambda-b", "1", "--self-check"],
+        ["exponent", "--lambda-w", "2.59e-74", "--lambda-b", "3.62e-70", "--mu", "1.05e-255",
+         "--self-check"],
+        # 1 - epsilon rounds to 1.0, and epsilon is the least subnormal
+        ["bound", "--lambda-w", "0.3", "--epsilon", "1e-17", "--n", "100"],
+        ["bound", "--lambda-w", "0.3", "--epsilon", "5e-324", "--n", "100"],
         # (1-p)/(1-q) a hair below 1, and rates whose products underflow
         ["exponent", "--lambda-w", "50", "--lambda-b", "0.5", "--mu", "1e-12"],
         ["exponent", "--lambda-w", "1e-300", "--lambda-b", "0", "--mu", "1e-300"],
