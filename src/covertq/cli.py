@@ -187,7 +187,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_exponent(args) -> int:
     params = _params_from_args(args)
-    rep = exponent.exponent_report(params)
+    rep = exponent._finite_report(params, exponent.exponent_report(params))
     _emit(args, rep, lambda: csv_text(
         ("lambda_w", "lambda_b", "mu", "v", "i_err_closed", "i_err_numeric",
          "i_err_taylor"),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import isfinite, log
 
 from .detect import _check_trials, exact_error_probabilities, monte_carlo_error
-from .exponent import exponent_report
+from .exponent import _finite_report, exponent_report
 from .model import ModelParams, csv_text, json_text, write_text
 from .sim import RngSeed
 
@@ -187,7 +187,8 @@ def run_campaign(cfg: CampaignConfig) -> dict:
         "fitted_slope_f": _fit_slope(ns, [r["p_f"] for r in rows], floor),
         "fitted_slope_m": _fit_slope(ns, [r["p_m"] for r in rows], floor),
         "fitted_slope_e": _fit_slope(ns, [r["p_e"] for r in rows], floor),
-        "exponent_ref": exponent_report(cfg.params) if cfg.params.lambda_b > 0 else None,
+        "exponent_ref": (_finite_report(cfg.params, exponent_report(cfg.params))
+                         if cfg.params.lambda_b > 0 else None),
         "config": cfg.to_dict(),
     }
 

@@ -17,9 +17,9 @@ are equal at the minimizer (Cover & Thomas, Elements of Information Theory, 11.9
 
 from __future__ import annotations
 
-from math import exp, expm1, log
+from math import exp, expm1, isfinite, log
 
-from .model import ModelParams, _h2, _kl2
+from .model import ModelParams, NonFiniteError, _h2, _kl2
 
 # Width of the final bracket around the numeric minimizer.
 V_NUMERIC_TOL = 1e-10
@@ -124,3 +124,17 @@ def exponent_report(params: ModelParams) -> dict:
         "p": params._ratios.p,
         "q": params._ratios.q,
     }
+
+
+def _finite_report(params: ModelParams, rep: dict) -> dict:
+    """`rep`, the exponent_report of params, checked before the CLI or a campaign writes it.
+
+    Raises NonFiniteError naming the fields that are NaN or infinite, and
+    the rates, where the float range cannot hold the report.
+    """
+    bad = [key for key, value in rep.items() if not isfinite(value)]
+    if bad:
+        raise NonFiniteError(
+            f"exponent report has non-finite {', '.join(bad)} at (lambda_w, lambda_b, mu) = "
+            f"({params.lambda_w!r}, {params.lambda_b!r}, {params.mu!r})")
+    return rep

@@ -36,6 +36,9 @@ DEFAULT_BURN_IN = 1
 # Arrivals per time-major draw in simulate_sequence_batch; under 256, as chunk sums are uint8.
 MC_CHUNK = 64
 
+# Rows of each segment _busy_bits_segmented's vectorized pass reads.
+_SETTLE_ROWS = 8
+
 # Held by simulate_sequence_batch around each chunk's row section (see
 # the module docstring).
 _ROW_LOCK = threading.Lock()
@@ -199,23 +202,47 @@ def _busy_bits_segmented(times: np.ndarray, ends: np.ndarray) -> np.ndarray:
     cut into segments of `width` arrivals, time-major: column k of the
     (width, segments) arrays is segment k; rows past the stream's end
     (further arrivals, or +inf) change no earlier bit.  Every segment runs
-    through _busy_bits_batch once, starting empty.  A walk over the
-    segments in order then carries the true departure time, stepping from
-    one arrival the true run serves to the next with a binary search over
-    the busy span between them: once the true run serves an arrival the
-    empty-start run serves too, the two agree, so the segment ends on the
-    batch's departure time.  A segment where they never meet ends on the
-    walk's.  The walk costs one step per arrival served before the runs
+    through _busy_bits_batch once, starting empty.  Once a segment's true
+    run serves an arrival its empty-start run serves too, the two agree,
+    so the segment ends on the batch's departure time depart[k].
+
+    One vectorized pass then assumes each segment k >= 1 starts on
+    depart[k-1] and reads its first _SETTLE_ROWS rows: where the first
+    arrival at or after that time is one the empty-start run serves, the
+    arrivals before it are lost and the segment is settled.  At light and
+    moderate load that is nearly every segment.  A walk over the segments
+    in order then carries the true departure time through the rest,
+    stepping from one arrival the true run serves to the next with a
+    binary search over the busy span between them until the runs meet.  A
+    segment where they never meet ends on the walk's time, so the walk
+    goes on into the next segment, settled or not, as its assumed start is
+    wrong.  The walk costs one step per arrival served before the runs
     meet, so heavy load, where a busy span covers many arrivals, stays
-    cheap.  Times and services must be nonnegative, as _busy_bits_batch
-    requires.  Returns the bits of all width * segments arrivals in stream
-    order.
+    cheap.  The lost arrivals of the segments it skipped are marked after
+    it, as it reads the empty-start flags.  Times and services must be
+    nonnegative, as _busy_bits_batch requires, and each segment's times
+    nondecreasing.  Returns the bits of all width * segments arrivals in
+    stream order.
     """
     width, segments = times.shape
     depart = np.full(segments, -np.inf)
     idle = _busy_bits_batch(times, ends, depart)
-    true_depart = -np.inf
+    head = min(width, _SETTLE_ROWS)
+    start = np.empty(segments)
+    start[0] = -np.inf  # segment 0 starts empty, as the batch ran it
+    start[1:] = depart[:-1]
+    lost = times[:head] < start  # before the first arrival at or after the start
+    first = np.count_nonzero(lost, axis=0)
+    settled = first < head
+    settled &= idle[np.minimum(first, head - 1), np.arange(segments)]
+    walk = (~settled).tolist()
+    true_depart = None  # None while each segment so far ended on its depart[k]
     for k in range(segments):
+        if true_depart is None:
+            if not walk[k]:
+                continue
+            true_depart = start.item(k)
+        settled[k] = False
         j = 0
         while True:
             # skip to the first arrival at or after the true departure time
@@ -226,11 +253,13 @@ def _busy_bits_segmented(times: np.ndarray, ends: np.ndarray) -> np.ndarray:
             if m == width:
                 break
             if idle.item(m, k):
-                true_depart = depart.item(k)
+                true_depart = None  # segment k + 1 starts on depart[k]
                 break
             idle[m, k] = True
             true_depart = ends.item(m, k)
             j = m + 1
+    lost &= settled
+    idle[:head][lost] = False
     np.logical_not(idle, out=idle)
     return idle.T.ravel().view(np.uint8)
 
@@ -260,11 +289,13 @@ def simulate_sequence(
     its log and a service its log times _load.  Segment k's clock is its
     own running sum plus the sum of segments 0..k-1, which is exactly its
     predecessor's last arrival time, so arrival times never decrease
-    along the stream.  The width * segments - total rows past the end
-    follow every real arrival, so they cannot change its bit, and the
-    [burn_in:total] slice drops them.  Nothing overflows: an arrival time
-    is at most 53 ln 2 * (width * segments), a service at most the float
-    maximum, and their sum rounds to at most the float maximum.
+    along the stream.  One contiguous add puts the bases on every row;
+    segment 0's is -0.0, which leaves each of its times bit for bit as it
+    is.  The width * segments - total rows past the end follow every real
+    arrival, so they cannot change its bit, and the [burn_in:total] slice
+    drops them.  Nothing overflows: an arrival time is at most 53 ln 2 *
+    (width * segments), a service at most the float maximum, and their
+    sum rounds to at most the float maximum.
     """
     _check_lengths(n, burn_in)
     total = n + burn_in
@@ -279,7 +310,10 @@ def simulate_sequence(
     np.negative(times[0], out=times[0])
     for j in range(1, width):
         np.subtract(times[j - 1], times[j], out=times[j])
-    times[:, 1:] += np.cumsum(times[-1, :-1])
+    base = np.empty(segments)
+    base[0] = -0.0  # x + -0.0 is x bit for bit, -0.0 included
+    np.cumsum(times[-1, :-1], out=base[1:])
+    times += base
     ends += times
     return ObservationSequence(_busy_bits_segmented(times, ends)[burn_in:total])
 

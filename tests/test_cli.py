@@ -575,6 +575,12 @@ def test_main_hands_its_command_what_a_fresh_parser_parses(monkeypatch, cmd):
     # a config key given twice, and a sequence file of more than one line
     pytest.param(["campaign", "dup.cfg", "--out", "r"], 3, id="argv23-3"),
     pytest.param(["detect", *RATES, "lines.txt"], 3, id="argv24-3"),
+    # an exponent report with a subnormal p, and one whose Taylor term overflows
+    pytest.param(["exponent", "--lambda-w", "0.3", "--lambda-b", "1", "--mu", "1e-310"], 4,
+                 id="exponent-subnormal-p-4"),
+    pytest.param(["exponent", "--lambda-w", "2.544925609897243e-89",
+                  "--lambda-b", "3.742364277868881e+67", "--mu", "1.4394107473115648e-86"], 4,
+                 id="exponent-taylor-overflow-4"),
 ])
 def test_bad_inputs_exit_with_their_code(tmp_path, monkeypatch, capsys, argv, code):
     monkeypatch.chdir(tmp_path)

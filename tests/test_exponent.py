@@ -1,5 +1,5 @@
 import functools
-from math import exp, log
+from math import exp, isfinite, log
 from sys import float_info
 
 import numpy as np
@@ -15,7 +15,7 @@ from covertq.exponent import (
     r_of_u,
     v_closed_form,
 )
-from covertq.model import Hypothesis, ModelParams, json_text
+from covertq.model import Hypothesis, ModelParams, NonFiniteError, json_text
 from oracles import (
     big_f,
     chernoff_information,
@@ -347,6 +347,26 @@ def test_exponent_report_json():
         "v_closed", "v_numeric", "i_err_closed", "i_err_numeric",
         "i_err_taylor", "p", "q",
     }
+
+
+@pytest.mark.parametrize("rates, fields", [
+    # p subnormal: the slope s overflows, and the rescaled rates in the Taylor term
+    ((0.3, 1.0, 1e-310), "v_closed, i_err_closed, i_err_numeric, i_err_taylor"),
+    # (lambda_b/mu)^2 / (8 lambda_w/mu) passes the float range; the rest is right
+    ((2.544925609897243e-89, 3.742364277868881e+67, 1.4394107473115648e-86),
+     "i_err_taylor"),
+    ((0.3, 1e160, 1.0), "i_err_taylor"),
+])
+def test_exponent_report_names_its_non_finite_fields_and_rates(rates, fields):
+    params = ModelParams(*rates)
+    rep = exponent_report(params)  # the report itself, as computed
+    assert fields == ", ".join(k for k, v in rep.items() if not isfinite(v))
+    with pytest.raises(NonFiniteError) as info:
+        exponent._finite_report(params, rep)
+    assert str(info.value) == (f"exponent report has non-finite {fields} at "
+                               f"(lambda_w, lambda_b, mu) = {rates!r}")
+    finite = exponent_report(PARAMS)
+    assert exponent._finite_report(PARAMS, finite) is finite
 
 
 @pytest.mark.parametrize("lambda_b", [1e-9, 1e-3])

@@ -11,6 +11,7 @@ import pytest
 from covertq import sim
 from covertq.model import Hypothesis, ModelParams
 from covertq.sim import (
+    _SETTLE_ROWS,
     MC_CHUNK,
     ObservationSequence,
     RngSeed,
@@ -516,6 +517,59 @@ def test_arrival_on_a_departure_is_served():
         services[n // 3] = n // 2
         np.testing.assert_array_equal(_segmented_busy_bits(times, services),
                                       scalar_busy_bits(times, services))
+
+
+# The cases below cut 100 arrivals at times 0..99 into 10 segments of 10,
+# segment k holding arrivals 10k..10k+9; zero services serve every arrival
+# the server is free for.  _busy_bits_segmented's vectorized pass assumes
+# segment k starts on the empty-start run's departure time of segment k - 1.
+
+@pytest.mark.parametrize("row", [_SETTLE_ROWS - 1, _SETTLE_ROWS, 9, 10])
+def test_first_arrival_after_the_assumed_start_past_the_rows_read(row):
+    # arrival 19's service ends just before segment 2's arrival `row`
+    # (row 10 is segment 3's first), so the pass cannot settle segment 2
+    # from its first _SETTLE_ROWS rows once row >= _SETTLE_ROWS
+    times, services = np.arange(100.0), np.zeros(100)
+    services[19] = row + 0.5
+    bits = _segmented_busy_bits(times, services)
+    np.testing.assert_array_equal(bits, scalar_busy_bits(times, services))
+    assert bits[20:20 + row].all() and not bits[20 + row:].any()
+
+
+@pytest.mark.parametrize("service", [7.0, 12.5, 25.0, 45.0])
+def test_segments_after_one_whose_true_run_never_meets(service):
+    # arrival 9 keeps the server busy to 15.5, so the true run loses 10..15
+    # and serves 16..19, which the empty-start run of segment 1 loses to
+    # arrival 15's long service: the runs never meet, segment 1 truly ends
+    # at 19, and segment 2 on starts off the assumed depart[1] = 15 + service.
+    # At 7.0 the pass would settle segment 2 with 20 and 21 lost, both served.
+    times, services = np.arange(100.0), np.zeros(100)
+    services[9], services[15] = 6.5, service
+    bits = _segmented_busy_bits(times, services)
+    np.testing.assert_array_equal(bits, scalar_busy_bits(times, services))
+    assert not bits[16:].any()
+
+
+@pytest.mark.parametrize("row", [0, 2, _SETTLE_ROWS - 1])
+def test_arrival_exactly_on_the_assumed_start_is_served(row):
+    times, services = np.arange(100.0), np.zeros(100)
+    services[19] = row + 1.0  # depart[1] is segment 2's arrival `row`
+    bits = _segmented_busy_bits(times, services)
+    np.testing.assert_array_equal(bits, scalar_busy_bits(times, services))
+    np.testing.assert_array_equal(bits[20:21 + row], [1] * row + [0])
+
+
+@pytest.mark.parametrize("service", [0.5, 1.0, 3.0, _SETTLE_ROWS + 0.5, 12.0])
+@pytest.mark.parametrize("n", [99, 100, 101])
+def test_last_segment_settles_against_its_padding(n, service):
+    # 99 and 100 fill their last segment; 101's holds one arrival and 9
+    # +inf rows, which the pass reads when the arrival is lost
+    width = math.isqrt(n)
+    first = (-(-n // width) - 1) * width  # the last segment's first arrival
+    times, services = np.arange(float(n)), np.zeros(n)
+    services[first - 1] = service
+    np.testing.assert_array_equal(_segmented_busy_bits(times, services),
+                                  scalar_busy_bits(times, services))
 
 
 def _chunk(case):
