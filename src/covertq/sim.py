@@ -5,6 +5,12 @@ exponential inter-arrival and service samples.  The Bernoulli idle
 probabilities of :mod:`covertq.model` are deliberately not used here, so
 the simulator is an independent check on that reduction.
 
+Both simulators run Lindley's recursion on residual work, in units of the
+mean gap, through one row kernel, _chunk_rows, and neither forms a clock:
+the Monte Carlo batch over its trials, and a single stream over lanes, runs
+of consecutive arrivals that each start from an empty server and are then
+joined at their seams (see _lane_busy_bits).
+
 A Monte Carlo chunk's row section is some 320 short ufunc calls, and it
 runs one thread at a time, under a module lock.  Each short call
 releases the GIL, so two Monte Carlo workers running it at once hand the
@@ -36,8 +42,13 @@ DEFAULT_BURN_IN = 1
 # Arrivals per time-major draw in simulate_sequence_batch; under 256, as chunk sums are uint8.
 MC_CHUNK = 64
 
-# Rows of each segment _busy_bits_segmented's vectorized pass reads.
+# Arrivals per single-stream lane at lambda_h / mu <= 1 (see simulate_sequence).
+_LANE_ROWS = 100
+
+# Rows of each block of _lane_busy_bits' seam rerun, and the share of open
+# lanes, one in _GATHER_SHARE, below which it runs on them gathered.
 _SETTLE_ROWS = 8
+_GATHER_SHARE = 20
 
 # Held by simulate_sequence_batch around each chunk's row section (see
 # the module docstring).
@@ -133,39 +144,21 @@ def _log_uniforms(rng: np.random.Generator, out: np.ndarray) -> None:
     np.log(out, out=out)
 
 
-def _depart(depart: np.ndarray, ends: np.ndarray, idle: np.ndarray,
+def _depart(residual: np.ndarray, service: np.ndarray, idle: np.ndarray,
             out: np.ndarray) -> None:
-    """The branchless departure update depart = max(depart, ends * idle).
+    """The branchless update residual = max(residual, service * idle).
 
-    Arrival and service times must be nonnegative (+inf allowed), and a
-    -inf `depart` marks an empty server.  A served arrival's end is then
-    at least its arrival time, which is at least depart, and a lost one
-    gives 0.0, below its depart.  That is bit for bit the masked copy of
-    `ends` where idle, without the copy's mispredicted branch per trial.
-    A +inf arrival is always idle, so 0 * inf never occurs.  `out` takes
-    ends * idle and may be `ends` itself.  _chunk_rows runs it on residual
-    work, where every arrival is at time 0.
+    An idle arrival found no work left (residual <= 0), and its service is
+    nonnegative (-0.0 included), so the max is that service; a lost one
+    gives service * 0, a zero below its positive residual.  That is bit
+    for bit the masked copy of `service` where idle, but for a zero's sign
+    where an idle arrival's residual and service are both zero, which no
+    later comparison with 0 sees; and it runs without the copy's
+    mispredicted branch per trial.  Services must be finite, so 0 * inf
+    never occurs.  `out` takes service * idle and may be `service` itself.
     """
-    np.multiply(ends, idle, out=out)
-    np.maximum(depart, out, out=depart)
-
-
-def _busy_bits_batch(times: np.ndarray, ends: np.ndarray,
-                     depart: np.ndarray) -> np.ndarray:
-    """The recursion over _busy_bits_segmented's segments, vectorized across them.
-
-    `times` and `ends` (arrival time plus service time) are (arrivals,
-    segments), time-major; `depart` carries each segment's departure
-    time in and out.  Returns the (arrivals, segments) flags that are
-    True where the arrival found the server idle, i.e. the complement of
-    the busy bits.  Times must meet _depart's precondition.
-    """
-    idle = np.empty(times.shape, dtype=bool)
-    served_end = np.empty(times.shape[1])
-    for j in range(times.shape[0]):
-        np.greater_equal(times[j], depart, out=idle[j])
-        _depart(depart, ends[j], idle[j], served_end)
-    return idle
+    np.multiply(service, idle, out=out)
+    np.maximum(residual, out, out=residual)
 
 
 def _chunk_rows(gaps: np.ndarray, services: np.ndarray, loads: np.ndarray,
@@ -195,73 +188,259 @@ def _chunk_rows(gaps: np.ndarray, services: np.ndarray, loads: np.ndarray,
     return idle
 
 
-def _busy_bits_segmented(times: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _stream_walk(gaps: np.ndarray, services: np.ndarray, load: float,
+                 idle: np.ndarray, tail: np.ndarray):
+    """The walk of _lane_busy_bits over one stream's draws: (walk, served).
+
+    `gaps` and `services` are the stream's (width, segments) logs, and
+    `idle` and `tail` the empty-start run's flags, as _lane_busy_bits lays
+    them out.  walk(p, work) carries the work that the arrival before
+    stream position p left on through the stream, Lindley's recursion as
+    _chunk_rows runs it, to the first arrival that both it and the
+    empty-start run of that arrival's lane find idle, and returns that
+    position, or width * segments at the stream's end.  It appends the
+    arrivals it serves to `served`; the others it passes are lost.  It
+    takes one step per arrival it serves, finding where each busy stretch
+    ends by binary search over running sums of the negated gaps (see
+    first_idle), or by the sequential fold itself (settle).
+    """
+    width, segments = gaps.shape
+    total = gaps.size
+    rows, lanes = idle.shape[:2]
+    main = rows * lanes
+    served = []
+    sums = np.empty((0, width))  # column's running sums for columns sums_first..
+    sums_first = 0
+    drains = None  # every column's negated gap sum
+
+    def settle(p, work):
+        """The first arrival from stream position p on that finds no work
+        left, the arrival before p having left `work`: the sequential fold.
+
+        np.add.accumulate folds the negated gaps of up to 16 columns at a
+        time onto -work, the fold of _chunk_rows negated, which is exact;
+        it never decreases, so a binary search finds the first arrival it
+        takes to 0 or above.
+        """
+        while p < total:
+            k, row = divmod(p, width)
+            end = min(segments, k + 16)
+            fold = np.empty((end - k) * width + 1)
+            np.negative(gaps[:, k:end].T, out=fold[1:].reshape(end - k, width))
+            fold = fold[row:]
+            fold[0] = -work
+            np.add.accumulate(fold, out=fold)
+            j = int(fold[1:].searchsorted(0.0))
+            if j < fold.size - 1:
+                return p + j
+            p += j
+            work = -fold.item(-1)
+        return total
+
+    def column(k):
+        """Column k's running sums of negated gaps, from row 0."""
+        nonlocal sums, sums_first
+        if not sums_first <= k < sums_first + len(sums):
+            # a walk goes on from column to column: sum more of them at a time
+            more = min(2 * len(sums) or 1, 16) if k == sums_first + len(sums) else 1
+            block = gaps[:, k:k + more].T
+            sums = np.negative(block, out=np.empty(block.shape))
+            np.cumsum(sums, axis=1, out=sums)
+            sums_first = k
+        return sums[k - sums_first]
+
+    def first_idle(p, work):
+        """settle(p, work), mostly without the fold.
+
+        With S_k(r) column k's running sum of negated gaps to row r, the
+        work left after arrival r of column k is about t - S_k(r), where t
+        is the work on entering the column plus S_k of the row before; and
+        a column the stretch passes whole drains about its sum.  Each sum
+        of m nonnegative terms is within m unit roundoffs of its value, and
+        so is the fold, on the same terms plus `work`, so the bracket
+        differs from the fold by less than 2**-50 * (columns + 2) * width
+        * scale, scale being `work` plus the sums of the columns it read.
+        Where the bracket clears 0 by that margin, its sign is the fold's;
+        at a nearer tie settle folds.
+        """
+        nonlocal drains
+        if not work > 0.0:
+            return p
+        k, row = divmod(p, width)
+        level, scale, columns = work, work, 0
+        while k < segments:
+            columns += 1
+            if not row and level > width / 2:  # maybe busy through column k
+                if drains is None:
+                    drains = -np.add.reduce(gaps, axis=0)
+                drain = drains.item(k)
+                scale += drain
+                if level - drain > 2.0**-50 * (columns + 2) * width * scale:
+                    level -= drain
+                    k += 1
+                    continue
+            running = column(k)
+            scale += running.item(-1)
+            margin = 2.0**-50 * (columns + 2) * width * scale
+            target = level + running.item(row - 1) if row else level
+            r = max(int(running.searchsorted(target)), row)
+            if r < width:
+                if running.item(r) - target > margin and (
+                        r == row or target - running.item(r - 1) > margin):
+                    return k * width + r
+                return settle(p, work)
+            if not target - running.item(-1) > margin:
+                return settle(p, work)
+            level = target - running.item(-1)
+            k, row = k + 1, 0
+        return total
+
+    def walk(p, work):
+        while p < total:
+            y = first_idle(p, work)
+            if y == total:
+                break
+            k, row = divmod(y, width)
+            if row >= main:
+                both = tail.item(row - main, k)
+            else:
+                i, j = divmod(row, rows)
+                both = idle.item(j, i, k)
+            if both:  # the empty-start run finds it idle too
+                return y
+            served.append(y)
+            # max(work left, service), as in _depart: its service, a zero's sign aside
+            work = services.item(row, k) * load
+            p = y + 1
+        return total
+
+    return walk, served
+
+
+def _lane_busy_bits(gaps: np.ndarray, services: np.ndarray, load: float,
+                    lanes: int) -> np.ndarray:
     """Busy bits (uint8, 1 = busy) of one arrival stream, exactly.
 
-    `times` and `ends` (arrival time plus service time) hold the stream
-    cut into segments of `width` arrivals, time-major: column k of the
-    (width, segments) arrays is segment k; rows past the stream's end
-    (further arrivals, or +inf) change no earlier bit.  Every segment runs
-    through _busy_bits_batch once, starting empty.  Once a segment's true
-    run serves an arrival its empty-start run serves too, the two agree,
-    so the segment ends on the batch's departure time depart[k].
+    `gaps` and `services` hold the stream's draws of log(1 - U) cut into
+    segments of `width` arrivals, time-major: column k of the C-ordered
+    (width, segments) arrays is segment k.  `load` is _load's
+    -lambda_h / mu.  Each column is viewed as `lanes` lanes of
+    width // lanes consecutive rows, the last lane taking any rows left
+    over, and every lane runs through _chunk_rows at once, from an empty
+    server.  Once a lane's true run and this empty-start run find the same
+    arrival idle, both hold the same residual from there on (a zero's sign
+    aside, see _depart), so the lane ends on the empty-start residual.
 
-    One vectorized pass then assumes each segment k >= 1 starts on
-    depart[k-1] and reads its first _SETTLE_ROWS rows: where the first
-    arrival at or after that time is one the empty-start run serves, the
-    arrivals before it are lost and the segment is settled.  At light and
-    moderate load that is nearly every segment.  A walk over the segments
-    in order then carries the true departure time through the rest,
-    stepping from one arrival the true run serves to the next with a
-    binary search over the busy span between them until the runs meet.  A
-    segment where they never meet ends on the walk's time, so the walk
-    goes on into the next segment, settled or not, as its assumed start is
-    wrong.  The walk costs one step per arrival served before the runs
-    meet, so heavy load, where a busy span covers many arrivals, stays
-    cheap.  The lost arrivals of the segments it skipped are marked after
-    it, as it reads the empty-start flags.  Times and services must be
-    nonnegative, as _busy_bits_batch requires, and each segment's times
-    nondecreasing.  Returns the bits of all width * segments arrivals in
-    stream order.
+    The seam rerun runs each lane again from its predecessor's end
+    residual, in _SETTLE_ROWS-row blocks, on views over all lanes until
+    fewer than one in _GATHER_SHARE is open and then on the open lanes
+    gathered, for as long as each block settles some lane.  A lane is
+    settled at the first arrival both runs find idle; before it the
+    rerun's flags hold.  The walk (see _stream_walk) then carries the true
+    residual in stream order through every lane the rerun left open, from
+    the row where the rerun stopped, and on through every lane after one
+    it does not settle, from that lane's first row, as their reruns
+    started from a wrong residual.  Rows past the stream's end (further
+    draws, or padding) change no earlier bit.  Returns the bits of all
+    width * segments arrivals in stream order.
     """
-    width, segments = times.shape
-    depart = np.full(segments, -np.inf)
-    idle = _busy_bits_batch(times, ends, depart)
-    head = min(width, _SETTLE_ROWS)
-    start = np.empty(segments)
-    start[0] = -np.inf  # segment 0 starts empty, as the batch ran it
-    start[1:] = depart[:-1]
-    lost = times[:head] < start  # before the first arrival at or after the start
-    first = np.count_nonzero(lost, axis=0)
-    settled = first < head
-    settled &= idle[np.minimum(first, head - 1), np.arange(segments)]
-    walk = (~settled).tolist()
-    true_depart = None  # None while each segment so far ended on its depart[k]
-    for k in range(segments):
-        if true_depart is None:
-            if not walk[k]:
-                continue
-            true_depart = start.item(k)
-        settled[k] = False
-        j = 0
-        while True:
-            # skip to the first arrival at or after the true departure time
-            m = j
-            if m < width and times.item(m, k) < true_depart:
-                m += int(np.searchsorted(times[m:, k], true_depart))
-                idle[j:m, k] = False
-            if m == width:
-                break
-            if idle.item(m, k):
-                true_depart = None  # segment k + 1 starts on depart[k]
-                break
-            idle[m, k] = True
-            true_depart = ends.item(m, k)
-            j = m + 1
-    lost &= settled
-    idle[:head][lost] = False
-    np.logical_not(idle, out=idle)
-    return idle.T.ravel().view(np.uint8)
+    width, segments = gaps.shape
+    lanes = min(lanes, width)
+    rows = width // lanes
+    main = lanes * rows  # rows in whole lanes; the rest are the last lane's
+    count = lanes * segments  # lane i of column k is lane i * segments + k
+    total = width * segments
+    loads = np.full((1, 1), load)
+
+    def by_lane(a):  # (rows, lanes, segments): row j of every lane
+        return a[:main].reshape(lanes, rows, segments).transpose(1, 0, 2)
+
+    residual = np.full((lanes, segments), -np.inf)
+    idle = _chunk_rows(by_lane(gaps), by_lane(services), loads, residual)
+    tail = _chunk_rows(gaps[main:], services[main:], loads, residual[-1:])[:, 0]
+    flat_idle = idle.reshape(rows, count)
+
+    # the rerun, each lane from its predecessor's end residual
+    left = np.empty_like(residual)
+    left[1:] = residual[:-1]
+    left[0, 1:] = residual[-1, :-1]
+    left[0, 0] = -np.inf  # the stream's first lane starts empty
+    del residual
+    upto = np.zeros(count, dtype=np.intp)  # leading rows the rerun's flags hold
+    kept = []  # (first row, lanes or None for all, rerun flags) of every block
+    unmet = np.ones(count, dtype=bool)  # the open lanes, on views over all lanes
+    ids = None  # the open lanes, once gathered
+    start = 0
+    while start < rows:
+        stop = min(start + _SETTLE_ROWS, rows)
+        if ids is None:
+            flags = _chunk_rows(by_lane(gaps)[start:stop], by_lane(services)[start:stop],
+                                loads, left).reshape(stop - start, count)
+            met = flags & flat_idle[start:stop]
+            met &= unmet
+            hit = met.any(axis=0)
+            np.copyto(upto, stop, where=unmet)
+            np.copyto(upto, start + met.argmax(axis=0), where=hit)
+            unmet &= ~hit
+            still_open = np.count_nonzero(unmet)
+            kept.append((start, None, flags))
+        else:
+            at = ids + ids // segments * (rows - 1) * segments  # each lane's row 0
+            at = at + np.arange(start * segments, stop * segments, segments)[:, None]
+            flags = _chunk_rows(np.take(gaps, at), np.take(services, at), loads, left)[:, 0]
+            met = flags & flat_idle[start:stop, ids]
+            hit = met.any(axis=0)
+            upto[ids] = stop
+            upto[ids[hit]] = start + met[:, hit].argmax(axis=0)
+            kept.append((start, ids, flags))
+            ids, left = ids[~hit], left[:, ~hit]
+            still_open = ids.size
+        start = stop
+        if not (hit.any() and still_open):
+            break
+        if ids is None and still_open * _GATHER_SHARE < count:
+            ids = np.flatnonzero(unmet)
+            left = left.reshape(1, count)[:, ids]
+    if ids is None:
+        ids = np.flatnonzero(unmet)
+        left = left.reshape(count)[ids]
+
+    walk, served = _stream_walk(gaps, services, load, idle, tail)
+    walked = []  # (first, end) stream positions of each walk
+    reached = -1  # the last lane a walk entered, in stream order
+    order = ids % segments * lanes + ids // segments  # in stream order
+    by_stream = np.argsort(order)
+    for lane, work in zip(order[by_stream].tolist(), left.reshape(-1)[by_stream].tolist()):
+        if lane <= reached:
+            continue
+        k, i = divmod(lane, lanes)
+        begin = k * width + i * rows + start
+        end = walk(begin, work)
+        walked.append((begin, end))
+        k, row = divmod(end, width)
+        reached = k * lanes + min(row // rows, lanes - 1) if end < total else count - 1
+        entered = np.arange(lane + 1, reached + 1)
+        upto[entered % lanes * segments + entered // lanes] = 0
+    served = np.array(served, dtype=np.intp)
+
+    for first, lane_ids, flags in kept:
+        before = np.arange(first, first + flags.shape[0])[:, None]
+        if lane_ids is None:
+            np.copyto(flat_idle[first:first + flags.shape[0]], flags, where=before < upto)
+        else:
+            r, c = np.nonzero(before < upto[lane_ids])
+            flat_idle[first + r, lane_ids[c]] = flags[r, c]
+    # at the peak, the draws, the flags and the bits: nothing per lane, and
+    # none of the walk's buffers
+    del kept, upto, unmet, walk
+    busy = np.empty((segments, width), dtype=bool)
+    np.logical_not(idle.transpose(2, 1, 0), out=busy[:, :main].reshape(segments, lanes, rows))
+    np.logical_not(tail.T, out=busy[:, main:])
+    bits = busy.reshape(total)
+    for first, end in walked:
+        bits[first:end] = True
+    bits[served] = False
+    return bits.view(np.uint8)
 
 
 def _check_lengths(n: int, burn_in: int) -> None:
@@ -282,40 +461,33 @@ def simulate_sequence(
 
     Time runs in units of the mean gap 1/lambda_h, as in the batch, so
     only the rate ratio lambda_h / mu enters.  The draws go straight into
-    the (width, segments) time-major arrays of _busy_bits_segmented:
-    first width * segments gap logs into the arrival times, row by row,
-    then as many service logs into the end times, so draw j of segment k
-    goes to that segment's arrival j (see _log_uniforms).  A gap is minus
-    its log and a service its log times _load.  Segment k's clock is its
-    own running sum plus the sum of segments 0..k-1, which is exactly its
-    predecessor's last arrival time, so arrival times never decrease
-    along the stream.  One contiguous add puts the bases on every row;
-    segment 0's is -0.0, which leaves each of its times bit for bit as it
-    is.  The width * segments - total rows past the end follow every real
-    arrival, so they cannot change its bit, and the [burn_in:total] slice
-    drops them.  Nothing overflows: an arrival time is at most 53 ln 2 *
-    (width * segments), a service at most the float maximum, and their
-    sum rounds to at most the float maximum.
+    the (width, segments) time-major arrays of _lane_busy_bits, width
+    being isqrt(n + burn_in): first width * segments gap logs, row by row,
+    then as many service logs, so draw j of segment k is that segment's
+    arrival j (see _log_uniforms).  No clock is formed: the recursion runs
+    on residual work, where a gap is minus its log and a service its log
+    times _load, and its bits are those of _chunk_rows run over the whole
+    stream in order.  Each segment is viewed as
+    max(1, width // (_LANE_ROWS * max(1, lambda_h / mu))) lanes: short
+    lanes let many of them share each row of the recursion, and a lane of
+    _LANE_ROWS mean service times outlasts most busy spans, so that most
+    lanes meet their true run and settle in the seam rerun.  The
+    width * segments - total rows past the end follow every real arrival,
+    so they cannot change its bit, and the [burn_in:total] slice drops
+    them.
     """
     _check_lengths(n, burn_in)
     total = n + burn_in
     width = math.isqrt(total)
     segments = -(-total // width)
     rng = seed.generator()
-    times = np.empty((width, segments))
-    ends = np.empty((width, segments))
-    _log_uniforms(rng, times)
-    _log_uniforms(rng, ends)
-    ends *= _load(params, hyp)
-    np.negative(times[0], out=times[0])
-    for j in range(1, width):
-        np.subtract(times[j - 1], times[j], out=times[j])
-    base = np.empty(segments)
-    base[0] = -0.0  # x + -0.0 is x bit for bit, -0.0 included
-    np.cumsum(times[-1, :-1], out=base[1:])
-    times += base
-    ends += times
-    return ObservationSequence(_busy_bits_segmented(times, ends)[burn_in:total])
+    gaps = np.empty((width, segments))
+    services = np.empty((width, segments))
+    _log_uniforms(rng, gaps)
+    _log_uniforms(rng, services)
+    load = _load(params, hyp)
+    lanes = max(1, int(width / max(1.0, -load)) // _LANE_ROWS)
+    return ObservationSequence(_lane_busy_bits(gaps, services, load, lanes)[burn_in:total])
 
 
 def simulate_sequence_batch(

@@ -90,21 +90,6 @@ def scalar_busy_bits(times: np.ndarray, services: np.ndarray) -> np.ndarray:
     return bits
 
 
-def masked_busy_bits_batch(times: np.ndarray, ends: np.ndarray,
-                           depart: np.ndarray) -> np.ndarray:
-    """Idle flags of a time-major (arrivals, trials) chunk, by masked select.
-
-    Each row compares its arrival times with the departure times and
-    copies the arrival's end over `depart` where it found the server
-    idle; `depart` is updated in place, as in sim._busy_bits_batch.
-    """
-    idle = np.empty(times.shape, dtype=bool)
-    for j in range(times.shape[0]):
-        np.greater_equal(times[j], depart, out=idle[j])
-        np.copyto(depart, ends[j], where=idle[j])
-    return idle
-
-
 def willie_busy_bits(params: ModelParams, n: int, rng: np.random.Generator) -> np.ndarray:
     """Busy bits of Willie's own jobs among n merged H1 arrivals.
 

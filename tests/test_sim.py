@@ -15,19 +15,13 @@ from covertq.sim import (
     MC_CHUNK,
     ObservationSequence,
     RngSeed,
-    _busy_bits_batch,
-    _busy_bits_segmented,
     _chunk_rows,
+    _lane_busy_bits,
     _log_uniforms,
     simulate_sequence,
     simulate_sequence_batch,
 )
-from oracles import (
-    empirical_transition_counts,
-    masked_busy_bits_batch,
-    scalar_busy_bits,
-    willie_busy_bits,
-)
+from oracles import empirical_transition_counts, scalar_busy_bits, willie_busy_bits
 
 PARAMS = ModelParams(0.3, 0.2, 1.0)
 
@@ -237,15 +231,20 @@ def _inverted_exponential(rng, size, scale):
     return np.log(1.0 - rng.random(size)) * -scale
 
 
-def _batch_logs(total, trials, seed):
+def _batch_logs(total, trials, seed, fill=None):
     """(gap logs, service logs), (total, trials): the batch's time-major
-    draws of log(1 - U), rebuilt chunk by chunk."""
+    draws of log(1 - U), rebuilt chunk by chunk; or what `fill`, standing
+    in for sim._log_uniforms, puts in their buffers."""
     rng = seed.generator()
     gaps, services = [], []
     for start in range(0, total, MC_CHUNK):
         size = (min(MC_CHUNK, total - start), trials)
-        gaps.append(np.log(1.0 - rng.random(size)))
-        services.append(np.log(1.0 - rng.random(size)))
+        for logs in (gaps, services):
+            if fill is None:
+                logs.append(np.log(1.0 - rng.random(size)))
+            else:
+                logs.append(np.empty(size))
+                fill(rng, logs[-1])
     return np.concatenate(gaps), np.concatenate(services)
 
 
@@ -304,39 +303,68 @@ def _scalar_residuals(gaps, services, load):
     return np.array(left)
 
 
+def _constructed_logs(case):
+    """A stand-in for sim._log_uniforms, whose calls alternate gap and
+    service fills.  "ties" fills integer logs, 0 to -2 for gaps and 0 to -3
+    for services, so that at the loads 1 and 2 of rates (1, 1, 1) arrivals
+    fall exactly on departures, some with zero gap and zero service;
+    "zero_services" fills unit exponentials and zeroes half the services."""
+    rng = np.random.default_rng(67)
+    calls = iter(range(1 << 30))
+
+    def fill(_, out):
+        service = next(calls) % 2
+        if case == "ties":
+            out[...] = -rng.integers(0, 4 if service else 3, out.shape)
+        else:
+            out[...] = -rng.standard_exponential(out.shape)
+            if service:
+                out[rng.random(out.shape) < 0.5] = 0.0
+    return fill
+
+
 def test_batch_residual_is_lindleys_recursion_over_each_stream(monkeypatch):
     # a last-bit change in a residual rarely flips a busy bit, so compare
     # the residuals each chunk's row section leaves, and its idle flags
     # row by row with the clock-form recursion; each chunk runs once,
-    # over H0's and H1's trials on the same draws
+    # over H0's and H1's trials on the same draws.  Besides the draws, two
+    # constructed cases at rates (1, 1, 1), where every time is exact
     n, trials, seed = 200, 9, RngSeed(43, 5)
-    seen = []
-
-    def recording(gaps, services, loads, residual):
-        idle = _chunk_rows(gaps, services, loads, residual)
-        seen.append((residual.copy(), idle.copy()))
-        return idle
-
-    monkeypatch.setattr(sim, "_chunk_rows", recording)
-    simulate_sequence_batch(PARAMS, n, trials, seed, burn_in=0)
     chunk_ends = np.minimum(np.arange(MC_CHUNK, n + MC_CHUNK, MC_CHUNK), n) - 1
-    assert len(seen) == chunk_ends.size
-    assert all(r.shape == (2, trials) and i.shape[1:] == (2, trials) for r, i in seen)
-    gap_logs, service_logs = _batch_logs(n, trials, seed)
-    for hyp in Hypothesis:
-        rate = PARAMS.lambda_w if hyp is Hypothesis.H0 else PARAMS.total_rate_h1
-        left = np.array([_scalar_residuals(gap_logs[:, i], service_logs[:, i],
-                                           -rate / PARAMS.mu)
-                         for i in range(trials)]).T
-        got_left = np.array([r[hyp.value] for r, _ in seen])
-        np.testing.assert_array_equal(got_left.view(np.int64),
-                                      left[chunk_ends].view(np.int64))
-        gaps, services = _batch_draws(hyp, n, trials, seed)
-        times = np.cumsum(gaps, axis=0)
-        got_idle = np.concatenate([i[:, hyp.value] for _, i in seen])
-        busy = np.array([scalar_busy_bits(times[:, i], services[:, i])
-                         for i in range(trials)]).T
-        np.testing.assert_array_equal(got_idle, busy == 0)
+    for case in ("draws", "ties", "zero_services"):
+        params = PARAMS if case == "draws" else ModelParams(1.0, 1.0, 1.0)
+        fill = None if case == "draws" else _constructed_logs(case)
+        seen = []
+
+        def recording(gaps, services, loads, residual):
+            idle = _chunk_rows(gaps, services, loads, residual)
+            seen.append((residual.copy(), idle.copy()))
+            return idle
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "_chunk_rows", recording)
+            if fill is not None:
+                patch.setattr(sim, "_log_uniforms", fill)
+            simulate_sequence_batch(params, n, trials, seed, burn_in=0)
+        assert len(seen) == chunk_ends.size
+        assert all(r.shape == (2, trials) and i.shape[1:] == (2, trials) for r, i in seen)
+        gap_logs, service_logs = _batch_logs(
+            n, trials, seed, None if fill is None else _constructed_logs(case))
+        for hyp in Hypothesis:
+            rate = params.lambda_w if hyp is Hypothesis.H0 else params.total_rate_h1
+            left = np.array([_scalar_residuals(gap_logs[:, i], service_logs[:, i],
+                                               -rate / params.mu)
+                             for i in range(trials)]).T
+            got_left = np.array([r[hyp.value] for r, _ in seen])
+            np.testing.assert_array_equal(got_left.view(np.int64),
+                                          left[chunk_ends].view(np.int64))
+            times = np.cumsum(gap_logs * (-1.0 / rate), axis=0)
+            services = service_logs * (-1.0 / params.mu)
+            got_idle = np.concatenate([i[:, hyp.value] for _, i in seen])
+            busy = np.array([scalar_busy_bits(times[:, i], services[:, i])
+                             for i in range(trials)]).T
+            np.testing.assert_array_equal(got_idle, busy == 0)
+            assert 0 < got_idle.sum() < got_idle.size
 
 
 def _two_window_batch(seed):
@@ -415,14 +443,12 @@ def test_only_the_batch_takes_the_row_lock(monkeypatch):
 
 
 def _single_stream_layout(params, hyp, n, seed, burn_in):
-    """(times, services), (width, segments): the arrival times and services
-    simulate_sequence forms, in units of the mean gap, rebuilt from its
-    draws.  The stream is cut into isqrt(n + burn_in)-arrival segments,
-    column k being segment k.  width * segments gaps of mean 1 are drawn
-    row by row, then as many services of mean lambda_h / mu.
-    Segment k's arrival j is at the sum of its gaps 0..j plus the exclusive
-    base, the sum of the segment totals before k.  The rows past
-    n + burn_in follow every real arrival, so they change no bit."""
+    """(gaps, services), (width, segments): simulate_sequence's draws as
+    exponential times in units of the mean gap, rebuilt from its seed.  The
+    stream is cut into isqrt(n + burn_in)-arrival segments, column k being
+    segment k.  width * segments gaps of mean 1 are drawn row by row, then
+    as many services of mean lambda_h / mu.  The rows past n + burn_in
+    follow every real arrival, so they change no bit."""
     total = n + burn_in
     width = math.isqrt(total)
     segments = -(-total // width)
@@ -430,35 +456,41 @@ def _single_stream_layout(params, hyp, n, seed, burn_in):
     rate = params.lambda_w if hyp is Hypothesis.H0 else params.total_rate_h1
     gaps = _inverted_exponential(rng, (width, segments), 1.0)
     services = _inverted_exponential(rng, (width, segments), rate / params.mu)
-    times = np.empty_like(gaps)
-    base = 0.0
-    for k in range(segments):
-        sums = np.cumsum(gaps[:, k])
-        times[:, k] = sums + base if k else sums  # segment 0 adds nothing
-        base = base + sums[-1]
-    return times, services
+    return gaps, services
 
 
 def _single_stream_draws(params, hyp, n, seed, burn_in):
-    # the arrival times and services simulate_sequence forms, in stream order
-    times, services = _single_stream_layout(params, hyp, n, seed, burn_in)
+    """The arrival times and services of simulate_sequence's draws, in
+    stream order: segment k's arrival j is at the sum of its gaps 0..j plus
+    the sum of the segment totals before k."""
+    gaps, services = _single_stream_layout(params, hyp, n, seed, burn_in)
+    times = np.empty_like(gaps)
+    base = 0.0
+    for k in range(gaps.shape[1]):
+        sums = np.cumsum(gaps[:, k])
+        times[:, k] = sums + base if k else sums  # segment 0 adds nothing
+        base = base + sums[-1]
     return times.T.ravel()[:n + burn_in], services.T.ravel()[:n + burn_in]
 
 
-def _segmented_busy_bits(times, services):
-    """_busy_bits_segmented on flat streams, cut as simulate_sequence cuts
-    its draws into sqrt(n)-arrival segments, time-major; the tail is
-    padded with +inf arrivals."""
+def _segmented_busy_bits(times, services, lanes=1):
+    """_lane_busy_bits on flat streams, cut as simulate_sequence cuts its
+    draws into sqrt(n)-arrival segments, time-major, with `lanes` lanes to
+    a segment.  The times are differenced into gap logs and the services
+    negated into service logs at load -1, a mean service of one mean gap,
+    so integer times and services stay exact.  The tail is padded with
+    -inf gap logs: arrivals after every other, which find the server idle."""
     n = times.size
     width = math.isqrt(n)
     segments = -(-n // width)
 
-    def by_segment(stream):
-        padded = np.full(segments * width, np.inf)
+    def by_segment(stream, pad):
+        padded = np.full(segments * width, pad)
         padded[:n] = stream
         return padded.reshape(segments, width).T.copy()
 
-    return _busy_bits_segmented(by_segment(times), by_segment(times + services))[:n]
+    gaps = by_segment(-np.diff(times, prepend=0.0), -np.inf)
+    return _lane_busy_bits(gaps, by_segment(-services, 0.0), -1.0, lanes)[:n]
 
 
 # 99, 100 and 101 arrivals straddle a square: 11 segments of 9, 10 full
@@ -479,26 +511,28 @@ def test_single_stream_equals_the_scalar_recursion_on_the_same_draws(load, n, bu
     np.testing.assert_array_equal(obs.bits, expected[burn_in:])
 
 
-@pytest.mark.parametrize("n", [1, 99, 100, 101, 1237])
-def test_single_stream_clock_is_segment_sums_plus_bases(monkeypatch, n):
-    # a last-bit change in a sum rarely flips a busy bit, so compare the
-    # arrival and end times the recursion receives with the replay
+@pytest.mark.parametrize("n", [1, 99, 100, 101, 1237, 40000])
+def test_single_stream_lanes_receive_the_layout_draws(monkeypatch, n):
+    # a last-bit change in a draw rarely flips a busy bit, so compare the
+    # gap and service logs the lanes receive with the replay: a gap is minus
+    # its log and a service its log times the load.  At lambda_h / mu = 0.5
+    # a segment of width arrivals holds width // 100 lanes, at least one
     seed, seen = RngSeed(43, 5), []
 
-    def recording(times, ends):
-        seen.append((times.copy(), ends.copy()))
-        return _busy_bits_segmented(times, ends)
+    def recording(gaps, services, load, lanes):
+        seen.append((gaps.copy(), services.copy(), load, lanes))
+        return _lane_busy_bits(gaps, services, load, lanes)
 
-    monkeypatch.setattr(sim, "_busy_bits_segmented", recording)
-    simulate_sequence(PARAMS, Hypothesis.H1, n, seed, burn_in=0)
-    (times, ends), = seen
-    expected, services = _single_stream_layout(PARAMS, Hypothesis.H1, n, seed, 0)
-    np.testing.assert_array_equal(times.view(np.int64), expected.view(np.int64))
-    np.testing.assert_array_equal(ends.view(np.int64),
-                                  (expected + services).view(np.int64))
-    stream = times.T.ravel()
-    assert (np.diff(stream[:n]) >= 0).all()  # across segment boundaries too
-    assert (stream[n:] >= stream[n - 1]).all()  # the rows past n follow every arrival
+    monkeypatch.setattr(sim, "_lane_busy_bits", recording)
+    obs = simulate_sequence(PARAMS, Hypothesis.H1, n, seed, burn_in=0)
+    (gaps, services, load, lanes), = seen
+    expected_gaps, expected_services = _single_stream_layout(PARAMS, Hypothesis.H1, n, seed, 0)
+    assert load == -PARAMS.total_rate_h1 / PARAMS.mu
+    assert lanes == max(1, math.isqrt(n) // 100)
+    np.testing.assert_array_equal((-gaps).view(np.int64), expected_gaps.view(np.int64))
+    np.testing.assert_array_equal((services * load).view(np.int64),
+                                  expected_services.view(np.int64))
+    np.testing.assert_array_equal(obs.bits, _lane_busy_bits(gaps, services, load, lanes)[:n])
 
 
 def test_arrival_on_a_departure_is_served():
@@ -520,15 +554,16 @@ def test_arrival_on_a_departure_is_served():
 
 
 # The cases below cut 100 arrivals at times 0..99 into 10 segments of 10,
-# segment k holding arrivals 10k..10k+9; zero services serve every arrival
-# the server is free for.  _busy_bits_segmented's vectorized pass assumes
-# segment k starts on the empty-start run's departure time of segment k - 1.
+# one lane each, segment k holding arrivals 10k..10k+9; zero services serve
+# every arrival the server is free for.  _lane_busy_bits' rerun starts
+# segment k on the residual its empty-start run leaves segment k - 1 with.
 
 @pytest.mark.parametrize("row", [_SETTLE_ROWS - 1, _SETTLE_ROWS, 9, 10])
 def test_first_arrival_after_the_assumed_start_past_the_rows_read(row):
     # arrival 19's service ends just before segment 2's arrival `row`
-    # (row 10 is segment 3's first), so the pass cannot settle segment 2
-    # from its first _SETTLE_ROWS rows once row >= _SETTLE_ROWS
+    # (row 10 is segment 3's first), so the rerun settles segment 2 in its
+    # second _SETTLE_ROWS-row block once row >= _SETTLE_ROWS, and at row 10
+    # never, leaving it to the walk
     times, services = np.arange(100.0), np.zeros(100)
     services[19] = row + 0.5
     bits = _segmented_busy_bits(times, services)
@@ -541,8 +576,9 @@ def test_segments_after_one_whose_true_run_never_meets(service):
     # arrival 9 keeps the server busy to 15.5, so the true run loses 10..15
     # and serves 16..19, which the empty-start run of segment 1 loses to
     # arrival 15's long service: the runs never meet, segment 1 truly ends
-    # at 19, and segment 2 on starts off the assumed depart[1] = 15 + service.
-    # At 7.0 the pass would settle segment 2 with 20 and 21 lost, both served.
+    # idle at 19, and segment 2 on starts off the assumed residual, what is
+    # left of 15 + service.  At 7.0 the rerun would settle segment 2 with 20
+    # and 21 lost, both served.
     times, services = np.arange(100.0), np.zeros(100)
     services[9], services[15] = 6.5, service
     bits = _segmented_busy_bits(times, services)
@@ -553,7 +589,7 @@ def test_segments_after_one_whose_true_run_never_meets(service):
 @pytest.mark.parametrize("row", [0, 2, _SETTLE_ROWS - 1])
 def test_arrival_exactly_on_the_assumed_start_is_served(row):
     times, services = np.arange(100.0), np.zeros(100)
-    services[19] = row + 1.0  # depart[1] is segment 2's arrival `row`
+    services[19] = row + 1.0  # drained exactly at segment 2's arrival `row`
     bits = _segmented_busy_bits(times, services)
     np.testing.assert_array_equal(bits, scalar_busy_bits(times, services))
     np.testing.assert_array_equal(bits[20:21 + row], [1] * row + [0])
@@ -563,7 +599,7 @@ def test_arrival_exactly_on_the_assumed_start_is_served(row):
 @pytest.mark.parametrize("n", [99, 100, 101])
 def test_last_segment_settles_against_its_padding(n, service):
     # 99 and 100 fill their last segment; 101's holds one arrival and 9
-    # +inf rows, which the pass reads when the arrival is lost
+    # padding rows, which the rerun reads when the arrival is lost
     width = math.isqrt(n)
     first = (-(-n // width) - 1) * width  # the last segment's first arrival
     times, services = np.arange(float(n)), np.zeros(n)
@@ -572,39 +608,122 @@ def test_last_segment_settles_against_its_padding(n, service):
                                   scalar_busy_bits(times, services))
 
 
-def _chunk(case):
-    """(times, ends, depart) of one time-major chunk of 40 trials."""
-    rng = np.random.default_rng(67)
-    shape = (MC_CHUNK, 40)
-    gaps, services = rng.standard_exponential(shape), rng.standard_exponential(shape)
-    depart = np.full(shape[1], -np.inf)
-    if case == "carried_state":
-        depart = rng.uniform(0.0, 3.0, shape[1])
-    elif case == "ties":
-        # integer gaps, services and departures put arrivals exactly on
-        # departure times, some at time 0 with zero service
-        gaps = rng.integers(0, 3, shape).astype(float)
-        services = rng.integers(0, 4, shape).astype(float)
-        depart = rng.integers(0, 3, shape[1]).astype(float)
-    elif case == "zero_services":
-        services[rng.random(shape) < 0.5] = 0.0
-    times = np.cumsum(gaps, axis=0)
-    ends = times + services
-    if case == "inf_padding":
-        # the tail rows simulate_sequence pads its last segment with
-        times[-7:, ::2] = ends[-7:, ::2] = np.inf
-    return times, ends, depart
+# The lane cases below cut 2500 arrivals at times 0..2499 into 50 segments
+# of 50, each viewed as `lanes` lanes of 50 // lanes rows, the last lane
+# taking any rows left over.  Zero services serve every arrival the server is
+# free for, so each lane's empty-start run is idle throughout but where a
+# case puts a longer service.
+
+def _lane_starts(lanes, width=50, segments=50):
+    """The first arrival of every lane, in stream order."""
+    rows = width // lanes
+    return [k * width + i * rows for k in range(segments) for i in range(lanes)]
 
 
-@pytest.mark.parametrize("case", ["carried_state", "ties", "zero_services",
-                                  "empty_start", "inf_padding"])
-def test_branchless_departure_update_equals_the_masked_copy(case):
-    times, ends, depart = _chunk(case)
-    expected_depart = depart.copy()
-    expected = masked_busy_bits_batch(times, ends, expected_depart)
-    np.testing.assert_array_equal(_busy_bits_batch(times, ends, depart), expected)
-    np.testing.assert_array_equal(depart.view(np.int64), expected_depart.view(np.int64))
-    assert 0 < expected.sum() < expected.size
+@pytest.mark.parametrize("every", [True, False])
+@pytest.mark.parametrize("lanes, row", [(2, _SETTLE_ROWS), (2, 15), (2, 16), (2, 24),
+                                        (5, _SETTLE_ROWS), (5, 9), (7, 6), (3, 15)])
+def test_lane_rerun_meets_after_its_first_block(lanes, row, every):
+    # the arrival before a lane keeps the server busy until just before the
+    # lane's arrival `row`, where the lane's rerun first finds it idle and
+    # meets the empty-start run: past the first _SETTLE_ROWS-row block from
+    # row 8 on.  Either every lane but the first starts so, and the rerun
+    # runs on views over all lanes, or only lane 1 of segment 3 does, and it
+    # runs on that lane gathered
+    times, services = np.arange(2500.0), np.zeros(2500)
+    starts = _lane_starts(lanes)[1:] if every else [3 * 50 + 50 // lanes]
+    for first in starts:
+        services[first - 1] = row + 0.5
+    bits = _segmented_busy_bits(times, services, lanes)
+    np.testing.assert_array_equal(bits, scalar_busy_bits(times, services))
+    for first in starts:
+        np.testing.assert_array_equal(bits[first:first + row + 1], [1] * row + [0])
+
+
+@pytest.mark.parametrize("service", [12.0, 33.0, 150.0])
+@pytest.mark.parametrize("lanes, lane", [(3, 1), (5, 2), (10, 8), (2, 1), (5, 4), (7, 6)])
+def test_lane_walk_carries_on_past_a_lane_that_never_meets(lanes, lane, service):
+    # the arrival before lane `lane` of segment 3 keeps the server busy to
+    # 6.5 past it, so the true run loses the lane's first 6 arrivals and
+    # serves the rest; the lane's empty-start run serves its arrival 5, whose
+    # long service makes it lose the rest of the lane.  The runs never meet,
+    # so the walk carries the true residual on into the next lane: of the same
+    # segment for a middle lane, of segment 4 from the segment's last lane,
+    # whose rerun started on the empty-start run's wrong residual
+    starts = _lane_starts(lanes)
+    first = starts[3 * lanes + lane]
+    times, services = np.arange(2500.0), np.zeros(2500)
+    services[first - 1], services[first + 5] = 6.5, service
+    bits = _segmented_busy_bits(times, services, lanes)
+    np.testing.assert_array_equal(bits, scalar_busy_bits(times, services))
+    np.testing.assert_array_equal(bits[first:first + 7], [1] * 6 + [0])
+    assert not bits[first + 6:].any()
+
+
+@pytest.mark.parametrize("lanes", range(2, 11))
+def test_lanes_equal_the_scalar_recursion_where_the_width_is_not_a_multiple(lanes):
+    # 50 and 49 arrivals to a segment: 3, 4, 6, 7, 8 and 9 lanes leave rows
+    # over at 50, and all but 7 at 49.  Integer times and services from
+    # light to heavy load put arrivals on departures, in every lane and in
+    # the rows the last lane takes over
+    rng = np.random.default_rng(73 + lanes)
+    for n in (2500, 2401):
+        for most in (2, 30, 400):
+            times = np.cumsum(rng.integers(0, 3, size=n)).astype(float)
+            services = rng.integers(0, most, size=n).astype(float)
+            np.testing.assert_array_equal(_segmented_busy_bits(times, services, lanes),
+                                          scalar_busy_bits(times, services))
+
+
+def _residual_bits(gaps, services, load):
+    """Busy bits of Lindley's recursion over one stream's logs, one arrival
+    at a time, as _scalar_residuals runs it."""
+    residual, bits = -math.inf, []
+    for gap, service in zip(gaps.tolist(), services.tolist()):
+        residual += gap
+        bits.append(residual > 0.0)
+        if residual <= 0.0:
+            residual = service * load
+    return np.array(bits, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("before, served, service, segment_3, tie, lost", [
+    (7.5, 29, 0.1 + 0.2, [0.1, 0.2], 31, True),
+    (6.5, 28, 1.6, [0.1, 0.5], 31, True),
+    (7.5, 29, 9.200000000000001, [0.3, 0.8, 1.4, 0.7, 0.9, 0.1, 1.0, 1.4, 1.3, 1.3], 39, False),
+])
+def test_walk_decides_a_near_tie_as_the_recursion_does(before, served, service, segment_3,
+                                                       tie, lost):
+    # 100 arrivals a mean gap apart, 10 segments of 10, one lane each, at
+    # load -1.  Segment 1's true run never meets its empty-start run (as in
+    # test_segments_after_one_whose_true_run_never_meets), so the walk
+    # carries on through segment 2, serving arrival 21 and then, `before`
+    # later, arrival `served`, both lost by the empty-start run to arrival
+    # 20's long service, as segment 3's are to arrival 30's.  Segment 3
+    # starts with the gaps `segment_3`, and the recursion leaves within
+    # 1e-15 of no work at arrival `tie`, where sums of the gaps rounded
+    # otherwise put it on the other side of 0: within segment 3 from
+    # arrival 29, across the segment boundary from arrival 28, and over
+    # the whole of segment 3, whose gap sum is a rounding below the service
+    gaps, services = np.full(100, -1.0), np.zeros(100)
+    services[[9, 15, 19, 20, 21, served, 30]] = [6.5, 45.0, 1.5, 20.0, before, service, 50.0]
+    gaps[30:30 + len(segment_3)] = np.negative(segment_3)
+    expected = _residual_bits(gaps, -services, -1.0)
+    assert expected[tie] == lost and expected[tie + 1 if lost else tie - 1] != lost
+    bits = _lane_busy_bits(gaps.reshape(10, 10).T.copy(), -services.reshape(10, 10).T.copy(),
+                           -1.0, 1)
+    np.testing.assert_array_equal(bits, expected)
+
+
+@pytest.mark.parametrize("load", [20.0, 1e4])
+def test_single_stream_at_heavy_load_equals_the_scalar_recursion(load):
+    # one lane to a segment: at 20 most lanes settle in the rerun and the
+    # walk takes the rest, and at 1e4 one busy span covers many segments
+    seed, n = RngSeed(61, 1), 10**5
+    params = ModelParams(0.5 * load, 0.5 * load, 1.0)
+    times, services = _single_stream_draws(params, Hypothesis.H1, n, seed, 1)
+    obs = simulate_sequence(params, Hypothesis.H1, n, seed)
+    np.testing.assert_array_equal(obs.bits, scalar_busy_bits(times, services)[1:])
 
 
 def test_million_arrival_sequence_equals_the_scalar_recursion():
@@ -645,9 +764,9 @@ def test_batch_memory_is_under_three_chunk_buffers():
 
 
 def test_single_stream_memory_is_under_three_floats_per_arrival():
-    # the arrival times and service ends take two float64 per arrival and
-    # the busy bits a few bytes; a draw buffer or a transposed copy would
-    # make it three
+    # the gap and service logs take two float64 per arrival and the idle
+    # flags and busy bits a few bytes; a draw buffer or a transposed copy
+    # would make it three
     n = 10**6
     tracemalloc.start()
     try:
