@@ -45,10 +45,8 @@ MC_CHUNK = 64
 # Arrivals per single-stream lane at lambda_h / mu <= 1 (see simulate_sequence).
 _LANE_ROWS = 100
 
-# Rows of each block of _lane_busy_bits' seam rerun, and the share of open
-# lanes, one in _GATHER_SHARE, below which it runs on them gathered.
+# Rows of each block of _lane_busy_bits' seam rerun.
 _SETTLE_ROWS = 8
-_GATHER_SHARE = 20
 
 # Held by simulate_sequence_batch around each chunk's row section (see
 # the module docstring).
@@ -200,104 +198,53 @@ def _stream_walk(gaps: np.ndarray, services: np.ndarray, load: float,
     empty-start run of that arrival's lane find idle, and returns that
     position, or width * segments at the stream's end.  It appends the
     arrivals it serves to `served`; the others it passes are lost.  It
-    takes one step per arrival it serves, finding where each busy stretch
-    ends by binary search over running sums of the negated gaps (see
-    first_idle), or by the sequential fold itself (settle).
+    takes one step per arrival it serves, folding the busy stretch that
+    follows (see settle).
     """
     width, segments = gaps.shape
     total = gaps.size
     rows, lanes = idle.shape[:2]
     main = rows * lanes
     served = []
-    sums = np.empty((0, width))  # column's running sums for columns sums_first..
-    sums_first = 0
-    drains = None  # every column's negated gap sum
+    # negated gaps of columns cache_first // width.. in stream order, after one spare
+    cache, cache_first = np.empty(1), 0
 
     def settle(p, work):
         """The first arrival from stream position p on that finds no work
         left, the arrival before p having left `work`: the sequential fold.
 
-        np.add.accumulate folds the negated gaps of up to 16 columns at a
-        time onto -work, the fold of _chunk_rows negated, which is exact;
-        it never decreases, so a binary search finds the first arrival it
-        takes to 0 or above.
+        np.add.accumulate folds the negated gaps, in stream order, onto
+        -work, the fold of _chunk_rows negated, which is exact; it never
+        decreases, so a binary search finds the first arrival it takes to 0
+        or above.  A gap drains one mean gap on average, so a fold of some
+        work + 4 sqrt(work) arrivals mostly reaches it in one call.  The
+        gaps come from a transposed copy of 16 columns at a time; -work
+        takes the place of the gap before p, which the walk, moving only
+        forward, does not read again.
         """
+        nonlocal cache, cache_first
         while p < total:
-            k, row = divmod(p, width)
-            end = min(segments, k + 16)
-            fold = np.empty((end - k) * width + 1)
-            np.negative(gaps[:, k:end].T, out=fold[1:].reshape(end - k, width))
-            fold = fold[row:]
-            fold[0] = -work
-            np.add.accumulate(fold, out=fold)
+            if not 0 <= p - cache_first < cache.size - 1:
+                k = p // width
+                columns = min(16, segments - k)
+                cache = np.empty(columns * width + 1)
+                np.negative(gaps[:, k:k + columns].T, out=cache[1:].reshape(columns, width))
+                cache_first = k * width
+            at = p - cache_first
+            drain = min(max(work, 0.0), total)
+            size = min(cache.size - 1 - at, int(drain + 4.0 * math.sqrt(drain)) + 16)
+            cache[at] = -work
+            fold = np.add.accumulate(cache[at:at + size + 1])
             j = int(fold[1:].searchsorted(0.0))
-            if j < fold.size - 1:
+            if j < size:
                 return p + j
-            p += j
+            p += size
             work = -fold.item(-1)
-        return total
-
-    def column(k):
-        """Column k's running sums of negated gaps, from row 0."""
-        nonlocal sums, sums_first
-        if not sums_first <= k < sums_first + len(sums):
-            # a walk goes on from column to column: sum more of them at a time
-            more = min(2 * len(sums) or 1, 16) if k == sums_first + len(sums) else 1
-            block = gaps[:, k:k + more].T
-            sums = np.negative(block, out=np.empty(block.shape))
-            np.cumsum(sums, axis=1, out=sums)
-            sums_first = k
-        return sums[k - sums_first]
-
-    def first_idle(p, work):
-        """settle(p, work), mostly without the fold.
-
-        With S_k(r) column k's running sum of negated gaps to row r, the
-        work left after arrival r of column k is about t - S_k(r), where t
-        is the work on entering the column plus S_k of the row before; and
-        a column the stretch passes whole drains about its sum.  Each sum
-        of m nonnegative terms is within m unit roundoffs of its value, and
-        so is the fold, on the same terms plus `work`, so the bracket
-        differs from the fold by less than 2**-50 * (columns + 2) * width
-        * scale, scale being `work` plus the sums of the columns it read.
-        Where the bracket clears 0 by that margin, its sign is the fold's;
-        at a nearer tie settle folds.
-        """
-        nonlocal drains
-        if not work > 0.0:
-            return p
-        k, row = divmod(p, width)
-        level, scale, columns = work, work, 0
-        while k < segments:
-            columns += 1
-            if not row and level > width / 2:  # maybe busy through column k
-                if drains is None:
-                    drains = -np.add.reduce(gaps, axis=0)
-                drain = drains.item(k)
-                scale += drain
-                if level - drain > 2.0**-50 * (columns + 2) * width * scale:
-                    level -= drain
-                    k += 1
-                    continue
-            running = column(k)
-            scale += running.item(-1)
-            margin = 2.0**-50 * (columns + 2) * width * scale
-            target = level + running.item(row - 1) if row else level
-            r = max(int(running.searchsorted(target)), row)
-            if r < width:
-                if running.item(r) - target > margin and (
-                        r == row or target - running.item(r - 1) > margin):
-                    return k * width + r
-                return settle(p, work)
-            if not target - running.item(-1) > margin:
-                return settle(p, work)
-            level = target - running.item(-1)
-            k, row = k + 1, 0
         return total
 
     def walk(p, work):
         while p < total:
-            y = first_idle(p, work)
+            y = settle(p, work)
             if y == total:
                 break
             k, row = divmod(y, width)
@@ -332,17 +279,16 @@ def _lane_busy_bits(gaps: np.ndarray, services: np.ndarray, load: float,
     aside, see _depart), so the lane ends on the empty-start residual.
 
     The seam rerun runs each lane again from its predecessor's end
-    residual, in _SETTLE_ROWS-row blocks, on views over all lanes until
-    fewer than one in _GATHER_SHARE is open and then on the open lanes
-    gathered, for as long as each block settles some lane.  A lane is
-    settled at the first arrival both runs find idle; before it the
-    rerun's flags hold.  The walk (see _stream_walk) then carries the true
-    residual in stream order through every lane the rerun left open, from
-    the row where the rerun stopped, and on through every lane after one
-    it does not settle, from that lane's first row, as their reruns
-    started from a wrong residual.  Rows past the stream's end (further
-    draws, or padding) change no earlier bit.  Returns the bits of all
-    width * segments arrivals in stream order.
+    residual, in _SETTLE_ROWS-row blocks on views over all lanes, for as
+    long as each block settles some lane.  A lane is settled at the first
+    arrival both runs find idle; before it the rerun's flags hold.  The
+    walk (see _stream_walk) then carries the true residual in stream order
+    through every lane the rerun left open, from the row where the rerun
+    stopped, and on through every lane after one it does not settle, from
+    that lane's first row, as their reruns started from a wrong residual.
+    Rows past the stream's end (further draws, or padding) change no
+    earlier bit.  Returns the bits of all width * segments arrivals in
+    stream order.
     """
     width, segments = gaps.shape
     lanes = min(lanes, width)
@@ -367,50 +313,32 @@ def _lane_busy_bits(gaps: np.ndarray, services: np.ndarray, load: float,
     left[0, 0] = -np.inf  # the stream's first lane starts empty
     del residual
     upto = np.zeros(count, dtype=np.intp)  # leading rows the rerun's flags hold
-    kept = []  # (first row, lanes or None for all, rerun flags) of every block
-    unmet = np.ones(count, dtype=bool)  # the open lanes, on views over all lanes
-    ids = None  # the open lanes, once gathered
+    kept = []  # (first row, rerun flags) of every block
+    unmet = np.ones(count, dtype=bool)  # the open lanes
     start = 0
     while start < rows:
         stop = min(start + _SETTLE_ROWS, rows)
-        if ids is None:
-            flags = _chunk_rows(by_lane(gaps)[start:stop], by_lane(services)[start:stop],
-                                loads, left).reshape(stop - start, count)
-            met = flags & flat_idle[start:stop]
-            met &= unmet
-            hit = met.any(axis=0)
-            np.copyto(upto, stop, where=unmet)
-            np.copyto(upto, start + met.argmax(axis=0), where=hit)
-            unmet &= ~hit
-            still_open = np.count_nonzero(unmet)
-            kept.append((start, None, flags))
-        else:
-            at = ids + ids // segments * (rows - 1) * segments  # each lane's row 0
-            at = at + np.arange(start * segments, stop * segments, segments)[:, None]
-            flags = _chunk_rows(np.take(gaps, at), np.take(services, at), loads, left)[:, 0]
-            met = flags & flat_idle[start:stop, ids]
-            hit = met.any(axis=0)
-            upto[ids] = stop
-            upto[ids[hit]] = start + met[:, hit].argmax(axis=0)
-            kept.append((start, ids, flags))
-            ids, left = ids[~hit], left[:, ~hit]
-            still_open = ids.size
+        flags = _chunk_rows(by_lane(gaps)[start:stop], by_lane(services)[start:stop],
+                            loads, left).reshape(stop - start, count)
+        met = flags & flat_idle[start:stop]
+        met &= unmet
+        hit = met.any(axis=0)
+        np.copyto(upto, stop, where=unmet)
+        np.copyto(upto, start + met.argmax(axis=0), where=hit)
+        unmet &= ~hit
+        kept.append((start, flags))
         start = stop
-        if not (hit.any() and still_open):
+        if not (hit.any() and unmet.any()):
             break
-        if ids is None and still_open * _GATHER_SHARE < count:
-            ids = np.flatnonzero(unmet)
-            left = left.reshape(1, count)[:, ids]
-    if ids is None:
-        ids = np.flatnonzero(unmet)
-        left = left.reshape(count)[ids]
+    ids = np.flatnonzero(unmet)
+    left = left.reshape(count)[ids]
 
     walk, served = _stream_walk(gaps, services, load, idle, tail)
     walked = []  # (first, end) stream positions of each walk
     reached = -1  # the last lane a walk entered, in stream order
     order = ids % segments * lanes + ids // segments  # in stream order
     by_stream = np.argsort(order)
-    for lane, work in zip(order[by_stream].tolist(), left.reshape(-1)[by_stream].tolist()):
+    for lane, work in zip(order[by_stream].tolist(), left[by_stream].tolist()):
         if lane <= reached:
             continue
         k, i = divmod(lane, lanes)
@@ -423,16 +351,12 @@ def _lane_busy_bits(gaps: np.ndarray, services: np.ndarray, load: float,
         upto[entered % lanes * segments + entered // lanes] = 0
     served = np.array(served, dtype=np.intp)
 
-    for first, lane_ids, flags in kept:
+    for first, flags in kept:
         before = np.arange(first, first + flags.shape[0])[:, None]
-        if lane_ids is None:
-            np.copyto(flat_idle[first:first + flags.shape[0]], flags, where=before < upto)
-        else:
-            r, c = np.nonzero(before < upto[lane_ids])
-            flat_idle[first + r, lane_ids[c]] = flags[r, c]
+        np.copyto(flat_idle[first:first + flags.shape[0]], flags, where=before < upto)
     # at the peak, the draws, the flags and the bits: nothing per lane, and
     # none of the walk's buffers
-    del kept, upto, unmet, walk
+    del kept, flags, met, hit, upto, unmet, left, order, by_stream, walk
     busy = np.empty((segments, width), dtype=bool)
     np.logical_not(idle.transpose(2, 1, 0), out=busy[:, :main].reshape(segments, lanes, rows))
     np.logical_not(tail.T, out=busy[:, main:])
@@ -467,7 +391,11 @@ def simulate_sequence(
     arrival j (see _log_uniforms).  No clock is formed: the recursion runs
     on residual work, where a gap is minus its log and a service its log
     times _load, and its bits are those of _chunk_rows run over the whole
-    stream in order.  Each segment is viewed as
+    stream in order.  The clock form this replaced compared absolute
+    arrival and end times, which round otherwise: where an arrival falls
+    within a few ulps of the clock (about 1e-10 at 1e6 arrivals) of a
+    departure, the two can give different bits for the same seed, though
+    none did on the seeds compared.  Each segment is viewed as
     max(1, width // (_LANE_ROWS * max(1, lambda_h / mu))) lanes: short
     lanes let many of them share each row of the recursion, and a lane of
     _LANE_ROWS mean service times outlasts most busy spans, so that most

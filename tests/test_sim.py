@@ -627,9 +627,8 @@ def test_lane_rerun_meets_after_its_first_block(lanes, row, every):
     # the arrival before a lane keeps the server busy until just before the
     # lane's arrival `row`, where the lane's rerun first finds it idle and
     # meets the empty-start run: past the first _SETTLE_ROWS-row block from
-    # row 8 on.  Either every lane but the first starts so, and the rerun
-    # runs on views over all lanes, or only lane 1 of segment 3 does, and it
-    # runs on that lane gathered
+    # row 8 on.  Either every lane but the first starts so, or only lane 1
+    # of segment 3 does, while every other lane settles in the first block
     times, services = np.arange(2500.0), np.zeros(2500)
     starts = _lane_starts(lanes)[1:] if every else [3 * 50 + 50 // lanes]
     for first in starts:
